@@ -13,20 +13,22 @@
 //! normal scores. Nominal attributes participate through their dictionary
 //! codes (frequency-preserving); generated codes map back to categories.
 
+use crate::encode::FirstSeen;
 use crate::matrix::{covariance_matrix, SquareMatrix};
 use crate::stats::{normal_cdf, EmpiricalDist};
-use idebench_storage::{Column, ColumnData, DataType, Table, TableBuilder, Value};
+use idebench_storage::{Column, ColumnData, DataType, Dictionary, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A fitted scaler that can generate arbitrarily many rows distributed like
 /// (a sample of) its seed table.
 pub struct CopulaScaler {
     table_name: String,
-    fields: Vec<(String, DataType)>,
+    schema: Schema,
     marginals: Vec<EmpiricalDist>,
-    /// Dictionaries of nominal columns, indexed like `fields`.
-    dicts: Vec<Option<std::sync::Arc<idebench_storage::Dictionary>>>,
+    /// Dictionaries of nominal columns, indexed like the schema's fields.
+    dicts: Vec<Option<Arc<Dictionary>>>,
     chol: SquareMatrix,
 }
 
@@ -48,21 +50,18 @@ impl CopulaScaler {
         }
         let sample = &idx[..k];
 
-        let mut fields = Vec::new();
         let mut marginals = Vec::new();
         let mut dicts = Vec::new();
         let mut std_columns: Vec<Vec<f64>> = Vec::new();
 
-        for (ci, field) in seed.schema().fields().iter().enumerate() {
-            let col = seed.column_at(ci);
+        for col in seed.columns() {
             let raw: Vec<f64> = sample
                 .iter()
                 .map(|&r| col.numeric_at(r).unwrap_or(0.0))
                 .collect();
-            fields.push((field.name.clone(), field.dtype));
             marginals.push(EmpiricalDist::new(raw.clone()));
             dicts.push(match col.data() {
-                ColumnData::Nominal(_, d) => Some(std::sync::Arc::clone(d)),
+                ColumnData::Nominal(_, d) => Some(Arc::clone(d)),
                 _ => None,
             });
             std_columns.push(standardize(&raw));
@@ -75,7 +74,7 @@ impl CopulaScaler {
         let sigma = covariance_matrix(&std_columns);
         CopulaScaler {
             table_name: seed.name().to_string(),
-            fields,
+            schema: seed.schema().clone(),
             marginals,
             dicts,
             chol: sigma.cholesky(),
@@ -83,15 +82,30 @@ impl CopulaScaler {
     }
 
     /// Generates `n` correlated rows.
+    ///
+    /// Each row draws one standard normal (two uniforms, Box–Muller) per
+    /// column, in schema order, and maps it through the copula. Generated
+    /// nominal codes index the seed's dictionary; the output dictionary
+    /// holds those values in first-seen order.
     pub fn generate(&self, n: usize, rng_seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let k = self.fields.len();
-        let field_refs: Vec<(&str, DataType)> =
-            self.fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let mut b = TableBuilder::with_fields(&self.table_name, &field_refs);
+        let k = self.schema.len();
+        let mut sinks: Vec<Sink> = self
+            .schema
+            .fields()
+            .iter()
+            .zip(&self.dicts)
+            .map(|(field, dict)| match field.dtype {
+                DataType::Float => Sink::Float(Vec::with_capacity(n)),
+                DataType::Int => Sink::Int(Vec::with_capacity(n)),
+                DataType::Nominal => {
+                    let dict = dict.as_deref().expect("nominal has dictionary");
+                    Sink::Nominal(FirstSeen::new(dict.len(), n), dict)
+                }
+            })
+            .collect();
         let mut x = vec![0.0f64; k];
         let mut xt = vec![0.0f64; k];
-        let mut row: Vec<Value> = Vec::with_capacity(k);
 
         for _ in 0..n {
             // X ~ N(0, I)
@@ -102,27 +116,35 @@ impl CopulaScaler {
             }
             // X̃ = A·X
             self.chol.mul_vec(&x, &mut xt);
-            row.clear();
-            for (ci, &xv) in xt.iter().enumerate() {
+            for (ci, (&xv, sink)) in xt.iter().zip(&mut sinks).enumerate() {
                 // Normal scores have the variance of a standard normal, so
                 // dividing by the factored scale keeps u well-spread even if
                 // Σ's diagonal is not exactly 1.
                 let scale = self.chol[(ci, ci)].max(1e-9);
                 let u = normal_cdf(xv / norm_row(&self.chol, ci, scale));
                 let v = self.marginals[ci].quantile(u);
-                row.push(match self.fields[ci].1 {
-                    DataType::Float => Value::Float(v),
-                    DataType::Int => Value::Int(v.round() as i64),
-                    DataType::Nominal => {
-                        let dict = self.dicts[ci].as_ref().expect("nominal has dictionary");
+                match sink {
+                    Sink::Float(col) => col.push(v),
+                    Sink::Int(col) => col.push(v.round() as i64),
+                    Sink::Nominal(col, dict) => {
                         let code = (v.round() as i64).clamp(0, dict.len() as i64 - 1) as u32;
-                        Value::Str(dict.value(code).expect("code in range").to_string())
+                        col.push(code as usize, || {
+                            dict.value(code).expect("code in range").to_string()
+                        });
                     }
-                });
+                }
             }
-            b.push_row(&row).expect("schema matches row");
         }
-        b.finish()
+        let columns = sinks
+            .into_iter()
+            .map(|sink| match sink {
+                Sink::Float(col) => Column::float(col),
+                Sink::Int(col) => Column::int(col),
+                Sink::Nominal(col, _) => col.finish(),
+            })
+            .collect();
+        Table::new(&self.table_name, self.schema.clone(), columns)
+            .expect("generated columns have equal lengths")
     }
 
     /// Convenience: fit on `seed` and generate `n` rows in one call,
@@ -130,6 +152,14 @@ impl CopulaScaler {
     pub fn scale(seed: &Table, sample_size: usize, n: usize, rng_seed: u64) -> Table {
         Self::fit(seed, sample_size, rng_seed).generate(n, rng_seed.wrapping_add(1))
     }
+}
+
+/// The output buffer of one generated column.
+enum Sink<'a> {
+    Float(Vec<f64>),
+    Int(Vec<i64>),
+    /// Codes into the seed's dictionary, re-encoded in first-seen order.
+    Nominal(FirstSeen, &'a Dictionary),
 }
 
 /// Centers and scales values to zero mean / unit variance.

@@ -13,8 +13,9 @@
 //! - Strong correlations: arrival delay tracks departure delay; air time
 //!   tracks route distance; states follow airports.
 
+use crate::encode::FirstSeen;
 use crate::stats::{sample_cumulative, zipf_cumulative};
-use idebench_storage::{DataType, Table, TableBuilder, Value};
+use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -114,11 +115,34 @@ fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
 /// Generates `n` rows of synthetic flights with the given RNG seed.
 ///
 /// Deterministic: equal `(n, seed)` always produces an identical table.
+///
+/// Generation contract (pinned by the crate's golden-content tests):
+/// - one RNG stream, seeded with `seed`, first draws the world (airport
+///   positions and congestion, carrier delay offsets) and then every row;
+/// - each row makes its draws in a fixed order — carrier, origin, dest,
+///   month, day of week, departure time, departure delay, distance jitter,
+///   air time, arrival delay — so `generate(m, seed)` holds the first `m`
+///   rows of `generate(n, seed)` for any `m <= n`;
+/// - nominal dictionaries list their values in first-seen order.
+///
+/// Rows are written straight into typed column buffers sized to `n`.
 pub fn generate(n: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let world = build_world(&mut rng);
-    let mut b = TableBuilder::with_fields(FLIGHTS_TABLE, SCHEMA);
-    let mut row: Vec<Value> = Vec::with_capacity(SCHEMA.len());
+
+    let mut carrier_col = FirstSeen::new(NUM_CARRIERS, n);
+    let mut origin_col = FirstSeen::new(NUM_AIRPORTS, n);
+    let mut origin_state_col = FirstSeen::new(NUM_STATES, n);
+    let mut dest_col = FirstSeen::new(NUM_AIRPORTS, n);
+    let mut dest_state_col = FirstSeen::new(NUM_STATES, n);
+    let mut month_col = Vec::with_capacity(n);
+    let mut dow_col = Vec::with_capacity(n);
+    let mut dep_time_col = Vec::with_capacity(n);
+    let mut dep_delay_col = Vec::with_capacity(n);
+    let mut arr_time_col = Vec::with_capacity(n);
+    let mut arr_delay_col = Vec::with_capacity(n);
+    let mut distance_col = Vec::with_capacity(n);
+    let mut air_time_col = Vec::with_capacity(n);
 
     for _ in 0..n {
         let carrier = sample_cumulative(&world.carrier_cum, rng.random());
@@ -182,23 +206,38 @@ pub fn generate(n: usize, seed: u64) -> Table {
 
         let arr_time = (dep_time + air_time / 60.0 + arr_delay.max(0.0) / 60.0).rem_euclid(24.0);
 
-        row.clear();
-        row.push(Value::Str(format!("C{carrier:02}")));
-        row.push(Value::Str(o.code.clone()));
-        row.push(Value::Str(format!("S{:02}", o.state)));
-        row.push(Value::Str(d.code.clone()));
-        row.push(Value::Str(format!("S{:02}", d.state)));
-        row.push(Value::Int(month));
-        row.push(Value::Int(dow));
-        row.push(Value::Float((dep_time * 100.0).round() / 100.0));
-        row.push(Value::Float(dep_delay));
-        row.push(Value::Float((arr_time * 100.0).round() / 100.0));
-        row.push(Value::Float(arr_delay));
-        row.push(Value::Float(distance.round()));
-        row.push(Value::Float(air_time.round()));
-        b.push_row(&row).expect("schema and row agree");
+        carrier_col.push(carrier, || format!("C{carrier:02}"));
+        origin_col.push(origin, || o.code.clone());
+        origin_state_col.push(o.state, || format!("S{:02}", o.state));
+        dest_col.push(dest, || d.code.clone());
+        dest_state_col.push(d.state, || format!("S{:02}", d.state));
+        month_col.push(month);
+        dow_col.push(dow);
+        dep_time_col.push((dep_time * 100.0).round() / 100.0);
+        dep_delay_col.push(dep_delay);
+        arr_time_col.push((arr_time * 100.0).round() / 100.0);
+        arr_delay_col.push(arr_delay);
+        distance_col.push(distance.round());
+        air_time_col.push(air_time.round());
     }
-    b.finish()
+
+    let columns = vec![
+        carrier_col.finish(),
+        origin_col.finish(),
+        origin_state_col.finish(),
+        dest_col.finish(),
+        dest_state_col.finish(),
+        Column::int(month_col),
+        Column::int(dow_col),
+        Column::float(dep_time_col),
+        Column::float(dep_delay_col),
+        Column::float(arr_time_col),
+        Column::float(arr_delay_col),
+        Column::float(distance_col),
+        Column::float(air_time_col),
+    ];
+    Table::new(FLIGHTS_TABLE, Schema::from_pairs(SCHEMA), columns)
+        .expect("flights columns have equal lengths")
 }
 
 /// Alias for [`generate`], emphasizing the role of the table as the *seed*
@@ -244,6 +283,17 @@ mod tests {
         assert_eq!(a, b);
         let c = generate(500, 43);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn shorter_tables_are_prefixes() {
+        let short = generate(300, 5);
+        let long = generate(1_000, 5);
+        for col in 0..SCHEMA.len() {
+            for row in 0..short.num_rows() {
+                assert_eq!(short.value_at(col, row), long.value_at(col, row));
+            }
+        }
     }
 
     #[test]

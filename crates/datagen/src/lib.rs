@@ -18,8 +18,23 @@
 //!   data into a more normalized form based on a specification").
 //!
 //! Supporting numerics live in [`stats`] and [`matrix`].
+//!
+//! # Generation contract
+//!
+//! Every generator ([`flights::generate`], [`orders::generate`],
+//! [`CopulaScaler::generate`]) gives a bit-identical table for equal inputs:
+//!
+//! - it draws from one RNG stream seeded with its seed argument;
+//! - each row makes its draws in a fixed order, documented per generator;
+//! - nominal dictionaries list their values in first-seen order.
+//!
+//! Rows are written straight into typed column buffers; nominal columns go
+//! through a small index → code table that interns each category once. The
+//! crate's golden-content tests pin the resulting payloads and dictionaries
+//! bit for bit.
 
 pub mod copula;
+mod encode;
 pub mod flights;
 pub mod matrix;
 pub mod normalize;

@@ -6,8 +6,9 @@
 //! popularity, log-normal prices, diurnal order times, and region-dependent
 //! shipping — used by the customizability example and tests.
 
+use crate::encode::FirstSeen;
 use crate::stats::{sample_cumulative, zipf_cumulative};
-use idebench_storage::{DataType, Table, TableBuilder, Value};
+use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,6 +42,9 @@ fn normal(rng: &mut StdRng) -> f64 {
 }
 
 /// Generates `n` synthetic orders with the given RNG seed. Deterministic.
+///
+/// After the per-product base prices, each row draws, in order: product,
+/// region, order hour, quantity, unit price, discount, shipping jitter.
 pub fn generate(n: usize, seed: u64) -> Table {
     // Salt keeps orders streams independent from equal-seed flights data.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x04de_15a1);
@@ -53,8 +57,15 @@ pub fn generate(n: usize, seed: u64) -> Table {
     // Region shipping base: farther regions ship slower.
     let ship_base: Vec<f64> = (0..NUM_REGIONS).map(|r| 1.5 + r as f64 * 0.7).collect();
 
-    let mut b = TableBuilder::with_fields(ORDERS_TABLE, SCHEMA);
-    let mut row: Vec<Value> = Vec::with_capacity(SCHEMA.len());
+    let mut region_col = FirstSeen::new(NUM_REGIONS, n);
+    let mut category_col = FirstSeen::new(NUM_CATEGORIES, n);
+    let mut product_col = FirstSeen::new(NUM_PRODUCTS, n);
+    let mut order_hour_col = Vec::with_capacity(n);
+    let mut quantity_col = Vec::with_capacity(n);
+    let mut unit_price_col = Vec::with_capacity(n);
+    let mut discount_col = Vec::with_capacity(n);
+    let mut revenue_col = Vec::with_capacity(n);
+    let mut ship_days_col = Vec::with_capacity(n);
     for _ in 0..n {
         let product = sample_cumulative(&product_cum, rng.random());
         let category = product % NUM_CATEGORIES;
@@ -83,19 +94,30 @@ pub fn generate(n: usize, seed: u64) -> Table {
             + if quantity > 6 { 1.0 } else { 0.0 })
         .max(0.5);
 
-        row.clear();
-        row.push(Value::Str(format!("R{region:02}")));
-        row.push(Value::Str(format!("CAT{category:02}")));
-        row.push(Value::Str(format!("P{product:04}")));
-        row.push(Value::Float((order_hour * 100.0).round() / 100.0));
-        row.push(Value::Int(quantity));
-        row.push(Value::Float((unit_price * 100.0).round() / 100.0));
-        row.push(Value::Float((discount * 100.0).round() / 100.0));
-        row.push(Value::Float((revenue * 100.0).round() / 100.0));
-        row.push(Value::Float((ship_days * 10.0).round() / 10.0));
-        b.push_row(&row).expect("schema and row agree");
+        region_col.push(region, || format!("R{region:02}"));
+        category_col.push(category, || format!("CAT{category:02}"));
+        product_col.push(product, || format!("P{product:04}"));
+        order_hour_col.push((order_hour * 100.0).round() / 100.0);
+        quantity_col.push(quantity);
+        unit_price_col.push((unit_price * 100.0).round() / 100.0);
+        discount_col.push((discount * 100.0).round() / 100.0);
+        revenue_col.push((revenue * 100.0).round() / 100.0);
+        ship_days_col.push((ship_days * 10.0).round() / 10.0);
     }
-    b.finish()
+
+    let columns = vec![
+        region_col.finish(),
+        category_col.finish(),
+        product_col.finish(),
+        Column::float(order_hour_col),
+        Column::int(quantity_col),
+        Column::float(unit_price_col),
+        Column::float(discount_col),
+        Column::float(revenue_col),
+        Column::float(ship_days_col),
+    ];
+    Table::new(ORDERS_TABLE, Schema::from_pairs(SCHEMA), columns)
+        .expect("orders columns have equal lengths")
 }
 
 #[cfg(test)]

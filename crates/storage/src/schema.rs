@@ -74,6 +74,11 @@ impl Schema {
         Schema { fields }
     }
 
+    /// Creates a schema from `(name, type)` pairs.
+    pub fn from_pairs(fields: &[(&str, DataType)]) -> Self {
+        Self::new(fields.iter().map(|(n, t)| Field::new(*n, *t)).collect())
+    }
+
     /// The fields, in column order.
     pub fn fields(&self) -> &[Field] {
         &self.fields

@@ -3,7 +3,7 @@
 use crate::column::{Column, ColumnData};
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{DataType, Schema};
 use crate::selection::SelVec;
 use std::sync::Arc;
 
@@ -214,13 +214,7 @@ impl TableBuilder {
 
     /// Convenience constructor from `(name, type)` pairs.
     pub fn with_fields(name: impl Into<String>, fields: &[(&str, DataType)]) -> Self {
-        let schema = Schema::new(
-            fields
-                .iter()
-                .map(|(n, t)| Field::new(*n, *t))
-                .collect::<Vec<_>>(),
-        );
-        Self::new(name, schema)
+        Self::new(name, Schema::from_pairs(fields))
     }
 
     /// Number of rows appended so far.
@@ -281,15 +275,16 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Finishes the build, producing an immutable table.
-    pub fn finish(self) -> Table {
+    /// Finishes the build, producing an immutable table. The column buffers
+    /// move into the table; nothing is copied.
+    pub fn finish(mut self) -> Table {
         let mut columns = Vec::with_capacity(self.schema.len());
         for (i, field) in self.schema.fields().iter().enumerate() {
             let mut col = match field.dtype {
-                DataType::Float => Column::float(self.floats[i].clone().expect("float buffer")),
-                DataType::Int => Column::int(self.ints[i].clone().expect("int buffer")),
+                DataType::Float => Column::float(self.floats[i].take().expect("float buffer")),
+                DataType::Int => Column::int(self.ints[i].take().expect("int buffer")),
                 DataType::Nominal => {
-                    let (buf, dict) = self.codes[i].clone().expect("code buffer");
+                    let (buf, dict) = self.codes[i].take().expect("code buffer");
                     Column::nominal(buf, Arc::new(dict))
                 }
             };
@@ -309,6 +304,7 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Field;
 
     fn small_table() -> Table {
         let mut b = TableBuilder::with_fields(
