@@ -5,7 +5,7 @@
 //! Table-1 configuration (TR = 0.5 s, think time 3 s, size M) and prints
 //! the report as CSV, mirroring Table 1's columns.
 
-use idebench_bench::{adapter_by_name, default_workflows, flights_dataset, ExpArgs};
+use idebench_bench::{default_workflows, flights_dataset, service_by_name, ExpArgs};
 use idebench_core::{BenchmarkDriver, DetailedReport};
 use idebench_query::CachedGroundTruth;
 use idebench_workflow::WorkflowType;
@@ -23,9 +23,9 @@ fn main() {
         .with_time_requirement_ms(500)
         .with_think_time_ms(3_000);
     let driver = BenchmarkDriver::new(settings);
-    let mut adapter = adapter_by_name("progressive");
+    let service = service_by_name("progressive");
     let outcome = driver
-        .run_workflow(adapter.as_mut(), &dataset, workflow)
+        .run_workflow(service.as_ref(), &dataset, workflow)
         .expect("workflow runs");
     let report = DetailedReport::from_outcome(&outcome, &mut gt);
     print!("{}", report.to_csv());

@@ -177,11 +177,11 @@ pub fn try_adapter_by_name(name: &str) -> Option<Box<dyn SystemAdapter>> {
     })
 }
 
-/// A fresh shared service by report name — the [`EngineService`]-world
-/// twin of [`adapter_by_name`] (fresh engine state per configuration, the
-/// way the paper restarts systems between runs). The service hosts one
-/// bridged adapter instance per session, so single-session experiment runs
-/// behave exactly like the pre-service driver path.
+/// A fresh shared service by report name (fresh engine state per
+/// configuration, the way the paper restarts systems between runs). The
+/// service hosts one [`adapter_by_name`] instance per session, created at
+/// the session's first `open_session`, so each session keeps its own
+/// engine state across the workflows it runs.
 pub fn service_by_name(name: &str) -> Arc<dyn EngineService> {
     let inner = name.to_string();
     ServiceCore::per_session_adapters(name, move |_| adapter_by_name(&inner)).into_shared()
@@ -213,9 +213,9 @@ pub fn parallel_ground_truth(dataset: &Dataset, workflows: &[Workflow]) -> Cache
 /// Runs a set of workflows through one shared service under one
 /// configuration and evaluates every query against ground truth.
 ///
-/// All workflows run as session 0 of the service — engine state (reuse
-/// caches, warm datasets) persists across the set, exactly as it did when
-/// one adapter instance ran them back to back on the legacy driver path.
+/// All workflows run as session 0 of the service, one after another, so
+/// engine state (reuse caches, warm datasets) persists across the set the
+/// way it would in one engine instance serving one analyst.
 pub fn run_workflows(
     service: &dyn EngineService,
     dataset: &Dataset,
@@ -226,7 +226,7 @@ pub fn run_workflows(
     let driver = BenchmarkDriver::new(settings.clone());
     let mut reports = Vec::with_capacity(workflows.len());
     for wf in workflows {
-        let outcome = driver.run_workflow_service(service, dataset, wf)?;
+        let outcome = driver.run_workflow(service, dataset, wf)?;
         reports.push(DetailedReport::from_outcome(&outcome, gt));
     }
     Ok(DetailedReport::merged(reports))
@@ -319,8 +319,7 @@ impl ExpContext {
     ) -> Result<DetailedReport, CoreError> {
         let service = service_by_name(system);
         let driver = BenchmarkDriver::new(settings.clone());
-        let outcome =
-            driver.run_workflow_service(service.as_ref(), &self.dataset, &self.workflows[idx])?;
+        let outcome = driver.run_workflow(service.as_ref(), &self.dataset, &self.workflows[idx])?;
         Ok(DetailedReport::from_outcome(&outcome, &mut self.gt))
     }
 }

@@ -1,11 +1,13 @@
 //! The system-adapter interface (paper §4.5, Listing 1).
 //!
 //! A system under test implements [`SystemAdapter`]. The benchmark driver
-//! delegates interactions through it and drives query execution through the
-//! pull-based [`QueryHandle`] it returns. Pull-based stepping gives the
-//! driver exact control over the time-requirement budget in both virtual and
-//! wall-clock execution modes, and makes cancellation trivial (drop the
-//! handle).
+//! reaches it through the shared service
+//! ([`crate::service::LegacyAdapterBridge`]): interactions are delegated
+//! through it, and query execution is driven through the pull-based
+//! [`QueryHandle`] it returns, one scheduler grant at a time. Pull-based
+//! stepping gives the driver exact control over the time-requirement budget
+//! in both virtual and wall-clock execution modes, and makes cancellation
+//! trivial (drop the handle).
 
 use crate::error::CoreError;
 use crate::query::Query;
@@ -92,11 +94,13 @@ impl PrepStats {
 
 /// Proxy between the benchmark and a system under test (paper Listing 1).
 ///
-/// This is the *single-analyst* engine SPI: `submit` takes `&mut self` and
-/// the driver owns the adapter exclusively. Shared multi-session runs go
-/// through [`crate::service::EngineService`] instead; existing adapters run
-/// there unchanged via [`crate::service::LegacyAdapterBridge`] (`Send` is
-/// required so bridged adapters can live inside the shared service).
+/// This is the *single-analyst* engine SPI: `submit` takes `&mut self`, so
+/// one instance hands out one exclusively-owned query at a time. The driver
+/// runs every workflow through [`crate::service::EngineService`]; adapters
+/// run there unchanged via [`crate::service::LegacyAdapterBridge`], hosted
+/// by [`crate::ServiceCore::shared_adapter`] or
+/// [`crate::ServiceCore::per_session_adapters`] (`Send` is required so
+/// bridged adapters can live inside the shared service).
 pub trait SystemAdapter: Send {
     /// Short system name used in reports (e.g. `"exact"`, `"progressive"`).
     fn name(&self) -> &str;

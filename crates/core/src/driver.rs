@@ -1,23 +1,19 @@
 //! The benchmark driver (paper §4.4).
 //!
-//! Two execution paths share the driver's accounting, bit for bit:
+//! The driver simulates a workflow against a shared [`EngineService`]: it
+//! applies each interaction to the visualization graph, fans the
+//! interaction out into (possibly multiple concurrent) queries submitted as
+//! deadline-tagged tickets, enforces the time requirement on every query,
+//! grants think-time to the engine between interactions, and records one
+//! [`QueryMeasurement`] per query.
 //!
-//! - the **service path** ([`WorkflowSession::step_service`],
-//!   [`BenchmarkDriver::run_workflow_service`]) — sessions submit
-//!   [`QueryOptions`]-tagged queries into one shared [`EngineService`] and
-//!   drive the returned tickets; this is what every harness and experiment
-//!   binary uses;
-//! - the **legacy adapter path** ([`WorkflowSession::step_interaction`],
-//!   [`BenchmarkDriver::run_workflow`]) — the paper's original
-//!   one-adapter-per-driver shape, kept both as the migration reference
-//!   (the service path is pinned bit-identical to it) and for driving a
-//!   bare [`SystemAdapter`] without a service wrapper.
-//!
-//! The driver simulates a workflow against a [`SystemAdapter`]: it applies
-//! each interaction to the visualization graph, fans the interaction out
-//! into (possibly multiple concurrent) queries, enforces the time
-//! requirement on every query, grants think-time to the adapter between
-//! interactions, and records one [`QueryMeasurement`] per query.
+//! There is one driver loop, [`WorkflowSession::step_service`].
+//! [`BenchmarkDriver::run_workflow`] runs one session through it straight
+//! to the end; multi-session harnesses interleave several sessions' steps
+//! over one service. An engine written against the paper's Listing-1
+//! [`crate::SystemAdapter`] interface runs under the driver through
+//! [`crate::ServiceCore::shared_adapter`] or
+//! [`crate::ServiceCore::per_session_adapters`].
 //!
 //! Concurrency model: queries triggered by the same interaction run in
 //! parallel *lanes*, each with the full time-requirement budget — matching
@@ -37,7 +33,7 @@
 //! for every worker count, as are query results bit for bit, so `workers`
 //! never affects a report — only how fast it is produced.
 
-use crate::adapter::{PrepStats, QueryHandle, SystemAdapter};
+use crate::adapter::PrepStats;
 use crate::error::CoreError;
 use crate::graph::VizGraph;
 use crate::interaction::Interaction;
@@ -98,7 +94,7 @@ pub struct QueryMeasurement {
 /// The outcome of running one workflow against one system.
 #[derive(Debug, Clone)]
 pub struct WorkflowOutcome {
-    /// System (adapter) name.
+    /// System (engine service) name.
     pub system: String,
     /// Workflow name.
     pub workflow_name: String,
@@ -106,7 +102,7 @@ pub struct WorkflowOutcome {
     pub workflow_kind: String,
     /// Settings the run used.
     pub settings: Settings,
-    /// Data-preparation cost reported by the adapter.
+    /// Data-preparation cost reported by the engine.
     pub prep: PrepStats,
     /// One measurement per executed query, in execution order.
     pub query_results: Vec<QueryMeasurement>,
@@ -131,34 +127,14 @@ impl BenchmarkDriver {
         &self.settings
     }
 
-    /// Prepares the adapter and runs a full workflow.
+    /// Runs a full workflow as session 0 of `service`.
     pub fn run_workflow(
-        &self,
-        adapter: &mut dyn SystemAdapter,
-        dataset: &Dataset,
-        workflow: &impl RunnableWorkflow,
-    ) -> Result<WorkflowOutcome, CoreError> {
-        self.run_interactions(
-            adapter,
-            dataset,
-            workflow.workflow_name(),
-            workflow.workflow_kind(),
-            workflow.interactions(),
-        )
-    }
-
-    /// Runs a full workflow as session 0 of a shared
-    /// [`EngineService`] — the service-path twin of
-    /// [`BenchmarkDriver::run_workflow`], bit-identical to it for every
-    /// in-repo engine (pinned by the `service_semantics` differential
-    /// proptest).
-    pub fn run_workflow_service(
         &self,
         service: &dyn EngineService,
         dataset: &Dataset,
         workflow: &impl RunnableWorkflow,
     ) -> Result<WorkflowOutcome, CoreError> {
-        self.run_interactions_service(
+        self.run_interactions(
             service,
             dataset,
             workflow.workflow_name(),
@@ -167,8 +143,14 @@ impl BenchmarkDriver {
         )
     }
 
-    /// Runs a raw interaction sequence as session 0 of a shared service.
-    pub fn run_interactions_service(
+    /// Runs a raw interaction sequence as session 0 of `service`.
+    ///
+    /// The session is opened (engine preparation) before the first
+    /// interaction and closed after the last. Engine state behind the
+    /// service outlives the call, so running several workflows through one
+    /// service back to back keeps warm datasets and reuse caches, as one
+    /// engine instance serving an analyst would.
+    pub fn run_interactions(
         &self,
         service: &dyn EngineService,
         dataset: &Dataset,
@@ -183,25 +165,6 @@ impl BenchmarkDriver {
         }
         service.close_session(session.session_id());
         Ok(session.into_outcome(service.name(), workflow_name, workflow_kind, prep))
-    }
-
-    /// Prepares the adapter and runs a raw interaction sequence.
-    pub fn run_interactions(
-        &self,
-        adapter: &mut dyn SystemAdapter,
-        dataset: &Dataset,
-        workflow_name: &str,
-        workflow_kind: &str,
-        interactions: &[Interaction],
-    ) -> Result<WorkflowOutcome, CoreError> {
-        let prep = adapter.prepare(dataset, &self.settings)?;
-        adapter.workflow_start();
-        let mut session = WorkflowSession::new(self.settings.clone());
-        for interaction in interactions {
-            session.step_interaction(adapter, dataset, interaction)?;
-        }
-        adapter.workflow_end();
-        Ok(session.into_outcome(adapter.name(), workflow_name, workflow_kind, prep))
     }
 }
 
@@ -273,99 +236,17 @@ impl WorkflowSession {
         &self.measurements
     }
 
-    /// Executes the session's next interaction: applies it to the viz
-    /// graph, drives every triggered query to completion or the TR budget,
-    /// and advances the session clock past the interaction's think time.
-    /// Returns the ms the interaction consumed (queries + think time).
-    pub fn step_interaction(
-        &mut self,
-        adapter: &mut dyn SystemAdapter,
-        dataset: &Dataset,
-        interaction: &Interaction,
-    ) -> Result<f64, CoreError> {
-        let started_ms = self.clock_ms;
-        let interaction_id = self.interactions_run;
-        let affected = self.graph.apply(interaction)?;
-
-        // Adapter notifications for non-query interactions. Queries are
-        // resolved (count-binnings → widths) before they reach the
-        // adapter so speculative fingerprints match later real queries.
-        match interaction {
-            Interaction::Link { source, target } => {
-                let mut sq = self.graph.query_for(source)?;
-                let mut tq = self.graph.query_for(target)?;
-                resolve_count_binnings(&mut sq, dataset, &mut self.ranges)?;
-                resolve_count_binnings(&mut tq, dataset, &mut self.ranges)?;
-                adapter.on_link(&sq, &tq);
-            }
-            Interaction::Discard { viz } => adapter.on_discard(viz),
-            _ => {}
-        }
-
-        // Build and submit one query per affected viz (concurrent lanes).
-        let concurrent = affected.len();
-        let mut lanes: Vec<(String, Query, Box<dyn QueryHandle>)> = Vec::with_capacity(concurrent);
-        for name in &affected {
-            let mut query = self.graph.query_for(name)?;
-            resolve_count_binnings(&mut query, dataset, &mut self.ranges)?;
-            let handle = adapter.submit(&query);
-            lanes.push((name.clone(), query, handle));
-        }
-
-        // Drive each lane to completion or the TR budget. With a
-        // nonzero contention penalty, k concurrent lanes each run at
-        // 1/(1 + penalty·(k−1)) of full speed (same wall TR, less work).
-        let slowdown =
-            1.0 + self.settings.concurrency_penalty * concurrent.saturating_sub(1) as f64;
-        let mut interaction_elapsed_ms = 0.0f64;
-        for (viz_name, query, mut handle) in lanes {
-            let (elapsed_ms, done) = self.drive_to_budget(handle.as_mut(), slowdown);
-            let snapshot = handle.snapshot();
-            let tr_violated = snapshot.is_none();
-            debug_assert!(
-                !(done && tr_violated),
-                "a completed query must have a fetchable result"
-            );
-            interaction_elapsed_ms = interaction_elapsed_ms.max(elapsed_ms);
-            self.measurements.push(QueryMeasurement {
-                query_id: self.query_id,
-                interaction_id,
-                viz_name,
-                query,
-                start_ms: self.clock_ms,
-                end_ms: self.clock_ms + elapsed_ms,
-                tr_violated,
-                result: snapshot,
-                concurrent,
-            });
-            self.query_id += 1;
-            // Dropping the handle cancels any remaining work.
-        }
-
-        self.clock_ms += interaction_elapsed_ms;
-
-        // Think time: the user stares at the dashboard; the adapter may
-        // speculate (paper §5.4 / Exp 3).
-        if let Some(budget) = self.settings.think_budget_units() {
-            adapter.on_think(budget);
-        }
-        self.clock_ms += self.settings.think_time_ms as f64;
-
-        self.interactions_run += 1;
-        Ok(self.clock_ms - started_ms)
-    }
-
     /// Executes the session's next interaction against a shared
-    /// [`EngineService`] — the service-path twin of
-    /// [`WorkflowSession::step_interaction`], and the only path
-    /// multi-session harnesses use: the session owns no engine, it submits
-    /// tickets under its [`SessionId`] with the time requirement as the
-    /// work-unit deadline and drives them through the service's scheduler.
+    /// [`EngineService`]: applies it to the viz graph, submits one ticket
+    /// per triggered query under the session's [`SessionId`] with the time
+    /// requirement as the work-unit deadline, drives every ticket to
+    /// completion or the deadline, and advances the session clock past the
+    /// interaction's think time. Returns the ms the interaction consumed
+    /// (queries + think time).
     ///
-    /// Accounting is bit-identical to the adapter path: lanes are
-    /// submitted in affected-viz order and share one effective deadline,
-    /// so the scheduler's `(deadline, session, ticket)` order funds them
-    /// exactly as the legacy per-lane budget loop did.
+    /// Concurrent lanes are submitted in affected-viz order and share one
+    /// effective deadline, so the scheduler's `(deadline, session, ticket)`
+    /// order funds them one after another, each with its full budget.
     pub fn step_service(
         &mut self,
         service: &dyn EngineService,
@@ -376,8 +257,9 @@ impl WorkflowSession {
         let interaction_id = self.interactions_run;
         let affected = self.graph.apply(interaction)?;
 
-        // Service notifications for non-query interactions (queries are
-        // resolved before they reach the engine, as in the adapter path).
+        // Engine notifications for non-query interactions. Queries are
+        // resolved (count-binnings → widths) before they reach the engine
+        // so speculative fingerprints match later real queries.
         match interaction {
             Interaction::Link { source, target } => {
                 let mut sq = self.graph.query_for(source)?;
@@ -391,7 +273,9 @@ impl WorkflowSession {
         }
 
         // Submit one ticket per affected viz (concurrent lanes, each with
-        // the full per-lane deadline budget).
+        // the full per-lane deadline budget). With a nonzero contention
+        // penalty, k concurrent lanes each run at 1/(1 + penalty·(k−1)) of
+        // full speed (same wall TR, less work).
         let concurrent = affected.len();
         let slowdown =
             1.0 + self.settings.concurrency_penalty * concurrent.saturating_sub(1) as f64;
@@ -437,6 +321,8 @@ impl WorkflowSession {
 
         self.clock_ms += interaction_elapsed_ms;
 
+        // Think time: the user stares at the dashboard; the engine may
+        // speculate (paper §5.4 / Exp 3).
         if let Some(budget) = self.settings.think_budget_units() {
             service.on_think(self.session_id, budget);
         }
@@ -451,8 +337,9 @@ impl WorkflowSession {
     /// Virtual mode: the deadline is already encoded in the ticket's
     /// work-unit budget, so this just pumps the scheduler until the ticket
     /// settles. Wall mode: pumps until done or the wall deadline, then
-    /// deadline-cancels. Returns `(elapsed_ms, done)` with `elapsed_ms`
-    /// capped at the TR, mirroring `drive_to_budget`.
+    /// deadline-cancels. `slowdown ≥ 1` scales how much time each work
+    /// unit costs (contention). Returns `(elapsed_ms, done)` with
+    /// `elapsed_ms` capped at the TR.
     fn drive_ticket(&self, ticket: &QueryTicket, slowdown: f64) -> (f64, bool) {
         match self.settings.execution {
             ExecutionMode::Virtual { .. } => {
@@ -483,7 +370,7 @@ impl WorkflowSession {
 
     /// Finishes the session, packaging its measurements into a
     /// [`WorkflowOutcome`] (the caller supplies what the session does not
-    /// track: adapter identity, workflow labels, preparation stats).
+    /// track: engine name, workflow labels, preparation stats).
     pub fn into_outcome(
         self,
         system: &str,
@@ -499,61 +386,6 @@ impl WorkflowSession {
             prep,
             query_results: self.measurements,
             total_ms: self.clock_ms,
-        }
-    }
-
-    /// Steps one query until done or the TR budget is exhausted.
-    ///
-    /// `slowdown ≥ 1` scales how much wall time each work unit costs
-    /// (contention); the TR stays fixed, so the *work* budget shrinks.
-    /// Returns `(elapsed_ms, done)`, where `elapsed_ms` is capped at the TR.
-    fn drive_to_budget(&self, handle: &mut dyn QueryHandle, slowdown: f64) -> (f64, bool) {
-        match self.settings.execution {
-            ExecutionMode::Virtual { .. } => {
-                let budget = (self
-                    .settings
-                    .tr_budget_units()
-                    .expect("virtual mode has a unit budget") as f64
-                    / slowdown)
-                    .floor() as u64;
-                let mut spent = 0u64;
-                let mut done = false;
-                while spent < budget {
-                    let grant = self.settings.step_quantum.min(budget - spent);
-                    let status = handle.step(grant);
-                    // An engine must not overdraw its grant.
-                    debug_assert!(status.units() <= grant, "engine overdrew step grant");
-                    spent += status.units();
-                    if status.is_done() {
-                        done = true;
-                        break;
-                    }
-                    if status.units() == 0 {
-                        // Engine yields without progress: treat as stalled at
-                        // the budget to avoid an infinite loop.
-                        spent = budget;
-                        break;
-                    }
-                }
-                (self.settings.units_to_ms(spent) * slowdown, done)
-            }
-            ExecutionMode::Wall => {
-                let start = Instant::now();
-                let deadline_ms = self.settings.time_requirement_ms as f64;
-                let mut done = false;
-                loop {
-                    let status = handle.step(self.settings.step_quantum);
-                    if status.is_done() {
-                        done = true;
-                        break;
-                    }
-                    if start.elapsed().as_secs_f64() * 1e3 >= deadline_ms {
-                        break;
-                    }
-                }
-                let elapsed = (start.elapsed().as_secs_f64() * 1e3).min(deadline_ms);
-                (elapsed, done)
-            }
         }
     }
 }
@@ -632,33 +464,27 @@ pub fn resolve_count_binnings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::StepStatus;
+    use crate::adapter::{QueryHandle, StepStatus, SystemAdapter};
     use crate::result::{BinCoord, BinKey, BinStats};
+    use crate::service::ServiceCore;
     use crate::spec::{AggregateSpec, VizSpec};
     use idebench_storage::{DataType, TableBuilder};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
-    /// A toy adapter whose queries cost `cost_units` and return one bin.
-    struct ToyAdapter {
-        cost_units: u64,
-        progressive: bool,
-        prepared: bool,
+    /// Hook calls a [`ToyAdapter`] received, shared with the test so that
+    /// forwarding through the service bridge is observed.
+    #[derive(Debug, Default)]
+    struct HookLog {
         think_calls: Vec<u64>,
         discards: Vec<String>,
         links: usize,
     }
 
-    impl ToyAdapter {
-        fn new(cost_units: u64, progressive: bool) -> Self {
-            ToyAdapter {
-                cost_units,
-                progressive,
-                prepared: false,
-                think_calls: Vec::new(),
-                discards: Vec::new(),
-                links: 0,
-            }
-        }
+    /// A toy adapter whose queries cost `cost_units` and return one bin.
+    struct ToyAdapter {
+        cost_units: u64,
+        progressive: bool,
+        log: Arc<Mutex<HookLog>>,
     }
 
     struct ToyHandle {
@@ -704,7 +530,6 @@ mod tests {
             _dataset: &Dataset,
             _settings: &Settings,
         ) -> Result<PrepStats, CoreError> {
-            self.prepared = true;
             Ok(PrepStats {
                 load_units: 7,
                 ..Default::default()
@@ -720,15 +545,15 @@ mod tests {
         }
 
         fn on_think(&mut self, budget_units: u64) {
-            self.think_calls.push(budget_units);
+            self.log.lock().unwrap().think_calls.push(budget_units);
         }
 
         fn on_discard(&mut self, viz_name: &str) {
-            self.discards.push(viz_name.to_string());
+            self.log.lock().unwrap().discards.push(viz_name.to_string());
         }
 
         fn on_link(&mut self, _s: &Query, _t: &Query) {
-            self.links += 1;
+            self.log.lock().unwrap().links += 1;
         }
     }
 
@@ -765,20 +590,36 @@ mod tests {
             .with_execution(ExecutionMode::Virtual { work_rate: 1_000.0 })
     }
 
+    /// Runs `interactions` against a [`ToyAdapter`] hosted behind a shared
+    /// service, returning the outcome and the adapter's hook log.
+    fn run(
+        cost_units: u64,
+        progressive: bool,
+        interactions: &[Interaction],
+    ) -> (Result<WorkflowOutcome, CoreError>, HookLog) {
+        let log = Arc::new(Mutex::new(HookLog::default()));
+        let service = ServiceCore::shared_adapter(ToyAdapter {
+            cost_units,
+            progressive,
+            log: Arc::clone(&log),
+        });
+        let out = BenchmarkDriver::new(settings()).run_interactions(
+            &service,
+            &dataset(),
+            "wf",
+            "test",
+            interactions,
+        );
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (out, log)
+    }
+
     #[test]
     fn fast_blocking_query_completes_within_tr() {
-        let mut adapter = ToyAdapter::new(400, false);
-        let driver = BenchmarkDriver::new(settings());
-        let out = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[Interaction::CreateViz { viz: viz("a") }],
-            )
-            .unwrap();
+        let (out, _) = run(400, false, &[Interaction::CreateViz { viz: viz("a") }]);
+        let out = out.unwrap();
         assert_eq!(out.query_results.len(), 1);
+        assert_eq!(out.system, "toy");
         let m = &out.query_results[0];
         assert!(!m.tr_violated);
         assert!(m.result.is_some());
@@ -788,18 +629,8 @@ mod tests {
 
     #[test]
     fn slow_blocking_query_violates_tr() {
-        let mut adapter = ToyAdapter::new(5_000, false);
-        let driver = BenchmarkDriver::new(settings());
-        let out = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[Interaction::CreateViz { viz: viz("a") }],
-            )
-            .unwrap();
-        let m = &out.query_results[0];
+        let (out, _) = run(5_000, false, &[Interaction::CreateViz { viz: viz("a") }]);
+        let m = &out.unwrap().query_results[0];
         assert!(m.tr_violated);
         assert!(m.result.is_none());
         // Cancelled exactly at the TR.
@@ -808,26 +639,14 @@ mod tests {
 
     #[test]
     fn slow_progressive_query_still_delivers() {
-        let mut adapter = ToyAdapter::new(5_000, true);
-        let driver = BenchmarkDriver::new(settings());
-        let out = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[Interaction::CreateViz { viz: viz("a") }],
-            )
-            .unwrap();
-        let m = &out.query_results[0];
+        let (out, _) = run(5_000, true, &[Interaction::CreateViz { viz: viz("a") }]);
+        let m = &out.unwrap().query_results[0];
         assert!(!m.tr_violated);
         assert!(m.result.is_some());
     }
 
     #[test]
     fn link_interaction_fans_out_concurrent_queries() {
-        let mut adapter = ToyAdapter::new(100, false);
-        let driver = BenchmarkDriver::new(settings());
         let interactions = vec![
             Interaction::CreateViz { viz: viz("src") },
             Interaction::CreateViz { viz: viz("t1") },
@@ -845,10 +664,9 @@ mod tests {
                 filter: None,
             },
         ];
-        let out = driver
-            .run_interactions(&mut adapter, &dataset(), "wf", "test", &interactions)
-            .unwrap();
+        let (out, log) = run(100, false, &interactions);
         // Last interaction refreshes src + t1 + t2 concurrently.
+        let out = out.unwrap();
         let last: Vec<_> = out
             .query_results
             .iter()
@@ -856,45 +674,35 @@ mod tests {
             .collect();
         assert_eq!(last.len(), 3);
         assert!(last.iter().all(|m| m.concurrent == 3));
-        assert_eq!(adapter.links, 2);
+        assert_eq!(log.links, 2);
     }
 
     #[test]
     fn think_time_budget_granted_each_interaction() {
-        let mut adapter = ToyAdapter::new(10, false);
-        let driver = BenchmarkDriver::new(settings());
-        driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[
-                    Interaction::CreateViz { viz: viz("a") },
-                    Interaction::CreateViz { viz: viz("b") },
-                ],
-            )
-            .unwrap();
+        let (out, log) = run(
+            10,
+            false,
+            &[
+                Interaction::CreateViz { viz: viz("a") },
+                Interaction::CreateViz { viz: viz("b") },
+            ],
+        );
+        out.unwrap();
         // 500 ms think at 1000 units/s = 500 units, twice.
-        assert_eq!(adapter.think_calls, vec![500, 500]);
+        assert_eq!(log.think_calls, vec![500, 500]);
     }
 
     #[test]
     fn clock_advances_with_queries_and_think_time() {
-        let mut adapter = ToyAdapter::new(200, false);
-        let driver = BenchmarkDriver::new(settings());
-        let out = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[
-                    Interaction::CreateViz { viz: viz("a") },
-                    Interaction::CreateViz { viz: viz("b") },
-                ],
-            )
-            .unwrap();
+        let (out, _) = run(
+            200,
+            false,
+            &[
+                Interaction::CreateViz { viz: viz("a") },
+                Interaction::CreateViz { viz: viz("b") },
+            ],
+        );
+        let out = out.unwrap();
         // Each interaction: 200 ms query + 500 ms think.
         assert!((out.total_ms - 2.0 * (200.0 + 500.0)).abs() < 1e-9);
         let second = &out.query_results[1];
@@ -902,29 +710,21 @@ mod tests {
     }
 
     #[test]
-    fn discard_notifies_adapter_and_triggers_no_query() {
-        let mut adapter = ToyAdapter::new(10, false);
-        let driver = BenchmarkDriver::new(settings());
-        let out = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[
-                    Interaction::CreateViz { viz: viz("a") },
-                    Interaction::Discard { viz: "a".into() },
-                ],
-            )
-            .unwrap();
-        assert_eq!(out.query_results.len(), 1);
-        assert_eq!(adapter.discards, vec!["a"]);
+    fn discard_notifies_engine_and_triggers_no_query() {
+        let (out, log) = run(
+            10,
+            false,
+            &[
+                Interaction::CreateViz { viz: viz("a") },
+                Interaction::Discard { viz: "a".into() },
+            ],
+        );
+        assert_eq!(out.unwrap().query_results.len(), 1);
+        assert_eq!(log.discards, vec!["a"]);
     }
 
     #[test]
     fn count_binning_resolved_against_data_range() {
-        let mut adapter = ToyAdapter::new(10, false);
-        let driver = BenchmarkDriver::new(settings());
         let spec = VizSpec::new(
             "q",
             "flights",
@@ -934,15 +734,8 @@ mod tests {
             }],
             vec![AggregateSpec::count()],
         );
-        let out = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[Interaction::CreateViz { viz: spec }],
-            )
-            .unwrap();
+        let (out, _) = run(10, false, &[Interaction::CreateViz { viz: spec }]);
+        let out = out.unwrap();
         let q = &out.query_results[0].query;
         match &q.binning()[0] {
             BinDef::Width { width, anchor, .. } => {
@@ -955,84 +748,56 @@ mod tests {
     }
 
     #[test]
-    fn service_path_matches_adapter_path_bit_for_bit() {
-        let interactions = vec![
-            Interaction::CreateViz { viz: viz("src") },
-            Interaction::CreateViz { viz: viz("t1") },
-            Interaction::Link {
-                source: "src".into(),
-                target: "t1".into(),
-            },
-            Interaction::SetFilter {
-                viz: "src".into(),
-                filter: None,
-            },
-            Interaction::Discard { viz: "t1".into() },
-        ];
-        let driver = BenchmarkDriver::new(settings());
-        let ds = dataset();
-        for cost in [100u64, 5_000] {
-            let mut adapter = ToyAdapter::new(cost, false);
-            let legacy = driver
-                .run_interactions(&mut adapter, &ds, "wf", "test", &interactions)
-                .unwrap();
-            let service = crate::service::ServiceCore::shared_adapter(ToyAdapter::new(cost, false));
-            let via_service = driver
-                .run_interactions_service(&service, &ds, "wf", "test", &interactions)
-                .unwrap();
-            assert_eq!(legacy.total_ms, via_service.total_ms);
-            assert_eq!(legacy.prep, via_service.prep);
-            assert_eq!(legacy.query_results.len(), via_service.query_results.len());
-            for (a, b) in legacy.query_results.iter().zip(&via_service.query_results) {
-                assert_eq!(a.start_ms, b.start_ms);
-                assert_eq!(a.end_ms, b.end_ms);
-                assert_eq!(a.tr_violated, b.tr_violated);
-                assert_eq!(a.result, b.result);
-                assert_eq!(a.concurrent, b.concurrent);
+    fn unknown_viz_interaction_is_an_error() {
+        let (out, _) = run(
+            10,
+            false,
+            &[Interaction::Discard {
+                viz: "ghost".into(),
+            }],
+        );
+        assert!(matches!(out.unwrap_err(), CoreError::UnknownViz(_)));
+    }
+
+    #[test]
+    fn engine_panic_in_step_unwinds_instead_of_aborting() {
+        struct PanicHandle;
+        impl QueryHandle for PanicHandle {
+            fn step(&mut self, _granted: u64) -> StepStatus {
+                panic!("engine fault");
+            }
+            fn snapshot(&self) -> Option<AggResult> {
+                None
+            }
+            fn is_done(&self) -> bool {
+                false
             }
         }
-    }
-
-    #[test]
-    fn service_path_forwards_think_and_discard_hooks() {
-        // The shared-adapter bridge lets us observe hook traffic through a
-        // raw pointer-free route: run, then inspect via a second run — here
-        // we simply assert the run completes and the clock matches the
-        // adapter path's arithmetic (hook forwarding is covered by the
-        // bit-identity test above; this pins the think-time budget math).
-        let driver = BenchmarkDriver::new(settings());
-        let service = crate::service::ServiceCore::shared_adapter(ToyAdapter::new(200, false));
-        let out = driver
-            .run_interactions_service(
+        struct PanicAdapter;
+        impl SystemAdapter for PanicAdapter {
+            fn name(&self) -> &str {
+                "panic"
+            }
+            fn prepare(&mut self, _: &Dataset, _: &Settings) -> Result<PrepStats, CoreError> {
+                Ok(PrepStats::default())
+            }
+            fn submit(&mut self, _query: &Query) -> Box<dyn QueryHandle> {
+                Box::new(PanicHandle)
+            }
+        }
+        // The panic poisons the scheduler mutex mid-step; the in-flight
+        // ticket is then dropped during unwinding and must not panic again.
+        let service = ServiceCore::shared_adapter(PanicAdapter);
+        let ds = dataset();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            BenchmarkDriver::new(settings()).run_interactions(
                 &service,
-                &dataset(),
+                &ds,
                 "wf",
                 "test",
-                &[
-                    Interaction::CreateViz { viz: viz("a") },
-                    Interaction::CreateViz { viz: viz("b") },
-                ],
+                &[Interaction::CreateViz { viz: viz("a") }],
             )
-            .unwrap();
-        assert!((out.total_ms - 2.0 * (200.0 + 500.0)).abs() < 1e-9);
-        assert_eq!(out.system, "toy");
-    }
-
-    #[test]
-    fn unknown_viz_interaction_is_an_error() {
-        let mut adapter = ToyAdapter::new(10, false);
-        let driver = BenchmarkDriver::new(settings());
-        let err = driver
-            .run_interactions(
-                &mut adapter,
-                &dataset(),
-                "wf",
-                "test",
-                &[Interaction::Discard {
-                    viz: "ghost".into(),
-                }],
-            )
-            .unwrap_err();
-        assert!(matches!(err, CoreError::UnknownViz(_)));
+        }));
+        assert!(caught.is_err());
     }
 }

@@ -19,8 +19,9 @@
 //!   scheduler with cooperative cancellation ([`QueryTicket`]), plus the
 //!   [`service::LegacyAdapterBridge`] that runs `SystemAdapter` impls
 //!   behind it.
-//! - [`driver`]: the benchmark driver that runs workflows, enforces the time
-//!   requirement, and grants think-time to adapters (§4.4).
+//! - [`driver`]: the benchmark driver that runs workflows through an
+//!   [`EngineService`], enforces the time requirement, and grants
+//!   think-time to the engine (§4.4).
 //! - [`metrics`]: the quality metrics of §4.7 (missing bins, mean relative
 //!   error, SMAPE, cosine distance, margins, out-of-margin, bias).
 //! - [`report`]: detailed (Table 1) and summary (Figure 5) reports (§4.8).

@@ -46,7 +46,7 @@
 //! clock. Worker threads (the morsel dispatcher under a step) only change
 //! how fast a grant's rows are scanned, never the grant sequence or the
 //! results — so reports produced through the service are bit-identical
-//! across worker counts, exactly like the legacy driver path.
+//! across worker counts.
 //!
 //! # Implementations
 //!
@@ -384,10 +384,10 @@ impl TicketScheduler {
     /// `(priority, deadline, session, ticket)` key. Returns `false` when
     /// nothing is runnable.
     ///
-    /// Mirrors the legacy driver's budget loop exactly: a grant never
-    /// exceeds the remaining deadline budget; completion settles `Done`; a
-    /// zero-unit step without completion is a stalled engine and is
-    /// charged the full budget (`Expired`), as `drive_to_budget` did.
+    /// A grant never exceeds the remaining deadline budget; completion
+    /// settles `Done`; spending the whole budget settles `Expired`; and a
+    /// zero-unit step without completion is a stalled engine, charged the
+    /// full budget and settled `Expired`.
     pub fn pump_one(&self) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let Some(&key) = inner.queue.iter().next() else {
@@ -417,8 +417,9 @@ impl TicketScheduler {
                     settle(cell, Phase::Done);
                     false
                 } else if status.units() == 0 {
-                    // Engine yields without progress: charge the whole
-                    // budget to avoid an infinite loop (legacy stall rule).
+                    // Engine yields without progress: it would never
+                    // finish, so charge the whole budget and stop
+                    // granting instead of looping forever.
                     if cell.deadline != u64::MAX {
                         cell.spent = cell.deadline;
                     }
@@ -602,6 +603,12 @@ impl QueryTicket {
 
 impl Drop for QueryTicket {
     fn drop(&mut self) {
+        // An engine panicked inside `step` while the scheduler lock was
+        // held. This drop is then most likely part of that unwind, and
+        // locking would panic again and abort the process.
+        if self.sched.inner.is_poisoned() {
+            return;
+        }
         self.sched.terminate(self.id, Phase::Revoked);
         self.sched.release(self.id);
     }
@@ -665,7 +672,7 @@ pub trait EngineService: Send + Sync {
         settings: &Settings,
     ) -> Result<PrepStats, CoreError>;
 
-    /// Ends a session (the legacy `workflow_end`). Engine-side session
+    /// Ends a session (the adapter's `workflow_end`). Engine-side session
     /// state may be retained so a later `open_session` resumes it.
     fn close_session(&self, _session: SessionId) {}
 
@@ -800,8 +807,9 @@ impl ServiceBackend for LegacyAdapterBridge {
     }
 
     fn close_session(&mut self, session: SessionId) {
-        // Session state is retained (like the legacy harness, which kept
-        // adapters alive across workflows); only the lifecycle hook fires.
+        // Session state is retained, so a later `open_session` of the same
+        // session resumes it (one adapter instance serving an analyst's
+        // workflows back to back); only the lifecycle hook fires.
         match &mut self.mode {
             BridgeMode::Shared(a) => a.workflow_end(),
             BridgeMode::PerSession { sessions, .. } => {

@@ -55,11 +55,9 @@ pub mod report;
 pub use cache::{CacheStats, CachedEngineService, SemanticCache};
 pub use report::{FleetReport, SessionSummary};
 
-use idebench_core::service::{EngineService, ServiceCore, SessionId};
+use idebench_core::service::{EngineService, SessionId};
 use idebench_core::WorkflowSession;
-use idebench_core::{
-    CoreError, ExecutionMode, PrepStats, Settings, SystemAdapter, WorkflowOutcome,
-};
+use idebench_core::{CoreError, ExecutionMode, PrepStats, Settings, WorkflowOutcome};
 use idebench_storage::Dataset;
 use idebench_workflow::{Workflow, WorkflowGenerator, WorkflowType};
 use rand::rngs::StdRng;
@@ -361,39 +359,12 @@ impl FleetHarness {
             cache: cache.totals(),
         })
     }
-
-    /// Compatibility path for [`SystemAdapter`]-world callers: bridges
-    /// `make_adapter` (one instance per session, the pre-service fleet
-    /// shape) behind a [`ServiceCore`] and calls [`FleetHarness::run`].
-    /// Produces bit-identical outcomes to the pre-redesign harness —
-    /// `make_adapter` is called exactly once per session, in session-id
-    /// order, up front (as the old harness did).
-    pub fn run_with(
-        &self,
-        dataset: &Dataset,
-        mut make_adapter: impl FnMut(SessionId) -> Box<dyn SystemAdapter> + Send + 'static,
-    ) -> Result<FleetOutcome, CoreError> {
-        let mut prebuilt: rustc_hash::FxHashMap<SessionId, Box<dyn SystemAdapter>> =
-            (0..self.config.sessions as SessionId)
-                .map(|i| (i, make_adapter(i)))
-                .collect();
-        let name = prebuilt
-            .get(&0)
-            .map(|a| a.name().to_string())
-            .unwrap_or_default();
-        let service = ServiceCore::per_session_adapters(name, move |session| {
-            prebuilt
-                .remove(&session)
-                .expect("one prebuilt adapter per fleet session")
-        })
-        .into_shared();
-        self.run(dataset, service)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idebench_core::service::ServiceCore;
     use idebench_engine_exact::ExactAdapter;
 
     fn dataset(n: usize) -> Dataset {

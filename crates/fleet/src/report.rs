@@ -284,7 +284,7 @@ impl FleetReport {
 mod tests {
     use super::*;
     use crate::{FleetConfig, FleetHarness};
-    use idebench_core::Settings;
+    use idebench_core::{ServiceCore, Settings};
     use idebench_engine_exact::ExactAdapter;
     use idebench_workflow::WorkflowType;
     use std::sync::Arc;
@@ -302,9 +302,8 @@ mod tests {
             sessions,
         )
         .with_workflow(WorkflowType::Mixed, 6);
-        FleetHarness::new(cfg)
-            .run_with(dataset, |_| Box::new(ExactAdapter::with_defaults()))
-            .unwrap()
+        let service = ServiceCore::shared_adapter(ExactAdapter::with_defaults()).into_shared();
+        FleetHarness::new(cfg).run(dataset, service).unwrap()
     }
 
     #[test]

@@ -64,14 +64,16 @@ fn main() {
     let driver = BenchmarkDriver::new(settings);
     let mut gt = CachedGroundTruth::new(dataset.clone());
     let mut reports = Vec::new();
-    for name in ["exact", "progressive"] {
-        let mut adapter: Box<dyn SystemAdapter> = match name {
-            "exact" => Box::new(idebench::engine_exact::ExactAdapter::with_defaults()),
-            _ => Box::new(idebench::engine_progressive::ProgressiveAdapter::with_defaults()),
-        };
+    let services = [
+        idebench::engine_exact::ExactAdapter::with_defaults().into_service(),
+        idebench::engine_progressive::ProgressiveAdapter::service(
+            idebench::engine_progressive::ProgressiveConfig::default(),
+        ),
+    ];
+    for service in &services {
         for wf in &workflows {
             let outcome = driver
-                .run_workflow(adapter.as_mut(), &dataset, wf)
+                .run_workflow(service, &dataset, wf)
                 .expect("workflow runs");
             reports.push(DetailedReport::from_outcome(&outcome, &mut gt));
         }

@@ -62,9 +62,9 @@ fn main() {
     // And actually run it against the exact engine.
     let settings = Settings::default().with_time_requirement_ms(5_000);
     let driver = BenchmarkDriver::new(settings);
-    let mut adapter = idebench::engine_exact::ExactAdapter::with_defaults();
+    let service = idebench::engine_exact::ExactAdapter::with_defaults().into_service();
     let outcome = driver
-        .run_workflow(&mut adapter, &dataset, &workflow)
+        .run_workflow(&service, &dataset, &workflow)
         .expect("workflow runs");
     let mut gt = CachedGroundTruth::new(dataset.clone());
     let report = DetailedReport::from_outcome(&outcome, &mut gt);

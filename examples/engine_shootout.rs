@@ -10,9 +10,9 @@
 //! ```
 
 use idebench::prelude::*;
-use idebench_engine_cache::CachingAdapter;
+use idebench_engine_cache::{CacheConfig, CachingAdapter};
 use idebench_engine_exact::ExactAdapter;
-use idebench_engine_progressive::ProgressiveAdapter;
+use idebench_engine_progressive::{ProgressiveAdapter, ProgressiveConfig};
 use idebench_engine_stratified::StratifiedAdapter;
 use idebench_engine_wander::WanderAdapter;
 use idebench_query::CachedGroundTruth;
@@ -29,20 +29,22 @@ fn main() {
         .with_execution(idebench::core::ExecutionMode::Virtual { work_rate: 1e5 });
 
     let mut gt = CachedGroundTruth::new(dataset.clone());
-    let mut adapters: Vec<Box<dyn SystemAdapter>> = vec![
-        Box::new(ExactAdapter::with_defaults()),
-        Box::new(ProgressiveAdapter::with_defaults()),
-        Box::new(StratifiedAdapter::with_defaults()),
-        Box::new(WanderAdapter::with_defaults()),
-        Box::new(CachingAdapter::with_defaults(ExactAdapter::with_defaults())),
+    // One service per engine, built once: its workflows run back to back
+    // as one analyst, keeping the engine's warm state between them.
+    let services = [
+        ExactAdapter::with_defaults().into_service(),
+        ProgressiveAdapter::service(ProgressiveConfig::default()),
+        StratifiedAdapter::with_defaults().into_service(),
+        WanderAdapter::with_defaults().into_service(),
+        CachingAdapter::service(CacheConfig::default(), |_| ExactAdapter::with_defaults()),
     ];
 
     let driver = BenchmarkDriver::new(settings);
     let mut reports = Vec::new();
-    for adapter in &mut adapters {
+    for service in &services {
         for wf in &workflows {
             let outcome = driver
-                .run_workflow(adapter.as_mut(), &dataset, wf)
+                .run_workflow(service, &dataset, wf)
                 .expect("workflow runs");
             reports.push(DetailedReport::from_outcome(&outcome, &mut gt));
         }

@@ -102,9 +102,11 @@ fn main() {
         .with_time_requirement_ms(2_000)
         .with_execution(idebench::core::ExecutionMode::Virtual { work_rate: 1e5 });
     let driver = BenchmarkDriver::new(settings);
-    let mut adapter = idebench::engine_progressive::ProgressiveAdapter::with_defaults();
+    let service = idebench::engine_progressive::ProgressiveAdapter::service(
+        idebench::engine_progressive::ProgressiveConfig::default(),
+    );
     let outcome = driver
-        .run_workflow(&mut adapter, &dataset, &workflow)
+        .run_workflow(&service, &dataset, &workflow)
         .expect("session replays");
 
     let mut gt = CachedGroundTruth::new(dataset.clone());

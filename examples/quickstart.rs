@@ -27,9 +27,11 @@ fn main() {
         .with_time_requirement_ms(500)
         .with_think_time_ms(1_000);
     let driver = BenchmarkDriver::new(settings);
-    let mut adapter = idebench::engine_progressive::ProgressiveAdapter::with_defaults();
+    let service = idebench::engine_progressive::ProgressiveAdapter::service(
+        idebench::engine_progressive::ProgressiveConfig::default(),
+    );
     let outcome = driver
-        .run_workflow(&mut adapter, &dataset, &workflow)
+        .run_workflow(&service, &dataset, &workflow)
         .expect("workflow runs");
 
     // 4. Evaluate against exact ground truth and print the reports (§4.7/4.8).

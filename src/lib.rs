@@ -36,9 +36,11 @@
 //!
 //! // 3. Run it against the progressive engine under a 500 ms time requirement.
 //! let settings = Settings::default().with_time_requirement_ms(500);
-//! let mut adapter = idebench::engine_progressive::ProgressiveAdapter::with_defaults();
+//! let service = idebench::engine_progressive::ProgressiveAdapter::service(
+//!     idebench::engine_progressive::ProgressiveConfig::default(),
+//! );
 //! let outcome = BenchmarkDriver::new(settings)
-//!     .run_workflow(&mut adapter, &dataset, &wf)
+//!     .run_workflow(&service, &dataset, &wf)
 //!     .unwrap();
 //! assert!(!outcome.query_results.is_empty());
 //! ```

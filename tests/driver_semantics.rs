@@ -4,7 +4,7 @@
 use idebench::core::spec::{AggregateSpec, BinDef, SelCoord, Selection};
 use idebench::core::{BenchmarkDriver, ExecutionMode, Interaction, Settings, VizSpec};
 use idebench::engine_exact::ExactAdapter;
-use idebench::engine_progressive::ProgressiveAdapter;
+use idebench::engine_progressive::{ProgressiveAdapter, ProgressiveConfig};
 use idebench::storage::Dataset;
 use idebench::workflow::{Workflow, WorkflowType};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn cancelled_queries_end_exactly_at_the_time_requirement() {
     // Full scans cost ≈ ROWS x 1.5 units ≈ 7.5 virtual s at 10k units/s.
     let ds = dataset();
     let driver = BenchmarkDriver::new(settings(1_000, 0));
-    let mut adapter = ExactAdapter::with_defaults();
+    let service = ExactAdapter::with_defaults().into_service();
     let wf = Workflow::new(
         "w",
         WorkflowType::Independent,
@@ -46,7 +46,7 @@ fn cancelled_queries_end_exactly_at_the_time_requirement() {
             viz: carrier_viz("a"),
         }],
     );
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     let m = &outcome.query_results[0];
     assert!(m.tr_violated);
     let elapsed = m.end_ms - m.start_ms;
@@ -60,7 +60,7 @@ fn cancelled_queries_end_exactly_at_the_time_requirement() {
 fn completed_queries_record_true_latency() {
     let ds = dataset();
     let driver = BenchmarkDriver::new(settings(60_000, 0));
-    let mut adapter = ExactAdapter::with_defaults();
+    let service = ExactAdapter::with_defaults().into_service();
     let wf = Workflow::new(
         "w",
         WorkflowType::Independent,
@@ -68,7 +68,7 @@ fn completed_queries_record_true_latency() {
             viz: carrier_viz("a"),
         }],
     );
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     let m = &outcome.query_results[0];
     assert!(!m.tr_violated);
     let elapsed = m.end_ms - m.start_ms;
@@ -82,7 +82,7 @@ fn completed_queries_record_true_latency() {
 fn think_time_advances_clock_between_interactions() {
     let ds = dataset();
     let driver = BenchmarkDriver::new(settings(500, 2_000));
-    let mut adapter = ProgressiveAdapter::with_defaults();
+    let service = ProgressiveAdapter::service(ProgressiveConfig::default());
     let wf = Workflow::new(
         "w",
         WorkflowType::Independent,
@@ -95,7 +95,7 @@ fn think_time_advances_clock_between_interactions() {
             },
         ],
     );
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     let first = &outcome.query_results[0];
     let second = &outcome.query_results[1];
     // Second interaction starts after first query (≤ TR) + think time.
@@ -111,7 +111,7 @@ fn think_time_advances_clock_between_interactions() {
 fn selection_on_linked_vizs_triggers_concurrent_updates() {
     let ds = dataset();
     let driver = BenchmarkDriver::new(settings(500, 100));
-    let mut adapter = ProgressiveAdapter::with_defaults();
+    let service = ProgressiveAdapter::service(ProgressiveConfig::default());
     let wf = Workflow::new(
         "w",
         WorkflowType::OneToN,
@@ -141,7 +141,7 @@ fn selection_on_linked_vizs_triggers_concurrent_updates() {
             },
         ],
     );
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     let last: Vec<_> = outcome
         .query_results
         .iter()
@@ -159,7 +159,7 @@ fn selection_on_linked_vizs_triggers_concurrent_updates() {
 fn progressive_results_complete_under_generous_tr() {
     let ds = dataset();
     let driver = BenchmarkDriver::new(settings(30_000, 0));
-    let mut adapter = ProgressiveAdapter::with_defaults();
+    let service = ProgressiveAdapter::service(ProgressiveConfig::default());
     let wf = Workflow::new(
         "w",
         WorkflowType::Independent,
@@ -167,7 +167,7 @@ fn progressive_results_complete_under_generous_tr() {
             viz: carrier_viz("a"),
         }],
     );
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     let result = outcome.query_results[0].result.as_ref().expect("snapshot");
     assert!(result.exact, "full scan converges to exact");
     assert_eq!(result.processed_fraction, 1.0);
@@ -212,8 +212,8 @@ fn concurrency_penalty_slows_concurrent_lanes() {
         let mut settings = settings(500, 0);
         settings.concurrency_penalty = penalty;
         let driver = BenchmarkDriver::new(settings);
-        let mut adapter = ProgressiveAdapter::with_defaults();
-        let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+        let service = ProgressiveAdapter::service(ProgressiveConfig::default());
+        let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
         let last = outcome
             .query_results
             .iter()
@@ -239,7 +239,7 @@ fn wall_clock_mode_runs_and_measures() {
         .with_think_time_ms(0)
         .with_execution(ExecutionMode::Wall);
     let driver = BenchmarkDriver::new(settings);
-    let mut adapter = ExactAdapter::with_defaults();
+    let service = ExactAdapter::with_defaults().into_service();
     let wf = Workflow::new(
         "w",
         WorkflowType::Independent,
@@ -247,7 +247,7 @@ fn wall_clock_mode_runs_and_measures() {
             viz: carrier_viz("a"),
         }],
     );
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     let m = &outcome.query_results[0];
     assert!(!m.tr_violated, "2k rows complete within a 2s wall TR");
     assert!(m.result.is_some());

@@ -54,14 +54,14 @@ fn every_engine_runs_star_schemas_through_the_driver() {
         }],
     );
     let driver = BenchmarkDriver::new(settings());
-    let mut progressive = ProgressiveAdapter::with_defaults();
-    assert!(driver.run_workflow(&mut progressive, &ds, &wf).is_ok());
-    let mut stratified = StratifiedAdapter::with_defaults();
-    assert!(driver.run_workflow(&mut stratified, &ds, &wf).is_ok());
-    let mut exact = ExactAdapter::with_defaults();
-    assert!(driver.run_workflow(&mut exact, &ds, &wf).is_ok());
-    let mut wander = WanderAdapter::with_defaults();
-    assert!(driver.run_workflow(&mut wander, &ds, &wf).is_ok());
+    let progressive = ProgressiveAdapter::service(ProgressiveConfig::default());
+    assert!(driver.run_workflow(&progressive, &ds, &wf).is_ok());
+    let stratified = StratifiedAdapter::with_defaults().into_service();
+    assert!(driver.run_workflow(&stratified, &ds, &wf).is_ok());
+    let exact = ExactAdapter::with_defaults().into_service();
+    assert!(driver.run_workflow(&exact, &ds, &wf).is_ok());
+    let wander = WanderAdapter::with_defaults().into_service();
+    assert!(driver.run_workflow(&wander, &ds, &wf).is_ok());
 }
 
 #[test]
@@ -195,8 +195,8 @@ fn empty_workflow_is_a_noop() {
     let ds = flights(100);
     let wf = Workflow::new("w", WorkflowType::Independent, vec![]);
     let driver = BenchmarkDriver::new(settings());
-    let mut adapter = ExactAdapter::with_defaults();
-    let outcome = driver.run_workflow(&mut adapter, &ds, &wf).unwrap();
+    let service = ExactAdapter::with_defaults().into_service();
+    let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
     assert!(outcome.query_results.is_empty());
     assert_eq!(outcome.total_ms, 0.0);
 }
@@ -249,11 +249,11 @@ fn tiny_datasets_complete_instantly_without_violations() {
     );
     let driver = BenchmarkDriver::new(settings());
     for name in ["exact", "wander"] {
-        let mut adapter: Box<dyn SystemAdapter> = match name {
-            "exact" => Box::new(ExactAdapter::with_defaults()),
-            _ => Box::new(WanderAdapter::with_defaults()),
+        let service = match name {
+            "exact" => ExactAdapter::with_defaults().into_service(),
+            _ => WanderAdapter::with_defaults().into_service(),
         };
-        let outcome = driver.run_workflow(adapter.as_mut(), &ds, &wf).unwrap();
+        let outcome = driver.run_workflow(&service, &ds, &wf).unwrap();
         let m = &outcome.query_results[0];
         assert!(!m.tr_violated, "{name} on 10 rows");
         assert!(m.result.is_some());

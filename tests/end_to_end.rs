@@ -3,12 +3,12 @@
 //! must exhibit.
 
 use idebench::core::{
-    BenchmarkDriver, DetailedReport, ExecutionMode, GroundTruthProvider, Settings, SummaryReport,
-    SystemAdapter,
+    BenchmarkDriver, DetailedReport, EngineService, ExecutionMode, GroundTruthProvider, Settings,
+    SummaryReport, SystemAdapter,
 };
 use idebench::engine_cache::CachingAdapter;
 use idebench::engine_exact::ExactAdapter;
-use idebench::engine_progressive::ProgressiveAdapter;
+use idebench::engine_progressive::{ProgressiveAdapter, ProgressiveConfig};
 use idebench::engine_stratified::StratifiedAdapter;
 use idebench::engine_wander::WanderAdapter;
 use idebench::query::CachedGroundTruth;
@@ -35,7 +35,7 @@ fn settings(tr_ms: u64) -> Settings {
 }
 
 fn run(
-    adapter: &mut dyn SystemAdapter,
+    service: &dyn EngineService,
     dataset: &Dataset,
     tr_ms: u64,
     gt: &mut CachedGroundTruth,
@@ -43,7 +43,7 @@ fn run(
     let driver = BenchmarkDriver::new(settings(tr_ms));
     let mut parts = Vec::new();
     for wf in workflows() {
-        let outcome = driver.run_workflow(adapter, dataset, &wf).expect("runs");
+        let outcome = driver.run_workflow(service, dataset, &wf).expect("runs");
         parts.push(DetailedReport::from_outcome(&outcome, gt));
     }
     DetailedReport::merged(parts)
@@ -53,8 +53,8 @@ fn run(
 fn exact_engine_is_all_or_nothing() {
     let ds = dataset();
     let mut gt = CachedGroundTruth::new(ds.clone());
-    let mut adapter = ExactAdapter::with_defaults();
-    let report = run(&mut adapter, &ds, 1_000, &mut gt);
+    let service = ExactAdapter::with_defaults().into_service();
+    let report = run(&service, &ds, 1_000, &mut gt);
     for row in &report.rows {
         if row.tr_violated {
             assert_eq!(
@@ -80,9 +80,9 @@ fn progressive_quality_improves_with_time_requirement() {
     let mut missings = Vec::new();
     let mut violations = Vec::new();
     for tr in [200u64, 1_000, 5_000] {
-        // Fresh adapter per TR, as the benchmark restarts systems per run.
-        let mut adapter = ProgressiveAdapter::with_defaults();
-        let report = run(&mut adapter, &ds, tr, &mut gt);
+        // Fresh engine per TR, as the benchmark restarts systems per run.
+        let service = ProgressiveAdapter::service(ProgressiveConfig::default());
+        let report = run(&service, &ds, tr, &mut gt);
         let summary = SummaryReport::from_detailed(&report);
         missings.push(summary.rows[0].mean_missing_bins);
         violations.push(summary.rows[0].pct_tr_violated);
@@ -101,8 +101,8 @@ fn stratified_quality_constant_across_time_requirements() {
     let mut gt = CachedGroundTruth::new(ds.clone());
     let mut mres = Vec::new();
     for tr in [2_000u64, 10_000] {
-        let mut adapter = StratifiedAdapter::with_defaults();
-        let report = run(&mut adapter, &ds, tr, &mut gt);
+        let service = StratifiedAdapter::with_defaults().into_service();
+        let report = run(&service, &ds, tr, &mut gt);
         let summary = SummaryReport::from_detailed(&report);
         assert_eq!(summary.rows[0].pct_tr_violated, 0.0, "TR {tr} generous");
         mres.push(summary.rows[0].mean_mre.expect("has errors"));
@@ -120,8 +120,8 @@ fn wander_violations_flat_across_time_requirements() {
     let mut gt = CachedGroundTruth::new(ds.clone());
     let mut rates = Vec::new();
     for tr in [500u64, 1_500] {
-        let mut adapter = WanderAdapter::with_defaults();
-        let report = run(&mut adapter, &ds, tr, &mut gt);
+        let service = WanderAdapter::with_defaults().into_service();
+        let report = run(&service, &ds, tr, &mut gt);
         let summary = SummaryReport::from_detailed(&report);
         rates.push(summary.rows[0].pct_tr_violated);
     }
@@ -140,18 +140,18 @@ fn wander_violations_flat_across_time_requirements() {
 fn middleware_layer_adds_overhead_but_same_results() {
     let ds = dataset();
     let mut gt = CachedGroundTruth::new(ds.clone());
-    let mut bare = ExactAdapter::with_defaults();
-    let bare_report = run(&mut bare, &ds, 20_000, &mut gt);
+    let bare = ExactAdapter::with_defaults().into_service();
+    let bare_report = run(&bare, &ds, 20_000, &mut gt);
     // Result caching off: repeated queries answered from cache are *faster*
     // than a bare scan, which would mask the overhead this test pins down.
-    let mut layered = CachingAdapter::new(
-        ExactAdapter::with_defaults(),
+    let layered = CachingAdapter::service(
         idebench::engine_cache::CacheConfig {
             overhead_s: 1.5,
             enable_cache: false,
         },
+        |_| ExactAdapter::with_defaults(),
     );
-    let layered_report = run(&mut layered, &ds, 20_000, &mut gt);
+    let layered_report = run(&layered, &ds, 20_000, &mut gt);
 
     let mean_lat = |r: &DetailedReport| {
         r.rows
@@ -194,14 +194,14 @@ fn normalized_and_denormalized_agree_on_exact_results() {
     let star = idebench::datagen::normalize_flights(&table).expect("normalizes");
 
     let mut gt_flat = CachedGroundTruth::new(denorm.clone());
-    let mut adapter = ExactAdapter::with_defaults();
+    let flat_service = ExactAdapter::with_defaults().into_service();
     let driver = BenchmarkDriver::new(settings(60_000));
     // Workflows touch carrier/origin_state (moved to dimensions) and fact
     // columns alike.
     for wf in workflows() {
-        let flat = driver.run_workflow(&mut adapter, &denorm, &wf).unwrap();
-        let mut adapter_star = ExactAdapter::with_defaults();
-        let starred = driver.run_workflow(&mut adapter_star, &star, &wf).unwrap();
+        let flat = driver.run_workflow(&flat_service, &denorm, &wf).unwrap();
+        let star_service = ExactAdapter::with_defaults().into_service();
+        let starred = driver.run_workflow(&star_service, &star, &wf).unwrap();
         assert_eq!(flat.query_results.len(), starred.query_results.len());
         for (a, b) in flat.query_results.iter().zip(&starred.query_results) {
             let (Some(ra), Some(rb)) = (&a.result, &b.result) else {
@@ -225,8 +225,8 @@ fn normalized_and_denormalized_agree_on_exact_results() {
 fn detailed_report_matches_table1_layout() {
     let ds = dataset();
     let mut gt = CachedGroundTruth::new(ds.clone());
-    let mut adapter = ProgressiveAdapter::with_defaults();
-    let report = run(&mut adapter, &ds, 500, &mut gt);
+    let service = ProgressiveAdapter::service(ProgressiveConfig::default());
+    let report = run(&service, &ds, 500, &mut gt);
     let csv = report.to_csv();
     let header = csv.lines().next().unwrap();
     for column in [

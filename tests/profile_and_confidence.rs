@@ -78,14 +78,12 @@ fn confidence_level_scales_margins() {
             .with_think_time_ms(0)
             .with_execution(ExecutionMode::Virtual { work_rate: 1e4 });
         settings.confidence_level = confidence;
-        let mut adapter = ProgressiveAdapter::new(ProgressiveConfig {
+        let service = ProgressiveAdapter::service(ProgressiveConfig {
             first_query_warmup_s: 0.0,
             ..ProgressiveConfig::default()
         });
         let driver = BenchmarkDriver::new(settings);
-        let outcome = driver
-            .run_workflow(&mut adapter, &dataset, &workflow)
-            .unwrap();
+        let outcome = driver.run_workflow(&service, &dataset, &workflow).unwrap();
         let result = outcome.query_results[0].result.as_ref().expect("snapshot");
         assert!(!result.exact, "partial under a tight TR");
         let mean_margin: f64 =

@@ -1,17 +1,17 @@
-//! Shared-service semantics: the `EngineService` redesign must not change
-//! a single measured bit relative to the pre-redesign driver path, and its
-//! new behaviour — cooperative cancellation — must hold under real engines.
+//! Shared-service semantics: reports are pinned to golden hashes, and the
+//! service's cooperative cancellation holds under real engines.
 //!
-//! - A differential proptest pins the service path's reports bit-identical
-//!   to the legacy `SystemAdapter` driver path, for every engine and
-//!   across scan worker counts {1, 2, 8}.
+//! - A golden-report test runs one fixed mixed workflow on all five
+//!   engines over both the denormalized table and its star schema, and
+//!   pins an FNV-1a hash of everything each run measured. The hashes were
+//!   recorded when the driver still stepped bare `SystemAdapter`s itself,
+//!   so they carry that path's reports forward; every case must also be
+//!   identical at scan worker counts {1, 2, 8}.
 //! - Cancellation tests pin the supersede rule end to end: a superseded
 //!   viz query is revoked before completion, consumes no further work
 //!   units, and never surfaces a stale snapshot.
 
-use idebench::core::{
-    BenchmarkDriver, EngineService, QueryOptions, ServiceCore, Settings, SystemAdapter,
-};
+use idebench::core::{BenchmarkDriver, EngineService, QueryOptions, ServiceCore, Settings};
 use idebench::engine_cache::{CacheConfig, CachingAdapter};
 use idebench::engine_exact::ExactAdapter;
 use idebench::engine_progressive::{ProgressiveAdapter, ProgressiveConfig};
@@ -21,49 +21,30 @@ use idebench::prelude::*;
 use idebench::workflow::{WorkflowGenerator, WorkflowType};
 use idebench_core::spec::{AggregateSpec, BinDef, VizSpec};
 use idebench_core::{ExecutionMode, Query, WorkflowOutcome};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn dataset() -> Dataset {
     Dataset::Denormalized(Arc::new(idebench::datagen::flights::generate(20_000, 42)))
 }
 
-/// One engine in both worlds: its report name, a fresh legacy adapter, and
-/// a fresh shared service hosting the same engine configuration.
-type EngineUnderTest = (&'static str, Box<dyn SystemAdapter>, Arc<dyn EngineService>);
-
-fn engines() -> Vec<EngineUnderTest> {
-    vec![
-        (
-            "exact",
-            Box::new(ExactAdapter::with_defaults()) as Box<dyn SystemAdapter>,
-            ExactAdapter::with_defaults().into_service().into_shared(),
-        ),
-        (
-            "wander",
-            Box::new(WanderAdapter::with_defaults()),
-            WanderAdapter::with_defaults().into_service().into_shared(),
-        ),
-        (
-            "stratified",
-            Box::new(StratifiedAdapter::with_defaults()),
-            StratifiedAdapter::with_defaults()
-                .into_service()
-                .into_shared(),
-        ),
-        (
-            "progressive",
-            Box::new(ProgressiveAdapter::with_defaults()),
-            Arc::new(ProgressiveAdapter::service(ProgressiveConfig::default())),
-        ),
-        (
-            "cache+exact",
-            Box::new(CachingAdapter::with_defaults(ExactAdapter::with_defaults())),
-            Arc::new(CachingAdapter::service(CacheConfig::default(), |_| {
-                ExactAdapter::with_defaults()
-            })),
-        ),
-    ]
+/// A fresh shared service hosting `engine`.
+fn service(engine: &str) -> Arc<dyn EngineService> {
+    match engine {
+        "exact" => ExactAdapter::with_defaults().into_service().into_shared(),
+        "wander" => WanderAdapter::with_defaults().into_service().into_shared(),
+        "stratified" => StratifiedAdapter::with_defaults()
+            .into_service()
+            .into_shared(),
+        // Speculation on, so the link and think-time hooks shape results.
+        "progressive" => Arc::new(ProgressiveAdapter::service(ProgressiveConfig {
+            enable_speculation: true,
+            ..ProgressiveConfig::default()
+        })),
+        "cache+exact" => Arc::new(CachingAdapter::service(CacheConfig::default(), |_| {
+            ExactAdapter::with_defaults()
+        })),
+        other => panic!("unknown engine {other}"),
+    }
 }
 
 /// A bit-exact fingerprint of everything a run measured: timing, TR
@@ -95,57 +76,68 @@ fn fingerprint(outcome: &WorkflowOutcome) -> String {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
-    /// For every engine: the `EngineService` path reproduces the
-    /// pre-redesign driver path bit for bit, and stays bit-identical
-    /// across scan worker counts {1, 2, 8}.
-    #[test]
-    fn service_path_is_bit_identical_to_legacy_driver(seed in 0u64..1_000) {
-        let ds = dataset();
-        let workflow = WorkflowGenerator::new(WorkflowType::Mixed, seed).generate(8);
-        for (name, _, _) in engines() {
-            let mut reference: Option<String> = None;
-            for workers in [1usize, 2, 8] {
-                let settings = Settings::default()
-                    .with_time_requirement_ms(100)
-                    .with_think_time_ms(50)
-                    .with_seed(seed)
-                    .with_workers(workers)
-                    .with_execution(ExecutionMode::Virtual { work_rate: 1e5 });
-                let driver = BenchmarkDriver::new(settings);
-                // Fresh engine state per run, matching how experiment
-                // sweeps restart systems between cells.
-                let (_, mut adapter, service) = engines()
-                    .into_iter()
-                    .find(|(n, _, _)| *n == name)
-                    .expect("engine exists");
-                let legacy = driver
-                    .run_workflow(adapter.as_mut(), &ds, &workflow)
-                    .expect("legacy path runs");
-                let serviced = driver
-                    .run_workflow_service(service.as_ref(), &ds, &workflow)
-                    .expect("service path runs");
-                let legacy_fp = fingerprint(&legacy);
-                prop_assert_eq!(
-                    &legacy_fp,
-                    &fingerprint(&serviced),
-                    "engine {} diverged between paths at workers={}",
-                    name,
-                    workers
+/// Runs the golden workflow on a fresh instance of `engine` and hashes the
+/// outcome's fingerprint. The 100 ms TR at 1e5 units/s (10k units against
+/// 20k-row scans) puts queries on both sides of the deadline; the
+/// contention penalty makes concurrent lanes' budgets fractional before
+/// rounding; the quantum splits a budget into several grants; the think
+/// time funds speculation.
+fn golden_hash(engine: &str, dataset: &Dataset, workers: usize) -> u64 {
+    let mut settings = Settings::default()
+        .with_time_requirement_ms(100)
+        .with_think_time_ms(500)
+        .with_seed(7)
+        .with_workers(workers)
+        .with_execution(ExecutionMode::Virtual { work_rate: 1e5 });
+    settings.concurrency_penalty = 0.3;
+    settings.step_quantum = 3_000;
+    let workflow = WorkflowGenerator::new(WorkflowType::Mixed, 12).generate(16);
+    let outcome = BenchmarkDriver::new(settings)
+        .run_workflow(service(engine).as_ref(), dataset, &workflow)
+        .expect("golden workflow runs");
+    fnv1a(fingerprint(&outcome).as_bytes())
+}
+
+/// `(engine, denormalized hash, star hash)`.
+const GOLDEN: [(&str, u64, u64); 5] = [
+    ("exact", 0x352b_0ec0_f81b_7d60, 0xc075_a609_76f2_d87a),
+    ("wander", 0xfc5a_92d6_d4a3_6443, 0xba38_03c4_29c2_977f),
+    ("stratified", 0x4347_5397_4393_beec, 0xb0cc_92ba_da49_d47a),
+    ("progressive", 0xd892_59d1_c5a6_f2c3, 0xf6e6_5e77_f426_ea54),
+    ("cache+exact", 0x27b2_d07c_e28e_4208, 0x1858_6836_b828_b734),
+];
+
+/// Every engine × schema reproduces its recorded report bit for bit, at
+/// every scan worker count.
+#[test]
+fn reports_match_golden_hashes_at_every_worker_count() {
+    let table = idebench::datagen::flights::generate(20_000, 42);
+    let star = idebench::datagen::normalize_flights(&table).expect("normalizes");
+    let schemas = [
+        ("denormalized", Dataset::Denormalized(Arc::new(table))),
+        ("star", star),
+    ];
+    for (engine, denormalized, star) in GOLDEN {
+        for ((schema, ds), golden) in schemas.iter().zip([denormalized, star]) {
+            let reference = golden_hash(engine, ds, 1);
+            for workers in [2usize, 8] {
+                assert_eq!(
+                    golden_hash(engine, ds, workers),
+                    reference,
+                    "{engine} on {schema} diverged across worker counts at workers={workers}"
                 );
-                match &reference {
-                    None => reference = Some(legacy_fp),
-                    Some(r) => prop_assert_eq!(
-                        r,
-                        &legacy_fp,
-                        "engine {} diverged across worker counts at workers={}",
-                        name,
-                        workers
-                    ),
-                }
             }
+            assert_eq!(
+                reference, golden,
+                "{engine} on {schema}: report hash {reference:#018x} != golden {golden:#018x}"
+            );
         }
     }
 }
