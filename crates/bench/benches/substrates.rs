@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
 use idebench_core::{FilterExpr, Predicate, Query, VizSpec};
 use idebench_datagen::{normalize_flights, CopulaScaler};
-use idebench_query::{execute_exact, execute_exact_scalar, CompiledFilter};
+use idebench_query::{execute_exact, execute_exact_scalar};
 use idebench_storage::Dataset;
 use std::sync::Arc;
 
@@ -49,13 +49,6 @@ fn bench_query_eval(c: &mut Criterion) {
         min: 0.0,
         max: 60.0,
     }));
-    group.bench_function("filter_selvec_500k", |b| {
-        b.iter(|| {
-            let compiled = CompiledFilter::compile(&ds, &filter).unwrap();
-            compiled.eval_selvec(rows)
-        })
-    });
-
     let q1 = Query::for_viz(
         &VizSpec::new(
             "b",

@@ -1,20 +1,18 @@
 //! Scan-throughput benchmark: emits `BENCH_scan.json` with rows/sec for the
-//! vectorized execution core on the paper's canonical scan shapes, plus the
-//! retained scalar reference path for the speedup ratio, per-worker-count
-//! scaling rows for the parallel morsel dispatcher, and star-schema join
-//! cases comparing the devirtualized join layer against the pre-cache
-//! per-row FK-indirection path ([`JoinPolicy::Indirect`]).
+//! vectorized execution core on the paper's canonical scan shapes and on
+//! star-schema join cases, each against the scalar oracle for the speedup
+//! ratio, plus per-worker-count scaling rows for the parallel morsel
+//! dispatcher.
 //!
 //! Doubles as the CI regression gate: the process exits non-zero if any
-//! vectorized case drops below 1× the scalar path, or any star-join case
-//! below 1× the FK-indirection path (set `IDEBENCH_BENCH_NO_GATE=1` to
-//! disable when exploring).
+//! case, de-normalized or star, drops below 1× the scalar oracle (set
+//! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring).
 
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
 use idebench_core::{FilterExpr, Predicate, Query, VizSpec};
 use idebench_query::{
-    available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar,
-    execute_exact_with_policy, AccMode, CompiledPlan, JoinPolicy,
+    available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, AccMode,
+    CompiledPlan,
 };
 use idebench_storage::Dataset;
 use std::sync::Arc;
@@ -138,10 +136,9 @@ fn star_1d_nominal_via_fk() -> Query {
 }
 
 /// 2D joined×joined dense aggregation: both binning dimensions live in
-/// dimension tables, so the pre-cache path pays the FK indirection twice
-/// per row — the shape the join-devirtualization layer targets. COUNT
-/// keeps the case join-bound (measure-update cost is identical on every
-/// path; the 1D case covers measures next to joins).
+/// dimension tables, so a per-row join pays the FK indirection twice per
+/// row — the shape the join-devirtualization layer targets. COUNT keeps
+/// the case join-bound (the 1D case covers measures next to joins).
 fn star_joined_2d_agg() -> Query {
     let spec = VizSpec::new(
         "bench",
@@ -164,28 +161,33 @@ fn main() {
     let ds = Dataset::Denormalized(Arc::new(table.clone()));
     let star = idebench_datagen::normalize_flights(&table).expect("flights normalize");
 
-    let cases: [(&str, Query); 4] = [
-        ("exact_scan_1d_nominal_count", exact_scan()),
-        ("filtered_scan_1d_nominal_avg", filtered_1d_nominal()),
-        ("binned_2d_agg", binned_2d()),
-        ("dense_bucketed_2d_agg", dense_bucketed_2d()),
+    // The star cases run the devirtualized join layer (shared fact-ordered
+    // materializations) against the scalar oracle, which follows the
+    // foreign key per row, on the normalized twin of the same data.
+    let cases: [(&str, &Dataset, Query); 6] = [
+        ("exact_scan_1d_nominal_count", &ds, exact_scan()),
+        ("filtered_scan_1d_nominal_avg", &ds, filtered_1d_nominal()),
+        ("binned_2d_agg", &ds, binned_2d()),
+        ("dense_bucketed_2d_agg", &ds, dense_bucketed_2d()),
+        ("star_1d_nominal_via_fk", &star, star_1d_nominal_via_fk()),
+        ("star_joined_2d_agg", &star, star_joined_2d_agg()),
     ];
 
     let mut entries = Vec::new();
     let mut regressions = Vec::new();
-    for (name, q) in &cases {
-        let plan = CompiledPlan::compile(&ds, q).expect("bench query compiles");
+    for (name, data, q) in &cases {
+        let plan = CompiledPlan::compile(data, q).expect("bench query compiles");
         let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
         assert_eq!(
-            execute_exact(&ds, q).unwrap(),
-            execute_exact_scalar(&ds, q).unwrap(),
+            execute_exact(data, q).unwrap(),
+            execute_exact_scalar(data, q).unwrap(),
             "vectorized and scalar paths must agree on {name}"
         );
         let vec_rps = time_rows_per_sec(ROWS, || {
-            let _ = execute_exact(&ds, q).unwrap();
+            let _ = execute_exact(data, q).unwrap();
         });
         let scalar_rps = time_rows_per_sec(ROWS, || {
-            let _ = execute_exact_scalar(&ds, q).unwrap();
+            let _ = execute_exact_scalar(data, q).unwrap();
         });
         let speedup = vec_rps / scalar_rps;
         println!(
@@ -199,62 +201,10 @@ fn main() {
             "case": name,
             "rows": ROWS,
             "dense": dense,
+            "joined": data.as_star().is_some(),
             "vectorized_rows_per_sec": vec_rps,
             "scalar_rows_per_sec": scalar_rps,
             "speedup": speedup,
-        }));
-    }
-
-    // Star-schema join cases: the devirtualized join layer (shared
-    // fact-ordered materializations + staged-FK translation) against the
-    // pre-cache per-row FK-indirection path on the same normalized data.
-    // Results are asserted bit-identical across the three paths first.
-    let star_cases: [(&str, Query); 2] = [
-        ("star_1d_nominal_via_fk", star_1d_nominal_via_fk()),
-        ("star_joined_2d_agg", star_joined_2d_agg()),
-    ];
-    for (name, q) in &star_cases {
-        let plan = CompiledPlan::compile(&star, q).expect("star bench query compiles");
-        let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
-        let scalar_ref = execute_exact_scalar(&star, q).unwrap();
-        assert_eq!(
-            execute_exact(&star, q).unwrap(),
-            scalar_ref,
-            "devirtualized star path must agree with scalar on {name}"
-        );
-        assert_eq!(
-            execute_exact_with_policy(&star, q, 1, JoinPolicy::Indirect).unwrap(),
-            scalar_ref,
-            "indirect star path must agree with scalar on {name}"
-        );
-        let devirt_rps = time_rows_per_sec(ROWS, || {
-            let _ = execute_exact(&star, q).unwrap();
-        });
-        let indirect_rps = time_rows_per_sec(ROWS, || {
-            let _ = execute_exact_with_policy(&star, q, 1, JoinPolicy::Indirect).unwrap();
-        });
-        let scalar_rps = time_rows_per_sec(ROWS, || {
-            let _ = execute_exact_scalar(&star, q).unwrap();
-        });
-        let vs_indirect = devirt_rps / indirect_rps;
-        let vs_scalar = devirt_rps / scalar_rps;
-        println!(
-            "{name:<32} devirtualized {devirt_rps:>11.0} rows/s   fk-indirect {indirect_rps:>11.0} rows/s   speedup {vs_indirect:.2}x (vs scalar {vs_scalar:.2}x)   {}",
-            if dense { "dense" } else { "sparse" }
-        );
-        if vs_indirect < 1.0 {
-            regressions.push(format!("{name}: {vs_indirect:.2}x vs fk-indirect"));
-        }
-        entries.push(serde_json::json!({
-            "case": name,
-            "rows": ROWS,
-            "dense": dense,
-            "joined": true,
-            "vectorized_rows_per_sec": devirt_rps,
-            "indirect_rows_per_sec": indirect_rps,
-            "scalar_rows_per_sec": scalar_rps,
-            "speedup": vs_scalar,
-            "speedup_vs_indirect": vs_indirect,
         }));
     }
     let join_stats = star.as_star().unwrap().join_cache_stats();
@@ -339,7 +289,7 @@ fn main() {
     println!("wrote BENCH_scan.json (available cores: {cores})");
 
     if !regressions.is_empty() && std::env::var_os("IDEBENCH_BENCH_NO_GATE").is_none() {
-        eprintln!("vectorized cases regressed below 1x vs scalar: {regressions:?}");
+        eprintln!("cases regressed below 1x vs scalar: {regressions:?}");
         std::process::exit(1);
     }
 }

@@ -196,7 +196,7 @@ pub fn default_workflows(kind: WorkflowType, seed: u64, count: usize, len: usize
 }
 
 /// Pre-computes the ground truth of an entire workload in parallel (one
-/// exact execution per distinct query fingerprint, spread over all cores).
+/// exact execution per distinct canonical query key, spread over all cores).
 /// Experiment binaries call this once and reuse the oracle across every
 /// (system, TR) configuration cell.
 pub fn parallel_ground_truth(dataset: &Dataset, workflows: &[Workflow]) -> CachedGroundTruth {

@@ -2,7 +2,7 @@
 //!
 //! A system under test implements [`SystemAdapter`]. The benchmark driver
 //! reaches it through the shared service
-//! ([`crate::service::LegacyAdapterBridge`]): interactions are delegated
+//! ([`crate::service::ServiceCore`]): interactions are delegated
 //! through it, and query execution is driven through the pull-based
 //! [`QueryHandle`] it returns, one scheduler grant at a time. Pull-based
 //! stepping gives the driver exact control over the time-requirement budget
@@ -97,10 +97,9 @@ impl PrepStats {
 /// This is the *single-analyst* engine SPI: `submit` takes `&mut self`, so
 /// one instance hands out one exclusively-owned query at a time. The driver
 /// runs every workflow through [`crate::service::EngineService`]; adapters
-/// run there unchanged via [`crate::service::LegacyAdapterBridge`], hosted
-/// by [`crate::ServiceCore::shared_adapter`] or
+/// run there unchanged, hosted by [`crate::ServiceCore::shared_adapter`] or
 /// [`crate::ServiceCore::per_session_adapters`] (`Send` is required so
-/// bridged adapters can live inside the shared service).
+/// hosted adapters can live inside the shared service).
 pub trait SystemAdapter: Send {
     /// Short system name used in reports (e.g. `"exact"`, `"progressive"`).
     fn name(&self) -> &str;

@@ -259,7 +259,7 @@ impl WorkflowSession {
 
         // Engine notifications for non-query interactions. Queries are
         // resolved (count-binnings → widths) before they reach the engine
-        // so speculative fingerprints match later real queries.
+        // so speculative canonical keys match later real queries.
         match interaction {
             Interaction::Link { source, target } => {
                 let mut sq = self.graph.query_for(source)?;

@@ -16,9 +16,8 @@
 //!   systems under test implement (§4.5).
 //! - [`service`]: the shared, concurrent, deadline-aware [`EngineService`]
 //!   API — one engine serving many sessions through a deadline/priority
-//!   scheduler with cooperative cancellation ([`QueryTicket`]), plus the
-//!   [`service::LegacyAdapterBridge`] that runs `SystemAdapter` impls
-//!   behind it.
+//!   scheduler with cooperative cancellation ([`QueryTicket`]), and
+//!   [`ServiceCore`], which runs `SystemAdapter` impls behind it.
 //! - [`driver`]: the benchmark driver that runs workflows through an
 //!   [`EngineService`], enforces the time requirement, and grants
 //!   think-time to the engine (§4.4).

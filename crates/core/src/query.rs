@@ -2,7 +2,6 @@
 
 use crate::spec::{AggregateSpec, BinDef, FilterExpr, VizSpec};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// A fully-resolved aggregate query.
@@ -14,16 +13,15 @@ use std::sync::{Arc, OnceLock};
 ///
 /// # Canonical-key memoization
 ///
-/// [`Query::canonical_key`] (and [`Query::fingerprint`], which hashes it)
-/// is computed once per query value and cached: caches on hot paths — the
+/// [`Query::canonical_key`] is computed once per query value and cached: caches on hot paths — the
 /// fleet's cross-session semantic cache, ground-truth memoization, the
 /// progressive engine's reuse store — all look queries up by key, and
 /// re-serializing the binning/aggregate/filter trees to JSON on every
 /// lookup dominated their cost.
 ///
 /// The memo must never outlive the fields it was computed from: a key read
-/// before an in-place mutation would otherwise poison every fingerprint
-/// keyed cache downstream (the semantic cache could serve a *different
+/// before an in-place mutation would otherwise poison every key-indexed
+/// cache downstream (the semantic cache could serve a *different
 /// query's* result). The fields are therefore private: reads go through
 /// the accessors ([`Query::binning`], [`Query::filter`], …) and every
 /// mutation goes through an invalidating setter ([`Query::set_filter`],
@@ -222,14 +220,6 @@ impl Query {
         }))
     }
 
-    /// A 64-bit fingerprint of [`Self::canonical_key`] (memoized through
-    /// the same cache).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = rustc_hash::FxHasher::default();
-        self.canonical_key().hash(&mut h);
-        h.finish()
-    }
-
     /// All columns the query touches (binning dims + measures + filters).
     pub fn referenced_columns(&self) -> Vec<&str> {
         let mut cols: Vec<&str> = self.binning.iter().map(BinDef::dimension).collect();
@@ -275,21 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_viz_name() {
+    fn canonical_key_ignores_viz_name() {
         let q1 = Query::for_viz(&viz(), None);
         let mut v2 = viz();
         v2.name = "viz_99".into();
         let q2 = Query::for_viz(&v2, None);
-        assert_eq!(q1.fingerprint(), q2.fingerprint());
+        assert_eq!(q1.canonical_key(), q2.canonical_key());
     }
 
     #[test]
-    fn fingerprint_distinguishes_filters() {
+    fn canonical_key_distinguishes_filters() {
         let q1 = Query::for_viz(&viz(), Some(range("distance", 0.0, 500.0)));
         let q2 = Query::for_viz(&viz(), Some(range("distance", 0.0, 600.0)));
         let q3 = Query::for_viz(&viz(), None);
-        assert_ne!(q1.fingerprint(), q2.fingerprint());
-        assert_ne!(q1.fingerprint(), q3.fingerprint());
+        assert_ne!(q1.canonical_key(), q2.canonical_key());
+        assert_ne!(q1.canonical_key(), q3.canonical_key());
     }
 
     #[test]
@@ -320,18 +310,15 @@ mod tests {
         // driver resolves count-binnings, the progressive engine composes
         // speculative filters). A canonical key read *before* such a
         // mutation must not survive it — a stale memo here poisons every
-        // fingerprint-keyed cache downstream. With private fields, every
+        // key-indexed cache downstream. With private fields, every
         // mutation path runs through these invalidating setters.
         let mut q = Query::for_viz(&viz(), None);
         let stale_key = q.canonical_key();
-        let stale_fp = q.fingerprint();
 
         q.compose_filter(range("distance", 0.0, 500.0));
         let fresh = Query::for_viz(&viz(), Some(range("distance", 0.0, 500.0)));
         assert_ne!(q.canonical_key(), stale_key, "memo invalidated");
-        assert_ne!(q.fingerprint(), stale_fp);
         assert_eq!(q.canonical_key(), fresh.canonical_key());
-        assert_eq!(q.fingerprint(), fresh.fingerprint());
 
         // set_filter and set_bin invalidate too.
         let _ = q.canonical_key();

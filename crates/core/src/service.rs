@@ -51,11 +51,11 @@
 //! # Implementations
 //!
 //! [`ServiceCore`] is the shared host every in-repo engine uses: it owns
-//! the scheduler and adapts a [`ServiceBackend`] (per-session engine
-//! state) into the shared-service shape. [`LegacyAdapterBridge`] is the
-//! backend that runs unmodified [`SystemAdapter`] implementations — either
-//! one shared instance (stateless engines) or one instance per session
-//! (engines with per-analyst state). See the README's migration note.
+//! the scheduler and runs unmodified [`SystemAdapter`] implementations
+//! behind it — either one shared instance (stateless engines,
+//! [`ServiceCore::shared_adapter`]) or one instance per session (engines
+//! with per-analyst state, [`ServiceCore::per_session_adapters`]). See the
+//! README's migration note.
 
 use crate::adapter::{PrepStats, QueryHandle, SystemAdapter};
 use crate::error::CoreError;
@@ -698,38 +698,11 @@ pub trait EngineService: Send + Sync {
     fn on_discard(&self, _session: SessionId, _viz_name: &str) {}
 }
 
-/// Engine-side state behind a [`ServiceCore`]: everything that is *not*
-/// the scheduler. Methods take `&mut self`; the core serializes access.
-pub trait ServiceBackend: Send {
-    /// Prepares (idempotently) for `session` over `dataset` and returns
-    /// the preparation cost charged to that session.
-    fn open_session(
-        &mut self,
-        session: SessionId,
-        dataset: &Dataset,
-        settings: &Settings,
-    ) -> Result<PrepStats, CoreError>;
-
-    /// Ends a session; state may be retained for resumption.
-    fn close_session(&mut self, _session: SessionId) {}
-
-    /// Opens a steppable run for one query of `session`.
-    fn open_query(&mut self, session: SessionId, query: &Query) -> Box<dyn QueryHandle>;
-
-    /// Link hint (see [`EngineService::on_link`]).
-    fn on_link(&mut self, _session: SessionId, _source_query: &Query, _target_query: &Query) {}
-
-    /// Think-time grant (see [`EngineService::on_think`]).
-    fn on_think(&mut self, _session: SessionId, _budget_units: u64) {}
-
-    /// Viz discard (see [`EngineService::on_discard`]).
-    fn on_discard(&mut self, _session: SessionId, _viz_name: &str) {}
-}
-
 /// Factory producing one [`SystemAdapter`] per session.
-pub type AdapterFactory = Box<dyn FnMut(SessionId) -> Box<dyn SystemAdapter> + Send>;
+type AdapterFactory = Box<dyn FnMut(SessionId) -> Box<dyn SystemAdapter> + Send>;
 
-enum BridgeMode {
+/// How a [`ServiceCore`] maps sessions onto adapter instances.
+enum Adapters {
     /// One adapter instance serves every session — correct for engines
     /// whose `submit` is stateless across sessions (exact, wander,
     /// stratified): shared dataset ingestion, shared samples, shared
@@ -744,42 +717,23 @@ enum BridgeMode {
     },
 }
 
-/// Runs unmodified [`SystemAdapter`] implementations behind the
-/// [`EngineService`] API (as a [`ServiceBackend`] for [`ServiceCore`]).
-///
-/// `open_session` maps to `prepare` + `workflow_start`, `close_session`
-/// to `workflow_end`, `open_query` to `submit`, and the notification
-/// hooks forward directly — so an adapter written against the paper's
-/// Listing-1 interface runs under the shared service without changes.
-pub struct LegacyAdapterBridge {
-    mode: BridgeMode,
-}
-
-impl LegacyAdapterBridge {
-    /// Bridges one shared adapter instance serving every session.
-    pub fn shared(adapter: Box<dyn SystemAdapter>) -> LegacyAdapterBridge {
-        LegacyAdapterBridge {
-            mode: BridgeMode::Shared(adapter),
+impl Adapters {
+    /// The adapter serving `session`, created on first use.
+    fn open(&mut self, session: SessionId) -> &mut dyn SystemAdapter {
+        match self {
+            Adapters::Shared(a) => a.as_mut(),
+            Adapters::PerSession { factory, sessions } => sessions
+                .entry(session)
+                .or_insert_with(|| factory(session))
+                .as_mut(),
         }
     }
 
-    /// Bridges a factory creating one adapter instance per session
-    /// (lazily, at the session's `open_session`).
-    pub fn per_session(
-        factory: impl FnMut(SessionId) -> Box<dyn SystemAdapter> + Send + 'static,
-    ) -> LegacyAdapterBridge {
-        LegacyAdapterBridge {
-            mode: BridgeMode::PerSession {
-                factory: Box::new(factory),
-                sessions: FxHashMap::default(),
-            },
-        }
-    }
-
-    fn adapter_mut(&mut self, session: SessionId) -> &mut dyn SystemAdapter {
-        match &mut self.mode {
-            BridgeMode::Shared(a) => a.as_mut(),
-            BridgeMode::PerSession { sessions, .. } => sessions
+    /// The adapter serving an opened `session`.
+    fn get(&mut self, session: SessionId) -> &mut dyn SystemAdapter {
+        match self {
+            Adapters::Shared(a) => a.as_mut(),
+            Adapters::PerSession { sessions, .. } => sessions
                 .get_mut(&session)
                 .expect("open_session must run before queries")
                 .as_mut(),
@@ -787,76 +741,29 @@ impl LegacyAdapterBridge {
     }
 }
 
-impl ServiceBackend for LegacyAdapterBridge {
-    fn open_session(
-        &mut self,
-        session: SessionId,
-        dataset: &Dataset,
-        settings: &Settings,
-    ) -> Result<PrepStats, CoreError> {
-        let adapter = match &mut self.mode {
-            BridgeMode::Shared(a) => a.as_mut(),
-            BridgeMode::PerSession { factory, sessions } => sessions
-                .entry(session)
-                .or_insert_with(|| factory(session))
-                .as_mut(),
-        };
-        let prep = adapter.prepare(dataset, settings)?;
-        adapter.workflow_start();
-        Ok(prep)
-    }
-
-    fn close_session(&mut self, session: SessionId) {
-        // Session state is retained, so a later `open_session` of the same
-        // session resumes it (one adapter instance serving an analyst's
-        // workflows back to back); only the lifecycle hook fires.
-        match &mut self.mode {
-            BridgeMode::Shared(a) => a.workflow_end(),
-            BridgeMode::PerSession { sessions, .. } => {
-                if let Some(a) = sessions.get_mut(&session) {
-                    a.workflow_end();
-                }
-            }
-        }
-    }
-
-    fn open_query(&mut self, session: SessionId, query: &Query) -> Box<dyn QueryHandle> {
-        self.adapter_mut(session).submit(query)
-    }
-
-    fn on_link(&mut self, session: SessionId, source_query: &Query, target_query: &Query) {
-        self.adapter_mut(session)
-            .on_link(source_query, target_query);
-    }
-
-    fn on_think(&mut self, session: SessionId, budget_units: u64) {
-        self.adapter_mut(session).on_think(budget_units);
-    }
-
-    fn on_discard(&mut self, session: SessionId, viz_name: &str) {
-        self.adapter_mut(session).on_discard(viz_name);
-    }
-}
-
-/// The shared service host: one [`TicketScheduler`] plus one
-/// [`ServiceBackend`], implementing [`EngineService`] for all of them.
+/// The shared service host: one [`TicketScheduler`] in front of
+/// unmodified [`SystemAdapter`] instances, implementing [`EngineService`]
+/// for all of them.
 ///
-/// Every in-repo engine exposes a constructor returning a `ServiceCore`
-/// (`ExactAdapter::into_service()`, `ProgressiveAdapter::service(…)`, …);
-/// external `SystemAdapter` impls go through
+/// `open_session` maps to `prepare` + `workflow_start`, `close_session`
+/// to `workflow_end`, `submit` to the adapter's `submit` (its handle feeds
+/// the scheduler), and the notification hooks forward directly — so an
+/// adapter written against the paper's Listing-1 interface runs under the
+/// shared service without changes. Every in-repo engine exposes a
+/// constructor returning a `ServiceCore` (`ExactAdapter::into_service()`,
+/// `ProgressiveAdapter::service(…)`, …); external adapters go through
 /// [`ServiceCore::shared_adapter`] / [`ServiceCore::per_session_adapters`].
 pub struct ServiceCore {
     name: String,
-    backend: Mutex<Box<dyn ServiceBackend>>,
+    adapters: Mutex<Adapters>,
     sched: Arc<TicketScheduler>,
 }
 
 impl ServiceCore {
-    /// Hosts an arbitrary backend under `name`.
-    pub fn new(name: impl Into<String>, backend: Box<dyn ServiceBackend>) -> ServiceCore {
+    fn with_adapters(name: String, adapters: Adapters) -> ServiceCore {
         ServiceCore {
-            name: name.into(),
-            backend: Mutex::new(backend),
+            name,
+            adapters: Mutex::new(adapters),
             sched: TicketScheduler::new(),
         }
     }
@@ -866,19 +773,23 @@ impl ServiceCore {
     /// shared fleet-wide instead of duplicated per analyst).
     pub fn shared_adapter(adapter: impl SystemAdapter + 'static) -> ServiceCore {
         let name = adapter.name().to_string();
-        ServiceCore::new(
-            name,
-            Box::new(LegacyAdapterBridge::shared(Box::new(adapter))),
-        )
+        ServiceCore::with_adapters(name, Adapters::Shared(Box::new(adapter)))
     }
 
     /// Hosts one adapter instance per session, created lazily by
-    /// `factory` — the migration path for engines with per-analyst state.
+    /// `factory` at the session's `open_session` — the hosting mode for
+    /// engines with per-analyst state.
     pub fn per_session_adapters(
         name: impl Into<String>,
         factory: impl FnMut(SessionId) -> Box<dyn SystemAdapter> + Send + 'static,
     ) -> ServiceCore {
-        ServiceCore::new(name, Box::new(LegacyAdapterBridge::per_session(factory)))
+        ServiceCore::with_adapters(
+            name.into(),
+            Adapters::PerSession {
+                factory: Box::new(factory),
+                sessions: FxHashMap::default(),
+            },
+        )
     }
 
     /// The service's scheduler (shared with every ticket it issued).
@@ -903,18 +814,34 @@ impl EngineService for ServiceCore {
         dataset: &Dataset,
         settings: &Settings,
     ) -> Result<PrepStats, CoreError> {
-        self.backend
-            .lock()
-            .unwrap()
-            .open_session(session, dataset, settings)
+        let mut adapters = self.adapters.lock().unwrap();
+        let adapter = adapters.open(session);
+        let prep = adapter.prepare(dataset, settings)?;
+        adapter.workflow_start();
+        Ok(prep)
     }
 
     fn close_session(&self, session: SessionId) {
-        self.backend.lock().unwrap().close_session(session);
+        // Session state is retained, so a later `open_session` of the same
+        // session resumes it (one adapter instance serving an analyst's
+        // workflows back to back); only the lifecycle hook fires.
+        match &mut *self.adapters.lock().unwrap() {
+            Adapters::Shared(a) => a.workflow_end(),
+            Adapters::PerSession { sessions, .. } => {
+                if let Some(a) = sessions.get_mut(&session) {
+                    a.workflow_end();
+                }
+            }
+        }
     }
 
     fn submit(&self, query: &Query, opts: QueryOptions) -> QueryTicket {
-        let handle = self.backend.lock().unwrap().open_query(opts.session, query);
+        let handle = self
+            .adapters
+            .lock()
+            .unwrap()
+            .get(opts.session)
+            .submit(query);
         self.sched.admit(handle, query.viz_name().to_string(), opts)
     }
 
@@ -923,18 +850,27 @@ impl EngineService for ServiceCore {
     }
 
     fn on_link(&self, session: SessionId, source_query: &Query, target_query: &Query) {
-        self.backend
+        self.adapters
             .lock()
             .unwrap()
-            .on_link(session, source_query, target_query);
+            .get(session)
+            .on_link(source_query, target_query);
     }
 
     fn on_think(&self, session: SessionId, budget_units: u64) {
-        self.backend.lock().unwrap().on_think(session, budget_units);
+        self.adapters
+            .lock()
+            .unwrap()
+            .get(session)
+            .on_think(budget_units);
     }
 
     fn on_discard(&self, session: SessionId, viz_name: &str) {
-        self.backend.lock().unwrap().on_discard(session, viz_name);
+        self.adapters
+            .lock()
+            .unwrap()
+            .get(session)
+            .on_discard(viz_name);
     }
 }
 

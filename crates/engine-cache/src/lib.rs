@@ -42,7 +42,7 @@ impl Default for CacheConfig {
     }
 }
 
-type ResultCache = Arc<Mutex<FxHashMap<u64, AggResult>>>;
+type ResultCache = Arc<Mutex<FxHashMap<Arc<str>, AggResult>>>;
 
 /// A middleware adapter wrapping any inner engine.
 pub struct CachingAdapter<E> {
@@ -127,9 +127,9 @@ impl<E: SystemAdapter> SystemAdapter for CachingAdapter<E> {
     }
 
     fn submit(&mut self, query: &Query) -> Box<dyn QueryHandle> {
-        let fp = query.fingerprint();
+        let key = query.canonical_key();
         if self.config.enable_cache {
-            if let Some(hit) = self.cache.lock().get(&fp).cloned() {
+            if let Some(hit) = self.cache.lock().get(&key).cloned() {
                 return Box::new(CachedHandle {
                     overhead_remaining: self.overhead_units,
                     result: hit,
@@ -141,7 +141,7 @@ impl<E: SystemAdapter> SystemAdapter for CachingAdapter<E> {
             inner: inner_handle,
             overhead_remaining: self.overhead_units,
             cache: if self.config.enable_cache {
-                Some((Arc::clone(&self.cache), fp))
+                Some((Arc::clone(&self.cache), key))
             } else {
                 None
             },
@@ -196,16 +196,16 @@ impl QueryHandle for CachedHandle {
 struct ForwardingHandle {
     inner: Box<dyn QueryHandle>,
     overhead_remaining: u64,
-    cache: Option<(ResultCache, u64)>,
+    cache: Option<(ResultCache, Arc<str>)>,
 }
 
 impl ForwardingHandle {
     fn maybe_cache(&self) {
-        if let Some((cache, fp)) = &self.cache {
+        if let Some((cache, key)) = &self.cache {
             if self.inner.is_done() {
                 if let Some(result) = self.inner.snapshot() {
                     if result.exact {
-                        cache.lock().insert(*fp, result);
+                        cache.lock().insert(Arc::clone(key), result);
                     }
                 }
             }

@@ -6,7 +6,7 @@
 //!   order, so any scan prefix is a uniform random sample. A snapshot can be
 //!   polled at *any* time and returns scale-up estimates with confidence
 //!   intervals; estimates converge to exact when the scan completes.
-//! - **Result reuse** (paper ref 16): runs are cached by query fingerprint. A
+//! - **Result reuse** (paper ref 16): runs are cached by canonical query key. A
 //!   re-issued query (common in IDE workloads: linked vizs refresh
 //!   repeatedly) resumes from its previous progress instead of starting
 //!   over, so its first snapshot is already well-converged.
@@ -28,7 +28,7 @@ use idebench_core::{
     AggResult, BinCoord, BinDef, BinKey, CoreError, FilterExpr, Predicate, PrepStats, Query,
     QueryHandle, Settings, StepStatus, SystemAdapter,
 };
-use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
+use idebench_query::{ChunkedRun, CompiledPlan, PlannedColumn, SnapshotMode};
 use idebench_storage::Dataset;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -97,12 +97,12 @@ pub struct ProgressiveAdapter {
     prep: PrepStats,
     shuffle: Option<Arc<Vec<u32>>>,
     z: f64,
-    /// Fingerprint → shared run (reuse + speculation store).
-    cache: FxHashMap<u64, SharedRun>,
-    /// Which vizs currently reference a fingerprint (for memory release).
-    owners: FxHashMap<u64, Vec<String>>,
-    /// Speculative fingerprints pending think-time work, round-robin.
-    speculative: VecDeque<u64>,
+    /// Canonical key → shared run (reuse + speculation store).
+    cache: FxHashMap<Arc<str>, SharedRun>,
+    /// Which vizs currently reference a canonical key (for memory release).
+    owners: FxHashMap<Arc<str>, Vec<String>>,
+    /// Speculative canonical keys pending think-time work, round-robin.
+    speculative: VecDeque<Arc<str>>,
     first_query_issued: bool,
     warmup_units: u64,
     /// Scan worker-pool size, taken from the settings at prepare time.
@@ -168,9 +168,9 @@ impl ProgressiveAdapter {
     }
 
     fn get_or_create_run(&mut self, query: &Query) -> Result<SharedRun, CoreError> {
-        let fp = query.fingerprint();
+        let key = query.canonical_key();
         if self.config.enable_reuse {
-            if let Some(run) = self.cache.get(&fp) {
+            if let Some(run) = self.cache.get(&key) {
                 return Ok(Arc::clone(run));
             }
         }
@@ -196,7 +196,7 @@ impl ProgressiveAdapter {
         run.set_workers(self.workers);
         let shared = Arc::new(Mutex::new(run));
         if self.config.enable_reuse || self.config.enable_speculation {
-            self.cache.insert(fp, Arc::clone(&shared));
+            self.cache.insert(key, Arc::clone(&shared));
         }
         Ok(shared)
     }
@@ -243,14 +243,14 @@ impl SystemAdapter for ProgressiveAdapter {
         let run = self
             .get_or_create_run(query)
             .expect("driver-validated query binds against the dataset");
-        let fp = query.fingerprint();
+        let key = query.canonical_key();
         self.owners
-            .entry(fp)
+            .entry(Arc::clone(&key))
             .or_default()
             .push(query.viz_name().to_string());
         // A query that was being speculated on is now real: stop granting it
         // think-time (the driver drives it directly).
-        self.speculative.retain(|&f| f != fp);
+        self.speculative.retain(|k| *k != key);
         let warmup = if self.first_query_issued {
             0
         } else {
@@ -272,7 +272,7 @@ impl SystemAdapter for ProgressiveAdapter {
         };
         // The source's current (possibly partial) result tells us which bins
         // a user could select next.
-        let Some(source_run) = self.cache.get(&source_query.fingerprint()) else {
+        let Some(source_run) = self.cache.get(&source_query.canonical_key()) else {
             return;
         };
         let Some(snapshot) = source_run.lock().snapshot() else {
@@ -289,12 +289,12 @@ impl SystemAdapter for ProgressiveAdapter {
             };
             let mut spec_query = target_query.clone();
             spec_query.compose_filter(selection_filter);
-            let fp = spec_query.fingerprint();
-            if self.cache.contains_key(&fp) {
+            let key = spec_query.canonical_key();
+            if self.cache.contains_key(&key) {
                 continue;
             }
             if self.get_or_create_run(&spec_query).is_ok() {
-                self.speculative.push_back(fp);
+                self.speculative.push_back(key);
             }
         }
     }
@@ -307,10 +307,10 @@ impl SystemAdapter for ProgressiveAdapter {
         let quantum = 16_384u64;
         // Round-robin the pending speculative runs until the budget is gone.
         while remaining > 0 {
-            let Some(fp) = self.speculative.pop_front() else {
+            let Some(key) = self.speculative.pop_front() else {
                 break;
             };
-            let Some(run) = self.cache.get(&fp) else {
+            let Some(run) = self.cache.get(&key) else {
                 continue;
             };
             let grant = quantum.min(remaining);
@@ -319,32 +319,29 @@ impl SystemAdapter for ProgressiveAdapter {
             let done = guard.is_done();
             drop(guard);
             remaining -= used.min(remaining);
-            if !done && used > 0 {
-                self.speculative.push_back(fp);
-            }
-            if used == 0 && done {
-                continue; // completed run: drop from the rotation
-            }
-            if used == 0 && !done {
-                // Cannot make progress with this grant size; avoid spinning.
-                self.speculative.push_back(fp);
-                break;
+            // A completed run drops from the rotation.
+            if !done {
+                self.speculative.push_back(key);
+                if used == 0 {
+                    // Cannot make progress with this grant size; avoid spinning.
+                    break;
+                }
             }
         }
     }
 
     fn on_discard(&mut self, viz_name: &str) {
         let mut dead = Vec::new();
-        for (fp, owners) in self.owners.iter_mut() {
+        for (key, owners) in self.owners.iter_mut() {
             owners.retain(|o| o != viz_name);
             if owners.is_empty() {
-                dead.push(*fp);
+                dead.push(Arc::clone(key));
             }
         }
-        for fp in dead {
-            self.owners.remove(&fp);
-            self.cache.remove(&fp);
-            self.speculative.retain(|&f| f != fp);
+        for key in dead {
+            self.owners.remove(&key);
+            self.cache.remove(&key);
+            self.speculative.retain(|k| *k != key);
         }
     }
 
@@ -364,7 +361,7 @@ fn bin_filter(dataset: &Dataset, binning: &[BinDef], key: &BinKey) -> Option<Fil
     for (def, coord) in binning.iter().zip(key.coords()) {
         let pred = match (def, coord) {
             (BinDef::Nominal { dimension }, BinCoord::Cat(code)) => {
-                let col = idebench_query::ResolvedColumn::new(dataset, dimension).ok()?;
+                let col = PlannedColumn::resolve(dataset, dimension).ok()?;
                 let (_, dict) = col.column().as_nominal()?;
                 Predicate::In {
                     column: dimension.clone(),

@@ -87,7 +87,10 @@ pub struct GroupedAcc {
 
 impl GroupedAcc {
     /// Creates an accumulator for a resolved query's aggregates.
-    pub fn for_query(resolved: &ResolvedQuery<'_>, aggs: &[idebench_core::AggregateSpec]) -> Self {
+    pub(crate) fn for_query(
+        resolved: &ResolvedQuery<'_>,
+        aggs: &[idebench_core::AggregateSpec],
+    ) -> Self {
         debug_assert_eq!(resolved.measures.len(), aggs.len());
         GroupedAcc {
             aggs: aggs
@@ -120,7 +123,7 @@ impl GroupedAcc {
     ///
     /// Returns `true` when the row matched the filter.
     #[inline]
-    pub fn process_row(&mut self, resolved: &ResolvedQuery<'_>, row: usize) -> bool {
+    pub(crate) fn process_row(&mut self, resolved: &ResolvedQuery<'_>, row: usize) -> bool {
         self.rows_seen += 1;
         if !resolved.matches(row) {
             return false;

@@ -14,13 +14,12 @@
 //! 4. bin slots (dense) or bin keys (sparse) are computed for all rows;
 //! 5. matching rows are folded into the accumulator in bulk.
 //!
-//! Every kernel consumes a `ColView`: flat slices (direct or staged) in
-//! all but the retained `Virtual` arm, so star-schema joins devirtualized
-//! by the planner run the same code as de-normalized columns. The dense
-//! path exploits that an all-nominal binning has a bin space bounded by
-//! dictionary sizes: accumulators live in a flat array indexed by
-//! `code0 + code1 * dict_len0`, replacing the per-row hash probe of the
-//! scalar reference path.
+//! Every kernel consumes a `ColView`: a flat slice, direct or staged, so
+//! star-schema joins devirtualized by the planner run the same code as
+//! de-normalized columns. The dense path exploits that an all-nominal
+//! binning has a bin space bounded by dictionary sizes: accumulators live
+//! in a flat array indexed by `code0 + code1 * dict_len0`, replacing the
+//! per-row hash probe of the scalar oracle.
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 use crate::plan::{
@@ -121,7 +120,7 @@ pub(crate) struct BoundPlan<'a> {
     phases: &'a StagePhases,
 }
 
-pub(crate) enum BoundFilter<'a> {
+enum BoundFilter<'a> {
     Range {
         col: ColView<'a>,
         min: f64,
@@ -168,7 +167,7 @@ enum BoundStage<'a> {
 }
 
 impl PlannedFilter {
-    pub(crate) fn bind(&self) -> BoundFilter<'_> {
+    fn bind(&self) -> BoundFilter<'_> {
         match self {
             PlannedFilter::Range { col, min, max } => BoundFilter::Range {
                 col: col.view(),
@@ -404,12 +403,7 @@ fn and_mask(out: &mut Mask, mask: &Mask) {
 
 /// Evaluates a filter tree over one morsel into `out` (bit = row matches).
 /// Null values never match, mirroring SQL WHERE semantics.
-pub(crate) fn eval_filter<R: RowSet>(
-    f: &BoundFilter<'_>,
-    stages: &[StageBuf],
-    rows: R,
-    out: &mut Mask,
-) {
+fn eval_filter<R: RowSet>(f: &BoundFilter<'_>, stages: &[StageBuf], rows: R, out: &mut Mask) {
     let n = rows.len();
     match f {
         BoundFilter::Range { col, min, max } => {
@@ -477,13 +471,6 @@ fn range_mask<R: RowSet>(
             cmp!(|i: usize| f64::from(b.codes[i]));
             and_mask(out, &b.mask);
         }
-        ColView::Virtual(c) => {
-            for i in 0..n {
-                if let Some(v) = c.numeric(rows.row(i)) {
-                    out[i / 64] |= u64::from(v >= min && v < max) << (i % 64);
-                }
-            }
-        }
     }
 }
 
@@ -515,16 +502,8 @@ fn in_mask<R: RowSet>(
             }
             and_mask(out, &b.mask);
         }
-        ColView::Virtual(c) => {
-            for i in 0..n {
-                if let Some(code) = c.code(rows.row(i)) {
-                    let hit = member.get(code as usize).copied().unwrap_or(false);
-                    out[i / 64] |= u64::from(hit) << (i % 64);
-                }
-            }
-        }
         // Numeric columns have no dictionary codes: nothing matches,
-        // mirroring the per-row accessor returning `None`.
+        // mirroring the scalar oracle's per-row `code_at` returning `None`.
         ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {}
     }
 }
@@ -633,20 +612,6 @@ fn dense_slots<R: RowSet>(
                         and_mask(valid, &b.mask);
                         slot_span!(&b.codes[..n], |c| c);
                     }
-                    ColView::Virtual(c) => {
-                        for i in 0..n {
-                            match c.code(rows.row(i)) {
-                                Some(code) => {
-                                    if di == 0 {
-                                        slots[i] = code;
-                                    } else {
-                                        slots[i] += code * stride;
-                                    }
-                                }
-                                None => valid[i / 64] &= !(1u64 << (i % 64)),
-                            }
-                        }
-                    }
                     // Compilation rejects nominal binning over non-nominal
                     // columns, and staged/direct views preserve the type.
                     ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
@@ -698,20 +663,6 @@ fn dense_slots<R: RowSet>(
                         and_mask(valid, &b.mask);
                         slot_span!(&b.codes[..n], |c| slot_of(f64::from(c)));
                     }
-                    ColView::Virtual(c) => {
-                        for i in 0..n {
-                            match c.numeric(rows.row(i)) {
-                                Some(v) => {
-                                    if di == 0 {
-                                        slots[i] = slot_of(v);
-                                    } else {
-                                        slots[i] += slot_of(v) * stride;
-                                    }
-                                }
-                                None => valid[i / 64] &= !(1u64 << (i % 64)),
-                            }
-                        }
-                    }
                 }
                 stride *= len.max(1);
             }
@@ -750,14 +701,6 @@ fn sparse_keys<R: RowSet>(
                     and_mask(valid, &b.mask);
                     key_loop!(|i: usize| i64::from(b.codes[i]));
                 }
-                ColView::Virtual(c) => {
-                    for i in 0..n {
-                        match c.code(rows.row(i)) {
-                            Some(code) => out[i] = i64::from(code),
-                            None => valid[i / 64] &= !(1u64 << (i % 64)),
-                        }
-                    }
-                }
                 ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
                     unreachable!("nominal binning compiled over a non-nominal column")
                 }
@@ -781,14 +724,6 @@ fn sparse_keys<R: RowSet>(
                         let b = &stages[s];
                         and_mask(valid, &b.mask);
                         key_loop!(|i: usize| key_of(f64::from(b.codes[i])));
-                    }
-                    ColView::Virtual(c) => {
-                        for i in 0..n {
-                            match c.numeric(rows.row(i)) {
-                                Some(v) => out[i] = key_of(v),
-                                None => valid[i / 64] &= !(1u64 << (i % 64)),
-                            }
-                        }
                     }
                 }
             }
@@ -817,7 +752,6 @@ fn measure_value<R: RowSet>(
             let b = &stages[s];
             (b.mask[i / 64] >> (i % 64) & 1 == 1).then(|| f64::from(b.codes[i]))
         }
-        ColView::Virtual(c) => c.numeric(rows.row(i)),
     }
 }
 
@@ -1068,18 +1002,6 @@ impl BatchAcc {
                         ColView::StagedCodes(s) => {
                             let b = &stages[s];
                             measure_pass!(m, b.mask, |i: usize| f64::from(b.codes[i]));
-                        }
-                        ColView::Virtual(c) => {
-                            for w in 0..WORDS {
-                                let mut bits = fmask[w] & valid[w];
-                                while bits != 0 {
-                                    let i = w * 64 + bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    if let Some(v) = c.numeric(rows.row(i)) {
-                                        measures[slots[i] as usize * nmeasures + m].update(v);
-                                    }
-                                }
-                            }
                         }
                     }
                 }

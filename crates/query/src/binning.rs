@@ -1,8 +1,8 @@
-//! Compiled binning: mapping rows to bin keys.
+//! Compiled binning for the scalar oracle: mapping rows to bin keys.
 
 use crate::resolve::ResolvedColumn;
 use idebench_core::{BinCoord, BinDef, BinKey, CoreError};
-use idebench_storage::{Dataset, Table};
+use idebench_storage::Dataset;
 
 /// One compiled binning dimension.
 enum CompiledDim<'a> {
@@ -25,17 +25,10 @@ impl CompiledDim<'_> {
             }
         }
     }
-
-    fn is_joined(&self) -> bool {
-        match self {
-            CompiledDim::Nominal(c) => c.is_joined(),
-            CompiledDim::Width { col, .. } => col.is_joined(),
-        }
-    }
 }
 
 /// Compiled 1D/2D binning for a query.
-pub struct CompiledBinning<'a> {
+pub(crate) struct CompiledBinning<'a> {
     dims: Vec<CompiledDim<'a>>,
 }
 
@@ -45,25 +38,13 @@ impl<'a> CompiledBinning<'a> {
     /// [`BinDef::Count`] must have been resolved to `Width` by the driver
     /// beforehand (it needs a data min/max pass); encountering one here is
     /// an error.
-    pub fn compile(dataset: &'a Dataset, defs: &[BinDef]) -> Result<Self, CoreError> {
-        Self::compile_with(defs, &mut |name| ResolvedColumn::new(dataset, name))
-    }
-
-    /// Compiles against a bare table (sample tables).
-    pub fn compile_on_table(table: &'a Table, defs: &[BinDef]) -> Result<Self, CoreError> {
-        Self::compile_with(defs, &mut |name| ResolvedColumn::on_table(table, name))
-    }
-
-    fn compile_with(
-        defs: &[BinDef],
-        resolve: &mut dyn FnMut(&str) -> Result<ResolvedColumn<'a>, CoreError>,
-    ) -> Result<Self, CoreError> {
+    pub(crate) fn compile(dataset: &'a Dataset, defs: &[BinDef]) -> Result<Self, CoreError> {
         let dims = defs
             .iter()
             .map(|def| {
                 Ok(match def {
                     BinDef::Nominal { dimension } => {
-                        let col = resolve(dimension)?;
+                        let col = ResolvedColumn::new(dataset, dimension)?;
                         if col.column().as_nominal().is_none() {
                             return Err(CoreError::Storage(format!(
                                 "nominal binning on non-nominal column {dimension}"
@@ -82,7 +63,7 @@ impl<'a> CompiledBinning<'a> {
                             )));
                         }
                         CompiledDim::Width {
-                            col: resolve(dimension)?,
+                            col: ResolvedColumn::new(dataset, dimension)?,
                             width: *width,
                             anchor: *anchor,
                         }
@@ -100,7 +81,7 @@ impl<'a> CompiledBinning<'a> {
 
     /// The bin key for a row; `None` when any binned value is null.
     #[inline]
-    pub fn bin_of(&self, row: usize) -> Option<BinKey> {
+    pub(crate) fn bin_of(&self, row: usize) -> Option<BinKey> {
         match self.dims.len() {
             1 => Some(BinKey::d1(self.dims[0].coord_of(row)?)),
             2 => Some(BinKey::d2(
@@ -112,27 +93,6 @@ impl<'a> CompiledBinning<'a> {
                 None
             }
         }
-    }
-
-    /// Number of binning dimensions.
-    pub fn arity(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Join-accessed binning columns (cost model input).
-    pub fn joined_columns(&self) -> usize {
-        self.dims.iter().filter(|d| d.is_joined()).count()
-    }
-
-    /// Total scan width of the binning columns in 4-byte units.
-    pub fn width_units(&self) -> f64 {
-        self.dims
-            .iter()
-            .map(|d| match d {
-                CompiledDim::Nominal(c) => c.width_units(),
-                CompiledDim::Width { col, .. } => col.width_units(),
-            })
-            .sum()
     }
 }
 
@@ -168,7 +128,6 @@ mod tests {
         .unwrap();
         assert_eq!(b.bin_of(0), Some(BinKey::d1(BinCoord::Cat(0))));
         assert_eq!(b.bin_of(1), Some(BinKey::d1(BinCoord::Cat(1))));
-        assert_eq!(b.arity(), 1);
     }
 
     #[test]
@@ -225,7 +184,6 @@ mod tests {
             b.bin_of(1),
             Some(BinKey::d2(BinCoord::Cat(1), BinCoord::Bucket(1)))
         );
-        assert_eq!(b.arity(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! position; the merge order depends only on chunk indices. Neither depends
 //! on the worker count, scheduling, or how a budget slices the scan, so the
 //! accumulated result — including every floating-point rounding — is
-//! bit-identical for any `workers ≥ 1`. The retained scalar reference path
+//! bit-identical for any `workers ≥ 1`. The scalar oracle
 //! ([`crate::execute_exact_scalar`]) folds its row-at-a-time accumulation
 //! over the same chunk grid, which is what lets differential tests pin
 //! parallel == scalar *bit for bit*.

@@ -8,10 +8,10 @@
 //! fixed [`crate::dispatch::CHUNK_ROWS`]-sized chunks, each with its own
 //! accumulator, fanned out over the persistent [`crate::pool::ScanPool`]
 //! when [`ChunkedRun::set_workers`] grants more than one worker and merged
-//! back in chunk order so results are bit-identical for every worker count. The
-//! scalar reference path ([`execute_exact_scalar`]) retains the original
-//! row-at-a-time evaluation semantics (folded over the same chunk grid) for
-//! differential testing.
+//! back in chunk order so results are bit-identical for every worker count.
+//! The scalar oracle ([`execute_exact_scalar`]) interprets the query one row
+//! at a time (folded over the same chunk grid); differential tests and
+//! benchmarks pin the vectorized path against it.
 
 use crate::aggregate::GroupedAcc;
 use crate::dispatch::{MorselDispatcher, CHUNK_ROWS};
@@ -324,24 +324,7 @@ pub fn execute_exact_parallel(
     query: &Query,
     workers: usize,
 ) -> Result<AggResult, CoreError> {
-    execute_exact_with_policy(dataset, query, workers, crate::plan::JoinPolicy::default())
-}
-
-/// Runs a query to completion on the vectorized path under an explicit
-/// [`crate::plan::JoinPolicy`].
-///
-/// Results are bit-identical across policies and worker counts — the
-/// policy only decides whether star-schema kernels pay the per-row join
-/// indirection. `bench_scan`'s star-join gate and the join differential
-/// tests compare the devirtualized path against
-/// [`crate::plan::JoinPolicy::Indirect`] through this entry point.
-pub fn execute_exact_with_policy(
-    dataset: &Dataset,
-    query: &Query,
-    workers: usize,
-    policy: crate::plan::JoinPolicy,
-) -> Result<AggResult, CoreError> {
-    let plan = CompiledPlan::compile_with(dataset, query, policy)?;
+    let plan = CompiledPlan::compile(dataset, query)?;
     let mut run = ChunkedRun::from_plan(plan, None, SnapshotMode::Exact);
     run.set_workers(workers);
     while !run.is_done() {
@@ -350,11 +333,9 @@ pub fn execute_exact_with_policy(
     Ok(run.snapshot().expect("completed exact scan has a result"))
 }
 
-/// Runs a query to completion on the retained row-at-a-time reference path.
-///
-/// Kept (rather than deleted with the old executor) so differential tests
-/// and benchmarks can pin the vectorized path against the original
-/// semantics bit for bit. Evaluation (filter, binning, measure updates) is
+/// Runs a query to completion on the scalar oracle: a plain row-at-a-time
+/// interpreter that differential tests and benchmarks pin the vectorized
+/// path against bit for bit. Evaluation (filter, binning, measure updates) is
 /// strictly row-at-a-time; the per-bin accumulators fold over the same
 /// [`CHUNK_ROWS`] grid as the dispatcher, so the floating-point merge
 /// sequence — and therefore every output bit — matches the vectorized path
@@ -873,33 +854,64 @@ mod tests {
         );
     }
 
-    /// A star schema big enough to span several morsels, with an optional
-    /// join-cache capacity (0 forces the per-plan staged-FK fallback).
+    /// A star schema spanning more than two dispatch chunks, with an
+    /// optional join-cache capacity (0 forces the per-plan staged-FK
+    /// fallback). Every column the queries below read holds nulls: fact
+    /// columns `dep_delay` (float) and `status` (nominal), and dimension
+    /// attributes `carrier` (nominal) and `carrier_age` (int).
     fn star_dataset(n: usize, capacity: usize) -> Dataset {
         use idebench_storage::{DimensionSpec, StarSchema, Value};
         let mut f = TableBuilder::with_fields(
             "flights",
             &[
                 ("dep_delay", DataType::Float),
+                ("status", DataType::Nominal),
                 ("carrier_key", DataType::Int),
             ],
         );
         for i in 0..n {
-            f.push_row(&[
-                ((i % 1013) as f64 * 0.1 - 17.3).into(),
-                ((i % 7) as i64).into(),
-            ])
-            .unwrap();
+            let delay = if i % 13 == 5 {
+                Value::Null
+            } else {
+                ((i % 1013) as f64 * 0.1 - 17.3).into()
+            };
+            let status = if i % 17 == 3 {
+                Value::Null
+            } else {
+                ["ok", "late", "diverted"][i % 3].into()
+            };
+            f.push_row(&[delay, status, ((i % 9) as i64).into()])
+                .unwrap();
         }
-        let mut d = TableBuilder::with_fields("carriers", &[("carrier", DataType::Nominal)]);
-        for c in 0..7 {
-            d.push_row(&[Value::Str(format!("C{c}"))]).unwrap();
+        let mut d = TableBuilder::with_fields(
+            "carriers",
+            &[
+                ("carrier", DataType::Nominal),
+                ("carrier_age", DataType::Int),
+            ],
+        );
+        for c in 0..9i64 {
+            let name = if c == 4 {
+                Value::Null
+            } else {
+                Value::Str(format!("C{c}"))
+            };
+            let age = if c == 7 {
+                Value::Null
+            } else {
+                (c * 3 + 1).into()
+            };
+            d.push_row(&[name, age]).unwrap();
         }
         Dataset::Star(Arc::new(
             StarSchema::with_join_cache_capacity(
                 Arc::new(f.finish()),
                 vec![(
-                    DimensionSpec::new("carriers", "carrier_key", vec!["carrier".into()]),
+                    DimensionSpec::new(
+                        "carriers",
+                        "carrier_key",
+                        vec!["carrier".into(), "carrier_age".into()],
+                    ),
                     Arc::new(d.finish()),
                 )],
                 capacity,
@@ -908,48 +920,170 @@ mod tests {
         ))
     }
 
+    /// Queries over the nullable columns of [`star_dataset`]: Range / In /
+    /// Or filters, nominal, dense-width and sparse-width dimensions, 1D and
+    /// 2D binnings, and measures — each paired with the accumulation mode
+    /// it must compile to.
+    fn nullable_queries() -> Vec<(Query, bool)> {
+        let nominal = |d: &str| BinDef::Nominal {
+            dimension: d.into(),
+        };
+        let width = |d: &str, width: f64, anchor: f64| BinDef::Width {
+            dimension: d.into(),
+            width,
+            anchor,
+        };
+        let range = |c: &str, min: f64, max: f64| {
+            FilterExpr::Pred(Predicate::Range {
+                column: c.into(),
+                min,
+                max,
+            })
+        };
+        let isin = |c: &str, values: &[&str]| {
+            FilterExpr::Pred(Predicate::In {
+                column: c.into(),
+                values: values.iter().map(|v| v.to_string()).collect(),
+            })
+        };
+        let query = |binning: Vec<BinDef>, aggs: Vec<AggregateSpec>, filter| {
+            Query::for_viz(&VizSpec::new("v", "flights", binning, aggs), filter)
+        };
+        vec![
+            (
+                query(
+                    vec![nominal("carrier"), width("dep_delay", 25.0, 0.0)],
+                    vec![
+                        AggregateSpec::count(),
+                        AggregateSpec::over(AggFunc::Avg, "dep_delay"),
+                        AggregateSpec::over(AggFunc::Sum, "carrier_age"),
+                    ],
+                    Some(isin("carrier", &["C1", "C4", "C6"])),
+                ),
+                true,
+            ),
+            (
+                query(
+                    vec![nominal("status"), nominal("carrier")],
+                    vec![
+                        AggregateSpec::count(),
+                        AggregateSpec::over(AggFunc::Sum, "dep_delay"),
+                    ],
+                    Some(range("dep_delay", -10.0, 50.0)),
+                ),
+                true,
+            ),
+            (
+                query(
+                    vec![width("carrier_age", 2.0, 0.0)],
+                    vec![
+                        AggregateSpec::count(),
+                        AggregateSpec::over(AggFunc::Avg, "dep_delay"),
+                        AggregateSpec::over(AggFunc::Min, "carrier_age"),
+                    ],
+                    Some(FilterExpr::Or(vec![
+                        isin("status", &["late"]),
+                        range("carrier_age", 5.0, 20.0),
+                    ])),
+                ),
+                true,
+            ),
+            (
+                query(
+                    vec![width("dep_delay", 1e-3, 0.0), nominal("carrier")],
+                    vec![
+                        AggregateSpec::count(),
+                        AggregateSpec::over(AggFunc::Max, "carrier_age"),
+                        AggregateSpec::over(AggFunc::Sum, "dep_delay"),
+                    ],
+                    Some(isin("carrier", &["C0", "C2", "C3", "C5"]).and(range(
+                        "dep_delay",
+                        0.0,
+                        1e9,
+                    ))),
+                ),
+                false,
+            ),
+            (
+                query(
+                    vec![nominal("status")],
+                    vec![
+                        AggregateSpec::over(AggFunc::Avg, "carrier_age"),
+                        AggregateSpec::over(AggFunc::Avg, "dep_delay"),
+                    ],
+                    None,
+                ),
+                true,
+            ),
+            (
+                query(
+                    vec![width("dep_delay", 7.5, 1.25)],
+                    vec![
+                        AggregateSpec::count(),
+                        AggregateSpec::over(AggFunc::Sum, "carrier_age"),
+                    ],
+                    Some(FilterExpr::Or(vec![
+                        isin("carrier", &["C2", "C4"]),
+                        isin("status", &["diverted"]),
+                    ])),
+                ),
+                true,
+            ),
+        ]
+    }
+
     #[test]
     fn join_paths_agree_with_scalar_bit_for_bit() {
-        use crate::plan::JoinPolicy;
-        let spec = VizSpec::new(
-            "v",
-            "flights",
-            vec![
-                BinDef::Nominal {
-                    dimension: "carrier".into(),
-                },
-                BinDef::Width {
-                    dimension: "dep_delay".into(),
-                    width: 25.0,
-                    anchor: 0.0,
-                },
-            ],
-            vec![
-                AggregateSpec::count(),
-                AggregateSpec::over(AggFunc::Avg, "dep_delay"),
-                AggregateSpec::over(AggFunc::Sum, "dep_delay"),
-            ],
+        // Materialized (shared-cache) and staged (capacity 0) join access,
+        // over nullable fact columns and nullable dimension attributes,
+        // must equal the scalar oracle at every worker count and under a
+        // shuffled visit order.
+        let n = 2 * CHUNK_ROWS + 777;
+        // 1_000_003 is prime and does not divide `n`: i ↦ i·p + c mod n
+        // is a permutation.
+        let order: Arc<Vec<u32>> = Arc::new(
+            (0..n as u64)
+                .map(|i| ((i * 1_000_003 + 12_345) % n as u64) as u32)
+                .collect(),
         );
-        let q = Query::for_viz(
-            &spec,
-            Some(FilterExpr::Pred(Predicate::In {
-                column: "carrier".into(),
-                values: vec!["C1".into(), "C4".into(), "C6".into()],
-            })),
-        );
-        // Materialized (shared-cache), staged (capacity 0), and legacy
-        // indirect join access must all equal the scalar reference.
         for capacity in [usize::MAX, 0] {
-            let ds = star_dataset(5 * crate::batch::MORSEL + 311, capacity);
-            let scalar = execute_exact_scalar(&ds, &q).unwrap();
-            for workers in [1, 8] {
-                for policy in [JoinPolicy::Devirtualized, JoinPolicy::Indirect] {
-                    let got = execute_exact_with_policy(&ds, &q, workers, policy).unwrap();
+            let ds = star_dataset(n, capacity);
+            for (q, dense) in nullable_queries() {
+                let plan = CompiledPlan::compile(&ds, &q).unwrap();
+                assert_eq!(
+                    matches!(plan.acc_mode(), crate::plan::AccMode::Dense(_)),
+                    dense,
+                    "{}",
+                    q.canonical_key()
+                );
+                let scalar = execute_exact_scalar(&ds, &q).unwrap();
+                for workers in [1, 2, 8] {
+                    let got = execute_exact_parallel(&ds, &q, workers).unwrap();
                     assert_eq!(
-                        got, scalar,
-                        "capacity {capacity}, workers {workers}, {policy:?}"
+                        got,
+                        scalar,
+                        "capacity {capacity}, workers {workers}, {}",
+                        q.canonical_key()
                     );
                 }
+                let mut run =
+                    ChunkedRun::from_plan(plan, Some(Arc::clone(&order)), SnapshotMode::Exact);
+                run.set_workers(2);
+                while !run.is_done() {
+                    run.advance(50_021);
+                }
+                assert_eq!(
+                    run.snapshot().unwrap(),
+                    execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap(),
+                    "capacity {capacity}, shuffled, {}",
+                    q.canonical_key()
+                );
+            }
+            let stats = ds.as_star().unwrap().join_cache_stats();
+            if capacity == 0 {
+                assert!(stats.entries == 0 && stats.declined > 0, "{stats:?}");
+            } else {
+                assert_eq!(stats.entries, 2, "both attributes materialized");
             }
         }
     }

@@ -4,13 +4,15 @@ use crate::executor::execute_exact;
 use idebench_core::{AggResult, GroundTruthProvider, Query};
 use idebench_storage::Dataset;
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
-/// Computes exact results with [`execute_exact`] and memoizes them by query
-/// fingerprint. IDE workloads re-issue many identical queries (linked vizs
-/// refresh repeatedly), so caching makes whole-benchmark evaluation cheap.
+/// Computes exact results with [`execute_exact`] and memoizes them by
+/// [`Query::canonical_key`]. IDE workloads re-issue many identical queries
+/// (linked vizs refresh repeatedly), so caching makes whole-benchmark
+/// evaluation cheap.
 pub struct CachedGroundTruth {
     dataset: Dataset,
-    cache: FxHashMap<u64, AggResult>,
+    cache: FxHashMap<Arc<str>, AggResult>,
     hits: u64,
     misses: u64,
 }
@@ -44,22 +46,22 @@ impl CachedGroundTruth {
 
 impl GroundTruthProvider for CachedGroundTruth {
     fn ground_truth(&mut self, query: &Query) -> AggResult {
-        let fp = query.fingerprint();
-        if let Some(hit) = self.cache.get(&fp) {
+        let key = query.canonical_key();
+        if let Some(hit) = self.cache.get(&key) {
             self.hits += 1;
             return hit.clone();
         }
         self.misses += 1;
         let result = execute_exact(&self.dataset, query)
             .expect("ground-truth query must bind against the dataset");
-        self.cache.insert(fp, result.clone());
+        self.cache.insert(key, result.clone());
         result
     }
 }
 
 /// Enumerates the distinct queries a workload would trigger, by replaying
 /// every interaction through the driver's visualization graph (including
-/// its count-binning resolution). Deduplicated by fingerprint.
+/// its count-binning resolution). Deduplicated by canonical key.
 pub fn enumerate_workload_queries(
     dataset: &Dataset,
     workloads: &[&[idebench_core::Interaction]],
@@ -73,7 +75,7 @@ pub fn enumerate_workload_queries(
             for viz in graph.apply(interaction)? {
                 let mut query = graph.query_for(&viz)?;
                 idebench_core::driver::resolve_count_binnings(&mut query, dataset, &mut ranges)?;
-                if seen.insert(query.fingerprint()) {
+                if seen.insert(query.canonical_key()) {
                     out.push(query);
                 }
             }
@@ -90,7 +92,7 @@ impl CachedGroundTruth {
     pub fn precompute(dataset: Dataset, queries: &[Query], threads: usize) -> Self {
         let threads = threads.clamp(1, 64);
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Vec<(u64, AggResult)>>> = (0..threads)
+        let results: Vec<parking_lot::Mutex<Vec<_>>> = (0..threads)
             .map(|_| parking_lot::Mutex::new(Vec::new()))
             .collect();
         std::thread::scope(|scope| {
@@ -102,7 +104,7 @@ impl CachedGroundTruth {
                     let Some(query) = queries.get(i) else { break };
                     let result = execute_exact(dataset, query)
                         .expect("ground-truth query must bind against the dataset");
-                    shard.lock().push((query.fingerprint(), result));
+                    shard.lock().push((query.canonical_key(), result));
                 });
             }
         });

@@ -37,13 +37,13 @@
 //! - [`executor`]: [`ChunkedRun`] — work-unit-budgeted morsel execution with
 //!   monotone, exactly-capped budget accounting over the dispatcher — plus
 //!   [`execute_exact`] / [`execute_exact_parallel`] (vectorized one-shot)
-//!   and [`execute_exact_scalar`] (the retained row-at-a-time reference
-//!   path used for differential testing).
-//! - [`resolve`], [`filter`], [`binning`], [`aggregate`]: the scalar
-//!   reference implementations ([`ResolvedQuery`] and friends) plus the
-//!   canonical grouped accumulator ([`GroupedAcc`]) every path finishes
-//!   through — exact finalization and sample-scale-up estimation with CLT
-//!   confidence intervals.
+//!   and [`execute_exact_scalar`] / [`execute_exact_scalar_with_order`]:
+//!   the scalar oracle, a plain row-at-a-time interpreter (private
+//!   `resolve`, `filter` and `binning` modules) that differential tests
+//!   and benchmarks pin the vectorized path against.
+//! - [`aggregate`]: the canonical grouped accumulator ([`GroupedAcc`])
+//!   every path finishes through — exact finalization and
+//!   sample-scale-up estimation with CLT confidence intervals.
 //! - [`ground_truth`]: a caching [`idebench_core::GroundTruthProvider`].
 //! - [`sql`]: SQL rendering of queries (paper Figure 4).
 //!
@@ -78,29 +78,24 @@
 
 pub mod aggregate;
 pub mod batch;
-pub mod binning;
+mod binning;
 pub mod dispatch;
 pub mod executor;
-pub mod filter;
+mod filter;
 pub mod ground_truth;
 pub mod plan;
 pub mod pool;
-pub mod resolve;
+mod resolve;
 pub mod sql;
 
 pub use aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 pub use batch::MORSEL;
-pub use binning::CompiledBinning;
 pub use dispatch::{available_workers, MorselDispatcher, CHUNK_ROWS};
 pub use executor::{
     execute_exact, execute_exact_parallel, execute_exact_scalar, execute_exact_scalar_with_order,
-    execute_exact_with_policy, ChunkedRun, SnapshotMode,
+    ChunkedRun, SnapshotMode,
 };
-pub use filter::CompiledFilter;
 pub use ground_truth::{enumerate_workload_queries, CachedGroundTruth};
-pub use plan::{
-    plan_compilations, AccMode, CompiledPlan, JoinPolicy, PlannedColumn, DENSE_BIN_CAP,
-};
+pub use plan::{plan_compilations, AccMode, CompiledPlan, PlannedColumn, DENSE_BIN_CAP};
 pub use pool::{global_pool, ScanPool};
-pub use resolve::{ResolvedColumn, ResolvedQuery};
 pub use sql::to_sql;

@@ -12,20 +12,17 @@
 //! lo`, clamped into `[0, len)`); only genuinely unbounded or oversized key
 //! spaces keep the hashed store.
 //!
-//! Unlike [`crate::resolve::ResolvedQuery`] — the borrow-based scalar
-//! reference path, recompiled wherever it is used — a `CompiledPlan` owns
-//! `Arc` handles into the dataset and therefore lives inside a
-//! [`crate::ChunkedRun`] for the whole scan: `advance` only *binds* the plan
-//! (index-based slice lookups, no name resolution, no hashing) and runs
-//! batch kernels over it. [`plan_compilations`] counts compilations so tests
-//! can pin the once-per-run property.
+//! A `CompiledPlan` owns `Arc` handles into the dataset and therefore
+//! lives inside a [`crate::ChunkedRun`] for the whole scan: `advance` only
+//! *binds* the plan (index-based slice lookups, no name resolution, no
+//! hashing) and runs batch kernels over it. [`plan_compilations`] counts
+//! compilations so tests can pin the once-per-run property.
 //!
 //! # Join devirtualization
 //!
 //! On star schemas, a dimension attribute is logically reached through the
-//! fact table's foreign key (`column[fk[row]]`). Under the default
-//! [`JoinPolicy::Devirtualized`], compilation eliminates that per-row
-//! indirection from the kernels:
+//! fact table's foreign key (`column[fk[row]]`). Compilation eliminates
+//! that per-row indirection from the kernels:
 //!
 //! 1. **Materialization** (preferred): the plan asks the schema's shared
 //!    [`idebench_storage::StarSchema::materialize_join`] cache for a
@@ -37,14 +34,15 @@
 //!    cache — dictionary codes for nominal attributes, widened values for
 //!    numeric ones — and each morsel gathers the FK column **once** into a
 //!    shared staging buffer, translating every joined column through its
-//!    cache into flat per-morsel slices.
+//!    cache into flat per-morsel slices. Staged FKs are `u32`, so a
+//!    dimension of `u32::MAX` rows or more fails compilation with
+//!    [`CoreError::Unsupported`].
 //!
 //! Either way, the batch kernels only ever see flat slices (plus a staged
-//! validity mask); the legacy per-row virtualized access survives solely
-//! under [`JoinPolicy::Indirect`] as the differential/benchmark baseline.
-//! Devirtualization changes *wall-clock* cost only: the benchmark's virtual
-//! cost model ([`CompiledPlan::row_cost`], [`CompiledPlan::width_units`])
-//! still charges every logical join, exactly as before.
+//! validity mask for joined or nullable columns). Devirtualization changes
+//! *wall-clock* cost only: the benchmark's virtual cost model
+//! ([`CompiledPlan::row_cost`], [`CompiledPlan::width_units`]) still
+//! charges every logical join.
 
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
 use idebench_storage::{Column, ColumnSlice, Dataset, SelVec, Table};
@@ -67,21 +65,6 @@ pub fn plan_compilations() -> u64 {
     PLAN_COMPILATIONS.load(Ordering::Relaxed)
 }
 
-/// How a [`CompiledPlan`] executes star-schema join access (module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinPolicy {
-    /// Joined columns are lowered to flat slices: materialized fact-ordered
-    /// copies from the shared [`idebench_storage::StarSchema`] join cache
-    /// when it has room, per-morsel FK staging through per-plan dimension
-    /// caches otherwise. The default.
-    #[default]
-    Devirtualized,
-    /// The pre-cache behaviour: every access to a joined (or nullable)
-    /// column pays the per-row `column[fk[row]]` double indirection inside
-    /// the kernels. Kept as the differential-test and benchmark baseline.
-    Indirect,
-}
-
 /// Sentinel in a per-plan nominal join cache marking a null dimension row.
 pub(crate) const NULL_CODE: u32 = u32::MAX;
 
@@ -93,9 +76,6 @@ pub(crate) enum Access {
     /// Gathered per morsel into stage buffer `slot` (flat values plus a
     /// validity mask); `nominal` picks the code vs. numeric buffer.
     Staged { slot: usize, nominal: bool },
-    /// Legacy per-row virtualized access (fk indirection + null checks in
-    /// the row loop). Only under [`JoinPolicy::Indirect`].
-    Virtual,
 }
 
 /// A query column resolved to owned storage handles.
@@ -119,23 +99,16 @@ pub struct PlannedColumn {
 impl PlannedColumn {
     /// Resolves `name` against the dataset.
     ///
-    /// Standalone resolution keeps legacy access (direct when flat and
-    /// fully valid, per-row virtualized otherwise);
-    /// [`CompiledPlan::compile`] upgrades its columns per [`JoinPolicy`].
+    /// Only [`CompiledPlan::compile`] decides how kernels read the column
+    /// (flat, materialized or staged); a standalone resolution serves
+    /// metadata lookups such as [`Self::column`].
     pub fn resolve(dataset: &Dataset, name: &str) -> Result<Self, CoreError> {
-        let make = |table: Arc<Table>, col: usize, fk: Option<(Arc<Table>, usize)>| {
-            let access = if fk.is_none() && table.column_at(col).validity().is_none() {
-                Access::Direct
-            } else {
-                Access::Virtual
-            };
-            PlannedColumn {
-                table,
-                col,
-                fk,
-                materialized: None,
-                access,
-            }
+        let make = |table: Arc<Table>, col: usize, fk: Option<(Arc<Table>, usize)>| PlannedColumn {
+            table,
+            col,
+            fk,
+            materialized: None,
+            access: Access::Direct,
         };
         match dataset {
             Dataset::Denormalized(t) => Ok(make(Arc::clone(t), t.schema().index_of(name)?, None)),
@@ -184,8 +157,8 @@ impl PlannedColumn {
         self.fk.is_some()
     }
 
-    /// Scan width in 4-byte units (same model as the scalar reference path:
-    /// dictionary codes 1 unit, ints/floats 2, plus 2.5 for join access).
+    /// Scan width in 4-byte units (dictionary codes 1 unit, ints/floats 2,
+    /// plus 2.5 for join access) — an input to the engines' cost models.
     pub fn width_units(&self) -> f64 {
         let own = match self.column().typed() {
             ColumnSlice::Codes(..) => 1.0,
@@ -195,21 +168,6 @@ impl PlannedColumn {
             own + 2.0 + 0.5
         } else {
             own
-        }
-    }
-
-    /// Binds the plan column to the legacy per-row virtualized accessor.
-    #[inline]
-    pub(crate) fn bind(&self) -> BoundColumn<'_> {
-        let column = self.column();
-        BoundColumn {
-            data: column.typed(),
-            validity: column.validity(),
-            fk: self.fk.as_ref().map(|(fact, idx)| {
-                fact.column_at(*idx)
-                    .as_int()
-                    .expect("fk column validated at compile time")
-            }),
         }
     }
 
@@ -225,18 +183,14 @@ impl PlannedColumn {
                     ColView::StagedNum(slot)
                 }
             }
-            Access::Virtual => ColView::Virtual(self.bind()),
         }
     }
 }
 
 /// A column as the morsel kernels consume it: a flat typed slice indexed by
-/// fact row (`Direct*` — no nulls by construction), a staged scratch slot
-/// indexed by morsel position with a validity mask (joined or nullable
-/// columns under [`JoinPolicy::Devirtualized`]), or the retained per-row
-/// virtualized accessor ([`JoinPolicy::Indirect`] and the scalar filter
-/// lowering). This is what collapsed the old per-kernel
-/// `(data, fk, validity)` match arms: every arm is flat except `Virtual`.
+/// fact row (`F64` / `I64` / `Codes` — no nulls by construction), or a
+/// staged scratch slot indexed by morsel position with a validity mask
+/// (joined or nullable columns).
 #[derive(Clone, Copy)]
 pub(crate) enum ColView<'a> {
     /// Direct float slice.
@@ -249,8 +203,6 @@ pub(crate) enum ColView<'a> {
     StagedNum(usize),
     /// Code stage buffer `slot` (codes at morsel positions).
     StagedCodes(usize),
-    /// Per-row virtualized access.
-    Virtual(BoundColumn<'a>),
 }
 
 impl<'a> ColView<'a> {
@@ -261,57 +213,6 @@ impl<'a> ColView<'a> {
             ColumnSlice::F64(d) => ColView::F64(d),
             ColumnSlice::I64(d) => ColView::I64(d),
             ColumnSlice::Codes(d, _) => ColView::Codes(d),
-        }
-    }
-}
-
-/// A [`PlannedColumn`] bound to borrowed slices for per-row virtualized
-/// access — the one non-flat arm of [`ColView`].
-#[derive(Clone, Copy)]
-pub(crate) struct BoundColumn<'a> {
-    pub data: ColumnSlice<'a>,
-    pub validity: Option<&'a SelVec>,
-    pub fk: Option<&'a [i64]>,
-}
-
-impl BoundColumn<'_> {
-    /// The physical row backing fact row `row`.
-    #[inline(always)]
-    pub fn physical(&self, row: usize) -> usize {
-        match self.fk {
-            Some(fk) => fk[row] as usize,
-            None => row,
-        }
-    }
-
-    /// Numeric value at the fact row; `None` when null.
-    #[inline(always)]
-    pub fn numeric(&self, row: usize) -> Option<f64> {
-        let r = self.physical(row);
-        if let Some(v) = self.validity {
-            if !v.contains(r) {
-                return None;
-            }
-        }
-        Some(match self.data {
-            ColumnSlice::F64(d) => d[r],
-            ColumnSlice::I64(d) => d[r] as f64,
-            ColumnSlice::Codes(d, _) => f64::from(d[r]),
-        })
-    }
-
-    /// Dictionary code at the fact row; `None` when null or non-nominal.
-    #[inline(always)]
-    pub fn code(&self, row: usize) -> Option<u32> {
-        let r = self.physical(row);
-        if let Some(v) = self.validity {
-            if !v.contains(r) {
-                return None;
-            }
-        }
-        match self.data {
-            ColumnSlice::Codes(d, _) => Some(d[r]),
-            _ => None,
         }
     }
 }
@@ -392,14 +293,15 @@ impl PlannedFilter {
         }
     }
 
-    fn for_each_col_mut(&mut self, f: &mut impl FnMut(&mut PlannedColumn)) {
+    fn try_for_each_col_mut(
+        &mut self,
+        f: &mut impl FnMut(&mut PlannedColumn) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
         match self {
             PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
-            PlannedFilter::And(children) | PlannedFilter::Or(children) => {
-                for c in children {
-                    c.for_each_col_mut(f);
-                }
-            }
+            PlannedFilter::And(children) | PlannedFilter::Or(children) => children
+                .iter_mut()
+                .try_for_each(|c| c.try_for_each_col_mut(f)),
         }
     }
 
@@ -550,6 +452,9 @@ pub(crate) struct StagePhases {
     pub post_fks: Vec<usize>,
 }
 
+/// A fact-table foreign-key column: `(fact table, column index)`.
+pub(crate) type FkCol = (Arc<Table>, usize);
+
 /// An owned, reusable compiled query plan (see module docs).
 pub struct CompiledPlan {
     dataset: Dataset,
@@ -561,10 +466,9 @@ pub struct CompiledPlan {
     pub(crate) stages: Vec<StageSpec>,
     /// Distinct foreign-key columns gathered once per morsel, shared by
     /// every [`StageSpec::JoinCodes`]/[`StageSpec::JoinNum`] over them.
-    pub(crate) fk_cols: Vec<(Arc<Table>, usize)>,
+    pub(crate) fk_cols: Vec<FkCol>,
     /// Filter-phase vs. post-filter-phase staging split.
     pub(crate) phases: StagePhases,
-    policy: JoinPolicy,
     acc_mode: AccMode,
     num_rows: usize,
     joined_columns: usize,
@@ -573,23 +477,9 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Compiles `query` against `dataset` under the default
-    /// [`JoinPolicy::Devirtualized`]. The dataset handle is cheap to clone
-    /// (`Arc`s all the way down) and is retained inside the plan.
+    /// Compiles `query` against `dataset`. The dataset handle is cheap to
+    /// clone (`Arc`s all the way down) and is retained inside the plan.
     pub fn compile(dataset: &Dataset, query: &Query) -> Result<Self, CoreError> {
-        Self::compile_with(dataset, query, JoinPolicy::default())
-    }
-
-    /// Compiles `query` against `dataset` under an explicit [`JoinPolicy`].
-    ///
-    /// Results are bit-identical across policies — the policy only decides
-    /// whether kernels pay the per-row join indirection; differential tests
-    /// and `bench_scan`'s star-join gate rely on that.
-    pub fn compile_with(
-        dataset: &Dataset,
-        query: &Query,
-        policy: JoinPolicy,
-    ) -> Result<Self, CoreError> {
         PLAN_COMPILATIONS.fetch_add(1, Ordering::Relaxed);
         let mut filter = query
             .filter()
@@ -617,8 +507,7 @@ impl CompiledPlan {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        let (stages, fk_cols) =
-            Self::plan_access(dataset, policy, &mut filter, &mut dims, &mut measures);
+        let (stages, fk_cols) = Self::plan_access(dataset, &mut filter, &mut dims, &mut measures)?;
         let phases = Self::partition_stages(&filter, &stages, fk_cols.len());
         let acc_mode = Self::pick_acc_mode(&dims);
         let joined_columns = dims.iter().filter(|d| d.col().is_joined()).count()
@@ -645,7 +534,6 @@ impl CompiledPlan {
             stages,
             fk_cols,
             phases,
-            policy,
             acc_mode,
             joined_columns,
             width_units,
@@ -658,24 +546,23 @@ impl CompiledPlan {
     /// distinct FK staging columns fall out of this pass (module docs).
     fn plan_access(
         dataset: &Dataset,
-        policy: JoinPolicy,
         filter: &mut Option<PlannedFilter>,
         dims: &mut [PlannedDim],
         measures: &mut [Option<PlannedColumn>],
-    ) -> (Vec<StageSpec>, Vec<(Arc<Table>, usize)>) {
+    ) -> Result<(Vec<StageSpec>, Vec<FkCol>), CoreError> {
         // Per physical column: its access plus any shared materialization.
         type AccessMemo = FxHashMap<(usize, usize), (Access, Option<Arc<Column>>)>;
         let star = dataset.as_star();
         let mut stages: Vec<StageSpec> = Vec::new();
-        let mut fk_cols: Vec<(Arc<Table>, usize)> = Vec::new();
+        let mut fk_cols: Vec<FkCol> = Vec::new();
         let mut memo: AccessMemo = FxHashMap::default();
 
-        let mut assign = |col: &mut PlannedColumn| {
+        let mut assign = |col: &mut PlannedColumn| -> Result<(), CoreError> {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
             if let Some((access, materialized)) = memo.get(&key) {
                 col.access = access.clone();
                 col.materialized = materialized.clone();
-                return;
+                return Ok(());
             }
             let push_stage = |stages: &mut Vec<StageSpec>, spec: StageSpec| Access::Staged {
                 nominal: spec.nominal(),
@@ -684,91 +571,82 @@ impl CompiledPlan {
                     stages.len() - 1
                 },
             };
-            let (access, materialized) = match policy {
-                JoinPolicy::Indirect => (col.access.clone(), None),
-                JoinPolicy::Devirtualized => {
-                    let materialized = match (&col.fk, star) {
-                        (Some(_), Some(s)) => s.materialize_join(col.name()),
-                        _ => None,
-                    };
-                    if let Some(m) = &materialized {
-                        let access = if m.validity().is_none() {
-                            Access::Direct
-                        } else {
-                            push_stage(&mut stages, StageSpec::Own(ColRef::Owned(Arc::clone(m))))
-                        };
-                        (access, materialized)
-                    } else if let Some((fact, fk_idx)) = &col.fk {
-                        // Joined but not materialized (shared cache full, or
-                        // no star): per-plan dimension-row caches, unless
-                        // the dimension outgrows the u32 staging encoding.
-                        let dim_col = col.column();
-                        if dim_col.len() >= u32::MAX as usize {
-                            (Access::Virtual, None)
-                        } else {
-                            let fk_key = (Arc::clone(fact), *fk_idx);
-                            let fk_slot = fk_cols
-                                .iter()
-                                .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
-                                .unwrap_or_else(|| {
-                                    fk_cols.push(fk_key);
-                                    fk_cols.len() - 1
-                                });
-                            let spec =
-                                match dim_col.typed() {
-                                    ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
-                                        fk_slot,
-                                        cache: Arc::new(
-                                            codes
-                                                .iter()
-                                                .enumerate()
-                                                .map(|(i, &c)| {
-                                                    if dim_col.is_valid(i) {
-                                                        c
-                                                    } else {
-                                                        NULL_CODE
-                                                    }
-                                                })
-                                                .collect(),
-                                        ),
-                                    },
-                                    _ => StageSpec::JoinNum {
-                                        fk_slot,
-                                        vals: Arc::new(
-                                            (0..dim_col.len())
-                                                .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
-                                                .collect(),
-                                        ),
-                                        valid: dim_col.validity().cloned(),
-                                    },
-                                };
-                            (push_stage(&mut stages, spec), None)
-                        }
-                    } else if col.column().validity().is_none() {
-                        (Access::Direct, None)
-                    } else {
-                        // Nullable fact column: stage it so kernels fold the
-                        // validity bitmap into the morsel mask once.
-                        let spec = StageSpec::Own(ColRef::Table(Arc::clone(&col.table), col.col));
-                        (push_stage(&mut stages, spec), None)
-                    }
+            let materialized = match (&col.fk, star) {
+                (Some(_), Some(s)) => s.materialize_join(col.name()),
+                _ => None,
+            };
+            let access = if let Some(m) = &materialized {
+                if m.validity().is_none() {
+                    Access::Direct
+                } else {
+                    push_stage(&mut stages, StageSpec::Own(ColRef::Owned(Arc::clone(m))))
                 }
+            } else if let Some((fact, fk_idx)) = &col.fk {
+                // Joined but not materialized (shared cache full): per-plan
+                // dimension-row caches, indexed by the u32-staged FK.
+                let dim_col = col.column();
+                if dim_col.len() >= u32::MAX as usize {
+                    return Err(CoreError::Unsupported(format!(
+                        "dimension column {} has {} rows; staged joins need fewer than {}",
+                        col.name(),
+                        dim_col.len(),
+                        u32::MAX
+                    )));
+                }
+                let fk_key = (Arc::clone(fact), *fk_idx);
+                let fk_slot = fk_cols
+                    .iter()
+                    .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
+                    .unwrap_or_else(|| {
+                        fk_cols.push(fk_key);
+                        fk_cols.len() - 1
+                    });
+                let spec = match dim_col.typed() {
+                    ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
+                        fk_slot,
+                        cache: Arc::new(
+                            codes
+                                .iter()
+                                .enumerate()
+                                .map(|(i, &c)| if dim_col.is_valid(i) { c } else { NULL_CODE })
+                                .collect(),
+                        ),
+                    },
+                    _ => StageSpec::JoinNum {
+                        fk_slot,
+                        vals: Arc::new(
+                            (0..dim_col.len())
+                                .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
+                                .collect(),
+                        ),
+                        valid: dim_col.validity().cloned(),
+                    },
+                };
+                push_stage(&mut stages, spec)
+            } else if col.column().validity().is_none() {
+                Access::Direct
+            } else {
+                // Nullable fact column: stage it so kernels fold the
+                // validity bitmap into the morsel mask once.
+                let spec = StageSpec::Own(ColRef::Table(Arc::clone(&col.table), col.col));
+                push_stage(&mut stages, spec)
             };
             memo.insert(key, (access.clone(), materialized.clone()));
             col.access = access;
             col.materialized = materialized;
+            Ok(())
         };
 
         for dim in dims.iter_mut() {
-            assign(dim.col_mut());
+            assign(dim.col_mut())?;
         }
         if let Some(f) = filter {
-            f.for_each_col_mut(&mut assign);
+            f.try_for_each_col_mut(&mut assign)?;
         }
         for m in measures.iter_mut().flatten() {
-            assign(m);
+            assign(m)?;
         }
-        (stages, fk_cols)
+        Ok((stages, fk_cols))
     }
 
     fn compile_dim(dataset: &Dataset, def: &BinDef) -> Result<PlannedDim, CoreError> {
@@ -933,11 +811,6 @@ impl CompiledPlan {
         self.acc_mode
     }
 
-    /// The join-access policy this plan was compiled under.
-    pub fn join_policy(&self) -> JoinPolicy {
-        self.policy
-    }
-
     /// How many referenced columns are join-accessed (cost-model input).
     pub fn joined_columns(&self) -> usize {
         self.joined_columns
@@ -1021,13 +894,15 @@ mod tests {
     fn direct_and_joined_column_access() {
         let c = PlannedColumn::resolve(&denorm(), "dep_delay").unwrap();
         assert!(!c.is_joined());
-        assert_eq!(c.bind().numeric(1), Some(15.0));
+        assert_eq!(c.column().numeric_at(1), Some(15.0));
 
+        // A dimension attribute resolves to the dimension table's column,
+        // reached through the fact table's foreign key.
         let j = PlannedColumn::resolve(&star(), "carrier").unwrap();
         assert!(j.is_joined());
-        // Row 0 has carrier_key = 1 → "DL" (code 1 in the dim dictionary).
-        assert_eq!(j.bind().code(0), Some(1));
-        assert_eq!(j.bind().code(1), Some(0));
+        assert_eq!(j.column().len(), 2);
+        let (codes, dict) = j.column().as_nominal().unwrap();
+        assert_eq!(dict.value(codes[1]), Some("DL"));
     }
 
     #[test]
@@ -1317,17 +1192,6 @@ mod tests {
         assert_eq!(plan2.phases.filter_fks, vec![0]);
         assert!(plan2.phases.post_stages.is_empty());
         assert!(plan2.phases.post_fks.is_empty());
-    }
-
-    #[test]
-    fn indirect_policy_keeps_virtual_access() {
-        let ds = star();
-        let plan = CompiledPlan::compile_with(&ds, &nominal_query(), JoinPolicy::Indirect).unwrap();
-        assert!(matches!(plan.dims[0].col().access, Access::Virtual));
-        assert!(plan.stages.is_empty() && plan.fk_cols.is_empty());
-        assert_eq!(plan.join_policy(), JoinPolicy::Indirect);
-        // No materialization was even attempted.
-        assert_eq!(ds.as_star().unwrap().join_cache_stats().misses, 0);
     }
 
     #[test]

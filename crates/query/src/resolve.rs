@@ -1,25 +1,24 @@
-//! Column resolution: binding query column names to dataset storage,
-//! following star-schema foreign keys when necessary.
+//! Column resolution for the scalar oracle: binding query column names to
+//! dataset storage, following star-schema foreign keys when necessary.
 
 use idebench_core::{CoreError, Query};
-use idebench_storage::{Column, Dataset, Table};
+use idebench_storage::{Column, Dataset};
 
 /// A query column bound to physical storage.
 ///
 /// For de-normalized datasets `fk` is `None` and `column` indexes directly
 /// by row. For star schemas, a column living in a dimension table is
 /// accessed through the fact table's foreign-key column: the value for fact
-/// row `r` is `column[fk[r]]`. This indirection *is* the join — engines
-/// charge extra work units for it (see the engines' cost models).
+/// row `r` is `column[fk[r]]` — the join, evaluated per row.
 #[derive(Debug, Clone, Copy)]
-pub struct ResolvedColumn<'a> {
+pub(crate) struct ResolvedColumn<'a> {
     column: &'a Column,
     fk: Option<&'a [i64]>,
 }
 
 impl<'a> ResolvedColumn<'a> {
     /// Resolves `name` against a dataset.
-    pub fn new(dataset: &'a Dataset, name: &str) -> Result<Self, CoreError> {
+    pub(crate) fn new(dataset: &'a Dataset, name: &str) -> Result<Self, CoreError> {
         match dataset {
             Dataset::Denormalized(t) => Ok(ResolvedColumn {
                 column: t.column(name)?,
@@ -47,35 +46,6 @@ impl<'a> ResolvedColumn<'a> {
         }
     }
 
-    /// Resolves `name` against a bare table (used for sample tables).
-    pub fn on_table(table: &'a Table, name: &str) -> Result<Self, CoreError> {
-        Ok(ResolvedColumn {
-            column: table.column(name)?,
-            fk: None,
-        })
-    }
-
-    /// Whether this column is reached through a foreign key (join access).
-    pub fn is_joined(&self) -> bool {
-        self.fk.is_some()
-    }
-
-    /// Scan width of the column in 4-byte units (dictionary codes are 4
-    /// bytes, ints/floats 8). Join-accessed columns additionally pay for the
-    /// 8-byte foreign-key read and an amortized probe. Engine cost models
-    /// build on this.
-    pub fn width_units(&self) -> f64 {
-        let own = match self.column.data() {
-            idebench_storage::ColumnData::Nominal(..) => 1.0,
-            _ => 2.0,
-        };
-        if self.fk.is_some() {
-            own + 2.0 + 0.5
-        } else {
-            own
-        }
-    }
-
     #[inline]
     fn physical_row(&self, row: usize) -> usize {
         match self.fk {
@@ -86,13 +56,13 @@ impl<'a> ResolvedColumn<'a> {
 
     /// Numeric value at the (fact) row, `None` when null.
     #[inline]
-    pub fn numeric_at(&self, row: usize) -> Option<f64> {
+    pub(crate) fn numeric_at(&self, row: usize) -> Option<f64> {
         self.column.numeric_at(self.physical_row(row))
     }
 
     /// Dictionary code at the (fact) row, `None` when null or non-nominal.
     #[inline]
-    pub fn code_at(&self, row: usize) -> Option<u32> {
+    pub(crate) fn code_at(&self, row: usize) -> Option<u32> {
         let r = self.physical_row(row);
         if !self.column.is_valid(r) {
             return None;
@@ -101,37 +71,14 @@ impl<'a> ResolvedColumn<'a> {
     }
 
     /// The underlying column (dictionary access etc.).
-    pub fn column(&self) -> &'a Column {
+    pub(crate) fn column(&self) -> &'a Column {
         self.column
-    }
-
-    /// Binds to typed slices for batch-kernel evaluation.
-    pub(crate) fn bind(&self) -> crate::plan::BoundColumn<'a> {
-        crate::plan::BoundColumn {
-            data: self.column.typed(),
-            validity: self.column.validity(),
-            fk: self.fk,
-        }
-    }
-
-    /// The column as the morsel kernels see it: flat direct slices when no
-    /// join or validity stands in the way, the per-row virtualized
-    /// accessor otherwise (this borrow-based path never stages).
-    pub(crate) fn view(&self) -> crate::plan::ColView<'a> {
-        if self.fk.is_none() && self.column.validity().is_none() {
-            crate::plan::ColView::direct(self.column.typed())
-        } else {
-            crate::plan::ColView::Virtual(self.bind())
-        }
     }
 }
 
-/// A fully-resolved query: compiled filter, binning and measure accessors,
-/// valid for the lifetime of the dataset borrow.
-///
-/// Resolution is cheap (name lookups); engines re-resolve inside each
-/// `step()` call so query handles can remain `'static`.
-pub struct ResolvedQuery<'a> {
+/// A fully-resolved query for the scalar oracle: compiled filter, binning
+/// and measure accessors, valid for the lifetime of the dataset borrow.
+pub(crate) struct ResolvedQuery<'a> {
     /// Compiled filter; `None` means all rows match.
     pub filter: Option<crate::filter::CompiledFilter<'a>>,
     /// Compiled binning.
@@ -140,18 +87,11 @@ pub struct ResolvedQuery<'a> {
     pub measures: Vec<Option<ResolvedColumn<'a>>>,
     /// Number of fact rows.
     pub num_rows: usize,
-    /// How many of the referenced columns are join-accessed (cost model).
-    pub joined_columns: usize,
-    /// Total scan width of all referenced columns in 4-byte units.
-    pub width_units: f64,
-    /// Number of columns of the fact (or single) table — row stores and
-    /// tuple-reconstruction overheads scale with this.
-    pub fact_arity: usize,
 }
 
 impl<'a> ResolvedQuery<'a> {
     /// Binds `query` against `dataset`.
-    pub fn new(dataset: &'a Dataset, query: &Query) -> Result<Self, CoreError> {
+    pub(crate) fn new(dataset: &'a Dataset, query: &Query) -> Result<Self, CoreError> {
         let filter = query
             .filter()
             .map(|f| crate::filter::CompiledFilter::compile(dataset, f))
@@ -167,50 +107,24 @@ impl<'a> ResolvedQuery<'a> {
                     .transpose()
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let num_rows = dataset.fact_rows();
-        let joined_columns = binning.joined_columns()
-            + filter.as_ref().map_or(0, |f| f.joined_columns())
-            + measures.iter().flatten().filter(|m| m.is_joined()).count();
-        let width_units = binning.width_units()
-            + filter.as_ref().map_or(0.0, |f| f.width_units())
-            + measures
-                .iter()
-                .flatten()
-                .map(ResolvedColumn::width_units)
-                .sum::<f64>();
-        let fact_arity = match dataset {
-            Dataset::Denormalized(t) => t.num_columns(),
-            Dataset::Star(s) => s.fact().num_columns(),
-        };
         Ok(ResolvedQuery {
             filter,
             binning,
             measures,
-            num_rows,
-            joined_columns,
-            width_units,
-            fact_arity,
+            num_rows: dataset.fact_rows(),
         })
     }
 
     /// Whether the (fact) row passes the filter.
     #[inline]
-    pub fn matches(&self, row: usize) -> bool {
+    pub(crate) fn matches(&self, row: usize) -> bool {
         self.filter.as_ref().is_none_or(|f| f.matches(row))
-    }
-
-    /// Per-row work-unit cost: 1 for the scan plus 1 per join-accessed
-    /// column (the price of the FK indirection / hash probe).
-    pub fn row_cost(&self) -> u64 {
-        1 + self.joined_columns as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
-    use idebench_core::VizSpec;
     use idebench_storage::{DataType, DimensionSpec, StarSchema, TableBuilder, Value};
     use std::sync::Arc;
 
@@ -255,7 +169,6 @@ mod tests {
     fn direct_column_access() {
         let ds = denorm();
         let c = ResolvedColumn::new(&ds, "dep_delay").unwrap();
-        assert!(!c.is_joined());
         assert_eq!(c.numeric_at(1), Some(15.0));
     }
 
@@ -263,7 +176,6 @@ mod tests {
     fn star_column_goes_through_fk() {
         let ds = star();
         let c = ResolvedColumn::new(&ds, "carrier").unwrap();
-        assert!(c.is_joined());
         // Row 0 has carrier_key = 1 → "DL" (code 1 in dim dictionary).
         assert_eq!(c.code_at(0), Some(1));
         assert_eq!(c.code_at(1), Some(0));
@@ -273,28 +185,5 @@ mod tests {
     fn unknown_column_errors() {
         let ds = star();
         assert!(ResolvedColumn::new(&ds, "ghost").is_err());
-    }
-
-    #[test]
-    fn resolved_query_costs_joins() {
-        let ds = star();
-        let spec = VizSpec::new(
-            "v",
-            "flights",
-            vec![BinDef::Nominal {
-                dimension: "carrier".into(),
-            }],
-            vec![AggregateSpec::over(AggFunc::Avg, "dep_delay")],
-        );
-        let q = Query::for_viz(&spec, None);
-        let r = ResolvedQuery::new(&ds, &q).unwrap();
-        assert_eq!(r.joined_columns, 1);
-        assert_eq!(r.row_cost(), 2);
-        assert_eq!(r.num_rows, 2);
-
-        let denorm_ds = denorm();
-        let q2 = Query::for_viz(&spec, None);
-        let r2 = ResolvedQuery::new(&denorm_ds, &q2).unwrap();
-        assert_eq!(r2.row_cost(), 1);
     }
 }
