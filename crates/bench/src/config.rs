@@ -131,8 +131,8 @@ impl BenchmarkConfig {
     /// Loads a configuration file.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Storage(format!("{}: {e}", path.display())))?;
-        Self::from_json(&text).map_err(|e| CoreError::Storage(format!("{}: {e}", path.display())))
+            .map_err(|e| CoreError::Config(format!("{}: {e}", path.display())))?;
+        Self::from_json(&text).map_err(|e| CoreError::Config(format!("{}: {e}", path.display())))
     }
 
     /// Materializes the workload.
@@ -153,7 +153,7 @@ impl BenchmarkConfig {
                 Ok(all)
             }
             WorkloadConfig::Dir { path } => idebench_workflow::store::load_batch(path)
-                .map_err(|e| CoreError::Storage(e.to_string())),
+                .map_err(|e| CoreError::Config(e.to_string())),
         }
     }
 
@@ -309,6 +309,35 @@ mod tests {
             ..BenchmarkConfig::default()
         };
         assert_eq!(c.workflows().unwrap(), batch);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn malformed_files_report_config_errors() {
+        let dir = std::env::temp_dir().join(format!("idebench-badcfg-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = dir.join("cfg.json");
+        std::fs::write(&cfg, r#"{ "dataset": { "rows": "many" } }"#).unwrap();
+        let err = BenchmarkConfig::load(&cfg).unwrap_err();
+        assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.starts_with("config error: "), "{msg}");
+        assert!(msg.contains("cfg.json"), "{msg}");
+
+        let missing = BenchmarkConfig::load(&dir.join("absent.json")).unwrap_err();
+        assert!(missing.to_string().starts_with("config error: "));
+
+        let workflows = dir.join("workflows");
+        std::fs::create_dir_all(&workflows).unwrap();
+        std::fs::write(workflows.join("w0.json"), "{ not json").unwrap();
+        let c = BenchmarkConfig {
+            workload: WorkloadConfig::Dir { path: workflows },
+            ..BenchmarkConfig::default()
+        };
+        let msg = c.workflows().unwrap_err().to_string();
+        assert!(msg.starts_with("config error: "), "{msg}");
+        assert!(msg.contains("w0.json"), "{msg}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,6 +20,9 @@ pub enum CoreError {
     Unsupported(String),
     /// A storage-layer error bubbled up.
     Storage(String),
+    /// A benchmark configuration or workload file could not be read or
+    /// parsed.
+    Config(String),
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +35,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::Unsupported(what) => write!(f, "unsupported by system under test: {what}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
+            CoreError::Config(e) => write!(f, "config error: {e}"),
         }
     }
 }
@@ -53,6 +57,10 @@ mod tests {
         assert_eq!(
             CoreError::UnknownViz("viz_0".into()).to_string(),
             "unknown visualization: viz_0"
+        );
+        assert_eq!(
+            CoreError::Config("cfg.json: bad".into()).to_string(),
+            "config error: cfg.json: bad"
         );
         assert!(CoreError::LinkCycle {
             source: "a".into(),

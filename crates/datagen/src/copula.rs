@@ -13,7 +13,7 @@
 //! normal scores. Nominal attributes participate through their dictionary
 //! codes (frequency-preserving); generated codes map back to categories.
 
-use crate::encode::FirstSeen;
+use crate::encode::first_seen_column;
 use crate::matrix::{covariance_matrix, SquareMatrix};
 use crate::stats::{normal_cdf, EmpiricalDist};
 use idebench_storage::{Column, ColumnData, DataType, Dictionary, Schema, Table};
@@ -100,7 +100,7 @@ impl CopulaScaler {
                 DataType::Int => Sink::Int(Vec::with_capacity(n)),
                 DataType::Nominal => {
                     let dict = dict.as_deref().expect("nominal has dictionary");
-                    Sink::Nominal(FirstSeen::new(dict.len(), n), dict)
+                    Sink::Nominal(Vec::with_capacity(n), dict)
                 }
             })
             .collect();
@@ -128,9 +128,7 @@ impl CopulaScaler {
                     Sink::Int(col) => col.push(v.round() as i64),
                     Sink::Nominal(col, dict) => {
                         let code = (v.round() as i64).clamp(0, dict.len() as i64 - 1) as u32;
-                        col.push(code as usize, || {
-                            dict.value(code).expect("code in range").to_string()
-                        });
+                        col.push(code);
                     }
                 }
             }
@@ -140,7 +138,9 @@ impl CopulaScaler {
             .map(|sink| match sink {
                 Sink::Float(col) => Column::float(col),
                 Sink::Int(col) => Column::int(col),
-                Sink::Nominal(col, _) => col.finish(),
+                Sink::Nominal(col, dict) => first_seen_column(col, dict.len(), |code| {
+                    dict.value(code as u32).expect("code in range").to_string()
+                }),
             })
             .collect();
         Table::new(&self.table_name, self.schema.clone(), columns)
@@ -158,8 +158,9 @@ impl CopulaScaler {
 enum Sink<'a> {
     Float(Vec<f64>),
     Int(Vec<i64>),
-    /// Codes into the seed's dictionary, re-encoded in first-seen order.
-    Nominal(FirstSeen, &'a Dictionary),
+    /// Codes into the seed's dictionary, re-encoded in first-seen order
+    /// once every row is drawn.
+    Nominal(Vec<u32>, &'a Dictionary),
 }
 
 /// Centers and scales values to zero mean / unit variance.

@@ -13,11 +13,12 @@
 //! - Strong correlations: arrival delay tracks departure delay; air time
 //!   tracks route distance; states follow airports.
 
-use crate::encode::FirstSeen;
+use crate::encode::first_seen_column;
 use crate::stats::{sample_cumulative, zipf_cumulative};
 use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Mutex;
 
 /// Name of the generated fact table.
 pub const FLIGHTS_TABLE: &str = "flights";
@@ -112,9 +113,205 @@ fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
     -rng.random::<f64>().max(1e-12).ln() * mean
 }
 
+/// Rows per fill block of [`generate`]. The grid depends only on `n`, never
+/// on the worker count.
+pub(crate) const BLOCK_ROWS: usize = 1 << 16;
+
+/// One row as drawn, before dictionary encoding: nominal attributes are
+/// category indexes, and every value is already rounded as stored.
+struct Row {
+    carrier: usize,
+    origin: usize,
+    dest: usize,
+    month: i64,
+    dow: i64,
+    dep_time: f64,
+    dep_delay: f64,
+    arr_time: f64,
+    arr_delay: f64,
+    distance: f64,
+    air_time: f64,
+}
+
+/// The departure-delay regime below which [`draw_row`] takes the two-draw
+/// normal branch.
+const DELAY_NORMAL_BRANCH: f64 = 0.62;
+
+/// Draws one row. The draw order is the generation contract (see
+/// [`generate`]); [`skip_row`] must advance the stream by the same count.
+fn draw_row(world: &World, rng: &mut StdRng) -> Row {
+    let carrier = sample_cumulative(&world.carrier_cum, rng.random());
+    let origin = sample_cumulative(&world.airport_cum, rng.random());
+    let mut dest = sample_cumulative(&world.airport_cum, rng.random());
+    if dest == origin {
+        dest = (dest + 1) % NUM_AIRPORTS;
+    }
+    let (o, d) = (&world.airports[origin], &world.airports[dest]);
+
+    let month = sample_cumulative(&world.month_cum, rng.random()) as i64 + 1;
+    // Weekdays are ~20% busier than weekend days.
+    let dow = {
+        let u: f64 = rng.random();
+        if u < 0.78 {
+            1 + (rng.random::<f64>() * 5.0) as i64
+        } else {
+            6 + (rng.random::<f64>() * 2.0) as i64
+        }
+    };
+
+    // Bimodal departure times: morning bank (8±1.8h) and evening bank
+    // (17±2.2h), clamped to the day.
+    let dep_time = if rng.random::<f64>() < 0.55 {
+        (8.0 + normal(rng) * 1.8).clamp(0.0, 23.99)
+    } else {
+        (17.0 + normal(rng) * 2.2).clamp(0.0, 23.99)
+    };
+
+    // Departure delay: carrier + origin congestion + evening rush, with
+    // a heavy late tail.
+    let rush = if (15.5..20.5).contains(&dep_time) {
+        4.0
+    } else {
+        0.0
+    };
+    let base = world.carrier_delay_offset[carrier] + o.congestion * 0.6 + rush;
+    let u: f64 = rng.random();
+    let dep_delay = if u < DELAY_NORMAL_BRANCH {
+        base - 4.0 + normal(rng) * 4.5
+    } else if u < 0.92 {
+        base + exponential(rng, 14.0)
+    } else {
+        base + 20.0 + exponential(rng, 55.0)
+    };
+    let dep_delay = (dep_delay * 10.0).round() / 10.0;
+
+    let distance = {
+        let dx = o.x - d.x;
+        let dy = o.y - d.y;
+        ((dx * dx + dy * dy).sqrt() + 60.0 + rng.random::<f64>() * 30.0).max(80.0)
+    };
+    // ~7.6 miles/minute cruise plus taxi/approach overhead.
+    let air_time = distance / 7.6 + 18.0 + normal(rng) * 6.0;
+    let air_time = air_time.max(20.0);
+
+    // Arrival delay strongly tracks departure delay, with en-route
+    // recovery and noise.
+    let arr_delay = dep_delay * 0.92 - 4.0 + normal(rng) * 9.0;
+    let arr_delay = (arr_delay * 10.0).round() / 10.0;
+
+    let arr_time = (dep_time + air_time / 60.0 + arr_delay.max(0.0) / 60.0).rem_euclid(24.0);
+
+    Row {
+        carrier,
+        origin,
+        dest,
+        month,
+        dow,
+        dep_time: (dep_time * 100.0).round() / 100.0,
+        dep_delay,
+        arr_time: (arr_time * 100.0).round() / 100.0,
+        arr_delay,
+        distance: distance.round(),
+        air_time: air_time.round(),
+    }
+}
+
+/// Advances `rng` past one row exactly as [`draw_row`] does, without
+/// computing it. Only the delay regime — the row's 10th draw — decides the
+/// count: 17 draws on the normal branch, 16 otherwise.
+fn skip_row(rng: &mut StdRng) {
+    for _ in 0..9 {
+        rng.next_u64();
+    }
+    let u: f64 = rng.random();
+    let rest = if u < DELAY_NORMAL_BRANCH { 7 } else { 6 };
+    for _ in 0..rest {
+        rng.next_u64();
+    }
+}
+
+/// Output buffers in schema order: the five nominal columns (holding
+/// category indexes until the recode pass), the two int columns and the six
+/// float columns.
+struct Buffers {
+    cats: [Vec<u32>; 5],
+    ints: [Vec<i64>; 2],
+    floats: [Vec<f64>; 6],
+}
+
+/// One block's rows of every [`Buffers`] column.
+struct Block<'a> {
+    cats: [&'a mut [u32]; 5],
+    ints: [&'a mut [i64]; 2],
+    floats: [&'a mut [f64]; 6],
+}
+
+impl Buffers {
+    fn zeroed(n: usize) -> Self {
+        Buffers {
+            cats: std::array::from_fn(|_| vec![0; n]),
+            ints: std::array::from_fn(|_| vec![0; n]),
+            floats: std::array::from_fn(|_| vec![0.0; n]),
+        }
+    }
+
+    /// The buffers cut into [`BLOCK_ROWS`]-row blocks, in row order.
+    fn blocks(&mut self) -> Vec<Block<'_>> {
+        let n = self.cats[0].len();
+        let mut cats = self.cats.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
+        let mut ints = self.ints.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
+        let mut floats = self.floats.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
+        (0..n.div_ceil(BLOCK_ROWS))
+            .map(|_| Block {
+                cats: cats.each_mut().map(|c| c.next().expect("block in range")),
+                ints: ints.each_mut().map(|c| c.next().expect("block in range")),
+                floats: floats.each_mut().map(|c| c.next().expect("block in range")),
+            })
+            .collect()
+    }
+}
+
+impl Block<'_> {
+    fn rows(&self) -> usize {
+        self.cats[0].len()
+    }
+
+    /// Draws the block's rows from `rng`, in row order.
+    fn fill(self, world: &World, rng: &mut StdRng) {
+        let Block {
+            mut cats,
+            mut ints,
+            mut floats,
+        } = self;
+        for i in 0..cats[0].len() {
+            let r = draw_row(world, rng);
+            let (o, d) = (&world.airports[r.origin], &world.airports[r.dest]);
+            let row_cats = [r.carrier, r.origin, o.state, r.dest, d.state];
+            for (col, v) in cats.iter_mut().zip(row_cats) {
+                col[i] = v as u32;
+            }
+            for (col, v) in ints.iter_mut().zip([r.month, r.dow]) {
+                col[i] = v;
+            }
+            let row_floats = [
+                r.dep_time,
+                r.dep_delay,
+                r.arr_time,
+                r.arr_delay,
+                r.distance,
+                r.air_time,
+            ];
+            for (col, v) in floats.iter_mut().zip(row_floats) {
+                col[i] = v;
+            }
+        }
+    }
+}
+
 /// Generates `n` rows of synthetic flights with the given RNG seed.
 ///
-/// Deterministic: equal `(n, seed)` always produces an identical table.
+/// Deterministic: equal `(n, seed)` always produces an identical table,
+/// whatever the number of cores.
 ///
 /// Generation contract (pinned by the crate's golden-content tests):
 /// - one RNG stream, seeded with `seed`, first draws the world (airport
@@ -125,117 +322,77 @@ fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
 ///   rows of `generate(n, seed)` for any `m <= n`;
 /// - nominal dictionaries list their values in first-seen order.
 ///
-/// Rows are written straight into typed column buffers sized to `n`.
+/// Rows are filled in parallel blocks; see the crate docs ("Block-parallel
+/// generation") for how that keeps the single-stream contract.
 pub fn generate(n: usize, seed: u64) -> Table {
+    let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
+    generate_with_workers(n, seed, workers)
+}
+
+/// [`generate`] with an explicit worker count (at least one worker is
+/// used, and never more than there are blocks). The output does not
+/// depend on `workers`.
+pub(crate) fn generate_with_workers(n: usize, seed: u64, workers: usize) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let world = build_world(&mut rng);
 
-    let mut carrier_col = FirstSeen::new(NUM_CARRIERS, n);
-    let mut origin_col = FirstSeen::new(NUM_AIRPORTS, n);
-    let mut origin_state_col = FirstSeen::new(NUM_STATES, n);
-    let mut dest_col = FirstSeen::new(NUM_AIRPORTS, n);
-    let mut dest_state_col = FirstSeen::new(NUM_STATES, n);
-    let mut month_col = Vec::with_capacity(n);
-    let mut dow_col = Vec::with_capacity(n);
-    let mut dep_time_col = Vec::with_capacity(n);
-    let mut dep_delay_col = Vec::with_capacity(n);
-    let mut arr_time_col = Vec::with_capacity(n);
-    let mut arr_delay_col = Vec::with_capacity(n);
-    let mut distance_col = Vec::with_capacity(n);
-    let mut air_time_col = Vec::with_capacity(n);
-
-    for _ in 0..n {
-        let carrier = sample_cumulative(&world.carrier_cum, rng.random());
-        let origin = sample_cumulative(&world.airport_cum, rng.random());
-        let mut dest = sample_cumulative(&world.airport_cum, rng.random());
-        if dest == origin {
-            dest = (dest + 1) % NUM_AIRPORTS;
+    let mut buffers = Buffers::zeroed(n);
+    let blocks = buffers.blocks();
+    let workers = workers.clamp(1, blocks.len().max(1));
+    if workers == 1 {
+        for block in blocks {
+            block.fill(&world, &mut rng);
         }
-        let (o, d) = (&world.airports[origin], &world.airports[dest]);
-
-        let month = sample_cumulative(&world.month_cum, rng.random()) as i64 + 1;
-        // Weekdays are ~20% busier than weekend days.
-        let dow = {
-            let u: f64 = rng.random();
-            if u < 0.78 {
-                1 + (rng.random::<f64>() * 5.0) as i64
-            } else {
-                6 + (rng.random::<f64>() * 2.0) as i64
+    } else {
+        // Skip pass: `checkpoints[b]` is the stream state at block `b`'s
+        // first row; the last entry is the state after the final row.
+        let mut checkpoints = Vec::with_capacity(blocks.len() + 1);
+        checkpoints.push(rng.clone());
+        for block in &blocks {
+            for _ in 0..block.rows() {
+                skip_row(&mut rng);
             }
+            checkpoints.push(rng.clone());
+        }
+        let queue = Mutex::new(blocks.into_iter().enumerate());
+        let work = || loop {
+            let next = queue
+                .lock()
+                .expect("no worker panics while holding the block queue")
+                .next();
+            let Some((b, block)) = next else {
+                break;
+            };
+            let mut stream = checkpoints[b].clone();
+            block.fill(&world, &mut stream);
+            assert!(
+                stream == checkpoints[b + 1],
+                "flights block {b} drew a different number of values than the skip pass counted"
+            );
         };
-
-        // Bimodal departure times: morning bank (8±1.8h) and evening bank
-        // (17±2.2h), clamped to the day.
-        let dep_time = if rng.random::<f64>() < 0.55 {
-            (8.0 + normal(&mut rng) * 1.8).clamp(0.0, 23.99)
-        } else {
-            (17.0 + normal(&mut rng) * 2.2).clamp(0.0, 23.99)
-        };
-
-        // Departure delay: carrier + origin congestion + evening rush, with
-        // a heavy late tail.
-        let rush = if (15.5..20.5).contains(&dep_time) {
-            4.0
-        } else {
-            0.0
-        };
-        let base = world.carrier_delay_offset[carrier] + o.congestion * 0.6 + rush;
-        let u: f64 = rng.random();
-        let dep_delay = if u < 0.62 {
-            base - 4.0 + normal(&mut rng) * 4.5
-        } else if u < 0.92 {
-            base + exponential(&mut rng, 14.0)
-        } else {
-            base + 20.0 + exponential(&mut rng, 55.0)
-        };
-        let dep_delay = (dep_delay * 10.0).round() / 10.0;
-
-        let distance = {
-            let dx = o.x - d.x;
-            let dy = o.y - d.y;
-            ((dx * dx + dy * dy).sqrt() + 60.0 + rng.random::<f64>() * 30.0).max(80.0)
-        };
-        // ~7.6 miles/minute cruise plus taxi/approach overhead.
-        let air_time = distance / 7.6 + 18.0 + normal(&mut rng) * 6.0;
-        let air_time = air_time.max(20.0);
-
-        // Arrival delay strongly tracks departure delay, with en-route
-        // recovery and noise.
-        let arr_delay = dep_delay * 0.92 - 4.0 + normal(&mut rng) * 9.0;
-        let arr_delay = (arr_delay * 10.0).round() / 10.0;
-
-        let arr_time = (dep_time + air_time / 60.0 + arr_delay.max(0.0) / 60.0).rem_euclid(24.0);
-
-        carrier_col.push(carrier, || format!("C{carrier:02}"));
-        origin_col.push(origin, || o.code.clone());
-        origin_state_col.push(o.state, || format!("S{:02}", o.state));
-        dest_col.push(dest, || d.code.clone());
-        dest_state_col.push(d.state, || format!("S{:02}", d.state));
-        month_col.push(month);
-        dow_col.push(dow);
-        dep_time_col.push((dep_time * 100.0).round() / 100.0);
-        dep_delay_col.push(dep_delay);
-        arr_time_col.push((arr_time * 100.0).round() / 100.0);
-        arr_delay_col.push(arr_delay);
-        distance_col.push(distance.round());
-        air_time_col.push(air_time.round());
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(work);
+            }
+            work();
+        });
     }
 
-    let columns = vec![
-        carrier_col.finish(),
-        origin_col.finish(),
-        origin_state_col.finish(),
-        dest_col.finish(),
-        dest_state_col.finish(),
-        Column::int(month_col),
-        Column::int(dow_col),
-        Column::float(dep_time_col),
-        Column::float(dep_delay_col),
-        Column::float(arr_time_col),
-        Column::float(arr_delay_col),
-        Column::float(distance_col),
-        Column::float(air_time_col),
+    // Recode pass, in row order: category indexes → first-seen codes.
+    let [carrier, origin, origin_state, dest, dest_state] = buffers.cats;
+    let airport = |a: usize| world.airports[a].code.clone();
+    let state = |s: usize| format!("S{s:02}");
+    let [month, dow] = buffers.ints;
+    let mut columns = vec![
+        first_seen_column(carrier, NUM_CARRIERS, |c| format!("C{c:02}")),
+        first_seen_column(origin, NUM_AIRPORTS, airport),
+        first_seen_column(origin_state, NUM_STATES, state),
+        first_seen_column(dest, NUM_AIRPORTS, airport),
+        first_seen_column(dest_state, NUM_STATES, state),
+        Column::int(month),
+        Column::int(dow),
     ];
+    columns.extend(buffers.floats.map(Column::float));
     Table::new(FLIGHTS_TABLE, Schema::from_pairs(SCHEMA), columns)
         .expect("flights columns have equal lengths")
 }
@@ -263,6 +420,42 @@ mod tests {
             vb += (b[i] - mb) * (b[i] - mb);
         }
         cov / (va.sqrt() * vb.sqrt())
+    }
+
+    #[test]
+    fn output_does_not_depend_on_the_worker_count() {
+        use crate::golden::{content_hash, FLIGHTS_GOLDEN};
+        for &(n, seed, want) in FLIGHTS_GOLDEN {
+            for workers in [1, 2, 3, 8] {
+                let got = content_hash(&generate_with_workers(n, seed, workers));
+                assert_eq!(got, want, "n {n}, seed {seed}, {workers} workers");
+            }
+        }
+        // The golden sizes must cover an empty table, a partial block, whole
+        // blocks, and a partial block after several whole ones.
+        let sizes: Vec<usize> = FLIGHTS_GOLDEN.iter().map(|c| c.0).collect();
+        for n in [
+            0,
+            1,
+            BLOCK_ROWS - 1,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 1,
+            3 * BLOCK_ROWS + 17,
+        ] {
+            assert!(sizes.contains(&n), "no golden case for n = {n}");
+        }
+    }
+
+    #[test]
+    fn skip_row_advances_like_draw_row() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let world = build_world(&mut rng);
+        let mut skipped = rng.clone();
+        for _ in 0..10_000 {
+            draw_row(&world, &mut rng);
+            skip_row(&mut skipped);
+            assert!(rng == skipped);
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@ use std::sync::Arc;
 /// For each spec, the distinct combinations of the spec's attributes become
 /// the rows of a new dimension table, the attributes are removed from the
 /// fact table, and an integer surrogate-key column (`spec.fk_name`) is
-/// appended to the fact referencing dimension row indexes.
+/// appended to the fact referencing dimension row indexes. Dimension rows
+/// and keys follow first-seen order over the fact rows. The columns the
+/// fact keeps share their payloads with `table` (see [`Column`]); only the
+/// key columns and the dimension tables are new memory.
 pub fn normalize(table: &Table, specs: &[DimensionSpec]) -> Result<Dataset, String> {
     let nrows = table.num_rows();
     let mut moved: Vec<&str> = Vec::new();
@@ -39,27 +42,23 @@ pub fn normalize(table: &Table, specs: &[DimensionSpec]) -> Result<Dataset, Stri
             moved.push(a);
         }
 
-        // Distinct attribute combinations → dimension rows. Combination key
-        // is the tuple of per-column physical encodings.
-        let mut key_to_dim: FxHashMap<Vec<u64>, i64> = FxHashMap::default();
+        // Distinct attribute combinations → dimension rows, in first-seen
+        // order. Each row's combination is one packed integer built from
+        // per-attribute dense ids.
+        let (keys, span) = combination_keys(&attr_cols, nrows);
+        let (dim_ids, _) = first_seen(&keys, span);
+        drop(keys);
         let mut dim_rows: Vec<usize> = Vec::new(); // representative fact row per dim row
-        let mut fk = Vec::with_capacity(nrows);
-        let mut key_buf: Vec<u64> = Vec::with_capacity(attr_cols.len());
-        for row in 0..nrows {
-            key_buf.clear();
-            for (_, col) in &attr_cols {
-                key_buf.push(encode_cell(col, row));
-            }
-            let next_id = key_to_dim.len() as i64;
-            match key_to_dim.get(&key_buf) {
-                Some(&id) => fk.push(id),
-                None => {
-                    key_to_dim.insert(key_buf.clone(), next_id);
+        let fk: Vec<i64> = dim_ids
+            .iter()
+            .enumerate()
+            .map(|(row, &id)| {
+                if id as usize == dim_rows.len() {
                     dim_rows.push(row);
-                    fk.push(next_id);
                 }
-            }
-        }
+                i64::from(id)
+            })
+            .collect();
 
         // Materialize the dimension table from representative rows.
         let mut builder = TableBuilder::new(
@@ -91,6 +90,7 @@ pub fn normalize(table: &Table, specs: &[DimensionSpec]) -> Result<Dataset, Stri
     for (i, field) in table.schema().fields().iter().enumerate() {
         if !moved.contains(&field.name.as_str()) {
             fact_fields.push(field.clone());
+            // O(1): the fact shares the payload with `table`.
             fact_cols.push(table.column_at(i).clone());
         }
     }
@@ -123,16 +123,94 @@ pub fn normalize_flights(table: &Table) -> Result<Dataset, String> {
     )
 }
 
-/// Stable 64-bit encoding of one cell for distinct-combination hashing.
-fn encode_cell(col: &Column, row: usize) -> u64 {
-    if !col.is_valid(row) {
-        return u64::MAX;
+/// One packed integer per row that is equal for two rows exactly when
+/// their values (nulls included) agree on every attribute in `attr_cols`,
+/// plus a bound `span` that every key is below.
+///
+/// Attributes fold in as mixed-radix digits: `key = key * domain + id`,
+/// where `id` is the row's dense id for the attribute and `domain` the
+/// number of ids. When the next digit would overflow `u64`, the keys built
+/// so far are first renumbered densely (at most `nrows` values), so the
+/// fold never overflows.
+fn combination_keys(attr_cols: &[(usize, &Column)], nrows: usize) -> (Vec<u64>, u64) {
+    let mut keys = vec![0u64; nrows];
+    let mut span: u64 = 1;
+    for (_, col) in attr_cols {
+        let (ids, domain) = attribute_ids(col);
+        if span.checked_mul(domain).is_none() {
+            let (dense, distinct) = first_seen(&keys, span);
+            keys = dense.into_iter().map(u64::from).collect();
+            span = distinct;
+        }
+        for (key, id) in keys.iter_mut().zip(ids) {
+            *key = *key * domain + u64::from(id);
+        }
+        span *= domain;
     }
+    (keys, span)
+}
+
+/// Dense per-row ids of one attribute and the number of ids. A nominal
+/// value's id is its dictionary code, and a null takes the code past the
+/// dictionary's end. A numeric null takes id 0, and a numeric value takes
+/// 1 + its first-seen rank by bit pattern.
+fn attribute_ids(col: &Column) -> (Vec<u32>, u64) {
     match col.data() {
-        ColumnData::Float(v) => v[row].to_bits(),
-        ColumnData::Int(v) => v[row] as u64,
-        ColumnData::Nominal(v, _) => u64::from(v[row]),
+        ColumnData::Nominal(codes, dict) => {
+            let null = u32::try_from(dict.len()).expect("dictionary codes fit u32");
+            let ids = codes
+                .iter()
+                .enumerate()
+                .map(|(row, &c)| if col.is_valid(row) { c } else { null })
+                .collect();
+            (ids, u64::from(null) + 1)
+        }
+        ColumnData::Float(v) => numeric_ids(col, v.iter().map(|x| x.to_bits())),
+        ColumnData::Int(v) => numeric_ids(col, v.iter().map(|&x| x as u64)),
     }
+}
+
+fn numeric_ids(col: &Column, bits: impl Iterator<Item = u64>) -> (Vec<u32>, u64) {
+    let mut id_of: FxHashMap<u64, u32> = FxHashMap::default();
+    let ids = bits
+        .enumerate()
+        .map(|(row, b)| {
+            if !col.is_valid(row) {
+                return 0;
+            }
+            let next = u32::try_from(id_of.len() + 1).expect("distinct values fit u32");
+            *id_of.entry(b).or_insert(next)
+        })
+        .collect();
+    (ids, id_of.len() as u64 + 1)
+}
+
+/// Numbers `keys` (each below `span`) densely in first-seen order: the
+/// i-th distinct key gets id i. Returns the ids and the number of distinct
+/// keys. When `span` is no larger than the number of keys, a lookup table
+/// indexed by key replaces the hash map; the ids are the same.
+fn first_seen(keys: &[u64], span: u64) -> (Vec<u32>, u64) {
+    const UNSEEN: u32 = u32::MAX;
+    let mut next: u32 = 0;
+    let mut assign = |slot: &mut u32| {
+        if *slot == UNSEEN {
+            *slot = next;
+            next = next.checked_add(1).expect("distinct keys fit u32");
+        }
+        *slot
+    };
+    let ids = if span <= keys.len() as u64 {
+        let mut table = vec![UNSEEN; span as usize];
+        keys.iter()
+            .map(|&k| assign(&mut table[k as usize]))
+            .collect()
+    } else {
+        let mut table: FxHashMap<u64, u32> = FxHashMap::default();
+        keys.iter()
+            .map(|&k| assign(table.entry(k).or_insert(UNSEEN)))
+            .collect()
+    };
+    (ids, u64::from(next))
 }
 
 #[cfg(test)]
@@ -189,6 +267,72 @@ mod tests {
                 t.value_at(s_idx, row),
                 airports.value_at(1, fk[row] as usize)
             );
+        }
+    }
+
+    #[test]
+    fn fact_shares_kept_payloads() {
+        let t = flights::generate(300, 4);
+        let ds = normalize_flights(&t).unwrap();
+        let star = ds.as_star().unwrap();
+        let kept = star.fact().column("dep_delay").unwrap().as_float().unwrap();
+        let source = t.column("dep_delay").unwrap().as_float().unwrap();
+        assert!(std::ptr::eq(kept, source), "kept column was copied");
+    }
+
+    #[test]
+    fn null_is_its_own_attribute_value() {
+        // A null must not collide with any payload, including -1 (all bits
+        // set as u64) and the NaN a null float is stored as.
+        let mut b = TableBuilder::with_fields(
+            "t",
+            &[
+                ("k", DataType::Int),
+                ("x", DataType::Float),
+                ("m", DataType::Float),
+            ],
+        );
+        for (k, x) in [
+            (Value::Int(-1), Value::Float(f64::NAN)),
+            (Value::Null, Value::Null),
+            (Value::Int(-1), Value::Float(f64::NAN)),
+            (Value::Null, Value::Null),
+            (Value::Int(-1), Value::Null),
+        ] {
+            b.push_row(&[k, x, Value::Float(1.0)]).unwrap();
+        }
+        let t = b.finish();
+        let specs = [DimensionSpec::new(
+            "d",
+            "d_key",
+            vec!["k".into(), "x".into()],
+        )];
+        let ds = normalize(&t, &specs).unwrap();
+        let star = ds.as_star().unwrap();
+        let fk = star.fact().column("d_key").unwrap().as_int().unwrap();
+        assert_eq!(fk, &[0, 1, 0, 1, 2]);
+        let (_, dim) = star.dimension("d").unwrap();
+        assert_eq!(dim.num_rows(), 3);
+        assert_eq!(dim.value_at(0, 1), Value::Null);
+        assert_eq!(dim.value_at(1, 2), Value::Null);
+    }
+
+    #[test]
+    fn wide_combinations_do_not_overflow_the_packed_key() {
+        // Seven attributes with 997 ids each: 997^7 > u64::MAX, so the
+        // fold must renumber its keys before the last digit.
+        let n = 1_000;
+        let cols: Vec<Column> = (0..7)
+            .map(|c| Column::int((0..n).map(|r| (r * (c + 1)) as i64 % 997).collect()))
+            .collect();
+        let refs: Vec<(usize, &Column)> = cols.iter().enumerate().collect();
+        let (keys, span) = combination_keys(&refs, n);
+        let (ids, distinct) = first_seen(&keys, span);
+        // Row r's combination is determined by r % 997 (attribute 0), and
+        // every residue appears, so exactly 997 combinations exist.
+        assert_eq!(distinct, 997);
+        for r in 0..n {
+            assert_eq!(ids[r], ids[r % 997]);
         }
     }
 

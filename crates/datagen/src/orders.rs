@@ -6,7 +6,7 @@
 //! popularity, log-normal prices, diurnal order times, and region-dependent
 //! shipping — used by the customizability example and tests.
 
-use crate::encode::FirstSeen;
+use crate::encode::first_seen_column;
 use crate::stats::{sample_cumulative, zipf_cumulative};
 use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
@@ -57,9 +57,9 @@ pub fn generate(n: usize, seed: u64) -> Table {
     // Region shipping base: farther regions ship slower.
     let ship_base: Vec<f64> = (0..NUM_REGIONS).map(|r| 1.5 + r as f64 * 0.7).collect();
 
-    let mut region_col = FirstSeen::new(NUM_REGIONS, n);
-    let mut category_col = FirstSeen::new(NUM_CATEGORIES, n);
-    let mut product_col = FirstSeen::new(NUM_PRODUCTS, n);
+    let mut region_col = Vec::with_capacity(n);
+    let mut category_col = Vec::with_capacity(n);
+    let mut product_col = Vec::with_capacity(n);
     let mut order_hour_col = Vec::with_capacity(n);
     let mut quantity_col = Vec::with_capacity(n);
     let mut unit_price_col = Vec::with_capacity(n);
@@ -94,9 +94,9 @@ pub fn generate(n: usize, seed: u64) -> Table {
             + if quantity > 6 { 1.0 } else { 0.0 })
         .max(0.5);
 
-        region_col.push(region, || format!("R{region:02}"));
-        category_col.push(category, || format!("CAT{category:02}"));
-        product_col.push(product, || format!("P{product:04}"));
+        region_col.push(region as u32);
+        category_col.push(category as u32);
+        product_col.push(product as u32);
         order_hour_col.push((order_hour * 100.0).round() / 100.0);
         quantity_col.push(quantity);
         unit_price_col.push((unit_price * 100.0).round() / 100.0);
@@ -106,9 +106,9 @@ pub fn generate(n: usize, seed: u64) -> Table {
     }
 
     let columns = vec![
-        region_col.finish(),
-        category_col.finish(),
-        product_col.finish(),
+        first_seen_column(region_col, NUM_REGIONS, |r| format!("R{r:02}")),
+        first_seen_column(category_col, NUM_CATEGORIES, |c| format!("CAT{c:02}")),
+        first_seen_column(product_col, NUM_PRODUCTS, |p| format!("P{p:04}")),
         Column::float(order_hour_col),
         Column::int(quantity_col),
         Column::float(unit_price_col),

@@ -210,7 +210,10 @@ pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// The workspace's standard deterministic generator: xoshiro256++.
-    #[derive(Debug, Clone)]
+    ///
+    /// Equality compares the full stream state, so two generators are equal
+    /// exactly when they will produce the same stream.
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],
     }

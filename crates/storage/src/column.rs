@@ -31,13 +31,21 @@ pub enum ColumnSlice<'a> {
 /// `validity == None` means every row is valid (the common case for the
 /// flights dataset); otherwise a row is null when its bit is *unset*.
 ///
+/// The payload and the bitmap are immutable and held behind `Arc`s, so
+/// `clone` costs O(1) whatever the row count: a clone shares its payload
+/// with the original. Deriving a table from another (a normalized fact
+/// table keeping de-normalized columns, for one) therefore shares the
+/// columns it keeps instead of copying them. [`Column::byte_size`] still
+/// counts a shared payload in full for every column holding it, so byte
+/// budgets charged with it (the star-schema join cache) are unchanged.
+///
 /// Columns also lazily cache numeric min/max statistics (see
 /// [`Column::numeric_min_max`]), which query planning uses to bound the
 /// bucket space of fixed-width binnings.
 #[derive(Debug, Clone)]
 pub struct Column {
-    data: ColumnData,
-    validity: Option<SelVec>,
+    data: Arc<ColumnData>,
+    validity: Option<Arc<SelVec>>,
     /// Lazily-computed numeric (min, max) over valid rows; `None` inside
     /// the cell when the column is empty, all-null, or contains non-finite
     /// values.
@@ -52,45 +60,41 @@ impl PartialEq for Column {
 }
 
 impl Column {
-    /// A fully-valid float column.
-    pub fn float(values: Vec<f64>) -> Self {
+    fn from_data(data: ColumnData) -> Self {
         Column {
-            data: ColumnData::Float(values),
+            data: Arc::new(data),
             validity: None,
             stats: std::sync::OnceLock::new(),
         }
     }
 
+    /// A fully-valid float column.
+    pub fn float(values: Vec<f64>) -> Self {
+        Self::from_data(ColumnData::Float(values))
+    }
+
     /// A fully-valid integer column.
     pub fn int(values: Vec<i64>) -> Self {
-        Column {
-            data: ColumnData::Int(values),
-            validity: None,
-            stats: std::sync::OnceLock::new(),
-        }
+        Self::from_data(ColumnData::Int(values))
     }
 
     /// A fully-valid nominal column over a shared dictionary.
     pub fn nominal(codes: Vec<u32>, dict: Arc<Dictionary>) -> Self {
         debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len().max(1)));
-        Column {
-            data: ColumnData::Nominal(codes, dict),
-            validity: None,
-            stats: std::sync::OnceLock::new(),
-        }
+        Self::from_data(ColumnData::Nominal(codes, dict))
     }
 
     /// Attaches a validity bitmap (bit unset ⇒ null). Panics on length mismatch.
     pub fn with_validity(mut self, validity: SelVec) -> Self {
         assert_eq!(validity.len(), self.len(), "validity length mismatch");
-        self.validity = Some(validity);
+        self.validity = Some(Arc::new(validity));
         self.stats = std::sync::OnceLock::new(); // validity changes the stats
         self
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.data {
+        match &*self.data {
             ColumnData::Float(v) => v.len(),
             ColumnData::Int(v) => v.len(),
             ColumnData::Nominal(v, _) => v.len(),
@@ -109,7 +113,7 @@ impl Column {
 
     /// The validity bitmap, if any row may be null.
     pub fn validity(&self) -> Option<&SelVec> {
-        self.validity.as_ref()
+        self.validity.as_deref()
     }
 
     /// Whether row `i` is valid (non-null).
@@ -120,7 +124,7 @@ impl Column {
 
     /// Float slice view; `None` for non-float columns.
     pub fn as_float(&self) -> Option<&[f64]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Float(v) => Some(v),
             _ => None,
         }
@@ -128,7 +132,7 @@ impl Column {
 
     /// Integer slice view; `None` for non-int columns.
     pub fn as_int(&self) -> Option<&[i64]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int(v) => Some(v),
             _ => None,
         }
@@ -136,7 +140,7 @@ impl Column {
 
     /// Nominal code slice + dictionary; `None` for non-nominal columns.
     pub fn as_nominal(&self) -> Option<(&[u32], &Arc<Dictionary>)> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Nominal(v, d) => Some((v, d)),
             _ => None,
         }
@@ -151,7 +155,7 @@ impl Column {
         if !self.is_valid(i) {
             return None;
         }
-        Some(match &self.data {
+        Some(match &*self.data {
             ColumnData::Float(v) => v[i],
             ColumnData::Int(v) => v[i] as f64,
             ColumnData::Nominal(v, _) => f64::from(v[i]),
@@ -164,7 +168,7 @@ impl Column {
     /// column per morsel instead of one per row.
     #[inline]
     pub fn typed(&self) -> ColumnSlice<'_> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Float(v) => ColumnSlice::F64(v),
             ColumnData::Int(v) => ColumnSlice::I64(v),
             ColumnData::Nominal(v, d) => ColumnSlice::Codes(v, d),
@@ -199,10 +203,11 @@ impl Column {
     }
 
     /// In-memory footprint in bytes: payload plus the validity bitmap's
-    /// backing words. The star-schema join cache accounts materialized
+    /// backing words, counted in full even when the payload is shared with
+    /// other columns. The star-schema join cache accounts materialized
     /// columns with this when charging its byte budget.
     pub fn byte_size(&self) -> usize {
-        let payload = match &self.data {
+        let payload = match &*self.data {
             ColumnData::Float(v) => v.len() * 8,
             ColumnData::Int(v) => v.len() * 8,
             ColumnData::Nominal(v, _) => v.len() * 4,
@@ -214,21 +219,31 @@ impl Column {
                 .map_or(0, |v| v.len().div_ceil(64) * 8)
     }
 
-    /// Materializes the subset of rows in `rows`, preserving order.
-    pub fn take(&self, rows: &[usize]) -> Column {
-        let data = match &self.data {
-            ColumnData::Float(v) => ColumnData::Float(rows.iter().map(|&i| v[i]).collect()),
-            ColumnData::Int(v) => ColumnData::Int(rows.iter().map(|&i| v[i]).collect()),
+    /// Materializes the rows `rows` yields, in order: row `i` of the result
+    /// is row `rows[i]` of `self`. Any index iterator works, so a caller
+    /// holding indexes in another form (a foreign-key column, say) gathers
+    /// through it without collecting a `Vec<usize>` first.
+    pub fn take<I>(&self, rows: I) -> Column
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let rows = rows.into_iter();
+        let validity = self.validity.as_ref().map(|val| {
+            Arc::new(SelVec::from_bools(
+                rows.len(),
+                rows.clone().map(|i| val.contains(i)),
+            ))
+        });
+        let data = match &*self.data {
+            ColumnData::Float(v) => ColumnData::Float(rows.map(|i| v[i]).collect()),
+            ColumnData::Int(v) => ColumnData::Int(rows.map(|i| v[i]).collect()),
             ColumnData::Nominal(v, d) => {
-                ColumnData::Nominal(rows.iter().map(|&i| v[i]).collect(), Arc::clone(d))
+                ColumnData::Nominal(rows.map(|i| v[i]).collect(), Arc::clone(d))
             }
         };
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|val| SelVec::from_bools(rows.len(), rows.iter().map(|&i| val.contains(i))));
         Column {
-            data,
+            data: Arc::new(data),
             validity,
             stats: std::sync::OnceLock::new(),
         }
@@ -237,7 +252,7 @@ impl Column {
     /// Materializes the rows selected by `sel` (ascending order).
     pub fn filter(&self, sel: &SelVec) -> Column {
         let rows: Vec<usize> = sel.iter().collect();
-        self.take(&rows)
+        self.take(rows.iter().copied())
     }
 }
 
@@ -280,11 +295,32 @@ mod tests {
     fn take_reorders_and_keeps_validity() {
         let v = SelVec::from_bools(4, [true, false, true, true]);
         let c = Column::int(vec![10, 20, 30, 40]).with_validity(v);
-        let t = c.take(&[3, 1, 0]);
+        let t = c.take([3, 1, 0]);
         assert_eq!(t.as_int().unwrap(), &[40, 20, 10]);
         assert!(t.is_valid(0));
         assert!(!t.is_valid(1));
         assert!(t.is_valid(2));
+    }
+
+    #[test]
+    fn clone_shares_payload_and_validity() {
+        let v = SelVec::from_bools(3, [true, false, true]);
+        let c = Column::float(vec![1.0, 2.0, 3.0]).with_validity(v);
+        let d = c.clone();
+        assert!(std::ptr::eq(c.as_float().unwrap(), d.as_float().unwrap()));
+        assert!(std::ptr::eq(c.validity().unwrap(), d.validity().unwrap()));
+        assert_eq!(c.byte_size(), d.byte_size());
+    }
+
+    #[test]
+    fn take_gathers_through_any_index_iterator() {
+        let v = SelVec::from_bools(3, [true, false, true]);
+        let c = Column::nominal(vec![2, 0, 1], dict()).with_validity(v);
+        let fk: [i64; 4] = [1, 2, 2, 0];
+        let t = c.take(fk.iter().map(|&k| k as usize));
+        assert_eq!(t.as_nominal().unwrap().0, &[0, 1, 1, 2]);
+        assert!(!t.is_valid(0));
+        assert!(t.is_valid(1) && t.is_valid(3));
     }
 
     #[test]

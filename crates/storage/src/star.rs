@@ -226,8 +226,7 @@ impl StarSchema {
             .ok()?
             .as_int()
             .expect("fk column validated at construction");
-        let rows: Vec<usize> = fk.iter().map(|&k| k as usize).collect();
-        let materialized = Arc::new(dim_col.take(&rows));
+        let materialized = Arc::new(dim_col.take(fk.iter().map(|&k| k as usize)));
         debug_assert_eq!(materialized.byte_size(), size, "pre-sizing is exact");
         let mut guard = cache.columns.lock().unwrap();
         // Re-check under the lock: a racing materialization may have landed

@@ -142,7 +142,11 @@ impl Table {
 
     /// Materializes the given rows (in order) into a new table.
     pub fn take(&self, rows: &[usize]) -> Table {
-        let columns = self.columns.iter().map(|c| c.take(rows)).collect();
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| c.take(rows.iter().copied()))
+            .collect();
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
