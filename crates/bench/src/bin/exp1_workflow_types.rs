@@ -20,7 +20,8 @@ fn main() {
         .flat_map(|k| default_workflows(*k, args.seed, 10, 18))
         .collect();
     eprintln!("precomputing ground truth on all cores...");
-    let mut gt = idebench_bench::parallel_ground_truth(&dataset, &all_workflows);
+    let mut gt = idebench_bench::parallel_ground_truth(&dataset, &all_workflows)
+        .expect("workload queries bind against the dataset");
 
     let mut all = Vec::new();
     for kind in WorkflowType::ALL {

@@ -42,7 +42,8 @@ fn main() {
             ("denormalized", &denorm, false),
             ("normalized", &star, true),
         ] {
-            let mut gt = idebench_bench::parallel_ground_truth(dataset, &workflows);
+            let mut gt = idebench_bench::parallel_ground_truth(dataset, &workflows)
+                .expect("workload queries bind against the dataset");
             for system in SYSTEMS {
                 let settings = args
                     .settings()

@@ -75,7 +75,7 @@ fn main() {
     let rows = args.rows('M');
     println!("exp3: think-time sweep, {rows} rows, TR=3s, progressive engine");
     let dataset = flights_dataset(rows, args.seed);
-    let mut ctx = ExpContext::with_workload(args, dataset, vec![think_time_workflow()], false);
+    let mut ctx = ExpContext::with_workload(args, dataset, vec![think_time_workflow()]);
 
     println!(
         "\n{:<12} {:>16} {:>16}",

@@ -18,7 +18,7 @@ fn main() {
     let dataset = flights_dataset(rows, args.seed);
     // Three variants of the 1:N workflow (three seeds).
     let workflows = default_workflows(WorkflowType::OneToN, args.seed, 3, 12);
-    let mut ctx = ExpContext::with_workload(args, dataset, workflows, false);
+    let mut ctx = ExpContext::with_workload(args, dataset, workflows);
 
     println!(
         "\n{:<12} {:<14} {:>9} {:>14} {:>12}",

@@ -6,9 +6,8 @@
 //! grid (time requirements × think times), and the workload — either
 //! generated on the fly or loaded from a directory of workflow JSON files.
 
-use crate::{flights_dataset, run_workflows, service_by_name, star_dataset};
+use crate::{flights_dataset, parallel_ground_truth, run_workflows, service_by_name, star_dataset};
 use idebench_core::{CoreError, DetailedReport, Settings, SummaryReport};
-use idebench_query::CachedGroundTruth;
 use idebench_workflow::{Workflow, WorkflowGenerator, WorkflowType};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -179,15 +178,9 @@ impl BenchmarkConfig {
             denorm
         };
         let workflows = self.workflows()?;
-        // Pre-compute ground truth for the whole workload in parallel —
-        // it is shared by every (system, TR) cell below.
-        let interaction_slices: Vec<&[idebench_core::Interaction]> = workflows
-            .iter()
-            .map(|w| w.interactions.as_slice())
-            .collect();
-        let distinct = idebench_query::enumerate_workload_queries(&dataset, &interaction_slices)?;
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let mut gt = CachedGroundTruth::precompute(dataset.clone(), &distinct, threads);
+        // Ground truth for the whole workload, shared by every
+        // (system, TR) cell below.
+        let mut gt = parallel_ground_truth(&dataset, &workflows)?;
         let mut parts = Vec::new();
         for &tr in &self.time_requirements_ms {
             for system in &self.systems {

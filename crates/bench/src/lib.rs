@@ -8,6 +8,7 @@
 pub mod config;
 
 use idebench_core::service::{EngineService, ServiceCore};
+use idebench_core::settings::available_parallelism;
 use idebench_core::{
     BenchmarkDriver, CoreError, DetailedReport, Settings, SummaryReport, SystemAdapter,
 };
@@ -198,16 +199,22 @@ pub fn default_workflows(kind: WorkflowType, seed: u64, count: usize, len: usize
 /// Pre-computes the ground truth of an entire workload in parallel (one
 /// exact execution per distinct canonical query key, spread over all cores).
 /// Experiment binaries call this once and reuse the oracle across every
-/// (system, TR) configuration cell.
-pub fn parallel_ground_truth(dataset: &Dataset, workflows: &[Workflow]) -> CachedGroundTruth {
+/// (system, TR) configuration cell. Fails when a workload query does not
+/// bind against the dataset.
+pub fn parallel_ground_truth(
+    dataset: &Dataset,
+    workflows: &[Workflow],
+) -> Result<CachedGroundTruth, CoreError> {
     let slices: Vec<&[idebench_core::Interaction]> = workflows
         .iter()
         .map(|w| w.interactions.as_slice())
         .collect();
-    let distinct = idebench_query::enumerate_workload_queries(dataset, &slices)
-        .expect("workload queries bind against the dataset");
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    CachedGroundTruth::precompute(dataset.clone(), &distinct, threads)
+    let distinct = idebench_query::enumerate_workload_queries(dataset, &slices)?;
+    Ok(CachedGroundTruth::precompute(
+        dataset.clone(),
+        &distinct,
+        available_parallelism(),
+    ))
 }
 
 /// Runs a set of workflows through one shared service under one
@@ -261,7 +268,8 @@ impl ExpContext {
     ) -> ExpContext {
         let dataset = flights_dataset(args.rows(scale), args.seed);
         let workflows = default_workflows(kind, args.seed, count, len);
-        let gt = parallel_ground_truth(&dataset, &workflows);
+        let gt = parallel_ground_truth(&dataset, &workflows)
+            .expect("workload queries bind against the dataset");
         ExpContext {
             args,
             dataset,
@@ -270,20 +278,11 @@ impl ExpContext {
         }
     }
 
-    /// Setup over an explicit dataset/workload pair. `precompute_gt`
-    /// chooses between the parallel whole-workload oracle and a lazy
-    /// on-demand one (cheaper when only a few queries are evaluated).
-    pub fn with_workload(
-        args: ExpArgs,
-        dataset: Dataset,
-        workflows: Vec<Workflow>,
-        precompute_gt: bool,
-    ) -> ExpContext {
-        let gt = if precompute_gt {
-            parallel_ground_truth(&dataset, &workflows)
-        } else {
-            CachedGroundTruth::new(dataset.clone())
-        };
+    /// Setup over an explicit dataset/workload pair, with a lazy oracle
+    /// that computes each query's ground truth on first use (cheaper than
+    /// [`parallel_ground_truth`] when only a few queries are evaluated).
+    pub fn with_workload(args: ExpArgs, dataset: Dataset, workflows: Vec<Workflow>) -> ExpContext {
+        let gt = CachedGroundTruth::new(dataset.clone());
         ExpContext {
             args,
             dataset,

@@ -384,10 +384,11 @@ impl TicketScheduler {
     /// `(priority, deadline, session, ticket)` key. Returns `false` when
     /// nothing is runnable.
     ///
-    /// A grant never exceeds the remaining deadline budget; completion
-    /// settles `Done`; spending the whole budget settles `Expired`; and a
-    /// zero-unit step without completion is a stalled engine, charged the
-    /// full budget and settled `Expired`.
+    /// A grant never exceeds the remaining deadline budget, and a step is
+    /// charged at most its grant, even when the engine reports more;
+    /// completion settles `Done`; spending the whole budget settles
+    /// `Expired`; and a zero-unit step without completion is a stalled
+    /// engine, charged the full budget and settled `Expired`.
     pub fn pump_one(&self) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let Some(&key) = inner.queue.iter().next() else {
@@ -410,13 +411,15 @@ impl TicketScheduler {
                     .as_mut()
                     .expect("running ticket has a handle")
                     .step(grant);
-                debug_assert!(status.units() <= grant, "engine overdrew step grant");
-                cell.spent += status.units();
+                // An engine that reports more than its grant is charged
+                // the grant, so `spent` never passes the deadline.
+                let units = status.units().min(grant);
+                cell.spent += units;
                 cell.version += 1;
                 if status.is_done() {
                     settle(cell, Phase::Done);
                     false
-                } else if status.units() == 0 {
+                } else if units == 0 {
                     // Engine yields without progress: it would never
                     // finish, so charge the whole budget and stop
                     // granting instead of looping forever.
@@ -1256,6 +1259,28 @@ mod tests {
         }
         let sched = TicketScheduler::new();
         let t = sched.admit(Box::new(Stall), "v", opts(0, 777));
+        assert_eq!(t.drive(), TicketStatus::Expired { spent: 777 });
+    }
+
+    #[test]
+    fn overdrawing_engine_is_charged_no_more_than_its_grants() {
+        /// Reports ten units more than every grant.
+        struct Overdraw;
+        impl QueryHandle for Overdraw {
+            fn step(&mut self, granted: u64) -> StepStatus {
+                StepStatus::Running {
+                    units: granted + 10,
+                }
+            }
+            fn snapshot(&self) -> Option<AggResult> {
+                None
+            }
+            fn is_done(&self) -> bool {
+                false
+            }
+        }
+        let sched = TicketScheduler::new();
+        let t = sched.admit(Box::new(Overdraw), "v", opts(0, 777));
         assert_eq!(t.drive(), TicketStatus::Expired { spent: 777 });
     }
 }

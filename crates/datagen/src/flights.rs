@@ -325,8 +325,7 @@ impl Block<'_> {
 /// Rows are filled in parallel blocks; see the crate docs ("Block-parallel
 /// generation") for how that keeps the single-stream contract.
 pub fn generate(n: usize, seed: u64) -> Table {
-    let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
-    generate_with_workers(n, seed, workers)
+    generate_with_workers(n, seed, idebench_core::settings::available_parallelism())
 }
 
 /// [`generate`] with an explicit worker count (at least one worker is

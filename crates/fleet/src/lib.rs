@@ -44,8 +44,8 @@
 //! which sessions observe the shared cache — and therefore every hit/miss
 //! count and latency — is a pure function of the configuration. Wall-clock
 //! parallelism (the shared scan pool inside each query, the parallel
-//! ground-truth evaluation in [`report::FleetReport::evaluate`]) never
-//! touches the virtual timeline, extending the repo's bit-identity
+//! ground-truth precompute in [`report::FleetReport::evaluate`], which
+//! scans each distinct query once) never touches the virtual timeline, extending the repo's bit-identity
 //! guarantee from single scans to whole fleets: same seed, same merged
 //! report, for any worker count and any physical interleaving.
 

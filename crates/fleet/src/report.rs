@@ -5,22 +5,21 @@
 //!
 //! Evaluation against ground truth is the wall-clock-expensive part of
 //! reporting (every distinct query costs one exact scan), so
-//! [`FleetReport::evaluate`] fans sessions out over real threads with a
-//! **shared** ground-truth cache: queries repeated across sessions are
-//! scanned once, and because exact execution is deterministic, the merged
-//! report is bit-identical no matter how the evaluation threads interleave.
+//! [`FleetReport::evaluate`] collects the outcome's distinct queries and
+//! precomputes each one once, in parallel, through
+//! [`CachedGroundTruth::precompute`]; queries repeated across sessions are
+//! then served from memory. Exact execution is deterministic, so the merged
+//! report is bit-identical for any number of precompute threads.
 
 use crate::{CacheStats, FleetOutcome};
 use idebench_core::metrics::percentile;
 use idebench_core::settings::available_parallelism;
-use idebench_core::{AggResult, DetailedReport, GroundTruthProvider, Query, SummaryReport};
-use idebench_query::execute_exact;
+use idebench_core::{DetailedReport, Query, SummaryReport};
+use idebench_query::CachedGroundTruth;
 use idebench_storage::Dataset;
-use rustc_hash::FxHashMap;
+use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One session's row of the fleet report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,62 +86,21 @@ pub struct FleetReport {
     pub summary: SummaryReport,
 }
 
-/// Ground truth shared by every evaluation thread: first thread to need a
-/// query's truth scans it, everyone else reuses the cached result. Exact
-/// execution is deterministic, so a racy duplicate scan (compute outside
-/// the lock) inserts an identical value — harmless.
-struct SharedGroundTruth<'a> {
-    dataset: &'a Dataset,
-    cache: Mutex<FxHashMap<std::sync::Arc<str>, AggResult>>,
-}
-
-struct SharedGtHandle<'a, 'b>(&'b SharedGroundTruth<'a>);
-
-impl GroundTruthProvider for SharedGtHandle<'_, '_> {
-    fn ground_truth(&mut self, query: &Query) -> AggResult {
-        let key = query.canonical_key();
-        if let Some(hit) = self.0.cache.lock().unwrap().get(&key).cloned() {
-            return hit;
-        }
-        let gt = execute_exact(self.0.dataset, query)
-            .expect("fleet queries bind against the fleet dataset");
-        self.0.cache.lock().unwrap().insert(key, gt.clone());
-        gt
-    }
-}
-
 impl FleetReport {
     /// Evaluates a fleet outcome against exact ground truth and merges the
-    /// per-session reports. Sessions are evaluated concurrently over a
-    /// shared ground-truth cache; the result is deterministic regardless.
+    /// per-session reports. Each distinct query is scanned once, in
+    /// parallel, by [`CachedGroundTruth::precompute`]; sessions are then
+    /// evaluated in order against that oracle.
     pub fn evaluate(outcome: &FleetOutcome, dataset: &Dataset) -> FleetReport {
-        let n = outcome.sessions.len();
-        let gt = SharedGroundTruth {
-            dataset,
-            cache: Mutex::new(FxHashMap::default()),
-        };
-        let slots: Vec<Mutex<Option<DetailedReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let evaluators = available_parallelism().min(n.max(1));
-        std::thread::scope(|s| {
-            for _ in 0..evaluators {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut provider = SharedGtHandle(&gt);
-                    let report =
-                        DetailedReport::from_outcome(&outcome.sessions[i].outcome, &mut provider);
-                    *slots[i].lock().unwrap() = Some(report);
-                });
-            }
-        });
-        let per_session_detailed: Vec<DetailedReport> = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every session evaluated"))
+        let distinct = distinct_queries(outcome);
+        let mut gt =
+            CachedGroundTruth::precompute(dataset.clone(), &distinct, available_parallelism());
+        let per_session = outcome
+            .sessions
+            .iter()
+            .map(|s| DetailedReport::from_outcome(&s.outcome, &mut gt))
             .collect();
-        Self::from_detailed(outcome, per_session_detailed)
+        Self::from_detailed(outcome, per_session)
     }
 
     /// Assembles the report from already-evaluated per-session detailed
@@ -280,6 +238,19 @@ impl FleetReport {
     }
 }
 
+/// The outcome's distinct queries, deduplicated by
+/// [`Query::canonical_key`], in session order.
+fn distinct_queries(outcome: &FleetOutcome) -> Vec<Query> {
+    let mut seen = FxHashSet::default();
+    outcome
+        .sessions
+        .iter()
+        .flat_map(|s| &s.outcome.query_results)
+        .filter(|m| seen.insert(m.query.canonical_key()))
+        .map(|m| m.query.clone())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,17 +264,24 @@ mod tests {
         Dataset::Denormalized(Arc::new(idebench_datagen::flights::generate(n, 42)))
     }
 
-    fn outcome(sessions: usize, dataset: &Dataset) -> crate::FleetOutcome {
-        let cfg = FleetConfig::new(
+    fn config(sessions: usize) -> FleetConfig {
+        FleetConfig::new(
             Settings::default()
                 .with_time_requirement_ms(1_000)
                 .with_think_time_ms(500)
                 .with_seed(5),
             sessions,
         )
-        .with_workflow(WorkflowType::Mixed, 6);
+        .with_workflow(WorkflowType::Mixed, 6)
+    }
+
+    fn run(cfg: FleetConfig, dataset: &Dataset) -> crate::FleetOutcome {
         let service = ServiceCore::shared_adapter(ExactAdapter::with_defaults()).into_shared();
         FleetHarness::new(cfg).run(dataset, service).unwrap()
+    }
+
+    fn outcome(sessions: usize, dataset: &Dataset) -> crate::FleetOutcome {
+        run(config(sessions), dataset)
     }
 
     #[test]
@@ -340,7 +318,38 @@ mod tests {
         let out = outcome(4, &ds);
         let a = FleetReport::evaluate(&out, &ds).to_json();
         let b = FleetReport::evaluate(&out, &ds).to_json();
-        assert_eq!(a, b, "shared-GT thread interleaving must not leak");
+        assert_eq!(a, b, "precompute thread interleaving must not leak");
+    }
+
+    #[test]
+    fn each_distinct_query_is_executed_once_per_evaluation() {
+        let ds = dataset(4_000);
+        let out = run(config(4).with_shared_workflow(true), &ds);
+        let results: Vec<&Query> = out
+            .sessions
+            .iter()
+            .flat_map(|s| &s.outcome.query_results)
+            .map(|m| &m.query)
+            .collect();
+        let distinct = distinct_queries(&out);
+        let keys: FxHashSet<_> = distinct.iter().map(Query::canonical_key).collect();
+        assert_eq!(keys.len(), distinct.len(), "canonical keys are unique");
+        assert!(
+            distinct.len() < results.len(),
+            "a shared dashboard repeats queries across sessions"
+        );
+        assert!(results.iter().all(|q| keys.contains(&q.canonical_key())));
+
+        let mut gt = CachedGroundTruth::precompute(ds.clone(), &distinct, 2);
+        for s in &out.sessions {
+            DetailedReport::from_outcome(&s.outcome, &mut gt);
+        }
+        assert_eq!(
+            gt.stats(),
+            (results.len() as u64, 0),
+            "no query is rescanned"
+        );
+        assert_eq!(gt.len(), distinct.len());
     }
 
     #[test]

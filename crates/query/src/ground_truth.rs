@@ -4,6 +4,7 @@ use crate::executor::execute_exact;
 use idebench_core::{AggResult, GroundTruthProvider, Query};
 use idebench_storage::Dataset;
 use rustc_hash::FxHashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Computes exact results with [`execute_exact`] and memoizes them by
@@ -86,32 +87,31 @@ pub fn enumerate_workload_queries(
 
 impl CachedGroundTruth {
     /// Pre-computes ground truth for a whole workload in parallel using
-    /// `threads` worker threads (std scoped threads with an atomic work
-    /// index). The returned oracle serves every workload query from
-    /// memory; unseen queries still fall back to on-demand execution.
+    /// up to `threads` worker threads, never more than there are queries
+    /// (std scoped threads with an atomic work index, each returning its
+    /// results through its join handle). The returned oracle serves every
+    /// workload query from memory; unseen queries still fall back to
+    /// on-demand execution.
     pub fn precompute(dataset: Dataset, queries: &[Query], threads: usize) -> Self {
-        let threads = threads.clamp(1, 64);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Vec<_>>> = (0..threads)
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
-            .collect();
-        std::thread::scope(|scope| {
-            for shard in &results {
-                let dataset = &dataset;
-                let next = &next;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(query) = queries.get(i) else { break };
-                    let result = execute_exact(dataset, query)
-                        .expect("ground-truth query must bind against the dataset");
-                    shard.lock().push((query.canonical_key(), result));
-                });
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            while let Some(query) = queries.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let result = execute_exact(&dataset, query)
+                    .expect("ground-truth query must bind against the dataset");
+                done.push((query.canonical_key(), result));
             }
+            done
+        };
+        let cache = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(queries.len()).clamp(1, 64))
+                .map(|_| scope.spawn(worker))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
-        let mut cache = FxHashMap::default();
-        for shard in results {
-            cache.extend(shard.into_inner());
-        }
         CachedGroundTruth {
             dataset,
             cache,
