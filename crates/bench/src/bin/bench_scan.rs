@@ -2,17 +2,21 @@
 //! vectorized execution core on the paper's canonical scan shapes and on
 //! star-schema join cases, each against the scalar oracle for the speedup
 //! ratio, plus per-worker-count scaling rows for the parallel morsel
-//! dispatcher.
+//! dispatcher: a one-shot count scan, and a shuffled scan stepped in
+//! `step_quantum`-sized grants the way the progressive engine drives it.
 //!
 //! Doubles as the CI regression gate: the process exits non-zero if any
 //! case, de-normalized or star, drops below 1× the scalar oracle (set
-//! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring).
+//! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring), and panics if a
+//! worker count changes a result — the stepped scan's hash covers every
+//! grant's rows and billed units as well as the final snapshot.
 
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
-use idebench_core::{FilterExpr, Predicate, Query, VizSpec};
+use idebench_core::{FilterExpr, Predicate, Query, Settings, VizSpec};
+use idebench_engine_progressive::ProgressiveConfig;
 use idebench_query::{
     available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, AccMode,
-    CompiledPlan,
+    ChunkedRun, CompiledPlan, SnapshotMode,
 };
 use idebench_storage::Dataset;
 use std::sync::Arc;
@@ -156,6 +160,63 @@ fn star_joined_2d_agg() -> Query {
     Query::for_viz(&spec, None)
 }
 
+/// A shuffled visit order of `n` positions (Fisher–Yates over splitmix64).
+fn shuffled(n: usize, seed: u64) -> Arc<Vec<u32>> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        order.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    Arc::new(order)
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `q` over `order` as the progressive engine does — its cost model,
+/// estimate snapshots, one `step_quantum` grant per call — and hashes every
+/// grant's rows done and units billed, then the final snapshot.
+fn stepped_scan(data: &Dataset, q: &Query, order: &Arc<Vec<u32>>, workers: usize) -> u64 {
+    let config = ProgressiveConfig::default();
+    let plan = CompiledPlan::compile(data, q).expect("bench query compiles");
+    let row_cost = config.row_cost(&plan);
+    let population = plan.num_rows() as u64;
+    let mode = SnapshotMode::Estimate {
+        z: 1.96,
+        population,
+    };
+    let mut run = ChunkedRun::from_plan(plan, Some(Arc::clone(order)), mode);
+    run.set_row_cost(row_cost);
+    run.set_match_cost(config.match_cost);
+    run.set_workers(workers);
+    let grant = Settings::default().step_quantum;
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    while !run.is_done() {
+        let used = run.advance(grant);
+        h = fnv1a(
+            h,
+            &[run.rows_done() as u64, used]
+                .map(u64::to_le_bytes)
+                .concat(),
+        );
+    }
+    fnv1a(
+        h,
+        serde_json::to_string(&run.snapshot()).unwrap().as_bytes(),
+    )
+}
+
 fn main() {
     let table = idebench_datagen::flights::generate(ROWS, 42);
     let ds = Dataset::Denormalized(Arc::new(table.clone()));
@@ -260,6 +321,46 @@ fn main() {
         }));
     }
 
+    // Stepped-scan rows: the nominal × bucketed 2D query, filtered, over a
+    // shuffled order in step-sized grants. Every grant's rows and billed
+    // units must be identical across worker counts; only wall time moves.
+    let mut stepped_q = dense_bucketed_2d();
+    stepped_q.compose_filter(FilterExpr::Pred(Predicate::Range {
+        column: "dep_delay".into(),
+        min: 0.0,
+        max: 60.0,
+    }));
+    let order = shuffled(ROWS, 7);
+    let reference_hash = stepped_scan(&ds, &stepped_q, &order, 1);
+    let mut stepped = Vec::new();
+    let mut single_rps = f64::NAN;
+    for workers in [1, cores] {
+        let hash = stepped_scan(&ds, &stepped_q, &order, workers);
+        assert_eq!(
+            hash, reference_hash,
+            "stepped scan ({workers} workers) must bill and answer exactly as 1 worker"
+        );
+        let rps = time_rows_per_sec(ROWS, || {
+            let _ = stepped_scan(&ds, &stepped_q, &order, workers);
+        });
+        if workers == 1 {
+            single_rps = rps;
+        }
+        println!(
+            "stepped_shuffled_2d_workers_{workers:<2}     stepped    {rps:>12.0} rows/s   vs 1-worker {:.2}x",
+            rps / single_rps,
+        );
+        stepped.push(serde_json::json!({
+            "case": "stepped_shuffled_2d_filtered",
+            "rows": ROWS,
+            "grant_units": Settings::default().step_quantum,
+            "workers": workers,
+            "rows_per_sec": rps,
+            "speedup_vs_single_worker": rps / single_rps,
+            "result_hash": format!("{hash:#018x}"),
+        }));
+    }
+
     // Multi-worker rows on a 1-core machine only measure pool overhead;
     // flag them so nobody reads ~1.0x as the dispatcher's ceiling.
     let scaling_note = if cores == 1 {
@@ -280,6 +381,7 @@ fn main() {
         },
         "cases": entries,
         "scaling": scaling,
+        "stepped": stepped,
     });
     std::fs::write(
         "BENCH_scan.json",

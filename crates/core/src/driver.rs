@@ -23,12 +23,12 @@
 //!
 //! Orthogonally to the lane model, each engine may parallelize a *single*
 //! query's scan over [`Settings::effective_workers`] worker threads
-//! (intra-query morsel dispatch). Fan-out engages per budget grant and only
-//! when a grant carries at least one dispatch chunk of rows — so one-shot
-//! scans (ground truth, wall-mode deadlines, large quanta) use the full
-//! pool, while fine-grained virtual-time stepping at the default
-//! `step_quantum` processes its small spans sequentially rather than paying
-//! a thread round-trip per step. Either way it is a wall-clock concern
+//! (intra-query morsel dispatch). The dispatcher computes whole chunks
+//! ahead of the scan cursor, one per worker, and bills each grant from the
+//! chunks' filter bitmaps — so fine-grained virtual-time stepping at the
+//! default `step_quantum` uses the full pool just as one-shot scans do,
+//! at the price of at most `workers − 1` unused chunks (plus the current
+//! chunk's remainder) when a query expires. It is a wall-clock concern
 //! only: the virtual work-unit accounting the driver enforces is identical
 //! for every worker count, as are query results bit for bit, so `workers`
 //! never affects a report — only how fast it is produced.

@@ -97,10 +97,11 @@ pub struct Settings {
     /// available cores"; see [`Settings::effective_workers`]. Results are
     /// bit-identical for every value — the dispatcher's fixed chunk grid
     /// and in-order partial merge pin the accumulation sequence — so this
-    /// only trades wall-clock speed, never reproducibility. Note the
-    /// dispatcher fans out per budget grant and only when a grant carries
-    /// at least one dispatch chunk of rows: large grants and one-shot scans
-    /// parallelize, while small `step_quantum` grants step sequentially.
+    /// only trades wall-clock speed, never reproducibility. The dispatcher
+    /// computes whole chunks ahead of the scan cursor, `workers` at a time,
+    /// so small `step_quantum` grants parallelize as well as one-shot
+    /// scans; an abandoned scan wastes at most `workers − 1` chunks plus
+    /// the current chunk's remainder.
     #[serde(default)]
     pub workers: usize,
 }

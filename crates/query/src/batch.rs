@@ -880,8 +880,9 @@ impl BatchAcc {
     }
 
     /// Processes one morsel: stage → filter → bin → accumulate. Returns the
-    /// number of rows that passed the filter (cost-model input).
-    pub fn process_morsel<R: RowSet>(&mut self, bound: &BoundPlan<'_>, rows: R) -> usize {
+    /// filter-match mask (bit `i` = morsel row `i` passed the filter; its
+    /// popcount is the cost model's matched-row input).
+    pub fn process_morsel<R: RowSet>(&mut self, bound: &BoundPlan<'_>, rows: R) -> Mask {
         let n = rows.len();
         debug_assert!(n <= MORSEL);
         self.rows_seen += n as u64;
@@ -907,7 +908,7 @@ impl BatchAcc {
         if matched == 0 {
             // Binning and measure staging is deferred to here precisely so
             // a fully-filtered-out morsel never pays for it.
-            return 0;
+            return fmask;
         }
 
         // 3. Stage the remaining (binning / measure) columns.
@@ -1056,7 +1057,7 @@ impl BatchAcc {
                 }
             }
         }
-        matched
+        fmask
     }
 
     /// Materializes into the canonical [`GroupedAcc`] representation, in
@@ -1166,34 +1167,6 @@ impl BatchAcc {
                 }
             }
             _ => unreachable!("partials of one plan share an accumulation mode"),
-        }
-    }
-
-    /// Clears the accumulator for reuse (the dispatcher's partial pool),
-    /// in O(populated bins) rather than O(bin space).
-    pub fn reset(&mut self) {
-        self.rows_seen = 0;
-        self.rows_matched = 0;
-        match &mut self.store {
-            Store::Dense {
-                counts,
-                measures,
-                touched,
-                ..
-            } => {
-                for &slot in touched.iter() {
-                    let slot = slot as usize;
-                    counts[slot] = 0;
-                    for m in 0..self.nmeasures {
-                        measures[slot * self.nmeasures + m] = MeasureAcc::new();
-                    }
-                }
-                touched.clear();
-            }
-            Store::Sparse { index, accs, .. } => {
-                index.clear();
-                accs.clear();
-            }
         }
     }
 }

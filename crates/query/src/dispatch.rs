@@ -2,54 +2,69 @@
 //!
 //! [`MorselDispatcher`] partitions a scan's row range (by *scan position*,
 //! so shuffled orders chunk identically) into fixed [`CHUNK_ROWS`]-sized
-//! chunks and fans chunks out over the persistent [`crate::pool::ScanPool`].
-//! Each chunk accumulates into its own `BatchAcc` partial — workers never
-//! share an accumulator — and completed partials are folded into a base
-//! accumulator **in chunk order**, whichever worker finishes first.
+//! chunks and only ever computes *whole* chunks. When the budget walk of
+//! [`crate::ChunkedRun::advance`] enters a chunk that has not been
+//! computed, the dispatcher computes it together with up to `workers − 1`
+//! following chunks in one span over the persistent
+//! [`crate::pool::ScanPool`], one chunk per participant — a chunk goes to
+//! whichever core is free. Each computed chunk keeps its own `BatchAcc`
+//! (workers never share an accumulator) and a filter-match bitmap with one
+//! bit per position. The budget walk counts the matches of any position
+//! range by popcount over those bitmaps, and a chunk folds into the base
+//! accumulator, **in chunk order**, once the walk passes its end.
 //!
 //! # Determinism
 //!
 //! The chunk partition depends only on `CHUNK_ROWS` and absolute scan
-//! position; the merge order depends only on chunk indices. Neither depends
-//! on the worker count, scheduling, or how a budget slices the scan, so the
-//! accumulated result — including every floating-point rounding — is
-//! bit-identical for any `workers ≥ 1`. The scalar oracle
-//! ([`crate::execute_exact_scalar`]) folds its row-at-a-time accumulation
-//! over the same chunk grid, which is what lets differential tests pin
-//! parallel == scalar *bit for bit*.
-//!
-//! # Memory
-//!
-//! Only in-flight partials are alive: completed chunks merge eagerly into
-//! the base and their accumulators return to a pool, so a scan holds
-//! O(workers) accumulators regardless of table size.
+//! position; the merge order depends only on chunk indices. Matched counts
+//! come from the same filter masks whether a chunk was computed ahead or
+//! not, so cursor positions and billed units never depend on the read-ahead.
+//! A snapshot taken with the cursor inside a chunk replays that chunk's
+//! prefix into a scratch accumulator: the same rows, in the same order, that
+//! a scan stopped at the cursor would have accumulated. Nothing depends on
+//! the worker count, scheduling, or how a budget slices the scan, so every
+//! result — including every floating-point rounding — is bit-identical for
+//! any `workers ≥ 1`. The scalar oracle ([`crate::execute_exact_scalar`])
+//! folds its row-at-a-time accumulation over the same chunk grid, which is
+//! what lets differential tests pin parallel == scalar *bit for bit*.
 //!
 //! # Worker lifetime
 //!
-//! Workers are *pooled*, not scoped: a qualifying `scan_span` publishes
-//! helper claims on the process-wide persistent [`crate::pool::ScanPool`]
-//! and runs the span body on the calling thread itself, so fanning out
-//! costs a queue push + wake rather than a thread spawn/join round-trip
-//! per worker per span. Pool workers that pick a claim up pull chunk
-//! indices from the span's shared cursor until the supply is dry; claims
-//! the pool never got to are revoked when the caller's own pass finishes.
-//! Because the pool is shared and fixed-size (one worker per core), any
-//! number of concurrent sessions' scans compose without oversubscription —
-//! the FIFO claim queue arbitrates chunks across spans in arrival order —
-//! and budget-stepped scans with many chunk-sized grants no longer pay a
-//! spawn per grant.
+//! Workers are *pooled*, not scoped: a read-ahead span publishes helper
+//! claims on the process-wide persistent [`crate::pool::ScanPool`] and runs
+//! the span body on the calling thread itself, so fanning out costs a queue
+//! push + wake rather than a thread spawn/join per worker per span.
+//! Participants pull chunk indices from the span's shared cursor until the
+//! supply is dry; claims the pool never got to are revoked when the
+//! caller's own pass finishes. Because the pool is shared and fixed-size
+//! (one worker per core), any number of concurrent sessions' scans compose
+//! without oversubscription. Grants of one `step_quantum` (a few thousand
+//! rows) use every core too: the grant that enters an uncomputed chunk pays
+//! for the read-ahead, and the following grants only count bits.
+//!
+//! # Memory and waste
+//!
+//! A paused scan holds the base accumulator and at most `workers` computed
+//! chunks (an accumulator and an 8 KiB bitmap each); no accumulator pool
+//! outlives a call. A span over many chunks (a one-shot or ground-truth
+//! scan) folds each chunk as the walk passes it, so it too keeps
+//! O(workers) accumulators alive. Work the scan computes but never uses is
+//! bounded: at most `workers − 1` chunks plus the current chunk's remainder
+//! when a scan is abandoned, plus one prefix replay (under one chunk) per
+//! mid-chunk snapshot.
 
 use crate::aggregate::GroupedAcc;
-use crate::batch::{BatchAcc, BoundPlan, Gather, Natural, MORSEL};
+use crate::batch::{BatchAcc, BoundPlan, Gather, Mask, Natural, MORSEL};
 use crate::plan::CompiledPlan;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Rows per dispatch chunk — the unit of parallel work distribution *and*
 /// of deterministic partial merging. A multiple of [`MORSEL`], sized so the
-/// per-chunk partial merge/reset (O(populated bins)) stays a small fraction
-/// of per-chunk scan work even for dense 2D bin spaces near
-/// [`crate::plan::DENSE_BIN_CAP`].
+/// per-chunk accumulator set-up and merge (O(bin space) and O(populated
+/// bins)) stay a small fraction of per-chunk scan work even for dense 2D
+/// bin spaces near [`crate::plan::DENSE_BIN_CAP`].
 pub const CHUNK_ROWS: usize = 64 * MORSEL;
 
 /// Worker count of this machine (`available_parallelism`, min 1) — the
@@ -61,22 +76,17 @@ pub fn available_workers() -> usize {
 /// Chunk-partitioned accumulation state of one scan (see module docs).
 pub struct MorselDispatcher {
     workers: usize,
-    /// Chunks `0..merged` folded together, in chunk order.
+    /// Chunks `0..folded` merged together, in chunk order.
     base: BatchAcc,
-    /// The at-most-one chunk whose row range the scan has entered but not
-    /// yet finished (budget slicing can pause mid-chunk).
-    partial: Option<(usize, BatchAcc)>,
-    /// Recycled accumulators (reset, ready for the next chunk).
-    pool: Vec<BatchAcc>,
+    folded: usize,
+    /// Computed chunks `folded..folded + ahead.len()`, not yet folded.
+    ahead: VecDeque<Chunk>,
 }
 
-/// In-order merge state shared by the workers of one parallel span.
-struct MergeState<'a> {
-    base: &'a mut BatchAcc,
-    /// Next chunk index the base is waiting for.
-    next_merge: usize,
-    /// Finished chunks that arrived ahead of `next_merge`.
-    parked: Vec<(usize, BatchAcc)>,
+/// One computed chunk: its accumulator and one filter-match mask per morsel.
+struct Chunk {
+    acc: BatchAcc,
+    matches: Box<[Mask; CHUNK_ROWS / MORSEL]>,
 }
 
 impl MorselDispatcher {
@@ -84,8 +94,8 @@ impl MorselDispatcher {
         MorselDispatcher {
             workers: 1,
             base: BatchAcc::for_plan(plan),
-            partial: None,
-            pool: Vec::new(),
+            folded: 0,
+            ahead: VecDeque::new(),
         }
     }
 
@@ -99,21 +109,26 @@ impl MorselDispatcher {
         self.workers
     }
 
-    /// The accumulated state so far, materialized in chunk order.
-    pub fn grouped(&self) -> GroupedAcc {
+    /// The accumulated state of scan positions `0..cursor`, materialized in
+    /// chunk order. With the cursor inside a chunk, that chunk's prefix is
+    /// replayed into a scratch accumulator.
+    pub fn grouped(&self, plan: &CompiledPlan, order: Option<&[u32]>, cursor: usize) -> GroupedAcc {
         let mut g = self.base.to_grouped();
-        if let Some((_, p)) = &self.partial {
-            g.merge(&p.to_grouped());
+        let lo = self.folded * CHUNK_ROWS;
+        if cursor > lo {
+            let mut prefix = BatchAcc::for_plan(plan);
+            process_span(&plan.bind(), order, &mut prefix, lo, cursor, None);
+            g.merge(&prefix.to_grouped());
         }
         g
     }
 
-    /// Processes scan positions `start..start + take` (`take ≥ 1`), fanning
-    /// chunks out over the worker pool when there is enough work to split.
-    /// Returns the number of rows that passed the filter.
+    /// Counts the rows among scan positions `start..start + take`
+    /// (`take ≥ 1`) that pass the filter, computing whole chunks ahead as
+    /// the range enters them, and folds every chunk the range finishes.
     ///
-    /// `num_rows` is the scan's total length: a final chunk cut short by the
-    /// end of the data (rather than by budget) still counts as complete.
+    /// `num_rows` is the scan's total length: the last chunk ends with the
+    /// data.
     pub fn scan_span(
         &mut self,
         plan: &CompiledPlan,
@@ -122,164 +137,90 @@ impl MorselDispatcher {
         take: usize,
         num_rows: usize,
     ) -> u64 {
-        debug_assert!(take >= 1 && start + take <= num_rows);
         let end = start + take;
-        let scan_done = end >= num_rows;
-        let first_chunk = start / CHUNK_ROWS;
-        let last_chunk = (end - 1) / CHUNK_ROWS;
-        debug_assert!(
-            self.partial.as_ref().is_none_or(|(c, _)| *c == first_chunk),
-            "a paused chunk is always the one the scan resumes into"
-        );
-        // Fan out only when the span carries at least a full chunk of work:
-        // a tiny budget span that merely straddles a chunk boundary is not
-        // worth even a pool round-trip. The sequential path uses the same
-        // chunk grid, so the choice never affects results.
-        if self.workers == 1 || first_chunk == last_chunk || take < CHUNK_ROWS {
-            self.scan_sequential(plan, order, start, end, scan_done, first_chunk, last_chunk)
-        } else {
-            self.scan_parallel(plan, order, start, end, scan_done, first_chunk, last_chunk)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan_sequential(
-        &mut self,
-        plan: &CompiledPlan,
-        order: Option<&[u32]>,
-        start: usize,
-        end: usize,
-        scan_done: bool,
-        first_chunk: usize,
-        last_chunk: usize,
-    ) -> u64 {
-        let bound = plan.bind();
-        let mut matched = 0u64;
-        for chunk in first_chunk..=last_chunk {
-            let lo = (chunk * CHUNK_ROWS).max(start);
-            let hi = ((chunk + 1) * CHUNK_ROWS).min(end);
-            let mut acc = self.acquire(plan, chunk);
-            matched += process_span(&bound, order, &mut acc, lo, hi) as u64;
-            if hi == (chunk + 1) * CHUNK_ROWS || scan_done {
-                self.base.merge_from(&acc);
-                acc.reset();
-                self.pool.push(acc);
-            } else {
-                self.partial = Some((chunk, acc));
+        debug_assert!(take >= 1 && end <= num_rows && start >= self.folded * CHUNK_ROWS);
+        let mut matched = 0;
+        let mut pos = start;
+        while pos < end {
+            if self.ahead.is_empty() {
+                self.compute_ahead(plan, order, num_rows);
             }
+            let chunk_lo = self.folded * CHUNK_ROWS;
+            let chunk_hi = (chunk_lo + CHUNK_ROWS).min(num_rows);
+            let hi = end.min(chunk_hi);
+            matched += count_ones(
+                self.ahead[0].matches.as_flattened(),
+                pos - chunk_lo,
+                hi - chunk_lo,
+            );
+            if hi == chunk_hi {
+                let chunk = self
+                    .ahead
+                    .pop_front()
+                    .expect("the current chunk is computed");
+                self.base.merge_from(&chunk.acc);
+                self.folded += 1;
+            }
+            pos = hi;
         }
         matched
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn scan_parallel(
-        &mut self,
-        plan: &CompiledPlan,
-        order: Option<&[u32]>,
-        start: usize,
-        end: usize,
-        scan_done: bool,
-        first_chunk: usize,
-        last_chunk: usize,
-    ) -> u64 {
-        let matched_total = AtomicU64::new(0);
-        let next_chunk = AtomicUsize::new(first_chunk);
-        let carry = Mutex::new(self.partial.take());
-        let merge = Mutex::new(MergeState {
-            base: &mut self.base,
-            next_merge: first_chunk,
-            parked: Vec::new(),
-        });
-        let pool = Mutex::new(&mut self.pool);
-        let leftover: Mutex<Option<(usize, BatchAcc)>> = Mutex::new(None);
-        let threads = self.workers.min(last_chunk - first_chunk + 1);
-
-        // The span body: every participant (the calling thread plus any
-        // pool worker that picks a claim up) pulls chunk indices from the
-        // shared cursor until the supply is dry.
+    /// Computes chunk `folded` and up to `workers − 1` following chunks,
+    /// one per span participant. The accumulators are allocated here, on
+    /// the calling thread, so pool workers leave no memory behind in their
+    /// own allocator arenas.
+    fn compute_ahead(&mut self, plan: &CompiledPlan, order: Option<&[u32]>, num_rows: usize) {
+        let first = self.folded;
+        let n = self.workers.min(num_rows.div_ceil(CHUNK_ROWS) - first);
+        let next = AtomicUsize::new(0);
+        let computed: Vec<Mutex<Chunk>> = (0..n)
+            .map(|_| {
+                Mutex::new(Chunk {
+                    acc: BatchAcc::for_plan(plan),
+                    matches: Box::new([Mask::default(); CHUNK_ROWS / MORSEL]),
+                })
+            })
+            .collect();
         let body = || {
             let bound = plan.bind();
             loop {
-                let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if chunk > last_chunk {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
                 }
-                let lo = (chunk * CHUNK_ROWS).max(start);
-                let hi = ((chunk + 1) * CHUNK_ROWS).min(end);
-                // Resume the paused chunk's partial if this is it;
-                // otherwise grab a pooled (or fresh) accumulator.
-                let mut acc = (chunk == first_chunk)
-                    .then(|| carry.lock().unwrap().take().map(|(_, acc)| acc))
-                    .flatten()
-                    .or_else(|| pool.lock().unwrap().pop())
-                    .unwrap_or_else(|| BatchAcc::for_plan(plan));
-                let matched = process_span(&bound, order, &mut acc, lo, hi);
-                matched_total.fetch_add(matched as u64, Ordering::Relaxed);
-                if hi < (chunk + 1) * CHUNK_ROWS && !scan_done {
-                    // Budget cut the (single, final) chunk short:
-                    // park it for the next span.
-                    *leftover.lock().unwrap() = Some((chunk, acc));
-                    continue;
-                }
-                let mut state = merge.lock().unwrap();
-                if chunk == state.next_merge {
-                    // Fold in order, draining any parked successors.
-                    let mut recycled = Vec::new();
-                    state.base.merge_from(&acc);
-                    state.next_merge += 1;
-                    acc.reset();
-                    recycled.push(acc);
-                    while let Some(at) = state
-                        .parked
-                        .iter()
-                        .position(|(c, _)| *c == state.next_merge)
-                    {
-                        let (_, mut parked_acc) = state.parked.swap_remove(at);
-                        state.base.merge_from(&parked_acc);
-                        state.next_merge += 1;
-                        parked_acc.reset();
-                        recycled.push(parked_acc);
-                    }
-                    drop(state);
-                    pool.lock().unwrap().append(&mut recycled);
-                } else {
-                    state.parked.push((chunk, acc));
-                }
+                let lo = (first + i) * CHUNK_ROWS;
+                let hi = (lo + CHUNK_ROWS).min(num_rows);
+                let chunk = &mut *computed[i].lock().unwrap();
+                process_span(
+                    &bound,
+                    order,
+                    &mut chunk.acc,
+                    lo,
+                    hi,
+                    Some(&mut chunk.matches[..]),
+                );
             }
         };
-        crate::pool::global_pool().scope_run(threads - 1, &body);
-
-        debug_assert!(merge.into_inner().unwrap().parked.is_empty());
-        self.partial = leftover.into_inner().unwrap();
-        matched_total.into_inner()
-    }
-
-    fn acquire(&mut self, plan: &CompiledPlan, chunk: usize) -> BatchAcc {
-        match self.partial.take() {
-            Some((c, acc)) if c == chunk => acc,
-            // A paused partial for any other chunk would merge stale rows
-            // on top of a re-processed chunk — fail loudly rather than
-            // silently double-count (scan_span's invariant rejects this).
-            Some((c, _)) => unreachable!("paused chunk {c} resumed as chunk {chunk}"),
-            None => self.pool.pop().unwrap_or_else(|| BatchAcc::for_plan(plan)),
-        }
+        crate::pool::global_pool().scope_run(n - 1, &body);
+        self.ahead
+            .extend(computed.into_iter().map(|c| c.into_inner().unwrap()));
     }
 }
 
-/// Runs positions `lo..hi` of one chunk morsel by morsel into `acc`,
-/// returning the matched-row count.
+/// Runs positions `lo..hi` (`lo` chunk-aligned) morsel by morsel into
+/// `acc`, writing each morsel's filter-match mask to `matches` if given.
 fn process_span(
     bound: &BoundPlan<'_>,
     order: Option<&[u32]>,
     acc: &mut BatchAcc,
     lo: usize,
     hi: usize,
-) -> usize {
-    let mut matched = 0;
-    let mut pos = lo;
-    while pos < hi {
+    mut matches: Option<&mut [Mask]>,
+) {
+    for (m, pos) in (lo..hi).step_by(MORSEL).enumerate() {
         let take = MORSEL.min(hi - pos);
-        matched += match order {
+        let mask = match order {
             Some(o) => acc.process_morsel(bound, Gather(&o[pos..pos + take])),
             None => acc.process_morsel(
                 bound,
@@ -289,7 +230,19 @@ fn process_span(
                 },
             ),
         };
-        pos += take;
+        if let Some(out) = matches.as_deref_mut() {
+            out[m] = mask;
+        }
     }
-    matched
+}
+
+/// Set bits among bit positions `lo..hi` of `words`.
+fn count_ones(words: &[u64], lo: usize, hi: usize) -> u64 {
+    (lo / 64..hi.div_ceil(64))
+        .map(|w| {
+            let a = lo.max(w * 64) - w * 64;
+            let b = hi.min(w * 64 + 64) - w * 64;
+            u64::from((words[w] & (u64::MAX >> (64 - (b - a)) << a)).count_ones())
+        })
+        .sum()
 }

@@ -5,10 +5,11 @@
 //! [`crate::batch::MORSEL`]-sized batches, evaluating filters into bitmasks,
 //! computing bin slots per batch, and accumulating matches in bulk.
 //! Accumulation runs through the [`crate::dispatch::MorselDispatcher`]:
-//! fixed [`crate::dispatch::CHUNK_ROWS`]-sized chunks, each with its own
-//! accumulator, fanned out over the persistent [`crate::pool::ScanPool`]
-//! when [`ChunkedRun::set_workers`] grants more than one worker and merged
-//! back in chunk order so results are bit-identical for every worker count.
+//! whole [`crate::dispatch::CHUNK_ROWS`]-sized chunks, each with its own
+//! accumulator, computed ahead of the cursor over the persistent
+//! [`crate::pool::ScanPool`] when [`ChunkedRun::set_workers`] grants more
+//! than one worker and merged back in chunk order so results are
+//! bit-identical for every worker count.
 //! The scalar oracle ([`execute_exact_scalar`]) interprets the query one row
 //! at a time (folded over the same chunk grid); differential tests and
 //! benchmarks pin the vectorized path against it.
@@ -101,7 +102,11 @@ impl ChunkedRun {
         let num_rows = plan.num_rows();
         let row_cost = plan.row_cost() as f64;
         if let Some(o) = &order {
-            debug_assert_eq!(o.len(), num_rows, "order must cover every row");
+            assert!(
+                o.len() == num_rows,
+                "visit order has {} positions, but the table has {num_rows} rows",
+                o.len()
+            );
         }
         let dispatcher = MorselDispatcher::new(&plan);
         ChunkedRun {
@@ -138,9 +143,10 @@ impl ChunkedRun {
         self.startup_remaining = units;
     }
 
-    /// Sets the scan's worker-pool size (clamped to ≥ 1; `1` keeps the
-    /// sequential path). Thanks to the dispatcher's fixed chunk grid and
-    /// in-order partial merge, the result is bit-identical for every value.
+    /// Sets the scan's worker-pool size (clamped to ≥ 1; `1` computes one
+    /// chunk at a time on the calling thread). Thanks to the dispatcher's
+    /// fixed chunk grid and in-order partial merge, the result is
+    /// bit-identical for every value.
     pub fn set_workers(&mut self, workers: usize) {
         self.dispatcher.set_workers(workers);
     }
@@ -194,15 +200,23 @@ impl ChunkedRun {
     ///
     /// The budget governs *how many rows* this call may process; the
     /// dispatcher decides *who processes them*. Each iteration sizes a span
-    /// conservatively (so even all-matching rows fit the remaining room —
-    /// one whole budget grant thereby splits across all workers at once),
-    /// hands it to the [`MorselDispatcher`], folds the actual surcharge
-    /// into `row_work`, and re-fits. A grant too small for even one
-    /// worst-case row still takes a single row, so *any* positive budget
-    /// makes forward progress — no starvation at tiny quanta — with the
-    /// overdraw carried (never forgiven) into later calls' billing. Grants
-    /// smaller than one chunk simply stay on the sequential in-process
-    /// path; results are bit-identical either way.
+    /// conservatively (so even all-matching rows fit the remaining room),
+    /// asks the [`MorselDispatcher`] how many of its rows match, folds the
+    /// surcharge into `row_work`, and re-fits. A grant too small for even
+    /// one worst-case row still takes a single row, so *any* positive
+    /// budget makes forward progress — no starvation at tiny quanta — with
+    /// the overdraw carried (never forgiven) into later calls' billing.
+    ///
+    /// The dispatcher computes whole chunks, reading ahead up to
+    /// `workers − 1` chunks past the one the walk enters, and answers each
+    /// span by popcount over the computed chunks' filter bitmaps. Even a
+    /// `step_quantum` grant of a few thousand rows therefore keeps every
+    /// worker busy, while the walk — cursor positions, billed units,
+    /// snapshots — is bit-identical to a row-by-row scan. The price is
+    /// bounded: a scan abandoned mid-way has computed at most `workers − 1`
+    /// chunks plus the current chunk's remainder that it never used, and
+    /// each [`ChunkedRun::snapshot`] taken mid-chunk replays the chunk's
+    /// prefix (under one chunk).
     pub fn advance(&mut self, budget_units: u64) -> u64 {
         let mut consumed = 0u64;
         let mut budget = budget_units;
@@ -258,7 +272,7 @@ impl ChunkedRun {
         match self.mode {
             SnapshotMode::Exact => {
                 if self.is_done() {
-                    Some(self.dispatcher.grouped().finish_exact())
+                    Some(self.grouped().finish_exact())
                 } else {
                     None
                 }
@@ -268,18 +282,18 @@ impl ChunkedRun {
                     None
                 } else if self.is_done() && population as usize == self.num_rows {
                     // A completed full-population scan is exact.
-                    Some(self.dispatcher.grouped().finish_exact())
+                    Some(self.grouped().finish_exact())
                 } else {
-                    Some(self.dispatcher.grouped().finish_estimate(population, z))
+                    Some(self.grouped().finish_estimate(population, z))
                 }
             }
             SnapshotMode::EstimateAtEnd { z, population } => {
                 if !self.is_done() {
                     None
                 } else if population as usize == self.num_rows {
-                    Some(self.dispatcher.grouped().finish_exact())
+                    Some(self.grouped().finish_exact())
                 } else {
-                    Some(self.dispatcher.grouped().finish_estimate(population, z))
+                    Some(self.grouped().finish_estimate(population, z))
                 }
             }
         }
@@ -288,7 +302,15 @@ impl ChunkedRun {
     /// The accumulated state, materialized into the canonical grouped
     /// representation (engines use this for result reuse).
     pub fn accumulator(&self) -> GroupedAcc {
-        self.dispatcher.grouped()
+        self.grouped()
+    }
+
+    fn grouped(&self) -> GroupedAcc {
+        self.dispatcher.grouped(
+            &self.plan,
+            self.order.as_deref().map(Vec::as_slice),
+            self.cursor,
+        )
     }
 
     /// The query this run executes.
@@ -785,20 +807,19 @@ mod tests {
 
     #[test]
     fn worker_count_never_changes_budget_sliced_results() {
-        let ds = float_dataset(2 * CHUNK_ROWS + 99);
+        // The last chunk is ragged (99 rows); odd and step-sized grants
+        // cross chunk boundaries at uneven offsets.
+        let n = 2 * CHUNK_ROWS + 99;
+        let ds = float_dataset(n);
         let q = float_query();
-        let mut reference: Option<AggResult> = None;
-        for workers in [1, 4] {
-            let mut run = ChunkedRun::new(ds.clone(), q.clone(), SnapshotMode::Exact).unwrap();
-            run.set_workers(workers);
-            // Odd slicing: spans cross chunk boundaries at uneven offsets.
-            while !run.is_done() {
-                run.advance(10_007);
-            }
-            let snap = run.snapshot().unwrap();
-            match &reference {
-                None => reference = Some(snap),
-                Some(r) => assert_eq!(&snap, r, "workers = {workers}"),
+        let scalar = execute_exact_scalar(&ds, &q).unwrap();
+        for workers in [1, 2, 4, 8] {
+            for grant in [10_007, 16_384, n as u64 - 1] {
+                let mut run = ChunkedRun::new(ds.clone(), q.clone(), SnapshotMode::Exact).unwrap();
+                run.set_workers(workers);
+                let snap = finish(&mut run, grant);
+                assert_eq!(snap, scalar, "workers {workers}, grant {grant}");
+                assert_eq!(run.accumulator().rows_seen, n as u64);
             }
         }
     }
@@ -1088,12 +1109,247 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a over a stream of words.
+    fn fnv_words(h: &mut u64, words: &[u64]) {
+        for w in words {
+            for b in w.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    fn hash_snapshot(h: &mut u64, snap: Option<&AggResult>) {
+        let Some(r) = snap else {
+            return fnv_words(h, &[u64::MAX]);
+        };
+        for (key, stats) in r.sorted_bins() {
+            for c in key.coords() {
+                match *c {
+                    BinCoord::Cat(v) => fnv_words(h, &[0, u64::from(v)]),
+                    BinCoord::Bucket(v) => fnv_words(h, &[1, v as u64]),
+                }
+            }
+            for (v, m) in stats.values.iter().zip(&stats.margins) {
+                fnv_words(h, &[v.to_bits(), m.to_bits()]);
+            }
+        }
+        fnv_words(h, &[r.processed_fraction.to_bits(), u64::from(r.exact)]);
+    }
+
+    /// A filtered 2D float query over a shuffled order spanning two full
+    /// chunks and a ragged third, priced like a progressive run.
+    fn stepped_run(workers: usize) -> (ChunkedRun, Dataset, Query, Arc<Vec<u32>>) {
+        let n = 2 * CHUNK_ROWS + 777;
+        let ds = float_dataset(n);
+        let mut q = float_query();
+        q.compose_filter(FilterExpr::Pred(Predicate::Range {
+            column: "dep_delay".into(),
+            min: -5.0,
+            max: 40.0,
+        }));
+        let order: Arc<Vec<u32>> = Arc::new(
+            (0..n as u64)
+                .map(|i| ((i * 1_000_003 + 12_345) % n as u64) as u32)
+                .collect(),
+        );
+        let mut run = ChunkedRun::with_order(
+            ds.clone(),
+            q.clone(),
+            Some(Arc::clone(&order)),
+            SnapshotMode::Estimate {
+                z: 1.96,
+                population: n as u64,
+            },
+        )
+        .unwrap();
+        run.set_row_cost(1.15);
+        run.set_match_cost(0.6);
+        run.set_workers(workers);
+        (run, ds, q, order)
+    }
+
+    /// Steps [`stepped_run`] to completion in `grant`-unit grants, hashing
+    /// the rows done and units billed after every grant, and the snapshot
+    /// after every `snap_every`-th grant and at the end.
+    fn stepped_hash(grant: u64, workers: usize, snap_every: u64) -> u64 {
+        let (mut run, ..) = stepped_run(workers);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut calls = 0u64;
+        while !run.is_done() {
+            let used = run.advance(grant);
+            calls += 1;
+            fnv_words(&mut h, &[run.rows_done() as u64, used]);
+            if calls.is_multiple_of(snap_every) {
+                hash_snapshot(&mut h, run.snapshot().as_ref());
+            }
+        }
+        hash_snapshot(&mut h, run.snapshot().as_ref());
+        h
+    }
+
+    /// Stepped scans are pinned bit for bit: rows done, units billed and
+    /// every snapshot, for tiny, odd and `step_quantum`-sized grants, at
+    /// every worker count. The 2-unit grants snapshot every 4 099th call (a
+    /// prime, so snapshots land at shifting offsets inside chunks) to keep
+    /// the test fast.
+    #[test]
+    fn stepped_scans_match_golden_hashes_at_every_worker_count() {
+        const GOLDEN: [(u64, u64, u64); 3] = [
+            (2, 4_099, 0x6c47_96cc_747d_609b),
+            (10_007, 1, 0x1f60_e9d0_afdb_fe11),
+            (16_384, 1, 0xd463_5b88_159a_e076),
+        ];
+        for (grant, snap_every, expected) in GOLDEN {
+            for workers in [1, 2, 8] {
+                let got = stepped_hash(grant, workers, snap_every);
+                assert_eq!(
+                    got, expected,
+                    "grant {grant}, workers {workers}: {got:#018x}"
+                );
+            }
+        }
+    }
+
+    fn finish(run: &mut ChunkedRun, grant: u64) -> AggResult {
+        while !run.is_done() {
+            run.advance(grant);
+        }
+        run.snapshot().unwrap()
+    }
+
+    #[test]
+    fn grant_ending_on_a_chunk_boundary() {
+        // Unit costs and no surcharge: a CHUNK_ROWS grant ends exactly on
+        // the first chunk boundary, with nothing left paused inside it.
+        let mut snaps = Vec::new();
+        for workers in [1, 2] {
+            let (mut run, ds, q, order) = stepped_run(workers);
+            run.set_row_cost(1.0);
+            run.set_match_cost(0.0);
+            assert_eq!(run.advance(CHUNK_ROWS as u64), CHUNK_ROWS as u64);
+            assert_eq!(run.rows_done(), CHUNK_ROWS);
+            snaps.push(run.snapshot().unwrap());
+            // The same prefix reached in uneven slices.
+            let (mut sliced, ..) = stepped_run(workers);
+            sliced.set_row_cost(1.0);
+            sliced.set_match_cost(0.0);
+            while sliced.rows_done() < CHUNK_ROWS {
+                sliced.advance(4_099.min((CHUNK_ROWS - sliced.rows_done()) as u64));
+            }
+            assert_eq!(sliced.snapshot().unwrap(), snaps[0], "workers {workers}");
+            assert_eq!(
+                finish(&mut run, CHUNK_ROWS as u64),
+                execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap()
+            );
+        }
+        assert_eq!(snaps[0], snaps[1]);
+    }
+
+    #[test]
+    fn table_smaller_than_one_morsel() {
+        let ds = float_dataset(300);
+        let q = float_query();
+        let mode = SnapshotMode::Estimate {
+            z: 1.96,
+            population: 300,
+        };
+        let mut mid = Vec::new();
+        for workers in [1, 2] {
+            let mut run = ChunkedRun::new(ds.clone(), q.clone(), mode).unwrap();
+            run.set_workers(workers);
+            assert_eq!(run.advance(120), 120);
+            mid.push(run.snapshot().unwrap());
+            assert_eq!(finish(&mut run, 16_384), execute_exact(&ds, &q).unwrap());
+        }
+        assert_eq!(mid[0], mid[1]);
+        assert!((mid[0].processed_fraction - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_and_estimate_at_end_runs_agree_across_worker_counts() {
+        let n = CHUNK_ROWS + 4_321;
+        let ds = float_dataset(n);
+        let q = float_query();
+        let scalar = execute_exact_scalar(&ds, &q).unwrap();
+        let at_end = SnapshotMode::EstimateAtEnd {
+            z: 1.96,
+            population: 10 * n as u64,
+        };
+        let mut estimates = Vec::new();
+        for workers in [1, 2, 8] {
+            let mut exact = ChunkedRun::new(ds.clone(), q.clone(), SnapshotMode::Exact).unwrap();
+            exact.set_workers(workers);
+            exact.advance(16_384);
+            assert!(exact.snapshot().is_none());
+            assert_eq!(finish(&mut exact, 16_384), scalar, "workers {workers}");
+
+            let mut est = ChunkedRun::new(ds.clone(), q.clone(), at_end).unwrap();
+            est.set_workers(workers);
+            est.advance(16_384);
+            assert!(est.snapshot().is_none());
+            estimates.push(finish(&mut est, 16_384));
+        }
+        assert!(estimates.iter().all(|e| *e == estimates[0] && !e.exact));
+    }
+
+    #[test]
+    fn snapshot_mid_chunk_then_resume_matches_scalar() {
+        // Progressive reuse: a run expires mid-chunk, is snapshotted, and
+        // is later resumed to completion by another query's grants.
+        for workers in [1, 2, 8] {
+            let (mut run, ds, q, order) = stepped_run(workers);
+            let mut prefix = Vec::new();
+            for _ in 0..3 {
+                run.advance(16_384);
+                assert_ne!(run.rows_done() % CHUNK_ROWS, 0, "paused mid-chunk");
+                prefix.push(run.snapshot().unwrap());
+                // A second snapshot of the same paused state is identical.
+                assert_eq!(run.snapshot().unwrap(), prefix[prefix.len() - 1]);
+            }
+            assert!(prefix[2].processed_fraction > prefix[0].processed_fraction);
+            let done = finish(&mut run, 10_007);
+            assert!(done.exact);
+            assert_eq!(
+                done,
+                execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap(),
+                "workers {workers}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "visit order has 99 positions, but the table has 100 rows")]
+    fn short_order_is_rejected() {
+        let order: Arc<Vec<u32>> = Arc::new((0..99).collect());
+        let _ = ChunkedRun::with_order(
+            dataset(100),
+            count_query(),
+            Some(order),
+            SnapshotMode::Exact,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "visit order has 101 positions, but the table has 100 rows")]
+    fn long_order_is_rejected() {
+        let order: Arc<Vec<u32>> = Arc::new((0..101).collect());
+        let _ = ChunkedRun::with_order(
+            dataset(100),
+            count_query(),
+            Some(order),
+            SnapshotMode::Exact,
+        );
+    }
+
     #[test]
     fn empty_table_completes_immediately() {
-        let ds = dataset(0);
-        let run = ChunkedRun::new(ds, count_query(), SnapshotMode::Exact).unwrap();
-        assert!(run.is_done());
-        assert_eq!(run.progress(), 1.0);
-        assert_eq!(run.snapshot().unwrap().bins.len(), 0);
+        for workers in [1, 2] {
+            let mut run = ChunkedRun::new(dataset(0), count_query(), SnapshotMode::Exact).unwrap();
+            run.set_workers(workers);
+            assert!(run.is_done());
+            assert_eq!(run.progress(), 1.0);
+            assert_eq!(run.advance(16_384), 0);
+            assert_eq!(run.snapshot().unwrap().bins.len(), 0);
+        }
     }
 }

@@ -27,9 +27,10 @@
 //!   slot computation, bulk accumulation) and the dense flat-array /
 //!   sparse hashed accumulators.
 //! - [`dispatch`]: the [`MorselDispatcher`] — partitions the scan into
-//!   fixed [`CHUNK_ROWS`]-sized chunks, fans them out over the persistent
-//!   [`ScanPool`] with a per-chunk accumulator each, and merges partials in
-//!   chunk order, making results bit-identical for every worker count.
+//!   fixed [`CHUNK_ROWS`]-sized chunks, computes whole chunks ahead of the
+//!   cursor over the persistent [`ScanPool`] with a per-chunk accumulator
+//!   and filter bitmap each, and merges them in chunk order, making results
+//!   bit-identical for every worker count.
 //! - [`pool`]: the [`ScanPool`] — a process-wide, channel-fed pool of
 //!   persistent scan workers ([`global_pool`]), shared by every dispatcher
 //!   so intra-query parallelism and multi-session concurrency compose
