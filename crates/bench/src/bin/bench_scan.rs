@@ -10,7 +10,13 @@
 //! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring), and panics if a
 //! worker count changes a result — the stepped scan's hash covers every
 //! grant's rows and billed units as well as the final snapshot.
+//!
+//! Each reading repeats its scan until it has run at least ten times and
+//! for at least 200 ms, after one warm-up run, and records the best run's
+//! rows/s (which the gates compare) next to the median and interquartile
+//! range of all runs.
 
+use idebench_core::metrics::{median, percentiles};
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
 use idebench_core::{FilterExpr, Predicate, Query, Settings, VizSpec};
 use idebench_engine_progressive::ProgressiveConfig;
@@ -20,23 +26,54 @@ use idebench_query::{
 };
 use idebench_storage::Dataset;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 500_000;
 /// Larger table for the worker-scaling rows, so per-chunk work dominates
 /// thread-pool overhead.
 const SCALING_ROWS: usize = 2_000_000;
 
-fn time_rows_per_sec(rows: usize, mut f: impl FnMut()) -> f64 {
-    // Warm-up, then best of several measured repetitions.
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+/// Fewest timed runs per reading.
+const MIN_RUNS: usize = 10;
+/// Shortest timed span per reading: a scan takes a few milliseconds, so a
+/// handful of runs lets one scheduler stall or one quiet moment decide it.
+const MIN_SPAN: Duration = Duration::from_millis(200);
+
+/// Rows/s over the timed runs of one reading.
+struct Throughput {
+    /// The fastest run.
+    best: f64,
+    median: f64,
+    p25: f64,
+    p75: f64,
+}
+
+impl Throughput {
+    /// Interquartile range.
+    fn iqr(&self) -> f64 {
+        self.p75 - self.p25
     }
-    rows as f64 / best
+}
+
+fn time_rows_per_sec(rows: usize, mut f: impl FnMut()) -> Throughput {
+    f(); // warm-up
+    let start = Instant::now();
+    let mut samples = Vec::new();
+    while samples.len() < MIN_RUNS || start.elapsed() < MIN_SPAN {
+        let run = Instant::now();
+        f();
+        samples.push(rows as f64 / run.elapsed().as_secs_f64());
+    }
+    let q: Vec<f64> = percentiles(&samples, &[25.0, 75.0])
+        .into_iter()
+        .flatten()
+        .collect();
+    Throughput {
+        best: samples.iter().copied().fold(0.0, f64::max),
+        median: median(&samples).expect("at least one run"),
+        p25: q[0],
+        p75: q[1],
+    }
 }
 
 fn filtered_1d_nominal() -> Query {
@@ -244,15 +281,20 @@ fn main() {
             execute_exact_scalar(data, q).unwrap(),
             "vectorized and scalar paths must agree on {name}"
         );
-        let vec_rps = time_rows_per_sec(ROWS, || {
+        let vec = time_rows_per_sec(ROWS, || {
             let _ = execute_exact(data, q).unwrap();
         });
-        let scalar_rps = time_rows_per_sec(ROWS, || {
+        let scalar = time_rows_per_sec(ROWS, || {
             let _ = execute_exact_scalar(data, q).unwrap();
         });
-        let speedup = vec_rps / scalar_rps;
+        let speedup = vec.best / scalar.best;
         println!(
-            "{name:<32} vectorized {vec_rps:>12.0} rows/s   scalar {scalar_rps:>12.0} rows/s   speedup {speedup:.2}x   {}",
+            "{name:<32} vectorized {:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   scalar {:>12.0} rows/s   speedup {speedup:.2}x   {}",
+            vec.best,
+            vec.median,
+            vec.p25,
+            vec.p75,
+            scalar.best,
             if dense { "dense" } else { "sparse" }
         );
         if speedup < 1.0 {
@@ -263,8 +305,12 @@ fn main() {
             "rows": ROWS,
             "dense": dense,
             "joined": data.as_star().is_some(),
-            "vectorized_rows_per_sec": vec_rps,
-            "scalar_rows_per_sec": scalar_rps,
+            "vectorized_rows_per_sec": vec.best,
+            "vectorized_median_rows_per_sec": vec.median,
+            "vectorized_iqr_rows_per_sec": vec.iqr(),
+            "scalar_rows_per_sec": scalar.best,
+            "scalar_median_rows_per_sec": scalar.median,
+            "scalar_iqr_rows_per_sec": scalar.iqr(),
             "speedup": speedup,
         }));
     }
@@ -287,7 +333,8 @@ fn main() {
     let scalar_ref = execute_exact_scalar(&scaling_ds, &scan).unwrap();
     let scalar_rps = time_rows_per_sec(SCALING_ROWS, || {
         let _ = execute_exact_scalar(&scaling_ds, &scan).unwrap();
-    });
+    })
+    .best;
     let mut worker_counts = vec![1usize, 2, 4];
     if !worker_counts.contains(&cores) {
         worker_counts.push(cores);
@@ -300,14 +347,18 @@ fn main() {
             scalar_ref,
             "parallel scan ({workers} workers) must stay bit-identical to scalar"
         );
-        let rps = time_rows_per_sec(SCALING_ROWS, || {
+        let t = time_rows_per_sec(SCALING_ROWS, || {
             let _ = execute_exact_parallel(&scaling_ds, &scan, workers).unwrap();
         });
+        let rps = t.best;
         if workers == 1 {
             baseline_rps = rps;
         }
         println!(
-            "count_scan_workers_{workers:<2}           parallel   {rps:>12.0} rows/s   vs 1-worker {:.2}x   vs scalar {:.2}x",
+            "count_scan_workers_{workers:<2}           parallel   {rps:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   vs 1-worker {:.2}x   vs scalar {:.2}x",
+            t.median,
+            t.p25,
+            t.p75,
             rps / baseline_rps,
             rps / scalar_rps,
         );
@@ -316,6 +367,8 @@ fn main() {
             "rows": SCALING_ROWS,
             "workers": workers,
             "rows_per_sec": rps,
+            "median_rows_per_sec": t.median,
+            "iqr_rows_per_sec": t.iqr(),
             "speedup_vs_single_worker": rps / baseline_rps,
             "speedup_vs_scalar": rps / scalar_rps,
         }));
@@ -340,14 +393,18 @@ fn main() {
             hash, reference_hash,
             "stepped scan ({workers} workers) must bill and answer exactly as 1 worker"
         );
-        let rps = time_rows_per_sec(ROWS, || {
+        let t = time_rows_per_sec(ROWS, || {
             let _ = stepped_scan(&ds, &stepped_q, &order, workers);
         });
+        let rps = t.best;
         if workers == 1 {
             single_rps = rps;
         }
         println!(
-            "stepped_shuffled_2d_workers_{workers:<2}     stepped    {rps:>12.0} rows/s   vs 1-worker {:.2}x",
+            "stepped_shuffled_2d_workers_{workers:<2}     stepped    {rps:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   vs 1-worker {:.2}x",
+            t.median,
+            t.p25,
+            t.p75,
             rps / single_rps,
         );
         stepped.push(serde_json::json!({
@@ -356,6 +413,8 @@ fn main() {
             "grant_units": Settings::default().step_quantum,
             "workers": workers,
             "rows_per_sec": rps,
+            "median_rows_per_sec": t.median,
+            "iqr_rows_per_sec": t.iqr(),
             "speedup_vs_single_worker": rps / single_rps,
             "result_hash": format!("{hash:#018x}"),
         }));

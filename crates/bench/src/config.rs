@@ -163,13 +163,25 @@ impl BenchmarkConfig {
         &self,
         mut progress: impl FnMut(&str, u64, usize),
     ) -> Result<BenchmarkRun, CoreError> {
-        // Validate the roster before any expensive work.
+        // Validate the roster and the settings before any expensive work.
         for system in &self.systems {
             if crate::try_adapter_by_name(system).is_none() {
                 return Err(CoreError::Unsupported(format!(
                     "unknown system {system:?} in configuration"
                 )));
             }
+        }
+        if !(self.confidence_level > 0.0 && self.confidence_level < 1.0) {
+            return Err(CoreError::Config(format!(
+                "confidence_level must lie strictly between 0 and 1, got {}",
+                self.confidence_level
+            )));
+        }
+        if !(self.work_rate.is_finite() && self.work_rate > 0.0) {
+            return Err(CoreError::Config(format!(
+                "work_rate must be a finite number above 0, got {}",
+                self.work_rate
+            )));
         }
         let denorm = flights_dataset(self.dataset.rows, self.dataset.seed);
         let dataset = if self.dataset.normalized {
@@ -253,9 +265,9 @@ mod tests {
         assert_eq!(c.confidence_level, 0.95);
     }
 
-    #[test]
-    fn tiny_config_executes_end_to_end() {
-        let c = BenchmarkConfig {
+    /// Two systems, one TR, one six-step workflow over 5 000 rows.
+    fn tiny_config() -> BenchmarkConfig {
+        BenchmarkConfig {
             dataset: DatasetConfig {
                 rows: 5_000,
                 seed: 7,
@@ -271,9 +283,13 @@ mod tests {
                 count: 1,
                 interactions: 6,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn tiny_config_executes_end_to_end() {
         let mut cells = 0;
-        let run = c.execute(|_, _, _| cells += 1).unwrap();
+        let run = tiny_config().execute(|_, _, _| cells += 1).unwrap();
         assert_eq!(cells, 2);
         assert!(!run.detailed.rows.is_empty());
         assert_eq!(run.summary.rows.len(), 2);
@@ -289,6 +305,32 @@ mod tests {
             panic!("unknown system must be rejected");
         };
         assert!(err.to_string().contains("warpdrive"));
+    }
+
+    #[test]
+    fn out_of_range_settings_rejected_before_running() {
+        for level in [1.0, 0.0, -0.5, f64::NAN] {
+            let c = BenchmarkConfig {
+                confidence_level: level,
+                ..tiny_config()
+            };
+            let Err(err) = c.execute(|_, _, _| {}) else {
+                panic!("confidence_level {level} must be rejected");
+            };
+            assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+            assert!(err.to_string().contains("confidence_level"), "{err}");
+        }
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let c = BenchmarkConfig {
+                work_rate: rate,
+                ..tiny_config()
+            };
+            let Err(err) = c.execute(|_, _, _| {}) else {
+                panic!("work_rate {rate} must be rejected");
+            };
+            assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+            assert!(err.to_string().contains("work_rate"), "{err}");
+        }
     }
 
     #[test]

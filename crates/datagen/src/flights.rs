@@ -396,12 +396,6 @@ pub(crate) fn generate_with_workers(n: usize, seed: u64, workers: usize) -> Tabl
         .expect("flights columns have equal lengths")
 }
 
-/// Alias for [`generate`], emphasizing the role of the table as the *seed*
-/// handed to the [`crate::CopulaScaler`].
-pub fn generate_seed(n: usize, seed: u64) -> Table {
-    generate(n, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,5 +80,5 @@ pub mod orders;
 pub mod stats;
 
 pub use copula::CopulaScaler;
-pub use flights::{generate, generate_seed, FLIGHTS_TABLE};
+pub use flights::{generate, FLIGHTS_TABLE};
 pub use normalize::{normalize, normalize_flights};

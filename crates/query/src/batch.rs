@@ -29,8 +29,8 @@ use idebench_core::{AggFunc, BinCoord, BinKey};
 use idebench_storage::{ColumnSlice, SelVec};
 use rustc_hash::FxHashMap;
 
-/// Rows per morsel. A multiple of 64 so morsel masks align with
-/// [`idebench_storage::SelVec`] words.
+/// Rows per morsel. A multiple of 64 so a morsel's filter mask is a
+/// whole number of 64-bit words.
 pub const MORSEL: usize = 1024;
 const WORDS: usize = MORSEL / 64;
 

@@ -248,12 +248,6 @@ impl Column {
             stats: std::sync::OnceLock::new(),
         }
     }
-
-    /// Materializes the rows selected by `sel` (ascending order).
-    pub fn filter(&self, sel: &SelVec) -> Column {
-        let rows: Vec<usize> = sel.iter().collect();
-        self.take(rows.iter().copied())
-    }
 }
 
 #[cfg(test)]
@@ -324,12 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn filter_takes_selected_rows() {
+    fn take_selects_listed_rows() {
         let c = Column::float(vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        let mut sel = SelVec::none(5);
-        sel.insert(1);
-        sel.insert(4);
-        let f = c.filter(&sel);
+        let f = c.take([1, 4]);
         assert_eq!(f.as_float().unwrap(), &[1.0, 4.0]);
     }
 

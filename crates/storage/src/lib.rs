@@ -3,8 +3,8 @@
 //! This crate provides the in-memory column store that all IDEBench query
 //! engines operate on: typed columns (64-bit floats, 64-bit integers, and
 //! dictionary-encoded nominal strings), immutable [`Table`]s with a
-//! [`Schema`], star-schema datasets ([`StarSchema`], [`Dataset`]), selection
-//! vectors ([`SelVec`]) used by vectorized predicate evaluation, and a plain
+//! [`Schema`], star-schema datasets ([`StarSchema`], [`Dataset`]), the
+//! row bitmap ([`SelVec`]) that marks a column's non-null rows, and a plain
 //! CSV reader/writer used by the data-preparation experiments.
 //!
 //! Design notes:

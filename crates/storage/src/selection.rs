@@ -1,9 +1,10 @@
-//! Selection vectors (validity/filter bitmaps) for vectorized evaluation.
+//! Row bitmaps: a column's validity (non-null) mask.
 
-/// A fixed-length bitmap marking which rows of a table survive a predicate.
+/// A fixed-length bitmap over the rows of a column.
 ///
-/// Predicate evaluation in the engines is vectorized: each predicate refines
-/// a `SelVec` in place, and aggregation iterates only the set positions.
+/// A column carries one as its validity bitmap (bit set = value present);
+/// the scan kernels read it through [`SelVec::contains`]. Filters do not
+/// use it: scans evaluate predicates into per-morsel masks instead.
 /// Words are 64-bit; trailing bits beyond `len` are kept zero as an
 /// invariant so popcounts stay exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,112 +85,6 @@ impl SelVec {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// Intersects with `other` in place. Panics if lengths differ.
-    pub fn intersect(&mut self, other: &SelVec) {
-        assert_eq!(self.len, other.len, "selection length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// Unions with `other` in place. Panics if lengths differ.
-    pub fn union(&mut self, other: &SelVec) {
-        assert_eq!(self.len, other.len, "selection length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Inverts the selection in place.
-    pub fn negate(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        Self::mask_tail(&mut self.words, self.len);
-    }
-
-    /// Iterates the indices of selected rows in ascending order.
-    pub fn iter(&self) -> SelIter<'_> {
-        SelIter {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-
-    /// The raw 64-bit words of the bitmap (batch readers).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Overwrites word `word_index` (rows `word_index*64 ..`) with `bits`.
-    ///
-    /// This is the bulk-install primitive for vectorized filters: a morsel's
-    /// match mask lands word-by-word instead of bit-by-bit. Bits beyond
-    /// `len` are masked off to preserve the popcount invariant. Panics when
-    /// `word_index` is out of range.
-    #[inline]
-    pub fn set_word(&mut self, word_index: usize, bits: u64) {
-        self.words[word_index] = bits;
-        if word_index == self.words.len() - 1 {
-            Self::mask_tail(&mut self.words, self.len);
-        }
-    }
-
-    /// Builds a selection directly from bitmap words (row `i` selected when
-    /// bit `i % 64` of word `i / 64` is set). Missing words read as zero;
-    /// excess words and tail bits beyond `len` are dropped.
-    pub fn from_words<I: IntoIterator<Item = u64>>(len: usize, words: I) -> Self {
-        let nwords = len.div_ceil(64);
-        let mut buf: Vec<u64> = words.into_iter().take(nwords).collect();
-        buf.resize(nwords, 0);
-        Self::mask_tail(&mut buf, len);
-        SelVec { words: buf, len }
-    }
-
-    /// Retains only rows for which `keep` returns true (called on selected rows only).
-    pub fn refine(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        // Iterate word-wise so clearing bits does not invalidate iteration.
-        for wi in 0..self.words.len() {
-            let mut w = self.words[wi];
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                let row = wi * 64 + bit;
-                if !keep(row) {
-                    self.words[wi] &= !(1u64 << bit);
-                }
-                w &= w - 1;
-            }
-        }
-    }
-}
-
-/// Iterator over set positions of a [`SelVec`].
-pub struct SelIter<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for SelIter<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                return Some(self.word_idx * 64 + bit);
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,76 +111,5 @@ mod tests {
         s.remove(63);
         assert!(!s.contains(63));
         assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    fn iter_yields_sorted_positions() {
-        let mut s = SelVec::none(200);
-        for i in [5usize, 64, 65, 130, 199] {
-            s.insert(i);
-        }
-        let got: Vec<usize> = s.iter().collect();
-        assert_eq!(got, vec![5, 64, 65, 130, 199]);
-    }
-
-    #[test]
-    fn negate_respects_tail() {
-        let mut s = SelVec::none(70);
-        s.insert(3);
-        s.negate();
-        assert_eq!(s.count(), 69);
-        assert!(!s.contains(3));
-        assert!(s.contains(69));
-    }
-
-    #[test]
-    fn intersect_and_union() {
-        let mut a = SelVec::from_bools(8, [true, true, false, false, true, false, true, false]);
-        let b = SelVec::from_bools(8, [true, false, true, false, true, false, false, false]);
-        let mut u = a.clone();
-        u.union(&b);
-        a.intersect(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![0, 1, 2, 4, 6]);
-    }
-
-    #[test]
-    fn refine_keeps_even_rows() {
-        let mut s = SelVec::all(100);
-        s.refine(|i| i % 2 == 0);
-        assert_eq!(s.count(), 50);
-        assert!(s.iter().all(|i| i % 2 == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "selection length mismatch")]
-    fn intersect_length_mismatch_panics() {
-        let mut a = SelVec::all(10);
-        a.intersect(&SelVec::all(11));
-    }
-
-    #[test]
-    fn set_word_masks_tail() {
-        let mut s = SelVec::none(70);
-        s.set_word(0, u64::MAX);
-        assert_eq!(s.count(), 64);
-        s.set_word(1, u64::MAX);
-        // Only rows 64..70 exist in the last word.
-        assert_eq!(s.count(), 70);
-        assert!(s.iter().all(|i| i < 70));
-    }
-
-    #[test]
-    fn from_words_matches_bitwise_construction() {
-        let sel = SelVec::from_words(130, [0b101u64, u64::MAX, u64::MAX]);
-        assert!(sel.contains(0) && !sel.contains(1) && sel.contains(2));
-        assert_eq!(sel.count(), 2 + 64 + 2);
-        // Excess words beyond the length are ignored.
-        let extra = SelVec::from_words(10, [0b11u64, u64::MAX]);
-        assert_eq!(extra.count(), 2);
-        // Missing words read as zero.
-        let short = SelVec::from_words(130, [u64::MAX]);
-        assert_eq!(short.count(), 64);
-        assert_eq!(short.words().len(), 3);
     }
 }

@@ -133,13 +133,6 @@ impl Table {
         }
     }
 
-    /// Materializes the subset of rows selected by `sel` into a new table.
-    pub fn filter(&self, sel: &SelVec) -> Table {
-        assert_eq!(sel.len(), self.nrows, "selection length mismatch");
-        let rows: Vec<usize> = sel.iter().collect();
-        self.take(&rows)
-    }
-
     /// Materializes the given rows (in order) into a new table.
     pub fn take(&self, rows: &[usize]) -> Table {
         let columns = self
@@ -367,12 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_take() {
+    fn take_materializes_listed_rows() {
         let t = small_table();
-        let mut sel = SelVec::none(3);
-        sel.insert(0);
-        sel.insert(2);
-        let f = t.filter(&sel);
+        let f = t.take(&[0, 2]);
         assert_eq!(f.num_rows(), 2);
         assert_eq!(f.value_at(0, 1), Value::Str("AA".into()));
 
