@@ -70,6 +70,81 @@ pub trait QueryHandle: Send {
     fn is_done(&self) -> bool;
 }
 
+/// A fixed per-query cost paid before an inner handle runs: IDEA's
+/// first-query warm-up, System X's planning overhead and System Y's
+/// middleware overhead (paper §5).
+///
+/// Each grant pays the outstanding overhead first and passes only the rest
+/// to the inner handle. Until the overhead is paid the handle shows no
+/// snapshot and is not done, even when the inner handle has nothing left to
+/// do (a scan over zero rows).
+pub struct Overhead {
+    remaining: u64,
+    inner: Box<dyn QueryHandle>,
+}
+
+impl Overhead {
+    /// Puts `units` of overhead in front of `inner`; zero overhead returns
+    /// `inner` itself.
+    pub fn wrap(units: u64, inner: Box<dyn QueryHandle>) -> Box<dyn QueryHandle> {
+        if units == 0 {
+            inner
+        } else {
+            Box::new(Overhead {
+                remaining: units,
+                inner,
+            })
+        }
+    }
+}
+
+impl QueryHandle for Overhead {
+    fn step(&mut self, granted: u64) -> StepStatus {
+        let paid = self.remaining.min(granted);
+        self.remaining -= paid;
+        if self.remaining > 0 {
+            return StepStatus::Running { units: paid };
+        }
+        let status = self.inner.step(granted - paid);
+        let units = paid + status.units();
+        if status.is_done() {
+            StepStatus::Done { units }
+        } else {
+            StepStatus::Running { units }
+        }
+    }
+
+    fn snapshot(&self) -> Option<AggResult> {
+        if self.remaining > 0 {
+            None
+        } else {
+            self.inner.snapshot()
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.remaining == 0 && self.inner.is_done()
+    }
+}
+
+/// A query whose result is known before any work is done, such as a
+/// result-cache hit: every step is `Done` and consumes nothing.
+pub struct Ready(pub AggResult);
+
+impl QueryHandle for Ready {
+    fn step(&mut self, _granted: u64) -> StepStatus {
+        StepStatus::Done { units: 0 }
+    }
+
+    fn snapshot(&self) -> Option<AggResult> {
+        Some(self.0.clone())
+    }
+
+    fn is_done(&self) -> bool {
+        true
+    }
+}
+
 /// Data-preparation statistics (paper §5.2 "data preparation time").
 ///
 /// Covers everything from connecting to a new data source until the system
@@ -143,6 +218,124 @@ mod tests {
         assert_eq!(StepStatus::Running { units: 5 }.units(), 5);
         assert!(!StepStatus::Running { units: 5 }.is_done());
         assert!(StepStatus::Done { units: 0 }.is_done());
+    }
+
+    /// A scan of `rows` one-unit rows whose snapshot counts the rows done.
+    struct Rows {
+        done: u64,
+        rows: u64,
+    }
+
+    impl QueryHandle for Rows {
+        fn step(&mut self, granted: u64) -> StepStatus {
+            let units = granted.min(self.rows - self.done);
+            self.done += units;
+            if self.is_done() {
+                StepStatus::Done { units }
+            } else {
+                StepStatus::Running { units }
+            }
+        }
+
+        fn snapshot(&self) -> Option<AggResult> {
+            let mut r = AggResult::empty_exact();
+            r.processed_fraction = self.done as f64;
+            Some(r)
+        }
+
+        fn is_done(&self) -> bool {
+            self.done == self.rows
+        }
+    }
+
+    fn overhead(units: u64, rows: u64) -> Box<dyn QueryHandle> {
+        Overhead::wrap(units, Box::new(Rows { done: 0, rows }))
+    }
+
+    /// Steps `h` with `grant` until done, returning every step's status.
+    fn drain(h: &mut dyn QueryHandle, grant: u64) -> Vec<StepStatus> {
+        let mut steps = Vec::new();
+        while !h.is_done() {
+            let st = h.step(grant);
+            assert!(st.units() <= grant, "{st:?} exceeds the grant {grant}");
+            steps.push(st);
+        }
+        steps
+    }
+
+    #[test]
+    fn overhead_larger_than_a_grant_is_paid_over_several_steps() {
+        let mut h = overhead(25, 10);
+        assert_eq!(h.step(10), StepStatus::Running { units: 10 });
+        assert_eq!(h.step(10), StepStatus::Running { units: 10 });
+        assert!(
+            h.snapshot().is_none(),
+            "no result before the overhead is paid"
+        );
+        assert!(!h.is_done());
+        // 5 units finish the overhead, 5 reach the inner handle.
+        assert_eq!(h.step(10), StepStatus::Running { units: 10 });
+        assert_eq!(h.snapshot().unwrap().processed_fraction, 5.0);
+        assert_eq!(h.step(10), StepStatus::Done { units: 5 });
+        assert!(h.is_done());
+    }
+
+    #[test]
+    fn overhead_ending_on_a_grant_boundary_passes_nothing_on() {
+        let mut h = overhead(20, 10);
+        assert_eq!(h.step(10), StepStatus::Running { units: 10 });
+        assert_eq!(h.step(10), StepStatus::Running { units: 10 });
+        assert_eq!(h.snapshot().unwrap().processed_fraction, 0.0);
+        assert_eq!(h.step(10), StepStatus::Done { units: 10 });
+    }
+
+    #[test]
+    fn zero_overhead_is_the_inner_handle() {
+        for grant in [1, 3, 10, 64] {
+            let mut plain = Rows { done: 0, rows: 10 };
+            assert_eq!(
+                drain(&mut *overhead(0, 10), grant),
+                drain(&mut plain, grant)
+            );
+        }
+    }
+
+    #[test]
+    fn finished_inner_handle_is_done_once_the_overhead_is_paid() {
+        let mut h = overhead(15, 0);
+        assert!(!h.is_done(), "a 0-row scan still pays its overhead");
+        assert!(h.snapshot().is_none());
+        assert_eq!(h.step(10), StepStatus::Running { units: 10 });
+        assert!(h.snapshot().is_none());
+        assert_eq!(h.step(10), StepStatus::Done { units: 5 });
+        assert!(h.is_done());
+        assert_eq!(h.snapshot().unwrap().processed_fraction, 0.0);
+        assert_eq!(h.step(10), StepStatus::Done { units: 0 });
+    }
+
+    #[test]
+    fn ready_result_waits_only_for_the_overhead() {
+        let mut h = Overhead::wrap(3, Box::new(Ready(AggResult::empty_exact())));
+        assert_eq!(h.step(2), StepStatus::Running { units: 2 });
+        assert!(h.snapshot().is_none());
+        assert_eq!(h.step(2), StepStatus::Done { units: 1 });
+        assert_eq!(h.snapshot(), Some(AggResult::empty_exact()));
+        let mut free = Overhead::wrap(0, Box::new(Ready(AggResult::empty_exact())));
+        assert!(free.is_done());
+        assert_eq!(free.step(5), StepStatus::Done { units: 0 });
+    }
+
+    #[test]
+    fn steps_bill_overhead_plus_inner_work_within_every_grant() {
+        for (units, rows) in [(0, 7), (1, 7), (7, 7), (20, 7), (5, 0), (100, 1_000)] {
+            for grant in [1, 2, 7, 16, 1_000] {
+                let steps = drain(&mut *overhead(units, rows), grant);
+                let total: u64 = steps.iter().map(|s| s.units()).sum();
+                assert_eq!(total, units + rows, "overhead {units}, grant {grant}");
+                assert!(steps[..steps.len() - 1].iter().all(|s| !s.is_done()));
+                assert!(steps.last().unwrap().is_done());
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,6 @@ use crate::service::{EngineService, QueryOptions, QueryTicket, SessionId};
 use crate::settings::{ExecutionMode, Settings};
 use crate::spec::BinDef;
 use idebench_storage::Dataset;
-use rustc_hash::FxHashMap;
 use std::time::Instant;
 
 /// Provides exact results for metric evaluation.
@@ -175,15 +174,14 @@ impl BenchmarkDriver {
 /// sessions alive at once and interleave [`WorkflowSession::step_service`]
 /// calls on a shared virtual clock, all submitting into one shared
 /// [`EngineService`]. The session owns everything one analyst's run
-/// accumulates — viz graph, binning-range cache, measurements, virtual
-/// clock — and *nothing else*: engine state lives behind the service, keyed
-/// by the session's [`SessionId`].
+/// accumulates — viz graph, measurements, virtual clock — and *nothing
+/// else*: engine state lives behind the service, keyed by the session's
+/// [`SessionId`].
 #[derive(Debug)]
 pub struct WorkflowSession {
     settings: Settings,
     session_id: SessionId,
     graph: VizGraph,
-    ranges: ColumnRanges,
     measurements: Vec<QueryMeasurement>,
     clock_ms: f64,
     query_id: usize,
@@ -203,7 +201,6 @@ impl WorkflowSession {
             settings,
             session_id,
             graph: VizGraph::new(),
-            ranges: ColumnRanges::default(),
             measurements: Vec::new(),
             clock_ms: 0.0,
             query_id: 0,
@@ -264,8 +261,8 @@ impl WorkflowSession {
             Interaction::Link { source, target } => {
                 let mut sq = self.graph.query_for(source)?;
                 let mut tq = self.graph.query_for(target)?;
-                resolve_count_binnings(&mut sq, dataset, &mut self.ranges)?;
-                resolve_count_binnings(&mut tq, dataset, &mut self.ranges)?;
+                resolve_count_binnings(&mut sq, dataset)?;
+                resolve_count_binnings(&mut tq, dataset)?;
                 service.on_link(self.session_id, &sq, &tq);
             }
             Interaction::Discard { viz } => service.on_discard(self.session_id, viz),
@@ -286,7 +283,7 @@ impl WorkflowSession {
         let mut lanes: Vec<(String, Query, QueryTicket)> = Vec::with_capacity(concurrent);
         for name in &affected {
             let mut query = self.graph.query_for(name)?;
-            resolve_count_binnings(&mut query, dataset, &mut self.ranges)?;
+            resolve_count_binnings(&mut query, dataset)?;
             let opts = QueryOptions::for_session(self.session_id)
                 .with_deadline_units(deadline_units)
                 .with_step_quantum(self.settings.step_quantum);
@@ -390,58 +387,19 @@ impl WorkflowSession {
     }
 }
 
-/// Cache of per-column `(min, max)` used to resolve [`BinDef::Count`]
-/// binnings into concrete widths (paper §2.2: count-based binning "requires
-/// a computation of the current minimum and maximum value").
-///
-/// Public so harnesses can replay workloads outside the driver (e.g. to
-/// pre-compute ground truth) with identical binning resolution.
-#[derive(Debug, Default)]
-pub struct ColumnRanges {
-    ranges: FxHashMap<String, (f64, f64)>,
-}
-
-impl ColumnRanges {
-    /// The cached min/max of a column, backed by the column's own lazily
-    /// cached statistics (`Column::numeric_min_max` — the same bounds the
-    /// query planner uses for dense bucketed binning, shared across every
-    /// session scanning the same dataset).
-    pub fn min_max(&mut self, dataset: &Dataset, column: &str) -> Result<(f64, f64), CoreError> {
-        if let Some(&r) = self.ranges.get(column) {
-            return Ok(r);
-        }
-        let stats = match dataset {
-            Dataset::Denormalized(t) => t.column(column)?.numeric_min_max(),
-            Dataset::Star(s) => match s.fact().column(column) {
-                Ok(c) => c.numeric_min_max(),
-                Err(_) => {
-                    let (_, dim) = s
-                        .dimension_of_column(column)
-                        .ok_or_else(|| CoreError::Storage(format!("unknown column {column}")))?;
-                    dim.column(column)?.numeric_min_max()
-                }
-            },
-        };
-        let (min, max) = stats.ok_or_else(|| {
-            CoreError::Storage(format!(
-                "column {column} has no finite values to derive a bin range from"
-            ))
-        })?;
-        self.ranges.insert(column.to_string(), (min, max));
-        Ok((min, max))
-    }
-}
-
 /// Rewrites every `Count` binning of `query` into an equivalent `Width`
-/// binning over the column's observed `[min, max]`.
-pub fn resolve_count_binnings(
-    query: &mut Query,
-    dataset: &Dataset,
-    ranges: &mut ColumnRanges,
-) -> Result<(), CoreError> {
+/// binning over the column's observed `[min, max]` (paper §2.2: count-based
+/// binning "requires a computation of the current minimum and maximum
+/// value").
+///
+/// The bounds come from the column's own lazily cached statistics
+/// (`Column::numeric_min_max`), the same bounds the query planner uses for
+/// dense bucketed binning, so harnesses replaying a workload outside the
+/// driver (e.g. to pre-compute ground truth) resolve binnings identically.
+pub fn resolve_count_binnings(query: &mut Query, dataset: &Dataset) -> Result<(), CoreError> {
     for idx in 0..query.binning().len() {
         if let BinDef::Count { dimension, bins } = query.binning()[idx].clone() {
-            let (min, max) = ranges.min_max(dataset, &dimension)?;
+            let (min, max) = column_min_max(dataset, &dimension)?;
             let nbins = bins.max(1) as f64;
             // Widen slightly so max falls inside the last bin rather than
             // spilling into bin `bins`.
@@ -459,6 +417,26 @@ pub fn resolve_count_binnings(
         }
     }
     Ok(())
+}
+
+fn column_min_max(dataset: &Dataset, column: &str) -> Result<(f64, f64), CoreError> {
+    let stats = match dataset {
+        Dataset::Denormalized(t) => t.column(column)?.numeric_min_max(),
+        Dataset::Star(s) => match s.fact().column(column) {
+            Ok(c) => c.numeric_min_max(),
+            Err(_) => {
+                let (_, dim) = s
+                    .dimension_of_column(column)
+                    .ok_or_else(|| CoreError::Storage(format!("unknown column {column}")))?;
+                dim.column(column)?.numeric_min_max()
+            }
+        },
+    };
+    stats.ok_or_else(|| {
+        CoreError::Storage(format!(
+            "column {column} has no finite values to derive a bin range from"
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -745,6 +723,29 @@ mod tests {
             }
             other => panic!("expected Width, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn count_binning_without_a_range_is_a_storage_error() {
+        let query = |dimension: &str| {
+            let bins = vec![BinDef::Count {
+                dimension: dimension.into(),
+                bins: 3,
+            }];
+            Query::for_viz(
+                &VizSpec::new("q", "flights", bins, vec![AggregateSpec::count()]),
+                None,
+            )
+        };
+        let err = resolve_count_binnings(&mut query("ghost"), &dataset()).unwrap_err();
+        assert!(matches!(err, CoreError::Storage(_)), "{err:?}");
+        let empty = TableBuilder::with_fields("flights", &[("dep_delay", DataType::Float)]);
+        let empty = Dataset::Denormalized(Arc::new(empty.finish()));
+        let err = resolve_count_binnings(&mut query("dep_delay"), &empty).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Storage(m) if m.contains("no finite values")),
+            "{err:?}"
+        );
     }
 
     #[test]

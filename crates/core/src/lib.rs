@@ -13,7 +13,8 @@
 //! - [`settings`]: benchmark settings (§4.6) — time requirement, think time,
 //!   dataset size, joins, confidence level — plus the execution mode.
 //! - [`adapter`]: the [`SystemAdapter`] / [`QueryHandle`] interface that
-//!   systems under test implement (§4.5).
+//!   systems under test implement (§4.5), with the [`Overhead`] and
+//!   [`Ready`] handles engines compose.
 //! - [`service`]: the shared, concurrent, deadline-aware [`EngineService`]
 //!   API — one engine serving many sessions through a deadline/priority
 //!   scheduler with cooperative cancellation ([`QueryTicket`]), and
@@ -38,7 +39,7 @@ pub mod service;
 pub mod settings;
 pub mod spec;
 
-pub use adapter::{PrepStats, QueryHandle, StepStatus, SystemAdapter};
+pub use adapter::{Overhead, PrepStats, QueryHandle, Ready, StepStatus, SystemAdapter};
 pub use driver::{
     BenchmarkDriver, GroundTruthProvider, QueryMeasurement, WorkflowOutcome, WorkflowSession,
 };
@@ -53,5 +54,5 @@ pub use service::{
     EngineService, QueryOptions, QueryTicket, ServiceCore, SessionId, TicketScheduler,
     TicketStatus, TicketSubscription,
 };
-pub use settings::{DataScale, ExecutionMode, Settings};
+pub use settings::{DataScale, ExecutionMode, Settings, DEFAULT_STEP_QUANTUM};
 pub use spec::{AggFunc, AggregateSpec, BinDef, FilterExpr, Predicate, Selection, VizSpec};

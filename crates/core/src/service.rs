@@ -61,7 +61,7 @@ use crate::adapter::{PrepStats, QueryHandle, SystemAdapter};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::result::AggResult;
-use crate::settings::Settings;
+use crate::settings::{Settings, DEFAULT_STEP_QUANTUM};
 use idebench_storage::Dataset;
 use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
@@ -106,7 +106,7 @@ impl QueryOptions {
             deadline_units: u64::MAX,
             priority: 0,
             session,
-            step_quantum: 16_384,
+            step_quantum: DEFAULT_STEP_QUANTUM,
         }
     }
 

@@ -63,6 +63,11 @@ impl ExecutionMode {
     }
 }
 
+/// Default work units granted to a query per step: the driver's
+/// [`Settings::step_quantum`], a ticket's default grant and the progressive
+/// engine's think-time round-robin slice.
+pub const DEFAULT_STEP_QUANTUM: u64 = 16_384;
+
 /// All benchmark settings (§4.6 of the paper).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Settings {
@@ -127,7 +132,7 @@ impl Default for Settings {
             use_joins: false,
             data_scale: DataScale::M,
             execution: ExecutionMode::default_virtual(),
-            step_quantum: 16_384,
+            step_quantum: DEFAULT_STEP_QUANTUM,
             seed: 42,
             concurrency_penalty: 0.0,
             workers: 0,

@@ -15,7 +15,8 @@
 //! are bit-identical to sequential ones.
 
 use idebench_core::{
-    AggResult, CoreError, PrepStats, Query, QueryHandle, Settings, StepStatus, SystemAdapter,
+    AggResult, CoreError, Overhead, PrepStats, Query, QueryHandle, Ready, Settings, StepStatus,
+    SystemAdapter,
 };
 use idebench_storage::Dataset;
 use parking_lot::Mutex;
@@ -127,25 +128,21 @@ impl<E: SystemAdapter> SystemAdapter for CachingAdapter<E> {
     }
 
     fn submit(&mut self, query: &Query) -> Box<dyn QueryHandle> {
-        let key = query.canonical_key();
-        if self.config.enable_cache {
-            if let Some(hit) = self.cache.lock().get(&key).cloned() {
-                return Box::new(CachedHandle {
-                    overhead_remaining: self.overhead_units,
-                    result: hit,
-                });
+        let handle: Box<dyn QueryHandle> = if self.config.enable_cache {
+            let key = query.canonical_key();
+            let hit = self.cache.lock().get(&key).cloned();
+            match hit {
+                Some(result) => Box::new(Ready(result)),
+                None => Box::new(CacheFill {
+                    inner: self.inner.submit(query),
+                    cache: Arc::clone(&self.cache),
+                    key,
+                }),
             }
-        }
-        let inner_handle = self.inner.submit(query);
-        Box::new(ForwardingHandle {
-            inner: inner_handle,
-            overhead_remaining: self.overhead_units,
-            cache: if self.config.enable_cache {
-                Some((Arc::clone(&self.cache), key))
-            } else {
-                None
-            },
-        })
+        } else {
+            self.inner.submit(query)
+        };
+        Overhead::wrap(self.overhead_units, handle)
     }
 
     fn on_link(&mut self, source_query: &Query, target_query: &Query) {
@@ -161,88 +158,31 @@ impl<E: SystemAdapter> SystemAdapter for CachingAdapter<E> {
     }
 }
 
-/// Serves a cache hit after paying the per-query overhead.
-struct CachedHandle {
-    overhead_remaining: u64,
-    result: AggResult,
-}
-
-impl QueryHandle for CachedHandle {
-    fn step(&mut self, granted: u64) -> StepStatus {
-        let pay = self.overhead_remaining.min(granted);
-        self.overhead_remaining -= pay;
-        if self.overhead_remaining == 0 {
-            StepStatus::Done { units: pay }
-        } else {
-            StepStatus::Running { units: pay }
-        }
-    }
-
-    fn snapshot(&self) -> Option<AggResult> {
-        if self.overhead_remaining == 0 {
-            Some(self.result.clone())
-        } else {
-            None
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.overhead_remaining == 0
-    }
-}
-
-/// Forwards to the inner engine's handle after paying the overhead; caches
-/// exact final results.
-struct ForwardingHandle {
+/// Forwards to the inner engine's handle and stores its final result if it
+/// is exact.
+struct CacheFill {
     inner: Box<dyn QueryHandle>,
-    overhead_remaining: u64,
-    cache: Option<(ResultCache, Arc<str>)>,
+    cache: ResultCache,
+    key: Arc<str>,
 }
 
-impl ForwardingHandle {
-    fn maybe_cache(&self) {
-        if let Some((cache, key)) = &self.cache {
-            if self.inner.is_done() {
-                if let Some(result) = self.inner.snapshot() {
-                    if result.exact {
-                        cache.lock().insert(Arc::clone(key), result);
-                    }
-                }
+impl QueryHandle for CacheFill {
+    fn step(&mut self, granted: u64) -> StepStatus {
+        let status = self.inner.step(granted);
+        if status.is_done() {
+            if let Some(result) = self.inner.snapshot().filter(|r| r.exact) {
+                self.cache.lock().insert(Arc::clone(&self.key), result);
             }
         }
-    }
-}
-
-impl QueryHandle for ForwardingHandle {
-    fn step(&mut self, granted: u64) -> StepStatus {
-        let mut used = 0u64;
-        if self.overhead_remaining > 0 {
-            let pay = self.overhead_remaining.min(granted);
-            self.overhead_remaining -= pay;
-            used += pay;
-        }
-        if used >= granted && self.overhead_remaining > 0 {
-            return StepStatus::Running { units: used };
-        }
-        let status = self.inner.step(granted - used);
-        used += status.units();
-        if status.is_done() {
-            self.maybe_cache();
-            StepStatus::Done { units: used }
-        } else {
-            StepStatus::Running { units: used }
-        }
+        status
     }
 
     fn snapshot(&self) -> Option<AggResult> {
-        if self.overhead_remaining > 0 {
-            return None; // still "rendering"
-        }
         self.inner.snapshot()
     }
 
     fn is_done(&self) -> bool {
-        self.overhead_remaining == 0 && self.inner.is_done()
+        self.inner.is_done()
     }
 }
 

@@ -11,9 +11,7 @@
 //! foreign keys (the equivalent of MonetDB's radix hash join probes), paid
 //! for in the per-row cost model.
 
-use idebench_core::{
-    CoreError, PrepStats, Query, QueryHandle, Settings, StepStatus, SystemAdapter,
-};
+use idebench_core::{CoreError, PrepStats, Query, QueryHandle, Settings, SystemAdapter};
 use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
 use idebench_storage::Dataset;
 
@@ -122,11 +120,11 @@ impl SystemAdapter for ExactAdapter {
     fn prepare(&mut self, dataset: &Dataset, settings: &Settings) -> Result<PrepStats, CoreError> {
         self.workers = settings.effective_workers();
         if let Some(existing) = &self.dataset {
-            if same_dataset(existing, dataset) {
+            if existing.ptr_eq(dataset) {
                 return Ok(self.prep);
             }
         }
-        let rows = total_rows(dataset) as f64;
+        let rows = dataset.total_rows() as f64;
         // Column min/max stats power the planner's dense bucketed binning;
         // warming them here keeps the O(rows) scan out of submit().
         dataset.warm_numeric_stats();
@@ -149,45 +147,7 @@ impl SystemAdapter for ExactAdapter {
         run.set_row_cost(cost);
         run.set_match_cost(self.config.match_cost);
         run.set_workers(self.workers);
-        Box::new(ExactHandle { run })
-    }
-}
-
-/// Identity check used by all adapters' idempotent `prepare` (thin alias
-/// of [`Dataset::ptr_eq`], kept for API compatibility).
-pub fn same_dataset(a: &Dataset, b: &Dataset) -> bool {
-    a.ptr_eq(b)
-}
-
-/// Total physical rows of a dataset (fact + dimensions), the unit of load
-/// cost.
-pub fn total_rows(dataset: &Dataset) -> usize {
-    match dataset {
-        Dataset::Denormalized(t) => t.num_rows(),
-        Dataset::Star(s) => s.total_rows(),
-    }
-}
-
-struct ExactHandle {
-    run: ChunkedRun,
-}
-
-impl QueryHandle for ExactHandle {
-    fn step(&mut self, granted: u64) -> StepStatus {
-        let units = self.run.advance(granted);
-        if self.run.is_done() {
-            StepStatus::Done { units }
-        } else {
-            StepStatus::Running { units }
-        }
-    }
-
-    fn snapshot(&self) -> Option<idebench_core::AggResult> {
-        self.run.snapshot()
-    }
-
-    fn is_done(&self) -> bool {
-        self.run.is_done()
+        Box::new(run)
     }
 }
 

@@ -25,8 +25,8 @@
 //!   every logical join, so normalized runs remain measurably costlier.
 
 use idebench_core::{
-    AggResult, BinCoord, BinDef, BinKey, CoreError, FilterExpr, Predicate, PrepStats, Query,
-    QueryHandle, Settings, StepStatus, SystemAdapter,
+    AggResult, BinCoord, BinDef, BinKey, CoreError, FilterExpr, Overhead, Predicate, PrepStats,
+    Query, QueryHandle, Settings, StepStatus, SystemAdapter, DEFAULT_STEP_QUANTUM,
 };
 use idebench_query::{ChunkedRun, CompiledPlan, PlannedColumn, SnapshotMode};
 use idebench_storage::Dataset;
@@ -257,10 +257,7 @@ impl SystemAdapter for ProgressiveAdapter {
             self.first_query_issued = true;
             self.warmup_units
         };
-        Box::new(ProgressiveHandle {
-            run,
-            warmup_remaining: warmup,
-        })
+        Overhead::wrap(warmup, Box::new(SharedHandle(run)))
     }
 
     fn on_link(&mut self, source_query: &Query, target_query: &Query) {
@@ -304,7 +301,6 @@ impl SystemAdapter for ProgressiveAdapter {
             return;
         }
         let mut remaining = budget_units;
-        let quantum = 16_384u64;
         // Round-robin the pending speculative runs until the budget is gone.
         while remaining > 0 {
             let Some(key) = self.speculative.pop_front() else {
@@ -313,14 +309,11 @@ impl SystemAdapter for ProgressiveAdapter {
             let Some(run) = self.cache.get(&key) else {
                 continue;
             };
-            let grant = quantum.min(remaining);
-            let mut guard = run.lock();
-            let used = guard.advance(grant);
-            let done = guard.is_done();
-            drop(guard);
+            let status = run.lock().step(DEFAULT_STEP_QUANTUM.min(remaining));
+            let used = status.units();
             remaining -= used.min(remaining);
             // A completed run drops from the rotation.
-            if !done {
+            if !status.is_done() {
                 self.speculative.push_back(key);
                 if used == 0 {
                     // Cannot make progress with this grant size; avoid spinning.
@@ -391,39 +384,21 @@ fn bin_filter(dataset: &Dataset, binning: &[BinDef], key: &BinKey) -> Option<Fil
     })
 }
 
-struct ProgressiveHandle {
-    run: SharedRun,
-    warmup_remaining: u64,
-}
+/// A submitted query's handle on a run it may share with re-issued and
+/// speculative queries.
+struct SharedHandle(SharedRun);
 
-impl QueryHandle for ProgressiveHandle {
+impl QueryHandle for SharedHandle {
     fn step(&mut self, granted: u64) -> StepStatus {
-        let mut used = 0u64;
-        if self.warmup_remaining > 0 {
-            let pay = self.warmup_remaining.min(granted);
-            self.warmup_remaining -= pay;
-            used += pay;
-        }
-        let mut run = self.run.lock();
-        if granted > used {
-            used += run.advance(granted - used);
-        }
-        if run.is_done() {
-            StepStatus::Done { units: used }
-        } else {
-            StepStatus::Running { units: used }
-        }
+        self.0.lock().step(granted)
     }
 
     fn snapshot(&self) -> Option<AggResult> {
-        if self.warmup_remaining > 0 {
-            return None;
-        }
-        self.run.lock().snapshot()
+        self.0.lock().snapshot()
     }
 
     fn is_done(&self) -> bool {
-        self.warmup_remaining == 0 && self.run.lock().is_done()
+        self.0.lock().is_done()
     }
 }
 

@@ -25,9 +25,7 @@
 //! row, so uniform scale-up estimators apply (weights are equal across
 //! strata up to rounding); see `DESIGN.md` for the simplification note.
 
-use idebench_core::{
-    CoreError, PrepStats, Query, QueryHandle, Settings, StepStatus, SystemAdapter,
-};
+use idebench_core::{CoreError, Overhead, PrepStats, Query, QueryHandle, Settings, SystemAdapter};
 use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
 use idebench_storage::{Dataset, StarSchema, Table};
 use rand::rngs::StdRng;
@@ -384,32 +382,8 @@ impl SystemAdapter for StratifiedAdapter {
         );
         run.set_row_cost(cost);
         run.set_match_cost(self.config.match_cost);
-        run.set_startup_units(self.overhead_units);
         run.set_workers(self.workers);
-        Box::new(StratifiedHandle { run })
-    }
-}
-
-struct StratifiedHandle {
-    run: ChunkedRun,
-}
-
-impl QueryHandle for StratifiedHandle {
-    fn step(&mut self, granted: u64) -> StepStatus {
-        let units = self.run.advance(granted);
-        if self.run.is_done() {
-            StepStatus::Done { units }
-        } else {
-            StepStatus::Running { units }
-        }
-    }
-
-    fn snapshot(&self) -> Option<idebench_core::AggResult> {
-        self.run.snapshot()
-    }
-
-    fn is_done(&self) -> bool {
-        self.run.is_done()
+        Overhead::wrap(self.overhead_units, Box::new(run))
     }
 }
 

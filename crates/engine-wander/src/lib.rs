@@ -143,10 +143,6 @@ impl SystemAdapter for WanderAdapter {
             }
         }
         let fact_rows = dataset.fact_rows();
-        let total_rows = match dataset {
-            Dataset::Denormalized(t) => t.num_rows(),
-            Dataset::Star(s) => s.total_rows(),
-        };
         // Column min/max stats power the planner's dense bucketed binning;
         // warming them here keeps the O(rows) scan out of submit().
         dataset.warm_numeric_stats();
@@ -157,7 +153,8 @@ impl SystemAdapter for WanderAdapter {
         self.z = settings.z_value();
         self.report_interval_units = settings.seconds_to_units(self.config.report_interval_s);
         self.prep = PrepStats {
-            load_units: (total_rows as f64 * self.config.load_units_per_row).round() as u64,
+            load_units: (dataset.total_rows() as f64 * self.config.load_units_per_row).round()
+                as u64,
             preprocess_units: 0,
             warmup_units: 0,
         };
@@ -194,11 +191,13 @@ impl SystemAdapter for WanderAdapter {
                 report_interval: self.report_interval_units,
             })
         } else {
+            // Blocking PostgreSQL-style fallback for unsupported online
+            // queries.
             let cost = self.config.blocking_row_cost(&plan);
             let mut run = ChunkedRun::from_plan(plan, None, SnapshotMode::Exact);
             run.set_row_cost(cost);
             run.set_workers(self.workers);
-            Box::new(BlockingHandle { run })
+            Box::new(run)
         }
     }
 }
@@ -213,46 +212,15 @@ struct WanderHandle {
 
 impl QueryHandle for WanderHandle {
     fn step(&mut self, granted: u64) -> StepStatus {
-        let units = self.run.advance(granted);
-        self.consumed += units;
-        if self.run.is_done() {
-            StepStatus::Done { units }
-        } else {
-            StepStatus::Running { units }
-        }
+        let status = self.run.step(granted);
+        self.consumed += status.units();
+        status
     }
 
     fn snapshot(&self) -> Option<idebench_core::AggResult> {
-        if self.run.is_done() {
-            return self.run.snapshot();
-        }
-        if self.consumed < self.report_interval {
+        if !self.run.is_done() && self.consumed < self.report_interval {
             return None; // first report not due yet
         }
-        self.run.snapshot()
-    }
-
-    fn is_done(&self) -> bool {
-        self.run.is_done()
-    }
-}
-
-/// Blocking PostgreSQL-style fallback for unsupported online queries.
-struct BlockingHandle {
-    run: ChunkedRun,
-}
-
-impl QueryHandle for BlockingHandle {
-    fn step(&mut self, granted: u64) -> StepStatus {
-        let units = self.run.advance(granted);
-        if self.run.is_done() {
-            StepStatus::Done { units }
-        } else {
-            StepStatus::Running { units }
-        }
-    }
-
-    fn snapshot(&self) -> Option<idebench_core::AggResult> {
         self.run.snapshot()
     }
 

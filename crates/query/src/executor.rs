@@ -18,7 +18,7 @@ use crate::aggregate::GroupedAcc;
 use crate::dispatch::{MorselDispatcher, CHUNK_ROWS};
 use crate::plan::CompiledPlan;
 use crate::resolve::ResolvedQuery;
-use idebench_core::{AggResult, CoreError, Query};
+use idebench_core::{AggResult, CoreError, Query, QueryHandle, StepStatus};
 use idebench_storage::Dataset;
 use std::sync::Arc;
 
@@ -51,8 +51,9 @@ pub enum SnapshotMode {
 ///
 /// The run owns its compiled plan (which owns the dataset handle) and an
 /// optional row *order* (progressive engines scan a shuffled order so any
-/// prefix is a uniform sample). Engines wrap this in their
-/// [`idebench_core::QueryHandle`] implementations.
+/// prefix is a uniform sample). A run is itself a [`QueryHandle`]: engines
+/// return it boxed, behind [`idebench_core::Overhead`] when the system pays
+/// a fixed cost before the scan starts.
 pub struct ChunkedRun {
     plan: CompiledPlan,
     /// Row visit order; `None` = natural order 0..n.
@@ -66,10 +67,6 @@ pub struct ChunkedRun {
     /// with qualifying tuples, which is what makes filter selectivity the
     /// dominant cost factor — the paper's Exp-4 finding).
     match_cost: f64,
-    /// Fixed work consumed before the first row is processed (planning,
-    /// warm-up). Charged against the first `advance` budgets.
-    startup_units: u64,
-    startup_remaining: u64,
     mode: SnapshotMode,
     /// Total fractional row work performed (monotone).
     row_work: f64,
@@ -117,8 +114,6 @@ impl ChunkedRun {
             num_rows,
             row_cost,
             match_cost: 0.0,
-            startup_units: 0,
-            startup_remaining: 0,
             mode,
             row_work: 0.0,
             row_billed: 0,
@@ -135,12 +130,6 @@ impl ChunkedRun {
     pub fn set_match_cost(&mut self, cost: f64) {
         assert!(cost >= 0.0 && cost.is_finite(), "match cost must be >= 0");
         self.match_cost = cost;
-    }
-
-    /// Sets a fixed startup cost consumed before any row is processed.
-    pub fn set_startup_units(&mut self, units: u64) {
-        self.startup_units = units;
-        self.startup_remaining = units;
     }
 
     /// Sets the scan's worker-pool size (clamped to ≥ 1; `1` computes one
@@ -176,15 +165,6 @@ impl ChunkedRun {
         self.cursor >= self.num_rows
     }
 
-    /// Fraction of rows processed.
-    pub fn progress(&self) -> f64 {
-        if self.num_rows == 0 {
-            1.0
-        } else {
-            self.cursor as f64 / self.num_rows as f64
-        }
-    }
-
     /// Processes rows until `budget_units` is exhausted or the scan ends.
     /// Returns the units actually consumed.
     ///
@@ -218,17 +198,8 @@ impl ChunkedRun {
     /// each [`ChunkedRun::snapshot`] taken mid-chunk replays the chunk's
     /// prefix (under one chunk).
     pub fn advance(&mut self, budget_units: u64) -> u64 {
-        let mut consumed = 0u64;
-        let mut budget = budget_units;
-        // Pay any outstanding startup cost first.
-        if self.startup_remaining > 0 {
-            let pay = self.startup_remaining.min(budget);
-            self.startup_remaining -= pay;
-            consumed += pay;
-            budget -= pay;
-        }
-        if budget == 0 {
-            return consumed;
+        if budget_units == 0 {
+            return 0;
         }
 
         const EPS: f64 = 1e-9;
@@ -236,7 +207,7 @@ impl ChunkedRun {
         // plus this call's budget. Unbilled overdraw from previous calls
         // (row_work > row_billed) shrinks the remaining room automatically —
         // and is still billed below once the scan itself is complete.
-        let cap = self.row_billed as f64 + budget as f64;
+        let cap = self.row_billed as f64 + budget_units as f64;
         let worst_row = self.row_cost + self.match_cost;
         while self.cursor < self.num_rows && self.row_work + self.row_cost <= cap + EPS {
             let room = cap + EPS - self.row_work;
@@ -258,9 +229,11 @@ impl ChunkedRun {
 
         // Bill the newly performed work, rounded up, capped by the budget.
         let billed_target = (self.row_work - EPS).ceil().max(0.0) as u64;
-        let delta = billed_target.saturating_sub(self.row_billed).min(budget);
+        let delta = billed_target
+            .saturating_sub(self.row_billed)
+            .min(budget_units);
         self.row_billed += delta;
-        consumed + delta
+        delta
     }
 
     /// The current result under the run's snapshot mode.
@@ -321,6 +294,27 @@ impl ChunkedRun {
     /// The compiled plan driving this run.
     pub fn plan(&self) -> &CompiledPlan {
         &self.plan
+    }
+}
+
+/// The driver's view of a run: `step` is [`ChunkedRun::advance`] plus the
+/// done check.
+impl QueryHandle for ChunkedRun {
+    fn step(&mut self, granted: u64) -> StepStatus {
+        let units = self.advance(granted);
+        if ChunkedRun::is_done(self) {
+            StepStatus::Done { units }
+        } else {
+            StepStatus::Running { units }
+        }
+    }
+
+    fn snapshot(&self) -> Option<AggResult> {
+        ChunkedRun::snapshot(self)
+    }
+
+    fn is_done(&self) -> bool {
+        ChunkedRun::is_done(self)
     }
 }
 
@@ -621,16 +615,40 @@ mod tests {
     }
 
     #[test]
-    fn startup_units_paid_before_rows() {
+    fn overhead_paid_before_rows() {
         let ds = dataset(100);
         let mut run = ChunkedRun::new(ds, count_query(), SnapshotMode::Exact).unwrap();
-        run.set_startup_units(30);
-        let used = run.advance(20);
-        assert_eq!(used, 20);
-        assert_eq!(run.rows_done(), 0);
-        let used = run.advance(20);
-        assert_eq!(used, 20); // 10 startup + 10 rows
-        assert_eq!(run.rows_done(), 10);
+        run.set_row_cost(1.0);
+        let mut h = idebench_core::Overhead::wrap(30, Box::new(run));
+        assert_eq!(h.step(20), StepStatus::Running { units: 20 });
+        assert_eq!(h.step(20), StepStatus::Running { units: 20 }); // 10 overhead + 10 rows
+                                                                   // The other 90 rows finish the scan.
+        assert_eq!(h.step(1_000), StepStatus::Done { units: 90 });
+        assert_eq!(
+            h.snapshot(),
+            execute_exact(&dataset(100), &count_query()).ok()
+        );
+    }
+
+    #[test]
+    fn a_run_is_a_query_handle() {
+        let ds = dataset(100);
+        let mut run = ChunkedRun::new(ds.clone(), count_query(), SnapshotMode::Exact).unwrap();
+        run.set_row_cost(1.0);
+        let h: &mut dyn QueryHandle = &mut run;
+        assert_eq!(h.step(0), StepStatus::Running { units: 0 });
+        assert_eq!(h.step(60), StepStatus::Running { units: 60 });
+        assert!(!h.is_done());
+        assert!(h.snapshot().is_none(), "exact runs show nothing mid-scan");
+        assert_eq!(h.step(60), StepStatus::Done { units: 40 });
+        assert!(h.is_done());
+        assert_eq!(h.snapshot(), execute_exact(&ds, &count_query()).ok());
+        assert_eq!(h.step(60), StepStatus::Done { units: 0 });
+        let mut empty = ChunkedRun::new(dataset(0), count_query(), SnapshotMode::Exact).unwrap();
+        assert_eq!(
+            QueryHandle::step(&mut empty, 0),
+            StepStatus::Done { units: 0 }
+        );
     }
 
     #[test]
@@ -1347,7 +1365,6 @@ mod tests {
             let mut run = ChunkedRun::new(dataset(0), count_query(), SnapshotMode::Exact).unwrap();
             run.set_workers(workers);
             assert!(run.is_done());
-            assert_eq!(run.progress(), 1.0);
             assert_eq!(run.advance(16_384), 0);
             assert_eq!(run.snapshot().unwrap().bins.len(), 0);
         }

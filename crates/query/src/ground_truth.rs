@@ -67,7 +67,6 @@ pub fn enumerate_workload_queries(
     dataset: &Dataset,
     workloads: &[&[idebench_core::Interaction]],
 ) -> Result<Vec<Query>, idebench_core::CoreError> {
-    let mut ranges = idebench_core::driver::ColumnRanges::default();
     let mut seen = rustc_hash::FxHashSet::default();
     let mut out = Vec::new();
     for interactions in workloads {
@@ -75,7 +74,7 @@ pub fn enumerate_workload_queries(
         for interaction in *interactions {
             for viz in graph.apply(interaction)? {
                 let mut query = graph.query_for(&viz)?;
-                idebench_core::driver::resolve_count_binnings(&mut query, dataset, &mut ranges)?;
+                idebench_core::driver::resolve_count_binnings(&mut query, dataset)?;
                 if seen.insert(query.canonical_key()) {
                     out.push(query);
                 }

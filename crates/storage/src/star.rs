@@ -320,6 +320,15 @@ impl Dataset {
         }
     }
 
+    /// Total physical rows across fact and dimensions — the unit engines
+    /// charge load cost in.
+    pub fn total_rows(&self) -> usize {
+        match self {
+            Dataset::Denormalized(t) => t.num_rows(),
+            Dataset::Star(s) => s.total_rows(),
+        }
+    }
+
     /// Total byte footprint.
     pub fn byte_size(&self) -> usize {
         match self {
@@ -406,6 +415,13 @@ mod tests {
         assert_eq!(s.total_rows(), 5);
         assert!(s.dimension("carriers").is_ok());
         assert!(s.dimension("nope").is_err());
+    }
+
+    #[test]
+    fn dataset_total_rows_counts_every_table() {
+        let star = StarSchema::new(fact(), vec![(spec(), carriers())]).unwrap();
+        assert_eq!(Dataset::Star(Arc::new(star)).total_rows(), 5);
+        assert_eq!(Dataset::Denormalized(fact()).total_rows(), 3);
     }
 
     #[test]
