@@ -15,6 +15,13 @@
 //! for at least 200 ms, after one warm-up run, and records the best run's
 //! rows/s (which the gates compare) next to the median and interquartile
 //! range of all runs.
+//!
+//! To make runs on a shared host comparable, a fixed streaming reference
+//! kernel is timed before every case; the report records each case's
+//! reading and the fastest and slowest over the run. Each case also records
+//! the physical bytes per row its kernels read (narrow encodings as
+//! stored, see `CompiledPlan::bytes_per_row`) and the bandwidth its best
+//! run achieved.
 
 use idebench_core::metrics::{median, percentiles};
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
@@ -22,7 +29,7 @@ use idebench_core::{FilterExpr, Predicate, Query, Settings, VizSpec};
 use idebench_engine_progressive::ProgressiveConfig;
 use idebench_query::{
     available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, AccMode,
-    ChunkedRun, CompiledPlan, SnapshotMode,
+    ChunkedRun, CompiledPlan, Shuffle, SnapshotMode,
 };
 use idebench_storage::Dataset;
 use std::sync::Arc;
@@ -53,6 +60,48 @@ impl Throughput {
     fn iqr(&self) -> f64 {
         self.p75 - self.p25
     }
+}
+
+/// Milliseconds of a fixed reference kernel — streaming sums over 8 MiB of
+/// `f64`s and FNV-1a over 4 MiB of bytes — read to tell how fast the host
+/// runs at the moment.
+fn reference_kernel_ms() -> f64 {
+    let floats: Vec<f64> = (0..1u32 << 20).map(f64::from).collect();
+    let bytes: Vec<u8> = (0..1u32 << 22).map(|i| i as u8).collect();
+    let start = Instant::now();
+    let mut sum = 0.0;
+    for _ in 0..20 {
+        sum += std::hint::black_box(&floats).iter().sum::<f64>();
+    }
+    let h = fnv1a(0xcbf2_9ce4_8422_2325, std::hint::black_box(&bytes));
+    std::hint::black_box((sum, h));
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Reference-kernel readings taken before each case.
+#[derive(Default)]
+struct HostReadings(Vec<f64>);
+
+impl HostReadings {
+    /// Times the reference kernel once and returns the reading.
+    fn read(&mut self) -> f64 {
+        let ms = reference_kernel_ms();
+        self.0.push(ms);
+        ms
+    }
+
+    fn summary(&self) -> serde_json::Value {
+        serde_json::json!({
+            "fastest": self.0.iter().copied().fold(f64::INFINITY, f64::min),
+            "slowest": self.0.iter().copied().fold(0.0, f64::max),
+            "readings": self.0.len(),
+        })
+    }
+}
+
+/// Achieved bandwidth of a scan reading `bytes_per_row` at `rows_per_sec`.
+fn gb_per_sec(rows_per_sec: f64, bytes_per_row: f64) -> f64 {
+    rows_per_sec * bytes_per_row / 1e9
 }
 
 fn time_rows_per_sec(rows: usize, mut f: impl FnMut()) -> Throughput {
@@ -221,10 +270,11 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs `q` over `order` as the progressive engine does — its cost model,
-/// estimate snapshots, one `step_quantum` grant per call — and hashes every
-/// grant's rows done and units billed, then the final snapshot.
-fn stepped_scan(data: &Dataset, q: &Query, order: &Arc<Vec<u32>>, workers: usize) -> u64 {
+/// Runs `q` in `shuffle`'s order as the progressive engine does — its cost
+/// model, the shuffle's shared permuted copies, estimate snapshots, one
+/// `step_quantum` grant per call — and hashes every grant's rows done and
+/// units billed, then the final snapshot.
+fn stepped_scan(data: &Dataset, q: &Query, shuffle: &Shuffle, workers: usize) -> u64 {
     let config = ProgressiveConfig::default();
     let plan = CompiledPlan::compile(data, q).expect("bench query compiles");
     let row_cost = config.row_cost(&plan);
@@ -233,7 +283,7 @@ fn stepped_scan(data: &Dataset, q: &Query, order: &Arc<Vec<u32>>, workers: usize
         z: 1.96,
         population,
     };
-    let mut run = ChunkedRun::from_plan(plan, Some(Arc::clone(order)), mode);
+    let mut run = ChunkedRun::from_shuffle(plan, shuffle, mode);
     run.set_row_cost(row_cost);
     run.set_match_cost(config.match_cost);
     run.set_workers(workers);
@@ -271,11 +321,14 @@ fn main() {
         ("star_joined_2d_agg", &star, star_joined_2d_agg()),
     ];
 
+    let mut host = HostReadings::default();
     let mut entries = Vec::new();
     let mut regressions = Vec::new();
     for (name, data, q) in &cases {
+        let reference_ms = host.read();
         let plan = CompiledPlan::compile(data, q).expect("bench query compiles");
         let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
+        let bytes_per_row = plan.bytes_per_row();
         assert_eq!(
             execute_exact(data, q).unwrap(),
             execute_exact_scalar(data, q).unwrap(),
@@ -288,8 +341,9 @@ fn main() {
             let _ = execute_exact_scalar(data, q).unwrap();
         });
         let speedup = vec.best / scalar.best;
+        let gbps = gb_per_sec(vec.best, bytes_per_row);
         println!(
-            "{name:<32} vectorized {:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   scalar {:>12.0} rows/s   speedup {speedup:.2}x   {}",
+            "{name:<32} vectorized {:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   scalar {:>12.0} rows/s   speedup {speedup:.2}x   {}   {bytes_per_row:.1} B/row {gbps:.2} GB/s   ref {reference_ms:.1} ms",
             vec.best,
             vec.median,
             vec.p25,
@@ -312,6 +366,9 @@ fn main() {
             "scalar_median_rows_per_sec": scalar.median,
             "scalar_iqr_rows_per_sec": scalar.iqr(),
             "speedup": speedup,
+            "bytes_per_row": bytes_per_row,
+            "vectorized_gb_per_sec": gbps,
+            "reference_kernel_ms": reference_ms,
         }));
     }
     let join_stats = star.as_star().unwrap().join_cache_stats();
@@ -330,6 +387,9 @@ fn main() {
         42,
     )));
     let scan = exact_scan();
+    let scan_bytes_per_row = CompiledPlan::compile(&scaling_ds, &scan)
+        .expect("bench query compiles")
+        .bytes_per_row();
     let scalar_ref = execute_exact_scalar(&scaling_ds, &scan).unwrap();
     let scalar_rps = time_rows_per_sec(SCALING_ROWS, || {
         let _ = execute_exact_scalar(&scaling_ds, &scan).unwrap();
@@ -342,6 +402,7 @@ fn main() {
     let mut scaling = Vec::new();
     let mut baseline_rps = f64::NAN;
     for &workers in &worker_counts {
+        let reference_ms = host.read();
         assert_eq!(
             execute_exact_parallel(&scaling_ds, &scan, workers).unwrap(),
             scalar_ref,
@@ -371,6 +432,9 @@ fn main() {
             "iqr_rows_per_sec": t.iqr(),
             "speedup_vs_single_worker": rps / baseline_rps,
             "speedup_vs_scalar": rps / scalar_rps,
+            "bytes_per_row": scan_bytes_per_row,
+            "gb_per_sec": gb_per_sec(rps, scan_bytes_per_row),
+            "reference_kernel_ms": reference_ms,
         }));
     }
 
@@ -383,18 +447,22 @@ fn main() {
         min: 0.0,
         max: 60.0,
     }));
-    let order = shuffled(ROWS, 7);
-    let reference_hash = stepped_scan(&ds, &stepped_q, &order, 1);
+    let shuffle = Shuffle::from_order(&ds, shuffled(ROWS, 7));
+    let stepped_bytes_per_row = CompiledPlan::compile(&ds, &stepped_q)
+        .expect("bench query compiles")
+        .bytes_per_row();
+    let reference_hash = stepped_scan(&ds, &stepped_q, &shuffle, 1);
     let mut stepped = Vec::new();
     let mut single_rps = f64::NAN;
     for workers in [1, cores] {
-        let hash = stepped_scan(&ds, &stepped_q, &order, workers);
+        let reference_ms = host.read();
+        let hash = stepped_scan(&ds, &stepped_q, &shuffle, workers);
         assert_eq!(
             hash, reference_hash,
             "stepped scan ({workers} workers) must bill and answer exactly as 1 worker"
         );
         let t = time_rows_per_sec(ROWS, || {
-            let _ = stepped_scan(&ds, &stepped_q, &order, workers);
+            let _ = stepped_scan(&ds, &stepped_q, &shuffle, workers);
         });
         let rps = t.best;
         if workers == 1 {
@@ -417,6 +485,9 @@ fn main() {
             "iqr_rows_per_sec": t.iqr(),
             "speedup_vs_single_worker": rps / single_rps,
             "result_hash": format!("{hash:#018x}"),
+            "bytes_per_row": stepped_bytes_per_row,
+            "gb_per_sec": gb_per_sec(rps, stepped_bytes_per_row),
+            "reference_kernel_ms": reference_ms,
         }));
     }
 
@@ -433,6 +504,7 @@ fn main() {
         "benchmark": "scan",
         "available_cores": cores,
         "scaling_note": scaling_note,
+        "reference_kernel_ms": host.summary(),
         "join_cache": {
             "materializations": join_stats.entries,
             "bytes": join_stats.bytes,

@@ -393,9 +393,11 @@ impl WorkflowSession {
 /// value").
 ///
 /// The bounds come from the column's own lazily cached statistics
-/// (`Column::numeric_min_max`), the same bounds the query planner uses for
-/// dense bucketed binning, so harnesses replaying a workload outside the
-/// driver (e.g. to pre-compute ground truth) resolve binnings identically.
+/// (`Column::finite_min_max`: the range of its finite values, so a NaN or
+/// ±∞ row does not stop the column from being binned), the same cached
+/// scan the query planner's dense bucketed binning reads, so harnesses
+/// replaying a workload outside the driver (e.g. to pre-compute ground
+/// truth) resolve binnings identically.
 pub fn resolve_count_binnings(query: &mut Query, dataset: &Dataset) -> Result<(), CoreError> {
     for idx in 0..query.binning().len() {
         if let BinDef::Count { dimension, bins } = query.binning()[idx].clone() {
@@ -421,14 +423,14 @@ pub fn resolve_count_binnings(query: &mut Query, dataset: &Dataset) -> Result<()
 
 fn column_min_max(dataset: &Dataset, column: &str) -> Result<(f64, f64), CoreError> {
     let stats = match dataset {
-        Dataset::Denormalized(t) => t.column(column)?.numeric_min_max(),
+        Dataset::Denormalized(t) => t.column(column)?.finite_min_max(),
         Dataset::Star(s) => match s.fact().column(column) {
-            Ok(c) => c.numeric_min_max(),
+            Ok(c) => c.finite_min_max(),
             Err(_) => {
                 let (_, dim) = s
                     .dimension_of_column(column)
                     .ok_or_else(|| CoreError::Storage(format!("unknown column {column}")))?;
-                dim.column(column)?.numeric_min_max()
+                dim.column(column)?.finite_min_max()
             }
         },
     };

@@ -298,8 +298,8 @@ mod tests {
             }
             c.iter().enumerate().max_by_key(|(_, &v)| v).unwrap().0 as u32
         };
-        let stop = sdict.value(top(scodes, sdict.len())).unwrap();
-        let gtop = gdict.value(top(gcodes, gdict.len())).unwrap();
+        let stop = sdict.value(top(&scodes, sdict.len())).unwrap();
+        let gtop = gdict.value(top(&gcodes, gdict.len())).unwrap();
         assert_eq!(stop, gtop);
     }
 

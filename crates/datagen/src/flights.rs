@@ -15,7 +15,8 @@
 
 use crate::encode::first_seen_column;
 use crate::stats::{sample_cumulative, zipf_cumulative};
-use idebench_storage::{Column, DataType, Schema, Table};
+use idebench_storage::encoding::Code;
+use idebench_storage::{Column, ColumnData, DataType, Ints, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
@@ -118,7 +119,9 @@ fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
 pub(crate) const BLOCK_ROWS: usize = 1 << 16;
 
 /// One row as drawn, before dictionary encoding: nominal attributes are
-/// category indexes, and every value is already rounded as stored.
+/// category indexes, and each float value is held as its rounded scaled
+/// integer `k` (an integral `f64`; the stored value is `k / 10^e`, with
+/// `e` = 2 for times, 1 for delays and 0 for distance and air time).
 struct Row {
     carrier: usize,
     origin: usize,
@@ -183,7 +186,8 @@ fn draw_row(world: &World, rng: &mut StdRng) -> Row {
     } else {
         base + 20.0 + exponential(rng, 55.0)
     };
-    let dep_delay = (dep_delay * 10.0).round() / 10.0;
+    let dep_delay_k = (dep_delay * 10.0).round();
+    let dep_delay = dep_delay_k / 10.0;
 
     let distance = {
         let dx = o.x - d.x;
@@ -197,7 +201,8 @@ fn draw_row(world: &World, rng: &mut StdRng) -> Row {
     // Arrival delay strongly tracks departure delay, with en-route
     // recovery and noise.
     let arr_delay = dep_delay * 0.92 - 4.0 + normal(rng) * 9.0;
-    let arr_delay = (arr_delay * 10.0).round() / 10.0;
+    let arr_delay_k = (arr_delay * 10.0).round();
+    let arr_delay = arr_delay_k / 10.0;
 
     let arr_time = (dep_time + air_time / 60.0 + arr_delay.max(0.0) / 60.0).rem_euclid(24.0);
 
@@ -207,10 +212,10 @@ fn draw_row(world: &World, rng: &mut StdRng) -> Row {
         dest,
         month,
         dow,
-        dep_time: (dep_time * 100.0).round() / 100.0,
-        dep_delay,
-        arr_time: (arr_time * 100.0).round() / 100.0,
-        arr_delay,
+        dep_time: (dep_time * 100.0).round(),
+        dep_delay: dep_delay_k,
+        arr_time: (arr_time * 100.0).round(),
+        arr_delay: arr_delay_k,
         distance: distance.round(),
         air_time: air_time.round(),
     }
@@ -230,20 +235,43 @@ fn skip_row(rng: &mut StdRng) {
     }
 }
 
-/// Output buffers in schema order: the five nominal columns (holding
-/// category indexes until the recode pass), the two int columns and the six
-/// float columns.
+/// Output buffers, each at the width the column is stored in, so the
+/// table is never held in a wider form: the five nominal columns (category
+/// indexes, all below 256, until the recode pass), the two int columns
+/// (`month`, `day_of_week`), and the float columns as scaled decimal codes
+/// (see [`idebench_storage::encoding`]) — departure and arrival times with
+/// two decimals, the two delays with one, distance and air time whole.
 struct Buffers {
-    cats: [Vec<u32>; 5],
-    ints: [Vec<i64>; 2],
-    floats: [Vec<f64>; 6],
+    cats: [Vec<u8>; 5],
+    ints: [Vec<u8>; 2],
+    times: [Vec<u16>; 2],
+    delays: [Vec<i16>; 2],
+    whole: [Vec<u16>; 2],
 }
 
 /// One block's rows of every [`Buffers`] column.
 struct Block<'a> {
-    cats: [&'a mut [u32]; 5],
-    ints: [&'a mut [i64]; 2],
-    floats: [&'a mut [f64]; 6],
+    cats: [&'a mut [u8]; 5],
+    ints: [&'a mut [u8]; 2],
+    times: [&'a mut [u16]; 2],
+    delays: [&'a mut [i16]; 2],
+    whole: [&'a mut [u16]; 2],
+}
+
+/// The decimal code of a drawn value's scaled integer `k` (see [`Row`]):
+/// `k` itself, or the reserved code when `k` is `-0.0`. The code decodes to
+/// `k / 10^e`, exactly the value the row stores. Every column's range fits
+/// its code type by construction (times in `[0, 24]`, delays within ±3 000
+/// minutes, distances and air times below 3 000).
+fn code<T: Code>(k: f64) -> T {
+    if k == 0.0 && k.is_sign_negative() {
+        T::NEG_ZERO
+    } else {
+        T::try_from(k as i64)
+            .ok()
+            .filter(|&c| c != T::NEG_ZERO)
+            .expect("drawn value fits its decimal code")
+    }
 }
 
 impl Buffers {
@@ -251,7 +279,9 @@ impl Buffers {
         Buffers {
             cats: std::array::from_fn(|_| vec![0; n]),
             ints: std::array::from_fn(|_| vec![0; n]),
-            floats: std::array::from_fn(|_| vec![0.0; n]),
+            times: std::array::from_fn(|_| vec![0; n]),
+            delays: std::array::from_fn(|_| vec![0; n]),
+            whole: std::array::from_fn(|_| vec![0; n]),
         }
     }
 
@@ -260,12 +290,16 @@ impl Buffers {
         let n = self.cats[0].len();
         let mut cats = self.cats.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
         let mut ints = self.ints.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
-        let mut floats = self.floats.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
+        let mut times = self.times.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
+        let mut delays = self.delays.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
+        let mut whole = self.whole.each_mut().map(|c| c.chunks_mut(BLOCK_ROWS));
         (0..n.div_ceil(BLOCK_ROWS))
             .map(|_| Block {
                 cats: cats.each_mut().map(|c| c.next().expect("block in range")),
                 ints: ints.each_mut().map(|c| c.next().expect("block in range")),
-                floats: floats.each_mut().map(|c| c.next().expect("block in range")),
+                times: times.each_mut().map(|c| c.next().expect("block in range")),
+                delays: delays.each_mut().map(|c| c.next().expect("block in range")),
+                whole: whole.each_mut().map(|c| c.next().expect("block in range")),
             })
             .collect()
     }
@@ -281,28 +315,28 @@ impl Block<'_> {
         let Block {
             mut cats,
             mut ints,
-            mut floats,
+            mut times,
+            mut delays,
+            mut whole,
         } = self;
         for i in 0..cats[0].len() {
             let r = draw_row(world, rng);
             let (o, d) = (&world.airports[r.origin], &world.airports[r.dest]);
             let row_cats = [r.carrier, r.origin, o.state, r.dest, d.state];
             for (col, v) in cats.iter_mut().zip(row_cats) {
-                col[i] = v as u32;
+                col[i] = v as u8;
             }
             for (col, v) in ints.iter_mut().zip([r.month, r.dow]) {
-                col[i] = v;
+                col[i] = v as u8;
             }
-            let row_floats = [
-                r.dep_time,
-                r.dep_delay,
-                r.arr_time,
-                r.arr_delay,
-                r.distance,
-                r.air_time,
-            ];
-            for (col, v) in floats.iter_mut().zip(row_floats) {
-                col[i] = v;
+            for (col, v) in times.iter_mut().zip([r.dep_time, r.arr_time]) {
+                col[i] = code(v);
+            }
+            for (col, v) in delays.iter_mut().zip([r.dep_delay, r.arr_delay]) {
+                col[i] = code(v);
+            }
+            for (col, v) in whole.iter_mut().zip([r.distance, r.air_time]) {
+                col[i] = code(v);
             }
         }
     }
@@ -378,20 +412,32 @@ pub(crate) fn generate_with_workers(n: usize, seed: u64, workers: usize) -> Tabl
     }
 
     // Recode pass, in row order: category indexes → first-seen codes.
-    let [carrier, origin, origin_state, dest, dest_state] = buffers.cats;
+    let Buffers {
+        cats: [carrier, origin, origin_state, dest, dest_state],
+        ints: [month, dow],
+        times: [dep_time, arr_time],
+        delays: [dep_delay, arr_delay],
+        whole: [distance, air_time],
+    } = buffers;
     let airport = |a: usize| world.airports[a].code.clone();
     let state = |s: usize| format!("S{s:02}");
-    let [month, dow] = buffers.ints;
-    let mut columns = vec![
+    let int = |v| Column::new(ColumnData::Int(Ints::U8(v)));
+    let decimal = |codes, exp| Column::new(ColumnData::Decimal(codes, exp));
+    let columns = vec![
         first_seen_column(carrier, NUM_CARRIERS, |c| format!("C{c:02}")),
         first_seen_column(origin, NUM_AIRPORTS, airport),
         first_seen_column(origin_state, NUM_STATES, state),
         first_seen_column(dest, NUM_AIRPORTS, airport),
         first_seen_column(dest_state, NUM_STATES, state),
-        Column::int(month),
-        Column::int(dow),
+        int(month),
+        int(dow),
+        decimal(Ints::U16(dep_time), 2),
+        decimal(Ints::I16(dep_delay), 1),
+        decimal(Ints::U16(arr_time), 2),
+        decimal(Ints::I16(arr_delay), 1),
+        decimal(Ints::U16(distance), 0),
+        decimal(Ints::U16(air_time), 0),
     ];
-    columns.extend(buffers.floats.map(Column::float));
     Table::new(FLIGHTS_TABLE, Schema::from_pairs(SCHEMA), columns)
         .expect("flights columns have equal lengths")
 }
@@ -487,7 +533,7 @@ mod tests {
         let t = generate(20_000, 7);
         let dep = t.column("dep_delay").unwrap().as_float().unwrap();
         let arr = t.column("arr_delay").unwrap().as_float().unwrap();
-        let r = pearson(dep, arr);
+        let r = pearson(&dep, &arr);
         assert!(r > 0.6, "dep/arr delay correlation too weak: {r}");
     }
 
@@ -496,7 +542,7 @@ mod tests {
         let t = generate(20_000, 7);
         let d = t.column("distance").unwrap().as_float().unwrap();
         let a = t.column("air_time").unwrap().as_float().unwrap();
-        let r = pearson(d, a);
+        let r = pearson(&d, &a);
         assert!(r > 0.95, "distance/air_time correlation too weak: {r}");
     }
 
@@ -505,7 +551,7 @@ mod tests {
         let t = generate(20_000, 7);
         let (codes, dict) = t.column("carrier").unwrap().as_nominal().unwrap();
         let mut counts = vec![0usize; dict.len()];
-        for &c in codes {
+        for &c in codes.iter() {
             counts[c as usize] += 1;
         }
         let max = *counts.iter().max().unwrap();
@@ -544,7 +590,7 @@ mod tests {
         let (states, sdict) = t.column("origin_state").unwrap().as_nominal().unwrap();
         // Same airport code must always map to the same state.
         let mut seen: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for (&o, &s) in origins.iter().zip(states) {
+        for (&o, &s) in origins.iter().zip(states.iter()) {
             let prev = seen.insert(o, s);
             if let Some(p) = prev {
                 assert_eq!(p, s, "airport {:?} maps to two states", odict.value(o));

@@ -138,7 +138,7 @@ mod tests {
         let t = generate(20_000, 9);
         let (codes, dict) = t.column("product").unwrap().as_nominal().unwrap();
         let mut counts = vec![0usize; dict.len()];
-        for &c in codes {
+        for &c in codes.iter() {
             counts[c as usize] += 1;
         }
         counts.sort_unstable_by(|a, b| b.cmp(a));
@@ -177,7 +177,7 @@ mod tests {
         let mean_for = |code: u32| {
             let vals: Vec<f64> = regions
                 .iter()
-                .zip(ship)
+                .zip(ship.iter())
                 .filter(|(&r, _)| r == code)
                 .map(|(_, &s)| s)
                 .collect();

@@ -1,7 +1,7 @@
 //! Content hashes shared by the golden tests and the generator's in-crate
 //! worker-count tests.
 
-use idebench_storage::{ColumnData, Dataset, Table};
+use idebench_storage::{DataType, Dataset, Table};
 
 /// `(n, seed, content_hash(&flights::generate(n, seed)))`. The sizes
 /// straddle the generator's 64k-row fill blocks (`3 * 65_536 + 17` ends in
@@ -31,21 +31,26 @@ impl Fnv {
         }
     }
 
-    /// The table's row count, every column payload (floats by bit pattern)
-    /// and every nominal dictionary in code order.
+    /// The table's row count, every column's logical values (floats by bit
+    /// pattern, ints as `i64`, codes as `u32`; null placeholders included)
+    /// and every nominal dictionary in code order. Values are decoded, so
+    /// the hash does not depend on a column's physical encoding.
     fn table(&mut self, t: &Table) {
         self.eat(&(t.num_rows() as u64).to_le_bytes());
         for col in t.columns() {
-            match col.data() {
-                ColumnData::Float(v) => {
+            match col.dtype() {
+                DataType::Float => {
                     self.eat(b"f");
+                    let v = col.as_float().expect("float column");
                     v.iter().for_each(|x| self.eat(&x.to_bits().to_le_bytes()));
                 }
-                ColumnData::Int(v) => {
+                DataType::Int => {
                     self.eat(b"i");
+                    let v = col.as_int().expect("int column");
                     v.iter().for_each(|x| self.eat(&x.to_le_bytes()));
                 }
-                ColumnData::Nominal(codes, dict) => {
+                DataType::Nominal => {
+                    let (codes, dict) = col.as_nominal().expect("nominal column");
                     self.eat(b"n");
                     codes.iter().for_each(|c| self.eat(&c.to_le_bytes()));
                     self.eat(&(dict.len() as u64).to_le_bytes());

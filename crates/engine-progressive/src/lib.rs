@@ -28,7 +28,7 @@ use idebench_core::{
     AggResult, BinCoord, BinDef, BinKey, CoreError, FilterExpr, Overhead, Predicate, PrepStats,
     Query, QueryHandle, Settings, StepStatus, SystemAdapter, DEFAULT_STEP_QUANTUM,
 };
-use idebench_query::{ChunkedRun, CompiledPlan, PlannedColumn, SnapshotMode};
+use idebench_query::{ChunkedRun, CompiledPlan, PlannedColumn, Shuffle, SnapshotMode};
 use idebench_storage::Dataset;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -95,7 +95,10 @@ pub struct ProgressiveAdapter {
     config: ProgressiveConfig,
     dataset: Option<Dataset>,
     prep: PrepStats,
-    shuffle: Option<Arc<Vec<u32>>>,
+    /// The pre-shuffled scan order and its permuted column copies, shared
+    /// with every other progressive instance over the same dataset and
+    /// seed (the service's per-session adapters among them).
+    shuffle: Option<Arc<Shuffle>>,
     z: f64,
     /// Canonical key → shared run (reuse + speculation store).
     cache: FxHashMap<Arc<str>, SharedRun>,
@@ -162,6 +165,11 @@ impl ProgressiveAdapter {
         self.cache.len()
     }
 
+    /// The shuffle queries scan in, once prepared.
+    pub fn shuffle(&self) -> Option<&Arc<Shuffle>> {
+        self.shuffle.as_ref()
+    }
+
     /// Number of speculative runs awaiting think-time work.
     pub fn pending_speculative(&self) -> usize {
         self.speculative.len()
@@ -183,9 +191,10 @@ impl ProgressiveAdapter {
         let plan = CompiledPlan::compile(&dataset, query)?;
         let cost = self.config.row_cost(&plan);
         let population = plan.num_rows() as u64;
-        let mut run = ChunkedRun::from_plan(
+        let shuffle = self.shuffle.as_ref().expect("prepare() builds the shuffle");
+        let mut run = ChunkedRun::from_shuffle(
             plan,
-            self.shuffle.clone(),
+            shuffle,
             SnapshotMode::Estimate {
                 z: self.z,
                 population,
@@ -220,10 +229,10 @@ impl SystemAdapter for ProgressiveAdapter {
         // Column min/max stats power the planner's dense bucketed binning;
         // warming them here keeps the O(rows) scan out of submit().
         dataset.warm_numeric_stats();
-        let mut order: Vec<u32> = (0..rows as u32).collect();
-        let mut rng = StdRng::seed_from_u64(settings.seed ^ 0x9e37_79b9);
-        order.shuffle(&mut rng);
-        self.shuffle = Some(Arc::new(order));
+        let seed = settings.seed ^ 0x9e37_79b9;
+        self.shuffle = Some(Shuffle::interned(dataset, seed, |order| {
+            order.shuffle(&mut StdRng::seed_from_u64(seed))
+        }));
         self.z = settings.z_value();
         self.warmup_units = settings.seconds_to_units(self.config.first_query_warmup_s);
         self.prep = PrepStats {
@@ -355,7 +364,7 @@ fn bin_filter(dataset: &Dataset, binning: &[BinDef], key: &BinKey) -> Option<Fil
         let pred = match (def, coord) {
             (BinDef::Nominal { dimension }, BinCoord::Cat(code)) => {
                 let col = PlannedColumn::resolve(dataset, dimension).ok()?;
-                let (_, dict) = col.column().as_nominal()?;
+                let dict = col.column().dictionary()?;
                 Predicate::In {
                     column: dimension.clone(),
                     values: vec![dict.value(*code)?.to_string()],
@@ -462,6 +471,38 @@ mod tests {
 
     fn settings() -> Settings {
         Settings::default()
+    }
+
+    #[test]
+    fn sessions_over_one_dataset_share_one_order_and_one_copy_per_column() {
+        // The service runs one adapter per session; two adapters over one
+        // dataset and seed must not build two orders or two sets of copies.
+        let ds = dataset(3_000);
+        let mut a = ProgressiveAdapter::new(warmless());
+        let mut b = ProgressiveAdapter::new(warmless());
+        a.prepare(&ds, &settings()).unwrap();
+        b.prepare(&ds, &settings()).unwrap();
+        let (sa, sb) = (a.shuffle().unwrap().clone(), b.shuffle().unwrap().clone());
+        assert!(Arc::ptr_eq(&sa, &sb), "one interned order");
+        for adapter in [&mut a, &mut b] {
+            let mut h = adapter.submit(&avg_query());
+            while !h.step(1_000_000).is_done() {}
+        }
+        // carrier and dep_delay: one copy each, shared by both sessions.
+        assert_eq!(sa.copy_stats().0, 2);
+        let table = ds.as_denormalized().unwrap();
+        for name in ["carrier", "dep_delay"] {
+            let col = table.column(name).unwrap();
+            assert!(Arc::ptr_eq(&sa.copy_of(col), &sb.copy_of(col)));
+        }
+        // Another seed shuffles differently.
+        let mut c = ProgressiveAdapter::new(warmless());
+        let other = Settings {
+            seed: settings().seed + 1,
+            ..settings()
+        };
+        c.prepare(&ds, &other).unwrap();
+        assert!(!Arc::ptr_eq(&sa, c.shuffle().unwrap()));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use idebench_core::{CoreError, Overhead, PrepStats, Query, QueryHandle, Settings, SystemAdapter};
 use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
-use idebench_storage::{Dataset, StarSchema, Table};
+use idebench_storage::{Column, ColumnData, Dataset, Dictionary, Ints, StarSchema, Table};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -147,12 +147,20 @@ impl StratifiedAdapter {
 /// so a star schema whose dimension table permutes the code order still
 /// samples exactly the rows its de-normalized twin would.
 struct StrataCol<'a> {
-    codes: &'a [u32],
+    codes: &'a Ints,
     value_keys: Vec<u64>,
 }
 
+/// A nominal column's codes, as stored, and its dictionary.
+fn nominal_codes(col: &Column) -> Option<(&Ints, &Arc<Dictionary>)> {
+    match col.data() {
+        ColumnData::Nominal(codes, dict) => Some((codes, dict)),
+        _ => None,
+    }
+}
+
 /// FxHash of every dictionary value, indexed by code.
-fn dictionary_value_keys(dict: &idebench_storage::Dictionary) -> Vec<u64> {
+fn dictionary_value_keys(dict: &Dictionary) -> Vec<u64> {
     use std::hash::{Hash, Hasher};
     (0..dict.len() as u32)
         .map(|code| {
@@ -179,7 +187,7 @@ fn choose_stratified_rows(
         for col in strata_cols {
             key = key
                 .wrapping_mul(1_000_003)
-                .wrapping_add(col.value_keys[col.codes[row] as usize]);
+                .wrapping_add(col.value_keys[col.codes.get(row) as usize]);
         }
         strata.entry(key).or_default().push(row);
     }
@@ -211,7 +219,7 @@ pub fn build_stratified_sample(
         .iter()
         .filter_map(|name| table.column(name).ok())
         .filter_map(|c| {
-            c.as_nominal().map(|(codes, dict)| StrataCol {
+            nominal_codes(c).map(|(codes, dict)| StrataCol {
                 codes,
                 value_keys: dictionary_value_keys(dict),
             })
@@ -226,16 +234,16 @@ pub fn build_stratified_sample(
 /// A strata code column resolved against a dataset: borrowed from the fact
 /// table, shared from the star schema's join cache, or gathered once.
 enum StrataCodes<'a> {
-    Borrowed(&'a [u32]),
-    Shared(Arc<idebench_storage::Column>),
-    Owned(Vec<u32>),
+    Borrowed(&'a Ints),
+    Shared(Arc<Column>),
+    Owned(Ints),
 }
 
 impl StrataCodes<'_> {
-    fn as_slice(&self) -> &[u32] {
+    fn codes(&self) -> &Ints {
         match self {
             StrataCodes::Borrowed(c) => c,
-            StrataCodes::Shared(c) => c.as_nominal().expect("nominal strata column").0,
+            StrataCodes::Shared(c) => nominal_codes(c).expect("nominal strata column").0,
             StrataCodes::Owned(c) => c,
         }
     }
@@ -275,21 +283,24 @@ pub fn build_stratified_sample_dataset(
                 .iter()
                 .filter_map(|name| {
                     if let Ok(c) = fact.column(name) {
-                        return c.as_nominal().map(|(codes, dict)| {
+                        return nominal_codes(c).map(|(codes, dict)| {
                             (StrataCodes::Borrowed(codes), dictionary_value_keys(dict))
                         });
                     }
                     let (spec, dim) = s.dimension_of_column(name)?;
                     let dim_col = dim.column(name).ok()?;
-                    let (codes, dict) = dim_col.as_nominal()?;
+                    let (codes, dict) = nominal_codes(dim_col)?;
                     let value_keys = dictionary_value_keys(dict);
                     if let Some(shared) = s.materialize_join(name) {
                         return Some((StrataCodes::Shared(shared), value_keys));
                     }
                     // Cache declined: gather fact-ordered codes transiently.
-                    let fk = fact.column(&spec.fk_name).ok()?.as_int()?;
+                    let ColumnData::Int(fk) = fact.column(&spec.fk_name).ok()?.data() else {
+                        return None;
+                    };
+                    let gathered = (0..fk.len()).map(|r| codes.get(fk.get(r) as usize) as u32);
                     Some((
-                        StrataCodes::Owned(fk.iter().map(|&k| codes[k as usize]).collect()),
+                        StrataCodes::Owned(Ints::U32(gathered.collect())),
                         value_keys,
                     ))
                 })
@@ -297,7 +308,7 @@ pub fn build_stratified_sample_dataset(
             let strata_cols: Vec<StrataCol<'_>> = holders
                 .iter()
                 .map(|(h, value_keys)| StrataCol {
-                    codes: h.as_slice(),
+                    codes: h.codes(),
                     value_keys: value_keys.clone(),
                 })
                 .collect();

@@ -24,7 +24,7 @@
 use idebench_core::{
     AggFunc, CoreError, PrepStats, Query, QueryHandle, Settings, StepStatus, SystemAdapter,
 };
-use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
+use idebench_query::{ChunkedRun, CompiledPlan, Shuffle, SnapshotMode};
 use idebench_storage::Dataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -87,7 +87,9 @@ pub fn online_eligible(query: &Query) -> bool {
 pub struct WanderAdapter {
     config: WanderConfig,
     dataset: Option<Dataset>,
-    shuffle: Option<Arc<Vec<u32>>>,
+    /// The random-walk order and its permuted column copies (interned, see
+    /// [`Shuffle::interned`]).
+    shuffle: Option<Arc<Shuffle>>,
     z: f64,
     report_interval_units: u64,
     prep: PrepStats,
@@ -142,14 +144,13 @@ impl SystemAdapter for WanderAdapter {
                 return Ok(self.prep);
             }
         }
-        let fact_rows = dataset.fact_rows();
         // Column min/max stats power the planner's dense bucketed binning;
         // warming them here keeps the O(rows) scan out of submit().
         dataset.warm_numeric_stats();
-        let mut order: Vec<u32> = (0..fact_rows as u32).collect();
-        let mut rng = StdRng::seed_from_u64(settings.seed ^ 0x0bad_5eed);
-        order.shuffle(&mut rng);
-        self.shuffle = Some(Arc::new(order));
+        let seed = settings.seed ^ 0x0bad_5eed;
+        self.shuffle = Some(Shuffle::interned(dataset, seed, |order| {
+            order.shuffle(&mut StdRng::seed_from_u64(seed))
+        }));
         self.z = settings.z_value();
         self.report_interval_units = settings.seconds_to_units(self.config.report_interval_s);
         self.prep = PrepStats {
@@ -174,9 +175,10 @@ impl SystemAdapter for WanderAdapter {
         let population = plan.num_rows() as u64;
         if online_eligible(query) {
             let cost = self.config.walk_cost(&plan);
-            let mut run = ChunkedRun::from_plan(
+            let shuffle = self.shuffle.as_ref().expect("prepare() builds the shuffle");
+            let mut run = ChunkedRun::from_shuffle(
                 plan,
-                self.shuffle.clone(),
+                shuffle,
                 SnapshotMode::Estimate {
                     z: self.z,
                     population,

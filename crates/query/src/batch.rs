@@ -1,21 +1,26 @@
 //! Morsel-driven batch kernels and accumulation.
 //!
-//! Execution processes fixed-size morsels (`MORSEL` rows). Per morsel:
+//! Execution processes fixed-size morsels (`MORSEL` rows) of contiguous
+//! scan positions — a shuffled run reads permuted column copies, so every
+//! morsel is a natural-order slice. Per morsel:
 //!
-//! 1. the staged columns the *filter* reads are gathered into flat scratch
-//!    buffers — joined columns gather their foreign-key column **once**
-//!    per morsel and translate it through the plan's per-dimension join
-//!    caches, nullable columns fold their validity bitmap into a morsel
-//!    mask (see `crate::plan::StageSpec`);
+//! 1. the staged columns the *filter* reads are decoded into flat scratch
+//!    buffers — narrow payloads decode, joined columns read their
+//!    foreign-key column **once** per morsel and translate it through the
+//!    plan's per-dimension join caches, nullable columns fold their
+//!    validity bitmap into a morsel mask (see `crate::plan::StageSpec`);
 //! 2. the filter tree is evaluated into a bitmask (`Mask`) by typed
-//!    kernels — one `match` on column type per *morsel*, not per row;
-//! 3. the remaining staged (binning / measure) columns are gathered — a
+//!    kernels — one `match` on column type per *morsel*, not per row; a
+//!    range over a narrow numeric column compares codes (`CodeRange`);
+//! 3. the remaining staged (binning / measure) columns are decoded — a
 //!    morsel the filter fully rejects skips this phase entirely;
-//! 4. bin slots (dense) or bin keys (sparse) are computed for all rows;
+//! 4. bin slots (dense) or bin keys (sparse) are computed for all rows — a
+//!    dense fixed-width dimension over a narrow numeric column looks its
+//!    slots up by code (`CodeSlots`);
 //! 5. matching rows are folded into the accumulator in bulk.
 //!
-//! Every kernel consumes a `ColView`: a flat slice, direct or staged, so
-//! star-schema joins devirtualized by the planner run the same code as
+//! Every other kernel consumes a `ColView`: a plain slice or a staged one,
+//! so star-schema joins devirtualized by the planner run the same code as
 //! de-normalized columns. The dense path exploits that an all-nominal
 //! binning has a bin space bounded by dictionary sizes: accumulators live
 //! in a flat array indexed by `code0 + code1 * dict_len0`, replacing the
@@ -23,10 +28,12 @@
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 use crate::plan::{
-    AccMode, ColView, CompiledPlan, PlannedDim, PlannedFilter, StagePhases, StageSpec,
+    AccMode, CodeRange, CodeSlots, ColView, CompiledPlan, DenseWidth, PlannedDim, PlannedFilter,
+    StagePhases, StageSpec,
 };
 use idebench_core::{AggFunc, BinCoord, BinKey};
-use idebench_storage::{ColumnSlice, SelVec};
+use idebench_storage::encoding::{decimal_scale, decode_decimal, Code};
+use idebench_storage::{match_ints, Column, ColumnData, Ints, SelVec};
 use rustc_hash::FxHashMap;
 
 /// Rows per morsel. A multiple of 64 so a morsel's filter mask is a
@@ -50,56 +57,19 @@ fn mask_tail(mask: &mut Mask, n: usize) {
     }
 }
 
-/// The rows of one morsel: a contiguous range or a gathered order slice.
-pub(crate) trait RowSet: Copy {
-    /// Number of rows (≤ [`MORSEL`]).
-    fn len(&self) -> usize;
-    /// The fact row at morsel position `i`.
-    fn row(&self, i: usize) -> usize;
-    /// Start row of a contiguous natural-order range, when this is one —
-    /// kernels then swap gather loops for bounds-check-free slice walks.
-    fn base(&self) -> Option<usize> {
-        None
-    }
+/// Clears bit `i` of `mask`.
+#[inline]
+fn clear_bit(mask: &mut Mask, i: usize) {
+    mask[i / 64] &= !(1u64 << (i % 64));
 }
 
-/// Natural-order rows `base..base + len`.
-#[derive(Clone, Copy)]
-pub(crate) struct Natural {
-    pub base: usize,
-    pub len: usize,
-}
-
-impl RowSet for Natural {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline(always)]
-    fn row(&self, i: usize) -> usize {
-        self.base + i
-    }
-
-    #[inline(always)]
-    fn base(&self) -> Option<usize> {
-        Some(self.base)
-    }
-}
-
-/// Rows gathered through a shuffle/order slice.
-#[derive(Clone, Copy)]
-pub(crate) struct Gather<'a>(pub &'a [u32]);
-
-impl RowSet for Gather<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    #[inline(always)]
-    fn row(&self, i: usize) -> usize {
-        self.0[i] as usize
+/// Writes `f(src[base + i])` to every `out[i]`: one monomorphized,
+/// contiguous decode loop per payload width.
+#[inline(always)]
+fn decode_span<T: Copy, O>(src: &[T], base: usize, out: &mut [O], f: impl Fn(T) -> O) {
+    let n = out.len();
+    for (o, &k) in out.iter_mut().zip(&src[base..base + n]) {
+        *o = f(k);
     }
 }
 
@@ -115,7 +85,7 @@ pub(crate) struct BoundPlan<'a> {
     stages: Vec<BoundStage<'a>>,
     /// Distinct FK columns gathered once per morsel, parallel to the
     /// accumulator's FK staging buffers.
-    fks: Vec<&'a [i64]>,
+    fks: Vec<&'a Ints>,
     /// Filter-phase vs. post-filter-phase staging split.
     phases: &'a StagePhases,
 }
@@ -125,6 +95,11 @@ enum BoundFilter<'a> {
         col: ColView<'a>,
         min: f64,
         max: f64,
+    },
+    /// A range evaluated on the column's codes (see [`CodeRange`]).
+    RangeCodes {
+        codes: &'a Ints,
+        range: CodeRange,
     },
     In {
         col: ColView<'a>,
@@ -148,12 +123,19 @@ enum BoundDim<'a> {
         /// lowered to dense arithmetic slots.
         dense: Option<(i64, u32)>,
     },
+    /// A dense fixed-width dimension slotted from the column's codes (see
+    /// [`CodeSlots`]); `len` is its bucket count.
+    WidthCodes {
+        codes: &'a Ints,
+        slots: &'a CodeSlots,
+        len: u32,
+    },
 }
 
 /// A [`StageSpec`] bound to borrowed slices for one `advance`.
 enum BoundStage<'a> {
     Own {
-        col: &'a idebench_storage::Column,
+        col: &'a Column,
     },
     JoinCodes {
         fk_slot: usize,
@@ -166,13 +148,34 @@ enum BoundStage<'a> {
     },
 }
 
+/// The codes of a column read in code space.
+fn payload_codes(col: &Column) -> &Ints {
+    match col.data() {
+        ColumnData::Decimal(codes, _) | ColumnData::Int(codes) => codes,
+        _ => unreachable!("code-space columns are narrow numeric"),
+    }
+}
+
 impl PlannedFilter {
     fn bind(&self) -> BoundFilter<'_> {
         match self {
-            PlannedFilter::Range { col, min, max } => BoundFilter::Range {
+            PlannedFilter::Range {
+                col,
+                min,
+                max,
+                codes: None,
+            } => BoundFilter::Range {
                 col: col.view(),
                 min: *min,
                 max: *max,
+            },
+            PlannedFilter::Range {
+                col,
+                codes: Some(range),
+                ..
+            } => BoundFilter::RangeCodes {
+                codes: payload_codes(col.payload()),
+                range: *range,
             },
             PlannedFilter::In { col, member } => BoundFilter::In {
                 col: col.view(),
@@ -204,9 +207,20 @@ impl CompiledPlan {
                     },
                     PlannedDim::Width {
                         col,
+                        dense: Some(d),
+                        codes: Some(slots),
+                        ..
+                    } => BoundDim::WidthCodes {
+                        codes: payload_codes(col.payload()),
+                        slots,
+                        len: d.len as u32,
+                    },
+                    PlannedDim::Width {
+                        col,
                         width,
                         anchor,
                         dense,
+                        ..
                     } => BoundDim::Width {
                         col: col.view(),
                         width: *width,
@@ -243,10 +257,9 @@ impl CompiledPlan {
             fks: self
                 .fk_cols
                 .iter()
-                .map(|(t, i)| {
-                    t.column_at(*i)
-                        .as_int()
-                        .expect("fk column validated at compile time")
+                .map(|fk| match fk.get().data() {
+                    ColumnData::Int(keys) => keys,
+                    _ => unreachable!("fk column validated at compile time"),
                 })
                 .collect(),
             phases: &self.phases,
@@ -282,78 +295,64 @@ impl StageBuf {
     }
 }
 
-/// Gathers the FK staging buffers named by `which` for one morsel — every
-/// joined column translating through an FK reads it from here, so each
-/// distinct FK column is gathered at most once per morsel.
-fn stage_fks<R: RowSet>(
+/// Stages the FK buffers named by `which` for the morsel at positions
+/// `base..base + n` — every joined column translating through an FK reads
+/// it from here, so each distinct FK column is read at most once per
+/// morsel.
+fn stage_fks(
     bound: &BoundPlan<'_>,
-    rows: R,
+    base: usize,
+    n: usize,
     fk_stage: &mut [Vec<u32>],
     which: &[usize],
 ) {
-    let n = rows.len();
     for &slot in which {
-        let fk = bound.fks[slot];
-        let dst = &mut fk_stage[slot];
-        match rows.base() {
-            Some(base) => {
-                for (d, &k) in dst.iter_mut().zip(&fk[base..base + n]) {
-                    *d = k as u32;
-                }
-            }
-            None => {
-                for (i, d) in dst.iter_mut().enumerate().take(n) {
-                    *d = fk[rows.row(i)] as u32;
-                }
-            }
-        }
+        let dst = &mut fk_stage[slot][..n];
+        match_ints!(bound.fks[slot], v => decode_span(v, base, dst, |k| k.widen() as u32));
     }
 }
 
-/// Fills the stage buffers named by `which` for one morsel. Stage buffers
-/// hold the staged value at each morsel *position* (null rows hold a
-/// placeholder and have their mask bit cleared).
-fn stage_cols<R: RowSet>(
+/// Fills the stage buffers named by `which` for the morsel at positions
+/// `base..base + n`, decoding narrow payloads. Stage buffers hold the
+/// staged value at each morsel *position* (null rows hold a placeholder
+/// and have their mask bit cleared).
+fn stage_cols(
     bound: &BoundPlan<'_>,
-    rows: R,
+    base: usize,
+    n: usize,
     fk_stage: &[Vec<u32>],
     bufs: &mut [StageBuf],
     which: &[usize],
 ) {
-    let n = rows.len();
     for &si in which {
         let (spec, buf) = (&bound.stages[si], &mut bufs[si]);
         buf.mask = [u64::MAX; WORDS];
         mask_tail(&mut buf.mask, n);
         match spec {
             BoundStage::Own { col } => {
-                match col.typed() {
-                    ColumnSlice::F64(d) => match rows.base() {
-                        Some(base) => buf.nums[..n].copy_from_slice(&d[base..base + n]),
+                let (nums, codes) = (&mut buf.nums[..], &mut buf.codes[..]);
+                match col.data() {
+                    ColumnData::Float(d) => nums[..n].copy_from_slice(&d[base..base + n]),
+                    ColumnData::Decimal(c, exp) => match col.decode_table() {
+                        Some(t) => {
+                            match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| t.decode(k)))
+                        }
                         None => {
-                            for (i, o) in buf.nums.iter_mut().enumerate().take(n) {
-                                *o = d[rows.row(i)];
-                            }
+                            let scale = decimal_scale(*exp);
+                            match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| decode_decimal(k, scale)))
                         }
                     },
-                    ColumnSlice::I64(d) => {
-                        for (i, o) in buf.nums.iter_mut().enumerate().take(n) {
-                            *o = d[rows.row(i)] as f64;
-                        }
+                    ColumnData::Int(c) => {
+                        match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| k.widen() as f64));
                     }
-                    ColumnSlice::Codes(d, _) => match rows.base() {
-                        Some(base) => buf.codes[..n].copy_from_slice(&d[base..base + n]),
-                        None => {
-                            for (i, o) in buf.codes.iter_mut().enumerate().take(n) {
-                                *o = d[rows.row(i)];
-                            }
-                        }
-                    },
+                    ColumnData::Nominal(c, _) => {
+                        match_ints!(c, v => decode_span(v, base, &mut codes[..n], |k| k.widen() as u32));
+                    }
                 }
                 if let Some(v) = col.validity() {
                     for i in 0..n {
-                        if !v.contains(rows.row(i)) {
-                            buf.mask[i / 64] &= !(1u64 << (i % 64));
+                        if !v.contains(base + i) {
+                            clear_bit(&mut buf.mask, i);
                         }
                     }
                 }
@@ -364,7 +363,7 @@ fn stage_cols<R: RowSet>(
                     let c = cache[r as usize];
                     if c == crate::plan::NULL_CODE {
                         *o = 0;
-                        buf.mask[i / 64] &= !(1u64 << (i % 64));
+                        clear_bit(&mut buf.mask, i);
                     } else {
                         *o = c;
                     }
@@ -382,7 +381,7 @@ fn stage_cols<R: RowSet>(
                 if let Some(v) = valid {
                     for (i, &r) in fkb[..n].iter().enumerate() {
                         if !v.contains(r as usize) {
-                            buf.mask[i / 64] &= !(1u64 << (i % 64));
+                            clear_bit(&mut buf.mask, i);
                         }
                     }
                 }
@@ -401,23 +400,27 @@ fn and_mask(out: &mut Mask, mask: &Mask) {
     }
 }
 
-/// Evaluates a filter tree over one morsel into `out` (bit = row matches).
-/// Null values never match, mirroring SQL WHERE semantics.
-fn eval_filter<R: RowSet>(f: &BoundFilter<'_>, stages: &[StageBuf], rows: R, out: &mut Mask) {
-    let n = rows.len();
+/// Evaluates a filter tree over the morsel at positions `base..base + n`
+/// into `out` (bit = row matches). Null values never match, mirroring SQL
+/// WHERE semantics.
+fn eval_filter(f: &BoundFilter<'_>, stages: &[StageBuf], base: usize, n: usize, out: &mut Mask) {
     match f {
         BoundFilter::Range { col, min, max } => {
-            range_mask(*col, stages, *min, *max, rows, out);
+            range_mask(col.at(base, n), stages, *min, *max, n, out);
         }
         BoundFilter::In { col, member } => {
-            in_mask(*col, stages, member, rows, out);
+            in_mask(col.at(base, n), stages, member, n, out);
+        }
+        BoundFilter::RangeCodes { codes, range } => {
+            *out = [0u64; WORDS];
+            match_ints!(codes, v => range_codes(&v[base..base + n], range, out));
         }
         BoundFilter::And(children) => {
             *out = [u64::MAX; WORDS];
             mask_tail(out, n);
             let mut tmp = [0u64; WORDS];
             for child in children {
-                eval_filter(child, stages, rows, &mut tmp);
+                eval_filter(child, stages, base, n, &mut tmp);
                 for w in 0..WORDS {
                     out[w] &= tmp[w];
                 }
@@ -427,7 +430,7 @@ fn eval_filter<R: RowSet>(f: &BoundFilter<'_>, stages: &[StageBuf], rows: R, out
             *out = [0u64; WORDS];
             let mut tmp = [0u64; WORDS];
             for child in children {
-                eval_filter(child, stages, rows, &mut tmp);
+                eval_filter(child, stages, base, n, &mut tmp);
                 for w in 0..WORDS {
                     out[w] |= tmp[w];
                 }
@@ -436,70 +439,62 @@ fn eval_filter<R: RowSet>(f: &BoundFilter<'_>, stages: &[StageBuf], rows: R, out
     }
 }
 
+/// Range mask over a morsel-local view (see [`ColView::at`]).
 #[inline]
-fn range_mask<R: RowSet>(
-    col: ColView<'_>,
-    stages: &[StageBuf],
-    min: f64,
-    max: f64,
-    rows: R,
-    out: &mut Mask,
-) {
-    let n = rows.len();
+fn range_mask(col: ColView<'_>, stages: &[StageBuf], min: f64, max: f64, n: usize, out: &mut Mask) {
     *out = [0u64; WORDS];
     // One monomorphized flat comparison loop per arm (no per-row dispatch).
     macro_rules! cmp {
-        ($get:expr) => {{
-            let get = $get;
-            for i in 0..n {
-                let v: f64 = get(i);
+        ($src:expr, $of:expr) => {{
+            let of = $of;
+            for (i, &v) in $src.iter().enumerate() {
+                let v: f64 = of(v);
                 out[i / 64] |= u64::from(v >= min && v < max) << (i % 64);
             }
         }};
     }
     match col {
-        ColView::F64(d) => cmp!(|i: usize| d[rows.row(i)]),
-        ColView::I64(d) => cmp!(|i: usize| d[rows.row(i)] as f64),
-        ColView::Codes(d) => cmp!(|i: usize| f64::from(d[rows.row(i)])),
+        ColView::F64(d) => cmp!(d, |v| v),
+        ColView::I64(d) => cmp!(d, |v| v as f64),
+        ColView::Codes(d) => cmp!(d, f64::from),
         ColView::StagedNum(s) => {
             let b = &stages[s];
-            cmp!(|i: usize| b.nums[i]);
+            cmp!(&b.nums[..n], |v| v);
             and_mask(out, &b.mask);
         }
         ColView::StagedCodes(s) => {
             let b = &stages[s];
-            cmp!(|i: usize| f64::from(b.codes[i]));
+            cmp!(&b.codes[..n], f64::from);
             and_mask(out, &b.mask);
         }
     }
 }
 
+/// Range mask over one morsel's codes (see [`CodeRange`]).
 #[inline]
-fn in_mask<R: RowSet>(
-    col: ColView<'_>,
-    stages: &[StageBuf],
-    member: &[bool],
-    rows: R,
-    out: &mut Mask,
-) {
-    let n = rows.len();
+fn range_codes<T: Code>(codes: &[T], range: &CodeRange, out: &mut Mask) {
+    for (i, &k) in codes.iter().enumerate() {
+        let inside = (k.widen().wrapping_sub(range.lo) as u64) < range.width;
+        let hit = inside | (range.neg_zero & (k == T::NEG_ZERO));
+        out[i / 64] |= u64::from(hit) << (i % 64);
+    }
+}
+
+/// Membership mask over a morsel-local view (see [`ColView::at`]).
+#[inline]
+fn in_mask(col: ColView<'_>, stages: &[StageBuf], member: &[bool], n: usize, out: &mut Mask) {
     *out = [0u64; WORDS];
-    match col {
-        ColView::Codes(d) => {
-            for i in 0..n {
-                let hit = member
-                    .get(d[rows.row(i)] as usize)
-                    .copied()
-                    .unwrap_or(false);
-                out[i / 64] |= u64::from(hit) << (i % 64);
-            }
+    let hits = |codes: &[u32], out: &mut Mask| {
+        for (i, &c) in codes.iter().enumerate() {
+            let hit = member.get(c as usize).copied().unwrap_or(false);
+            out[i / 64] |= u64::from(hit) << (i % 64);
         }
+    };
+    match col {
+        ColView::Codes(d) => hits(d, out),
         ColView::StagedCodes(s) => {
             let b = &stages[s];
-            for i in 0..n {
-                let hit = member.get(b.codes[i] as usize).copied().unwrap_or(false);
-                out[i / 64] |= u64::from(hit) << (i % 64);
-            }
+            hits(&b.codes[..n], out);
             and_mask(out, &b.mask);
         }
         // Numeric columns have no dictionary codes: nothing matches,
@@ -508,83 +503,64 @@ fn in_mask<R: RowSet>(
     }
 }
 
-/// Computes dense bin slots for one morsel. Rows with a null binned value
-/// get their `valid` bit cleared.
-fn dense_slots<R: RowSet>(
+/// Computes dense bin slots for the morsel at positions `base..base + n`.
+/// Rows with a null binned value get their `valid` bit cleared.
+fn dense_slots(
     dims: &[BoundDim<'_>],
     stages: &[StageBuf],
-    rows: R,
+    base: usize,
+    n: usize,
     slots: &mut [u32],
     valid: &mut Mask,
 ) {
-    let n = rows.len();
     *valid = [u64::MAX; WORDS];
     mask_tail(valid, n);
+    let slots = &mut slots[..n];
 
-    // Fused 2D fast path: two nominal dimensions whose codes are flat,
-    // position-indexable slices (contiguous natural-order scan over direct
-    // or staged codes) compute both coordinates in a single pass —
-    // `slot = c0 + c1 · stride` — instead of one slots-array round-trip per
-    // dimension. Devirtualized star joins land here, so a joined×joined
-    // binning slots exactly like a de-normalized one.
+    // Morsel-local codes of a nominal view, plus the staged validity mask
+    // to fold into `valid`.
+    fn codes<'x>(
+        col: ColView<'x>,
+        stages: &'x [StageBuf],
+        n: usize,
+    ) -> (&'x [u32], Option<&'x Mask>) {
+        match col {
+            ColView::Codes(d) => (d, None),
+            ColView::StagedCodes(s) => (&stages[s].codes[..n], Some(&stages[s].mask)),
+            // Compilation rejects nominal binning over non-nominal
+            // columns, and staged/direct views preserve the type.
+            ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
+                unreachable!("nominal binning compiled over a non-nominal column")
+            }
+        }
+    }
+
+    // Fused 2D fast path: two nominal dimensions compute both coordinates
+    // in a single pass — `slot = c0 + c1 · stride` — instead of one
+    // slots-array round-trip per dimension. Devirtualized star joins land
+    // here, so a joined×joined binning slots exactly like a de-normalized
+    // one.
     if let [BoundDim::Nominal {
         col: c0,
         dict_len: stride,
     }, BoundDim::Nominal { col: c1, .. }] = dims
     {
-        // Flat position-indexed codes for the morsel, plus the staged
-        // validity mask to fold into `valid`.
-        fn flat<'x, R: RowSet>(
-            col: &ColView<'x>,
-            stages: &'x [StageBuf],
-            rows: R,
-            n: usize,
-        ) -> Option<(&'x [u32], Option<&'x Mask>)> {
-            match *col {
-                ColView::Codes(d) => rows.base().map(|b| (&d[b..b + n], None)),
-                ColView::StagedCodes(s) => {
-                    let b = &stages[s];
-                    Some((&b.codes[..n], Some(&b.mask)))
-                }
-                _ => None,
-            }
+        let (s0, m0) = codes(c0.at(base, n), stages, n);
+        let (s1, m1) = codes(c1.at(base, n), stages, n);
+        let stride = (*stride).max(1);
+        for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
+            *slot = a + b * stride;
         }
-        if let (Some((s0, m0)), Some((s1, m1))) =
-            (flat(c0, stages, rows, n), flat(c1, stages, rows, n))
-        {
-            let stride = (*stride).max(1);
-            for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
-                *slot = a + b * stride;
-            }
-            if let Some(m) = m0 {
-                and_mask(valid, m);
-            }
-            if let Some(m) = m1 {
-                and_mask(valid, m);
-            }
-            return;
+        for m in [m0, m1].into_iter().flatten() {
+            and_mask(valid, m);
         }
+        return;
     }
 
     let mut stride = 1u32;
     for (di, dim) in dims.iter().enumerate() {
         // One monomorphized flat slotting loop per arm; staged-null rows
         // carry a placeholder 0 and are cleared from `valid` via the mask.
-        macro_rules! slot_loop {
-            ($get:expr) => {{
-                let get = $get;
-                if di == 0 {
-                    for (i, slot) in slots.iter_mut().enumerate().take(n) {
-                        *slot = get(i);
-                    }
-                } else {
-                    for (i, slot) in slots.iter_mut().enumerate().take(n) {
-                        *slot += get(i) * stride;
-                    }
-                }
-            }};
-        }
-        // Contiguous natural-order fast path over a flat source slice.
         macro_rules! slot_span {
             ($src:expr, $of:expr) => {{
                 let of = $of;
@@ -601,24 +577,26 @@ fn dense_slots<R: RowSet>(
         }
         match dim {
             BoundDim::Nominal { col, dict_len } => {
-                let dict_len = *dict_len;
-                match *col {
-                    ColView::Codes(d) => match rows.base() {
-                        Some(base) => slot_span!(&d[base..base + n], |c| c),
-                        None => slot_loop!(|i: usize| d[rows.row(i)]),
-                    },
-                    ColView::StagedCodes(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        slot_span!(&b.codes[..n], |c| c);
-                    }
-                    // Compilation rejects nominal binning over non-nominal
-                    // columns, and staged/direct views preserve the type.
-                    ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
-                        unreachable!("nominal binning compiled over a non-nominal column")
-                    }
+                let (src, mask) = codes(col.at(base, n), stages, n);
+                if let Some(m) = mask {
+                    and_mask(valid, m);
                 }
-                stride *= dict_len.max(1);
+                slot_span!(src, |c| c);
+                stride *= (*dict_len).max(1);
+            }
+            BoundDim::WidthCodes {
+                codes,
+                slots: t,
+                len,
+            } => {
+                // One table load per row: the slot of every code was
+                // computed at compile time from its decoded value.
+                let slot_of = |k: i64| {
+                    let i = k.wrapping_sub(t.lo) as usize;
+                    t.slots.get(i).copied().unwrap_or(t.neg_zero)
+                };
+                match_ints!(codes, v => slot_span!(&v[base..base + n], |k| slot_of(Code::widen(k))));
+                stride *= (*len).max(1);
             }
             BoundDim::Width {
                 col,
@@ -627,32 +605,11 @@ fn dense_slots<R: RowSet>(
                 dense,
             } => {
                 let (lo, len) = dense.expect("dense path requires bounded bucket space");
-                // Arithmetic slotting: `floor((v−anchor)/width) − lo`,
-                // clamped into the bounded space (a no-op when stats are
-                // exact; it only guards slot-array bounds). The floor is
-                // computed as truncate-and-adjust — identical to
-                // `f64::floor` for every in-bounds value but free of the
-                // libm call baseline x86-64 lowers `floor()` to, which
-                // would otherwise dominate this loop. `lo` round-trips
-                // through f64 exactly, so the slot decodes to the same
-                // bucket index the hashed path computes, bit for bit.
-                let lo_f = lo as f64;
-                let top = (len - 1) as f64;
-                let slot_of = move |v: f64| -> u32 {
-                    let q = (v - anchor) / width;
-                    let t = q as i64 as f64; // trunc(q), exact in-bounds
-                    let fl = if t > q { t - 1.0 } else { t };
-                    (fl - lo_f).clamp(0.0, top) as u32
-                };
-                match *col {
-                    ColView::F64(d) => match rows.base() {
-                        Some(base) => slot_span!(&d[base..base + n], slot_of),
-                        None => slot_loop!(|i: usize| slot_of(d[rows.row(i)])),
-                    },
-                    ColView::I64(d) => slot_loop!(|i: usize| slot_of(d[rows.row(i)] as f64)),
-                    ColView::Codes(d) => {
-                        slot_loop!(|i: usize| slot_of(f64::from(d[rows.row(i)])))
-                    }
+                let slot_of = DenseWidth::slot_of(lo, len, *width, *anchor);
+                match col.at(base, n) {
+                    ColView::F64(d) => slot_span!(d, slot_of),
+                    ColView::I64(d) => slot_span!(d, |v: i64| slot_of(v as f64)),
+                    ColView::Codes(d) => slot_span!(d, |c: u32| slot_of(f64::from(c))),
                     ColView::StagedNum(s) => {
                         let b = &stages[s];
                         and_mask(valid, &b.mask);
@@ -661,7 +618,7 @@ fn dense_slots<R: RowSet>(
                     ColView::StagedCodes(s) => {
                         let b = &stages[s];
                         and_mask(valid, &b.mask);
-                        slot_span!(&b.codes[..n], |c| slot_of(f64::from(c)));
+                        slot_span!(&b.codes[..n], |c: u32| slot_of(f64::from(c)));
                     }
                 }
                 stride *= len.max(1);
@@ -670,60 +627,63 @@ fn dense_slots<R: RowSet>(
     }
 }
 
-/// Computes sparse bin keys (up to two coordinates) for one morsel. Rows
-/// with a null binned value get their `valid` bit cleared.
-fn sparse_keys<R: RowSet>(
+/// Computes sparse bin keys (up to two coordinates) for the morsel at
+/// positions `base..base + n`. Rows with a null binned value get their
+/// `valid` bit cleared.
+fn sparse_keys(
     dims: &[BoundDim<'_>],
     stages: &[StageBuf],
-    rows: R,
+    base: usize,
+    n: usize,
     k0: &mut [i64],
     k1: &mut [i64],
     valid: &mut Mask,
 ) {
-    let n = rows.len();
     *valid = [u64::MAX; WORDS];
     mask_tail(valid, n);
     for (di, dim) in dims.iter().enumerate() {
-        let out: &mut [i64] = if di == 0 { k0 } else { k1 };
-        macro_rules! key_loop {
-            ($get:expr) => {{
-                let get = $get;
-                for (i, o) in out.iter_mut().enumerate().take(n) {
-                    *o = get(i);
+        let out: &mut [i64] = if di == 0 { &mut k0[..n] } else { &mut k1[..n] };
+        macro_rules! key_span {
+            ($src:expr, $of:expr) => {{
+                let of = $of;
+                for (o, &v) in out.iter_mut().zip($src) {
+                    *o = of(v);
                 }
             }};
         }
         match dim {
-            BoundDim::Nominal { col, .. } => match *col {
-                ColView::Codes(d) => key_loop!(|i: usize| i64::from(d[rows.row(i)])),
+            BoundDim::Nominal { col, .. } => match col.at(base, n) {
+                ColView::Codes(d) => key_span!(d, i64::from),
                 ColView::StagedCodes(s) => {
                     let b = &stages[s];
                     and_mask(valid, &b.mask);
-                    key_loop!(|i: usize| i64::from(b.codes[i]));
+                    key_span!(&b.codes[..n], i64::from);
                 }
                 ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
                     unreachable!("nominal binning compiled over a non-nominal column")
                 }
             },
+            BoundDim::WidthCodes { .. } => {
+                unreachable!("code-space slotting is planned for dense accumulation only")
+            }
             BoundDim::Width {
                 col, width, anchor, ..
             } => {
+                let (anchor, width) = (*anchor, *width);
                 let key_of = move |v: f64| ((v - anchor) / width).floor() as i64;
-                match *col {
-                    ColView::F64(d) => key_loop!(|i: usize| key_of(d[rows.row(i)])),
-                    ColView::I64(d) => key_loop!(|i: usize| key_of(d[rows.row(i)] as f64)),
-                    ColView::Codes(d) => {
-                        key_loop!(|i: usize| key_of(f64::from(d[rows.row(i)])))
-                    }
+                match col.at(base, n) {
+                    ColView::F64(d) => key_span!(d, key_of),
+                    ColView::I64(d) => key_span!(d, |v: i64| key_of(v as f64)),
+                    ColView::Codes(d) => key_span!(d, |c: u32| key_of(f64::from(c))),
                     ColView::StagedNum(s) => {
                         let b = &stages[s];
                         and_mask(valid, &b.mask);
-                        key_loop!(|i: usize| key_of(b.nums[i]));
+                        key_span!(&b.nums[..n], key_of);
                     }
                     ColView::StagedCodes(s) => {
                         let b = &stages[s];
                         and_mask(valid, &b.mask);
-                        key_loop!(|i: usize| key_of(f64::from(b.codes[i])));
+                        key_span!(&b.codes[..n], |c: u32| key_of(f64::from(c)));
                     }
                 }
             }
@@ -731,19 +691,14 @@ fn sparse_keys<R: RowSet>(
     }
 }
 
-/// Per-row numeric value of a column view at morsel position `i` (`None`
-/// when null) — the sparse store's row-at-a-time measure accessor.
+/// Numeric value of a morsel-local view at position `i` (`None` when
+/// null) — the sparse store's row-at-a-time measure accessor.
 #[inline(always)]
-fn measure_value<R: RowSet>(
-    col: &ColView<'_>,
-    stages: &[StageBuf],
-    rows: R,
-    i: usize,
-) -> Option<f64> {
-    match *col {
-        ColView::F64(d) => Some(d[rows.row(i)]),
-        ColView::I64(d) => Some(d[rows.row(i)] as f64),
-        ColView::Codes(d) => Some(f64::from(d[rows.row(i)])),
+fn measure_value(col: ColView<'_>, stages: &[StageBuf], i: usize) -> Option<f64> {
+    match col {
+        ColView::F64(d) => Some(d[i]),
+        ColView::I64(d) => Some(d[i] as f64),
+        ColView::Codes(d) => Some(f64::from(d[i])),
         ColView::StagedNum(s) => {
             let b = &stages[s];
             (b.mask[i / 64] >> (i % 64) & 1 == 1).then(|| b.nums[i])
@@ -879,19 +834,20 @@ impl BatchAcc {
         }
     }
 
-    /// Processes one morsel: stage → filter → bin → accumulate. Returns the
-    /// filter-match mask (bit `i` = morsel row `i` passed the filter; its
-    /// popcount is the cost model's matched-row input).
-    pub fn process_morsel<R: RowSet>(&mut self, bound: &BoundPlan<'_>, rows: R) -> Mask {
-        let n = rows.len();
+    /// Processes the morsel at scan positions `base..base + n`: stage →
+    /// filter → bin → accumulate. Returns the filter-match mask (bit `i` =
+    /// morsel row `i` passed the filter; its popcount is the cost model's
+    /// matched-row input).
+    pub fn process_morsel(&mut self, bound: &BoundPlan<'_>, base: usize, n: usize) -> Mask {
         debug_assert!(n <= MORSEL);
         self.rows_seen += n as u64;
 
         // 1. Stage the joined / nullable columns the *filter* reads.
-        stage_fks(bound, rows, &mut self.fk_stage, &bound.phases.filter_fks);
+        stage_fks(bound, base, n, &mut self.fk_stage, &bound.phases.filter_fks);
         stage_cols(
             bound,
-            rows,
+            base,
+            n,
             &self.fk_stage,
             &mut self.stages,
             &bound.phases.filter_stages,
@@ -901,7 +857,7 @@ impl BatchAcc {
         let mut fmask: Mask = [u64::MAX; WORDS];
         mask_tail(&mut fmask, n);
         if let Some(filter) = &bound.filter {
-            eval_filter(filter, &self.stages, rows, &mut fmask);
+            eval_filter(filter, &self.stages, base, n, &mut fmask);
         }
         let matched: usize = fmask.iter().map(|w| w.count_ones() as usize).sum();
         self.rows_matched += matched as u64;
@@ -912,10 +868,11 @@ impl BatchAcc {
         }
 
         // 3. Stage the remaining (binning / measure) columns.
-        stage_fks(bound, rows, &mut self.fk_stage, &bound.phases.post_fks);
+        stage_fks(bound, base, n, &mut self.fk_stage, &bound.phases.post_fks);
         stage_cols(
             bound,
-            rows,
+            base,
+            n,
             &self.fk_stage,
             &mut self.stages,
             &bound.phases.post_stages,
@@ -931,7 +888,7 @@ impl BatchAcc {
                 touched,
                 ..
             } => {
-                dense_slots(&bound.dims, stages, rows, &mut self.slots, &mut valid);
+                dense_slots(&bound.dims, stages, base, n, &mut self.slots, &mut valid);
                 // Counts pass. Full words (the common unfiltered case) skip
                 // the per-bit scan; iteration order is unchanged either way.
                 for w in 0..WORDS {
@@ -988,14 +945,10 @@ impl BatchAcc {
                 let ones = [u64::MAX; WORDS];
                 for (m, col) in bound.measures.iter().enumerate() {
                     let Some(col) = col else { continue };
-                    match *col {
-                        ColView::F64(d) => measure_pass!(m, ones, |i: usize| d[rows.row(i)]),
-                        ColView::I64(d) => {
-                            measure_pass!(m, ones, |i: usize| d[rows.row(i)] as f64)
-                        }
-                        ColView::Codes(d) => {
-                            measure_pass!(m, ones, |i: usize| f64::from(d[rows.row(i)]))
-                        }
+                    match col.at(base, n) {
+                        ColView::F64(d) => measure_pass!(m, ones, |i: usize| d[i]),
+                        ColView::I64(d) => measure_pass!(m, ones, |i: usize| d[i] as f64),
+                        ColView::Codes(d) => measure_pass!(m, ones, |i: usize| f64::from(d[i])),
                         ColView::StagedNum(s) => {
                             let b = &stages[s];
                             measure_pass!(m, b.mask, |i: usize| b.nums[i]);
@@ -1011,7 +964,8 @@ impl BatchAcc {
                 sparse_keys(
                     &bound.dims,
                     stages,
-                    rows,
+                    base,
+                    n,
                     &mut self.k0,
                     &mut self.k1,
                     &mut valid,
@@ -1048,7 +1002,7 @@ impl BatchAcc {
                         acc.count += 1;
                         for (m, col) in bound.measures.iter().enumerate() {
                             if let Some(col) = col {
-                                if let Some(v) = measure_value(col, stages, rows, i) {
+                                if let Some(v) = measure_value(col.at(base, n), stages, i) {
                                     acc.measures[m].update(v);
                                 }
                             }

@@ -45,7 +45,7 @@ impl<'a> CompiledBinning<'a> {
                 Ok(match def {
                     BinDef::Nominal { dimension } => {
                         let col = ResolvedColumn::new(dataset, dimension)?;
-                        if col.column().as_nominal().is_none() {
+                        if col.column().dictionary().is_none() {
                             return Err(CoreError::Storage(format!(
                                 "nominal binning on non-nominal column {dimension}"
                             )));

@@ -1,8 +1,10 @@
 //! Morsel-driven parallel scan dispatch.
 //!
-//! [`MorselDispatcher`] partitions a scan's row range (by *scan position*,
-//! so shuffled orders chunk identically) into fixed [`CHUNK_ROWS`]-sized
-//! chunks and only ever computes *whole* chunks. When the budget walk of
+//! [`MorselDispatcher`] partitions a scan's positions into fixed
+//! [`CHUNK_ROWS`]-sized chunks and only ever computes *whole* chunks. Every
+//! scan walks its positions in natural order: a shuffled run reads the
+//! permuted copies of [`crate::shuffle::Shuffle`], so position `i` holds
+//! row `order[i]` and chunks of a shuffled scan are contiguous too. When the budget walk of
 //! [`crate::ChunkedRun::advance`] enters a chunk that has not been
 //! computed, the dispatcher computes it together with up to `workers − 1`
 //! following chunks in one span over the persistent
@@ -54,7 +56,7 @@
 //! mid-chunk snapshot.
 
 use crate::aggregate::GroupedAcc;
-use crate::batch::{BatchAcc, BoundPlan, Gather, Mask, Natural, MORSEL};
+use crate::batch::{BatchAcc, BoundPlan, Mask, MORSEL};
 use crate::plan::CompiledPlan;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,12 +114,12 @@ impl MorselDispatcher {
     /// The accumulated state of scan positions `0..cursor`, materialized in
     /// chunk order. With the cursor inside a chunk, that chunk's prefix is
     /// replayed into a scratch accumulator.
-    pub fn grouped(&self, plan: &CompiledPlan, order: Option<&[u32]>, cursor: usize) -> GroupedAcc {
+    pub fn grouped(&self, plan: &CompiledPlan, cursor: usize) -> GroupedAcc {
         let mut g = self.base.to_grouped();
         let lo = self.folded * CHUNK_ROWS;
         if cursor > lo {
             let mut prefix = BatchAcc::for_plan(plan);
-            process_span(&plan.bind(), order, &mut prefix, lo, cursor, None);
+            process_span(&plan.bind(), &mut prefix, lo, cursor, None);
             g.merge(&prefix.to_grouped());
         }
         g
@@ -132,7 +134,6 @@ impl MorselDispatcher {
     pub fn scan_span(
         &mut self,
         plan: &CompiledPlan,
-        order: Option<&[u32]>,
         start: usize,
         take: usize,
         num_rows: usize,
@@ -143,7 +144,7 @@ impl MorselDispatcher {
         let mut pos = start;
         while pos < end {
             if self.ahead.is_empty() {
-                self.compute_ahead(plan, order, num_rows);
+                self.compute_ahead(plan, num_rows);
             }
             let chunk_lo = self.folded * CHUNK_ROWS;
             let chunk_hi = (chunk_lo + CHUNK_ROWS).min(num_rows);
@@ -170,7 +171,7 @@ impl MorselDispatcher {
     /// one per span participant. The accumulators are allocated here, on
     /// the calling thread, so pool workers leave no memory behind in their
     /// own allocator arenas.
-    fn compute_ahead(&mut self, plan: &CompiledPlan, order: Option<&[u32]>, num_rows: usize) {
+    fn compute_ahead(&mut self, plan: &CompiledPlan, num_rows: usize) {
         let first = self.folded;
         let n = self.workers.min(num_rows.div_ceil(CHUNK_ROWS) - first);
         let next = AtomicUsize::new(0);
@@ -192,14 +193,7 @@ impl MorselDispatcher {
                 let lo = (first + i) * CHUNK_ROWS;
                 let hi = (lo + CHUNK_ROWS).min(num_rows);
                 let chunk = &mut *computed[i].lock().unwrap();
-                process_span(
-                    &bound,
-                    order,
-                    &mut chunk.acc,
-                    lo,
-                    hi,
-                    Some(&mut chunk.matches[..]),
-                );
+                process_span(&bound, &mut chunk.acc, lo, hi, Some(&mut chunk.matches[..]));
             }
         };
         crate::pool::global_pool().scope_run(n - 1, &body);
@@ -212,24 +206,13 @@ impl MorselDispatcher {
 /// `acc`, writing each morsel's filter-match mask to `matches` if given.
 fn process_span(
     bound: &BoundPlan<'_>,
-    order: Option<&[u32]>,
     acc: &mut BatchAcc,
     lo: usize,
     hi: usize,
     mut matches: Option<&mut [Mask]>,
 ) {
     for (m, pos) in (lo..hi).step_by(MORSEL).enumerate() {
-        let take = MORSEL.min(hi - pos);
-        let mask = match order {
-            Some(o) => acc.process_morsel(bound, Gather(&o[pos..pos + take])),
-            None => acc.process_morsel(
-                bound,
-                Natural {
-                    base: pos,
-                    len: take,
-                },
-            ),
-        };
+        let mask = acc.process_morsel(bound, pos, MORSEL.min(hi - pos));
         if let Some(out) = matches.as_deref_mut() {
             out[m] = mask;
         }

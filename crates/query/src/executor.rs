@@ -9,15 +9,19 @@
 //! accumulator, computed ahead of the cursor over the persistent
 //! [`crate::pool::ScanPool`] when [`ChunkedRun::set_workers`] grants more
 //! than one worker and merged back in chunk order so results are
-//! bit-identical for every worker count.
+//! bit-identical for every worker count. A run over a shuffled order reads
+//! its [`Shuffle`]'s permuted column copies, so every run walks contiguous
+//! positions.
 //! The scalar oracle ([`execute_exact_scalar`]) interprets the query one row
-//! at a time (folded over the same chunk grid); differential tests and
-//! benchmarks pin the vectorized path against it.
+//! at a time (folded over the same chunk grid), following an explicit
+//! order row by row in [`execute_exact_scalar_with_order`]; differential
+//! tests and benchmarks pin the vectorized path against it.
 
 use crate::aggregate::GroupedAcc;
 use crate::dispatch::{MorselDispatcher, CHUNK_ROWS};
 use crate::plan::CompiledPlan;
 use crate::resolve::ResolvedQuery;
+use crate::shuffle::Shuffle;
 use idebench_core::{AggResult, CoreError, Query, QueryHandle, StepStatus};
 use idebench_storage::Dataset;
 use std::sync::Arc;
@@ -49,15 +53,15 @@ pub enum SnapshotMode {
 
 /// A query scan that can be advanced in work-unit-bounded chunks.
 ///
-/// The run owns its compiled plan (which owns the dataset handle) and an
-/// optional row *order* (progressive engines scan a shuffled order so any
-/// prefix is a uniform sample). A run is itself a [`QueryHandle`]: engines
-/// return it boxed, behind [`idebench_core::Overhead`] when the system pays
-/// a fixed cost before the scan starts.
+/// The run owns its compiled plan (which owns the dataset handle). A run
+/// over a shuffled order (progressive engines scan one so any prefix is a
+/// uniform sample) binds its plan to the order's permuted column copies
+/// (see [`Shuffle`]), so every run scans positions `0..n` in natural
+/// order. A run is itself a [`QueryHandle`]: engines return it boxed,
+/// behind [`idebench_core::Overhead`] when the system pays a fixed cost
+/// before the scan starts.
 pub struct ChunkedRun {
     plan: CompiledPlan,
-    /// Row visit order; `None` = natural order 0..n.
-    order: Option<Arc<Vec<u32>>>,
     /// Chunk-partitioned accumulation state + worker pool.
     dispatcher: MorselDispatcher,
     cursor: usize,
@@ -81,7 +85,8 @@ impl ChunkedRun {
         Self::with_order(dataset, query, None, mode)
     }
 
-    /// Creates a run visiting rows in the given order (e.g. a shuffle).
+    /// Creates a run visiting rows in the given order: position `i`
+    /// processes row `order[i]` (see [`ChunkedRun::from_plan`]).
     pub fn with_order(
         dataset: Dataset,
         query: Query,
@@ -94,21 +99,34 @@ impl ChunkedRun {
 
     /// Creates a run from an already-compiled plan (engines compile once
     /// for cost modelling and hand the same plan to the run — the query is
-    /// never compiled twice).
+    /// never compiled twice), visiting rows in `order` when given.
+    ///
+    /// An explicit order gets a private [`Shuffle`]: the run builds its own
+    /// permuted copies of the columns it reads. Engines that scan one order
+    /// many times share copies through [`ChunkedRun::from_shuffle`].
     pub fn from_plan(plan: CompiledPlan, order: Option<Arc<Vec<u32>>>, mode: SnapshotMode) -> Self {
+        match order {
+            Some(order) => {
+                let shuffle = Shuffle::from_order(plan.dataset(), order);
+                Self::from_shuffle(plan, &shuffle, mode)
+            }
+            None => Self::natural(plan, mode),
+        }
+    }
+
+    /// Creates a run visiting rows in `shuffle`'s order, reading (and, on
+    /// first use, building) its shared permuted column copies.
+    pub fn from_shuffle(mut plan: CompiledPlan, shuffle: &Shuffle, mode: SnapshotMode) -> Self {
+        plan.permute(shuffle);
+        Self::natural(plan, mode)
+    }
+
+    fn natural(plan: CompiledPlan, mode: SnapshotMode) -> Self {
         let num_rows = plan.num_rows();
         let row_cost = plan.row_cost() as f64;
-        if let Some(o) = &order {
-            assert!(
-                o.len() == num_rows,
-                "visit order has {} positions, but the table has {num_rows} rows",
-                o.len()
-            );
-        }
         let dispatcher = MorselDispatcher::new(&plan);
         ChunkedRun {
             plan,
-            order,
             dispatcher,
             cursor: 0,
             num_rows,
@@ -216,13 +234,9 @@ impl ChunkedRun {
             // surcharge overdraw is carried to the next call).
             let fit = (room / worst_row) as usize;
             let take = (self.num_rows - self.cursor).min(fit.max(1));
-            let matched = self.dispatcher.scan_span(
-                &self.plan,
-                self.order.as_ref().map(|o| o.as_slice()),
-                self.cursor,
-                take,
-                self.num_rows,
-            );
+            let matched = self
+                .dispatcher
+                .scan_span(&self.plan, self.cursor, take, self.num_rows);
             self.row_work += take as f64 * self.row_cost + matched as f64 * self.match_cost;
             self.cursor += take;
         }
@@ -279,11 +293,7 @@ impl ChunkedRun {
     }
 
     fn grouped(&self) -> GroupedAcc {
-        self.dispatcher.grouped(
-            &self.plan,
-            self.order.as_deref().map(Vec::as_slice),
-            self.cursor,
-        )
+        self.dispatcher.grouped(&self.plan, self.cursor)
     }
 
     /// The query this run executes.
@@ -1368,5 +1378,44 @@ mod tests {
             assert_eq!(run.advance(16_384), 0);
             assert_eq!(run.snapshot().unwrap().bins.len(), 0);
         }
+    }
+
+    #[test]
+    fn count_binning_over_a_column_with_nan_uses_its_finite_range() {
+        let mut b = TableBuilder::with_fields("flights", &[("dep_delay", DataType::Float)]);
+        for v in [1.0, 2.0, f64::NAN, 5.0] {
+            b.push_row(&[v.into()]).unwrap();
+        }
+        let ds = Dataset::Denormalized(Arc::new(b.finish()));
+        let spec = VizSpec::new(
+            "v",
+            "flights",
+            vec![BinDef::Count {
+                dimension: "dep_delay".into(),
+                bins: 2,
+            }],
+            vec![AggregateSpec::count()],
+        );
+        let mut q = Query::for_viz(&spec, None);
+        idebench_core::driver::resolve_count_binnings(&mut q, &ds).unwrap();
+        match &q.binning()[0] {
+            BinDef::Width { anchor, width, .. } => {
+                assert_eq!(*anchor, 1.0);
+                assert!((width - 2.0).abs() < 1e-9, "width {width}");
+            }
+            other => panic!("expected a width binning, got {other:?}"),
+        }
+        let scalar = execute_exact_scalar(&ds, &q).unwrap();
+        for workers in [1, 2] {
+            let mut run = ChunkedRun::new(ds.clone(), q.clone(), SnapshotMode::Exact).unwrap();
+            run.set_workers(workers);
+            while !run.is_done() {
+                run.advance(3);
+            }
+            assert_eq!(run.snapshot().unwrap(), scalar, "workers {workers}");
+        }
+        // Every row lands in a bin: NaN in the one `floor(NaN) as i64` gives.
+        let total: f64 = scalar.bins.values().map(|b| b.values[0]).sum();
+        assert_eq!(total, 4.0);
     }
 }

@@ -41,8 +41,8 @@ impl<'a> CompiledFilter<'a> {
             },
             FilterExpr::Pred(Predicate::In { column, values }) => {
                 let col = ResolvedColumn::new(dataset, column)?;
-                let codes = match col.column().as_nominal() {
-                    Some((_, dict)) => values.iter().filter_map(|v| dict.code(v)).collect(),
+                let codes = match col.column().dictionary() {
+                    Some(dict) => values.iter().filter_map(|v| dict.code(v)).collect(),
                     None => {
                         return Err(CoreError::Storage(format!(
                             "IN filter on non-nominal column {column}"

@@ -21,11 +21,18 @@
 //!   `(Arc<Table>, index)` handles (following star-schema foreign keys),
 //!   IN-lists lowered to dictionary membership tables, binning classified as
 //!   dense (bounded bin space: nominal dictionaries *and* statistics-bounded
-//!   fixed-width bucketings) or sparse (genuinely unbounded key spaces).
-//!   Built exactly once per run; [`plan_compilations`] lets tests pin that.
+//!   fixed-width bucketings) or sparse (genuinely unbounded key spaces), and
+//!   ranges and dense bucketings over narrow numeric columns lowered to code
+//!   space. Built exactly once per run; [`plan_compilations`] lets tests
+//!   pin that.
 //! - [`batch`]: fixed-size morsel kernels (filter → bitmask, batched bin
 //!   slot computation, bulk accumulation) and the dense flat-array /
-//!   sparse hashed accumulators.
+//!   sparse hashed accumulators. Narrow payloads (see
+//!   [`idebench_storage::encoding`]) are read as codes or decoded per
+//!   morsel into stage buffers.
+//! - [`shuffle`]: [`Shuffle`] — a visit order interned per (dataset, seed)
+//!   with lazily built, `Arc`-shared permuted copies of the columns plans
+//!   read, so shuffled runs scan contiguous morsels.
 //! - [`dispatch`]: the [`MorselDispatcher`] — partitions the scan into
 //!   fixed [`CHUNK_ROWS`]-sized chunks, computes whole chunks ahead of the
 //!   cursor over the persistent [`ScanPool`] with a per-chunk accumulator
@@ -36,7 +43,8 @@
 //!   so intra-query parallelism and multi-session concurrency compose
 //!   without oversubscription.
 //! - [`executor`]: [`ChunkedRun`] — work-unit-budgeted morsel execution with
-//!   monotone, exactly-capped budget accounting over the dispatcher — plus
+//!   monotone, exactly-capped budget accounting over the dispatcher, in
+//!   natural order or a [`Shuffle`]'s order — plus
 //!   [`execute_exact`] / [`execute_exact_parallel`] (vectorized one-shot)
 //!   and [`execute_exact_scalar`] / [`execute_exact_scalar_with_order`]:
 //!   the scalar oracle, a plain row-at-a-time interpreter (private
@@ -87,6 +95,7 @@ pub mod ground_truth;
 pub mod plan;
 pub mod pool;
 mod resolve;
+pub mod shuffle;
 pub mod sql;
 
 pub use aggregate::{BinAcc, GroupedAcc, MeasureAcc};
@@ -99,4 +108,5 @@ pub use executor::{
 pub use ground_truth::{enumerate_workload_queries, CachedGroundTruth};
 pub use plan::{plan_compilations, AccMode, CompiledPlan, PlannedColumn, DENSE_BIN_CAP};
 pub use pool::{global_pool, ScanPool};
+pub use shuffle::Shuffle;
 pub use sql::to_sql;

@@ -43,9 +43,25 @@
 //! *wall-clock* cost only: the benchmark's virtual cost model
 //! ([`CompiledPlan::row_cost`], [`CompiledPlan::width_units`]) still
 //! charges every logical join.
+//!
+//! # Narrow columns and shuffled orders
+//!
+//! Plain payloads are read directly. A narrow numeric column without nulls
+//! (see [`idebench_storage::encoding`]) is read as codes by a range filter
+//! (a code interval, `CodeRange`) and by a fixed-width dimension of a
+//! densely accumulated plan (a per-code slot table, `CodeSlots`); both are
+//! computed here from the decoded value of every code, so they agree with
+//! the decoded kernels bit for bit. Every other use of a narrow, joined or
+//! nullable column is staged: decoded per morsel into a stage buffer.
+//! A run over a shuffled order rebinds the plan to the order's permuted
+//! column copies ([`crate::Shuffle`]) through the same slot join
+//! materializations use, so every plan scans contiguous positions; the
+//! cost model is unchanged.
 
+use crate::shuffle::Shuffle;
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
-use idebench_storage::{Column, ColumnSlice, Dataset, SelVec, Table};
+use idebench_storage::encoding::MAX_DECODE_TABLE;
+use idebench_storage::{Column, ColumnData, DataType, Dataset, Ints, SelVec, Table};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,11 +87,15 @@ pub(crate) const NULL_CODE: u32 = u32::MAX;
 /// How morsel kernels physically access a planned column.
 #[derive(Debug, Clone)]
 pub(crate) enum Access {
-    /// Flat payload without nulls — kernels index it by fact row directly.
+    /// Plain payload without nulls — kernels index it by scan position
+    /// directly.
     Direct,
-    /// Gathered per morsel into stage buffer `slot` (flat values plus a
+    /// Decoded per morsel into stage buffer `slot` (flat values plus a
     /// validity mask); `nominal` picks the code vs. numeric buffer.
     Staged { slot: usize, nominal: bool },
+    /// Read as narrow codes by a code-space kernel (see [`CodeRange`] and
+    /// [`CodeSlots`]); this use needs no decoded view.
+    Codes,
 }
 
 /// A query column resolved to owned storage handles.
@@ -83,10 +103,13 @@ pub(crate) enum Access {
 /// `table` holds the column payload; for star-schema dimension attributes,
 /// `fk` names the fact table's foreign-key column through which fact rows
 /// logically reach it (`column[fk[row]]` — the indirection *is* the join).
-/// `materialized` carries the fact-ordered copy when the shared join cache
-/// devirtualized that indirection, and `access` says how kernels read the
-/// column (see `Access`). The *cost model* always follows `fk`: a
-/// devirtualized join still bills as a join.
+/// `materialized` carries the column the kernels read in its place: the
+/// fact-ordered copy when the shared join cache devirtualized that
+/// indirection, or — for a plan bound to a [`Shuffle`] — the permuted copy
+/// of the fact-length column (position `i` holding row `order[i]`). `access`
+/// says how kernels read it (see `Access`). The *cost model* always follows
+/// `fk` and the logical column: a devirtualized join still bills as a join,
+/// and a permuted copy still bills shuffled access.
 #[derive(Debug, Clone)]
 pub struct PlannedColumn {
     table: Arc<Table>,
@@ -120,7 +143,7 @@ impl PlannedColumn {
                     CoreError::Storage(format!("unknown column {name} in star schema"))
                 })?;
                 let fk_idx = s.fact().schema().index_of(&spec.fk_name)?;
-                if s.fact().column_at(fk_idx).as_int().is_none() {
+                if s.fact().column_at(fk_idx).dtype() != DataType::Int {
                     return Err(CoreError::Storage(format!("fk {} not int", spec.fk_name)));
                 }
                 Ok(make(
@@ -138,9 +161,9 @@ impl PlannedColumn {
         self.table.column_at(self.col)
     }
 
-    /// The column the kernels physically read: the fact-ordered
-    /// materialization when the join was devirtualized through the shared
-    /// cache, the logical column otherwise.
+    /// The column the kernels physically read: the permuted copy or the
+    /// fact-ordered join materialization when there is one, the logical
+    /// column otherwise.
     pub(crate) fn payload(&self) -> &Column {
         self.materialized
             .as_deref()
@@ -160,8 +183,9 @@ impl PlannedColumn {
     /// Scan width in 4-byte units (dictionary codes 1 unit, ints/floats 2,
     /// plus 2.5 for join access) — an input to the engines' cost models.
     pub fn width_units(&self) -> f64 {
-        let own = match self.column().typed() {
-            ColumnSlice::Codes(..) => 1.0,
+        // Logical widths: the cost model does not see narrow encodings.
+        let own = match self.column().dtype() {
+            DataType::Nominal => 1.0,
             _ => 2.0,
         };
         if self.fk.is_some() {
@@ -175,7 +199,8 @@ impl PlannedColumn {
     #[inline]
     pub(crate) fn view(&self) -> ColView<'_> {
         match self.access {
-            Access::Direct => ColView::direct(self.payload().typed()),
+            Access::Codes => unreachable!("code-space uses bind their codes, not a view"),
+            Access::Direct => ColView::direct(self.payload().data()),
             Access::Staged { slot, nominal } => {
                 if nominal {
                     ColView::StagedCodes(slot)
@@ -187,10 +212,10 @@ impl PlannedColumn {
     }
 }
 
-/// A column as the morsel kernels consume it: a flat typed slice indexed by
-/// fact row (`F64` / `I64` / `Codes` — no nulls by construction), or a
+/// A column as the morsel kernels consume it: a plain typed slice indexed by
+/// scan position (`F64` / `I64` / `Codes` — no nulls by construction), or a
 /// staged scratch slot indexed by morsel position with a validity mask
-/// (joined or nullable columns).
+/// (narrow, joined or nullable columns).
 #[derive(Clone, Copy)]
 pub(crate) enum ColView<'a> {
     /// Direct float slice.
@@ -206,13 +231,28 @@ pub(crate) enum ColView<'a> {
 }
 
 impl<'a> ColView<'a> {
-    /// Direct view of a flat, fully-valid payload.
+    /// Direct view of a plain, fully-valid payload (the planner gives
+    /// narrow payloads staged access).
     #[inline]
-    pub(crate) fn direct(data: ColumnSlice<'a>) -> Self {
+    pub(crate) fn direct(data: &'a ColumnData) -> Self {
         match data {
-            ColumnSlice::F64(d) => ColView::F64(d),
-            ColumnSlice::I64(d) => ColView::I64(d),
-            ColumnSlice::Codes(d, _) => ColView::Codes(d),
+            ColumnData::Float(d) => ColView::F64(d),
+            ColumnData::Int(Ints::I64(d)) => ColView::I64(d),
+            ColumnData::Nominal(Ints::U32(d), _) => ColView::Codes(d),
+            _ => unreachable!("direct access is planned for plain payloads only"),
+        }
+    }
+
+    /// The view for the morsel at positions `base..base + n`: direct
+    /// slices are cut to the morsel, so every view is indexed by morsel
+    /// position (stage buffers already are).
+    #[inline]
+    pub(crate) fn at(self, base: usize, n: usize) -> Self {
+        match self {
+            ColView::F64(d) => ColView::F64(&d[base..base + n]),
+            ColView::I64(d) => ColView::I64(&d[base..base + n]),
+            ColView::Codes(d) => ColView::Codes(&d[base..base + n]),
+            staged => staged,
         }
     }
 }
@@ -220,11 +260,13 @@ impl<'a> ColView<'a> {
 /// A filter tree lowered to planned columns and dense membership tables.
 #[derive(Debug, Clone)]
 pub(crate) enum PlannedFilter {
-    /// Half-open quantitative range.
+    /// Half-open quantitative range; `codes` is its code-space lowering
+    /// when the column is read as codes.
     Range {
         col: PlannedColumn,
         min: f64,
         max: f64,
+        codes: Option<CodeRange>,
     },
     /// Nominal membership, as a dictionary-length lookup table: IN-list
     /// hashing is paid once at compile time, never per row.
@@ -243,11 +285,12 @@ impl PlannedFilter {
                 col: PlannedColumn::resolve(dataset, column)?,
                 min: *min,
                 max: *max,
+                codes: None,
             },
             FilterExpr::Pred(Predicate::In { column, values }) => {
                 let col = PlannedColumn::resolve(dataset, column)?;
-                let member = match col.column().typed() {
-                    ColumnSlice::Codes(_, dict) => {
+                let member = match col.column().dictionary() {
+                    Some(dict) => {
                         let mut member = vec![false; dict.len()];
                         for v in values {
                             // Categories absent from the dictionary never
@@ -259,7 +302,7 @@ impl PlannedFilter {
                         }
                         member
                     }
-                    _ => {
+                    None => {
                         return Err(CoreError::Storage(format!(
                             "IN filter on non-nominal column {column}"
                         )))
@@ -293,15 +336,50 @@ impl PlannedFilter {
         }
     }
 
+    /// Calls `f` with every predicate's column and whether the predicate
+    /// is a range (which code space can evaluate).
     fn try_for_each_col_mut(
         &mut self,
-        f: &mut impl FnMut(&mut PlannedColumn) -> Result<(), CoreError>,
+        f: &mut impl FnMut(&mut PlannedColumn, bool) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
         match self {
-            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
+            PlannedFilter::Range { col, .. } => f(col, true),
+            PlannedFilter::In { col, .. } => f(col, false),
             PlannedFilter::And(children) | PlannedFilter::Or(children) => children
                 .iter_mut()
                 .try_for_each(|c| c.try_for_each_col_mut(f)),
+        }
+    }
+
+    /// Builds the code-space lowering of every range read as codes.
+    fn lower_ranges(&mut self) {
+        match self {
+            PlannedFilter::Range {
+                col,
+                min,
+                max,
+                codes,
+            } => {
+                if matches!(col.access, Access::Codes) {
+                    let span = CodeSpan::of(col.payload()).expect("code-space column");
+                    *codes = Some(CodeRange::new(&span, *min, *max));
+                }
+            }
+            PlannedFilter::In { .. } => {}
+            PlannedFilter::And(children) | PlannedFilter::Or(children) => {
+                children.iter_mut().for_each(PlannedFilter::lower_ranges)
+            }
+        }
+    }
+
+    fn for_each_col_mut(&mut self, f: &mut impl FnMut(&mut PlannedColumn)) {
+        match self {
+            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
+            PlannedFilter::And(children) | PlannedFilter::Or(children) => {
+                for c in children {
+                    c.for_each_col_mut(f);
+                }
+            }
         }
     }
 
@@ -338,6 +416,118 @@ pub(crate) struct DenseWidth {
     pub len: usize,
 }
 
+impl DenseWidth {
+    /// The dense slot of value `v` under bucket width `width` and anchor
+    /// `anchor`: `floor((v − anchor)/width) − lo`, clamped into the bounded
+    /// space (a no-op when stats are exact; it only guards slot-array
+    /// bounds). The floor is computed as truncate-and-adjust — identical to
+    /// `f64::floor` for every in-bounds value but free of the libm call
+    /// baseline x86-64 lowers `floor()` to, which would otherwise dominate
+    /// the slotting loop. `lo` round-trips through f64 exactly, so the slot
+    /// decodes to the same bucket index the hashed path computes, bit for
+    /// bit.
+    #[inline(always)]
+    pub(crate) fn slot_of(
+        lo: i64,
+        len: u32,
+        width: f64,
+        anchor: f64,
+    ) -> impl Fn(f64) -> u32 + Copy {
+        let lo_f = lo as f64;
+        let top = (len - 1) as f64;
+        move |v: f64| -> u32 {
+            let q = (v - anchor) / width;
+            let t = q as i64 as f64; // trunc(q), exact in-bounds
+            let fl = if t > q { t - 1.0 } else { t };
+            (fl - lo_f).clamp(0.0, top) as u32
+        }
+    }
+}
+
+/// The codes a narrow numeric column without nulls holds, each with the
+/// value it decodes to — what code-space kernels are built from.
+pub(crate) struct CodeSpan<'a> {
+    /// The smallest code (other than a decimal's `-0.0` code).
+    lo: i64,
+    /// `values[i]` is the decoded value of code `lo + i`, increasing.
+    values: std::borrow::Cow<'a, [f64]>,
+    /// Whether the payload is decimal, whose reserved code decodes `-0.0`.
+    decimal: bool,
+}
+
+impl<'a> CodeSpan<'a> {
+    /// The span of `col`'s payload: a decimal with a decode table, or
+    /// `u8`/`u16` integers spanning at most
+    /// [`idebench_storage::encoding::MAX_DECODE_TABLE`] values. Columns
+    /// with nulls and other payloads have none.
+    pub(crate) fn of(col: &'a Column) -> Option<Self> {
+        if col.validity().is_some() {
+            return None;
+        }
+        match col.data() {
+            ColumnData::Decimal(..) => col.decode_table().map(|t| CodeSpan {
+                lo: t.lo(),
+                values: std::borrow::Cow::Borrowed(t.values()),
+                decimal: true,
+            }),
+            ColumnData::Int(Ints::U8(_) | Ints::U16(_)) => {
+                let (min, max) = col.numeric_min_max()?;
+                let (lo, hi) = (min as i64, max as i64);
+                ((hi - lo) < MAX_DECODE_TABLE as i64).then(|| CodeSpan {
+                    lo,
+                    values: (lo..=hi).map(|k| k as f64).collect(),
+                    decimal: false,
+                })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A range predicate in code space: decoding is increasing in the code, so
+/// `min ≤ v < max` holds exactly for the codes in `[lo, lo + width)` — and
+/// for a decimal's `-0.0` code when `neg_zero` says `-0.0` passes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodeRange {
+    pub lo: i64,
+    pub width: u64,
+    pub neg_zero: bool,
+}
+
+impl CodeRange {
+    fn new(span: &CodeSpan<'_>, min: f64, max: f64) -> Self {
+        // The same comparisons the decoded kernel makes, on every value.
+        let at_least_min = |v: f64| v >= min;
+        let first = span.values.partition_point(|&v| !at_least_min(v));
+        let end = span.values.partition_point(|&v| v < max);
+        CodeRange {
+            lo: span.lo + first as i64,
+            width: end.saturating_sub(first) as u64,
+            neg_zero: span.decimal && (-0.0 >= min && -0.0 < max),
+        }
+    }
+}
+
+/// A dense fixed-width dimension in code space: the slot of every code
+/// (and of a decimal's `-0.0` code), computed once with
+/// [`DenseWidth::slot_of`] on the decoded values.
+#[derive(Debug)]
+pub(crate) struct CodeSlots {
+    pub lo: i64,
+    pub slots: Vec<u32>,
+    pub neg_zero: u32,
+}
+
+impl CodeSlots {
+    fn new(span: &CodeSpan<'_>, slot_of: impl Fn(f64) -> u32) -> Self {
+        CodeSlots {
+            lo: span.lo,
+            slots: span.values.iter().map(|&v| slot_of(v)).collect(),
+            neg_zero: slot_of(-0.0),
+        }
+    }
+}
+
 /// One planned binning dimension.
 #[derive(Debug, Clone)]
 pub(crate) enum PlannedDim {
@@ -346,11 +536,14 @@ pub(crate) enum PlannedDim {
     /// Fixed-width bucketing: bin = `floor((x - anchor) / width)`. `dense`
     /// is the arithmetic slot lowering when column statistics bound the
     /// bucket space; `None` leaves the dimension on the hashed path.
+    /// `codes` is the code-space slot table when the plan accumulates
+    /// densely and reads the column as codes.
     Width {
         col: PlannedColumn,
         width: f64,
         anchor: f64,
         dense: Option<DenseWidth>,
+        codes: Option<Arc<CodeSlots>>,
     },
 }
 
@@ -386,12 +579,14 @@ pub enum AccMode {
     Sparse,
 }
 
-/// An owned handle to a column staged per morsel (see [`StageSpec::Own`]).
+/// An owned handle to a fact-length column the kernels read per morsel (a
+/// [`StageSpec::Own`] column or a staged foreign key).
 #[derive(Debug, Clone)]
 pub(crate) enum ColRef {
     /// A column inside a table.
     Table(Arc<Table>, usize),
-    /// A free-standing column (fact-ordered materialization).
+    /// A free-standing column (fact-ordered materialization or permuted
+    /// copy).
     Owned(Arc<Column>),
 }
 
@@ -409,7 +604,7 @@ impl ColRef {
 /// kernels then consume flat slices plus the staged validity mask.
 #[derive(Debug, Clone)]
 pub(crate) enum StageSpec {
-    /// Gather the column's own rows (folding its validity into the mask).
+    /// Decode the column's own rows (folding its validity into the mask).
     Own(ColRef),
     /// Translate the staged FK buffer `fk_slot` through a per-plan
     /// dimension-row code cache ([`NULL_CODE`] marks null dimension rows).
@@ -431,7 +626,7 @@ impl StageSpec {
     /// Whether the staged values are dictionary codes (vs. numerics).
     pub(crate) fn nominal(&self) -> bool {
         match self {
-            StageSpec::Own(col) => matches!(col.get().typed(), ColumnSlice::Codes(..)),
+            StageSpec::Own(col) => col.get().dtype() == DataType::Nominal,
             StageSpec::JoinCodes { .. } => true,
             StageSpec::JoinNum { .. } => false,
         }
@@ -452,9 +647,6 @@ pub(crate) struct StagePhases {
     pub post_fks: Vec<usize>,
 }
 
-/// A fact-table foreign-key column: `(fact table, column index)`.
-pub(crate) type FkCol = (Arc<Table>, usize);
-
 /// An owned, reusable compiled query plan (see module docs).
 pub struct CompiledPlan {
     dataset: Dataset,
@@ -464,9 +656,9 @@ pub struct CompiledPlan {
     pub(crate) measures: Vec<Option<PlannedColumn>>,
     /// Per-morsel staging instructions (one per stage buffer).
     pub(crate) stages: Vec<StageSpec>,
-    /// Distinct foreign-key columns gathered once per morsel, shared by
+    /// Distinct foreign-key columns staged once per morsel, shared by
     /// every [`StageSpec::JoinCodes`]/[`StageSpec::JoinNum`] over them.
-    pub(crate) fk_cols: Vec<FkCol>,
+    pub(crate) fk_cols: Vec<ColRef>,
     /// Filter-phase vs. post-filter-phase staging split.
     pub(crate) phases: StagePhases,
     acc_mode: AccMode,
@@ -507,9 +699,10 @@ impl CompiledPlan {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        let (stages, fk_cols) = Self::plan_access(dataset, &mut filter, &mut dims, &mut measures)?;
-        let phases = Self::partition_stages(&filter, &stages, fk_cols.len());
         let acc_mode = Self::pick_acc_mode(&dims);
+        let (stages, fk_cols) =
+            Self::plan_access(dataset, &mut filter, &mut dims, &mut measures, acc_mode)?;
+        let phases = Self::partition_stages(&filter, &stages, fk_cols.len());
         let joined_columns = dims.iter().filter(|d| d.col().is_joined()).count()
             + filter.as_ref().map_or(0, PlannedFilter::joined_columns)
             + measures.iter().flatten().filter(|m| m.is_joined()).count();
@@ -544,24 +737,43 @@ impl CompiledPlan {
     /// Assigns every planned column its kernel [`Access`], deduplicated by
     /// physical column: the shared stage slots, per-plan join caches, and
     /// distinct FK staging columns fall out of this pass (module docs).
+    ///
+    /// Range filters, and fixed-width dimensions of a densely accumulated
+    /// plan, read a narrow numeric column without nulls as codes
+    /// ([`Access::Codes`]): their code-space tables are built here and the
+    /// column is staged only if another use needs its decoded values.
     fn plan_access(
         dataset: &Dataset,
         filter: &mut Option<PlannedFilter>,
         dims: &mut [PlannedDim],
         measures: &mut [Option<PlannedColumn>],
-    ) -> Result<(Vec<StageSpec>, Vec<FkCol>), CoreError> {
-        // Per physical column: its access plus any shared materialization.
-        type AccessMemo = FxHashMap<(usize, usize), (Access, Option<Arc<Column>>)>;
+        acc_mode: AccMode,
+    ) -> Result<(Vec<StageSpec>, Vec<ColRef>), CoreError> {
+        // Per physical column: any shared materialization, plus the access
+        // of its decoded uses once one needs it.
+        type AccessMemo = FxHashMap<(usize, usize), (Option<Arc<Column>>, Option<Access>)>;
         let star = dataset.as_star();
         let mut stages: Vec<StageSpec> = Vec::new();
-        let mut fk_cols: Vec<FkCol> = Vec::new();
+        let mut fk_cols: Vec<ColRef> = Vec::new();
         let mut memo: AccessMemo = FxHashMap::default();
 
-        let mut assign = |col: &mut PlannedColumn| -> Result<(), CoreError> {
+        let mut assign = |col: &mut PlannedColumn, code_space: bool| -> Result<(), CoreError> {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
-            if let Some((access, materialized)) = memo.get(&key) {
+            let (materialized, known) = memo.entry(key).or_insert_with(|| {
+                let materialized = match (&col.fk, star) {
+                    (Some(_), Some(s)) => s.materialize_join(col.name()),
+                    _ => None,
+                };
+                (materialized, None)
+            });
+            col.materialized = materialized.clone();
+            let readable = col.fk.is_none() || col.materialized.is_some();
+            if code_space && readable && CodeSpan::of(col.payload()).is_some() {
+                col.access = Access::Codes;
+                return Ok(());
+            }
+            if let Some(access) = known {
                 col.access = access.clone();
-                col.materialized = materialized.clone();
                 return Ok(());
             }
             let push_stage = |stages: &mut Vec<StageSpec>, spec: StageSpec| Access::Staged {
@@ -571,12 +783,9 @@ impl CompiledPlan {
                     stages.len() - 1
                 },
             };
-            let materialized = match (&col.fk, star) {
-                (Some(_), Some(s)) => s.materialize_join(col.name()),
-                _ => None,
-            };
-            let access = if let Some(m) = &materialized {
-                if m.validity().is_none() {
+            let direct = |c: &Column| c.validity().is_none() && c.data().is_plain();
+            let access = if let Some(m) = &col.materialized {
+                if direct(m) {
                     Access::Direct
                 } else {
                     push_stage(&mut stages, StageSpec::Own(ColRef::Owned(Arc::clone(m))))
@@ -593,22 +802,19 @@ impl CompiledPlan {
                         u32::MAX
                     )));
                 }
-                let fk_key = (Arc::clone(fact), *fk_idx);
                 let fk_slot = fk_cols
                     .iter()
-                    .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
+                    .position(|fk| matches!(fk, ColRef::Table(t, i) if Arc::ptr_eq(t, fact) && i == fk_idx))
                     .unwrap_or_else(|| {
-                        fk_cols.push(fk_key);
+                        fk_cols.push(ColRef::Table(Arc::clone(fact), *fk_idx));
                         fk_cols.len() - 1
                     });
-                let spec = match dim_col.typed() {
-                    ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
+                let spec = match dim_col.dtype() {
+                    DataType::Nominal => StageSpec::JoinCodes {
                         fk_slot,
                         cache: Arc::new(
-                            codes
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &c)| if dim_col.is_valid(i) { c } else { NULL_CODE })
+                            (0..dim_col.len())
+                                .map(|i| dim_col.code_at(i).unwrap_or(NULL_CODE))
                                 .collect(),
                         ),
                     },
@@ -623,28 +829,45 @@ impl CompiledPlan {
                     },
                 };
                 push_stage(&mut stages, spec)
-            } else if col.column().validity().is_none() {
+            } else if direct(col.column()) {
                 Access::Direct
             } else {
-                // Nullable fact column: stage it so kernels fold the
-                // validity bitmap into the morsel mask once.
+                // Narrow or nullable fact column: stage it so kernels decode
+                // the payload and fold the validity bitmap into the morsel
+                // mask once.
                 let spec = StageSpec::Own(ColRef::Table(Arc::clone(&col.table), col.col));
                 push_stage(&mut stages, spec)
             };
-            memo.insert(key, (access.clone(), materialized.clone()));
+            *known = Some(access.clone());
             col.access = access;
-            col.materialized = materialized;
             Ok(())
         };
 
+        let dense = matches!(acc_mode, AccMode::Dense(_));
         for dim in dims.iter_mut() {
-            assign(dim.col_mut())?;
+            let code_space = dense && matches!(dim, PlannedDim::Width { .. });
+            assign(dim.col_mut(), code_space)?;
+            if let PlannedDim::Width {
+                col,
+                width,
+                anchor,
+                dense: Some(d),
+                codes,
+            } = dim
+            {
+                if matches!(col.access, Access::Codes) {
+                    let span = CodeSpan::of(col.payload()).expect("code-space column");
+                    let slot_of = DenseWidth::slot_of(d.lo, d.len as u32, *width, *anchor);
+                    *codes = Some(Arc::new(CodeSlots::new(&span, slot_of)));
+                }
+            }
         }
         if let Some(f) = filter {
             f.try_for_each_col_mut(&mut assign)?;
+            f.lower_ranges();
         }
         for m in measures.iter_mut().flatten() {
-            assign(m)?;
+            assign(m, false)?;
         }
         Ok((stages, fk_cols))
     }
@@ -653,9 +876,9 @@ impl CompiledPlan {
         Ok(match def {
             BinDef::Nominal { dimension } => {
                 let col = PlannedColumn::resolve(dataset, dimension)?;
-                let dict_len = match col.column().typed() {
-                    ColumnSlice::Codes(_, dict) => dict.len(),
-                    _ => {
+                let dict_len = match col.column().dictionary() {
+                    Some(dict) => dict.len(),
+                    None => {
                         return Err(CoreError::Storage(format!(
                             "nominal binning on non-nominal column {dimension}"
                         )))
@@ -680,6 +903,7 @@ impl CompiledPlan {
                     width: *width,
                     anchor: *anchor,
                     dense,
+                    codes: None,
                 }
             }
             BinDef::Count { dimension, .. } => {
@@ -789,6 +1013,82 @@ impl CompiledPlan {
             };
         }
         AccMode::Dense(space)
+    }
+
+    /// Rebinds the plan to `shuffle`'s permuted copies: every fact-length
+    /// column the kernels read (fact columns, join materializations, staged
+    /// foreign keys) is replaced by its copy in `shuffle`'s order, so scan
+    /// position `i` reads row `order[i]` through a natural-order morsel.
+    /// Accesses, stage layout and the cost model are unchanged.
+    pub(crate) fn permute(&mut self, shuffle: &Shuffle) {
+        assert_eq!(
+            shuffle.order().len(),
+            self.num_rows,
+            "visit order has {} positions, but the table has {} rows",
+            shuffle.order().len(),
+            self.num_rows
+        );
+        let mut bind = |col: &mut PlannedColumn| {
+            // A joined column that was not materialized reads a dimension
+            // column through its (permuted) foreign key instead.
+            if col.fk.is_none() || col.materialized.is_some() {
+                col.materialized = Some(shuffle.copy_of(col.payload()));
+            }
+        };
+        for dim in &mut self.dims {
+            bind(dim.col_mut());
+        }
+        if let Some(f) = &mut self.filter {
+            f.for_each_col_mut(&mut bind);
+        }
+        for m in self.measures.iter_mut().flatten() {
+            bind(m);
+        }
+        for stage in &mut self.stages {
+            if let StageSpec::Own(col) = stage {
+                *col = ColRef::Owned(shuffle.copy_of(col.get()));
+            }
+        }
+        for fk in &mut self.fk_cols {
+            *fk = ColRef::Owned(shuffle.copy_of(fk.get()));
+        }
+    }
+
+    /// Physical bytes the kernels read per scanned row: the element width
+    /// of every distinct column they read (payloads as encoded, permuted
+    /// copies and join materializations included, foreign keys staged for
+    /// translated joins too), plus 1/8 byte per validity bitmap. Per-plan
+    /// dimension-row join caches are not counted. Benchmarks divide
+    /// throughput by this to report achieved bandwidth.
+    pub fn bytes_per_row(&self) -> f64 {
+        let mut seen: Vec<*const ColumnData> = Vec::new();
+        let mut total = 0.0;
+        let mut add = |c: &Column| {
+            if !seen.contains(&(c.data() as *const _)) {
+                seen.push(c.data());
+                let validity = if c.validity().is_some() { 0.125 } else { 0.0 };
+                total += c.data().row_width() as f64 + validity;
+            }
+        };
+        let mut planned = |col: &PlannedColumn| {
+            // A translated join reads its staged foreign key instead.
+            if col.fk.is_none() || col.materialized.is_some() {
+                add(col.payload());
+            }
+        };
+        for dim in &self.dims {
+            planned(dim.col());
+        }
+        if let Some(f) = &self.filter {
+            f.for_each_col(&mut planned);
+        }
+        for m in self.measures.iter().flatten() {
+            planned(m);
+        }
+        for fk in &self.fk_cols {
+            add(fk.get());
+        }
+        total
     }
 
     /// The dataset this plan scans.
@@ -1104,10 +1404,22 @@ mod tests {
         let ds = star();
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
-        assert!(matches!(col.access, Access::Direct), "materialized → flat");
+        // The materialization keeps the dimension's one-byte codes, which
+        // the kernels decode through a stage buffer; no FK is staged.
+        assert!(matches!(
+            col.access,
+            Access::Staged {
+                slot: 0,
+                nominal: true
+            }
+        ));
         let mat = col.materialized.as_ref().expect("materialized column");
-        assert_eq!(mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
-        assert!(plan.stages.is_empty() && plan.fk_cols.is_empty());
+        assert_eq!(&*mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
+        assert!(matches!(
+            &plan.stages[..],
+            [StageSpec::Own(ColRef::Owned(m)), StageSpec::Own(_)] if Arc::ptr_eq(m, mat)
+        ));
+        assert!(plan.fk_cols.is_empty());
         // The cost model still bills the logical join.
         assert_eq!(plan.joined_columns(), 1);
         assert_eq!(plan.row_cost(), 2);
@@ -1140,20 +1452,21 @@ mod tests {
         );
         assert!(col.materialized.is_none());
         assert_eq!(plan.fk_cols.len(), 1, "one staged FK column");
+        // The carrier join, then the (narrow, so staged) dep_delay measure.
         match &plan.stages[..] {
-            [StageSpec::JoinCodes { fk_slot: 0, cache }] => {
+            [StageSpec::JoinCodes { fk_slot: 0, cache }, StageSpec::Own(_)] => {
                 assert_eq!(cache.as_slice(), &[0, 1], "dim-row-indexed codes");
             }
-            other => panic!("expected one JoinCodes stage, got {other:?}"),
+            other => panic!("expected a JoinCodes and an Own stage, got {other:?}"),
         }
         assert_eq!(ds.as_star().unwrap().join_cache_stats().declined, 1);
     }
 
     #[test]
     fn staging_defers_non_filter_columns_past_the_filter() {
-        // Filter on a *direct* fact column, binning on a staged joined one:
-        // the join staging must land in the post-filter phase, so morsels
-        // the filter rejects never pay the FK gather.
+        // Filter on a fact column, binning on a staged joined one: the join
+        // staging must land in the post-filter phase, so morsels the filter
+        // rejects never pay the FK gather.
         let ds = star_capped(0);
         let spec = VizSpec::new(
             "v",
@@ -1172,6 +1485,7 @@ mod tests {
             })),
         );
         let plan = CompiledPlan::compile(&ds, &q).unwrap();
+        // The filter reads dep_delay's codes, which need no stage.
         assert_eq!(plan.stages.len(), 1);
         assert!(plan.phases.filter_stages.is_empty());
         assert!(plan.phases.filter_fks.is_empty());
@@ -1240,6 +1554,119 @@ mod tests {
                 nominal: false
             }
         ));
+    }
+
+    /// A decimal column holding both zeros, and an int column.
+    fn narrow_numeric() -> Dataset {
+        let mut b =
+            TableBuilder::with_fields("flights", &[("d", DataType::Float), ("m", DataType::Int)]);
+        for (i, d) in [-0.0, 0.0, -0.5, 0.5, 1.0, -0.0, 2.5, -1.5]
+            .iter()
+            .enumerate()
+        {
+            b.push_row(&[(*d).into(), (i as i64 % 4).into()]).unwrap();
+        }
+        Dataset::Denormalized(Arc::new(b.finish()))
+    }
+
+    #[test]
+    fn narrow_ranges_and_dense_widths_run_in_code_space() {
+        let ds = narrow_numeric();
+        let spec = VizSpec::new(
+            "v",
+            "flights",
+            vec![
+                BinDef::Width {
+                    dimension: "d".into(),
+                    width: 0.5,
+                    anchor: 0.25,
+                },
+                BinDef::Width {
+                    dimension: "m".into(),
+                    width: 2.0,
+                    anchor: 0.0,
+                },
+            ],
+            vec![AggregateSpec::over(AggFunc::Sum, "d")],
+        );
+        // Ranges whose bounds sit on zeros of either sign and on codes.
+        for (min, max) in [
+            (-0.0, 0.5),
+            (0.0, 1.0),
+            (-0.5, -0.0),
+            (-1.0, 0.0),
+            (f64::NAN, 1.0),
+            (2.0, -2.0),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        ] {
+            let q = Query::for_viz(
+                &spec,
+                Some(FilterExpr::Pred(Predicate::Range {
+                    column: "d".into(),
+                    min,
+                    max,
+                })),
+            );
+            let plan = CompiledPlan::compile(&ds, &q).unwrap();
+            assert!(matches!(plan.acc_mode(), AccMode::Dense(_)));
+            match plan.filter.as_ref().unwrap() {
+                PlannedFilter::Range { col, codes, .. } => {
+                    assert!(matches!(col.access, Access::Codes) && codes.is_some());
+                }
+                other => panic!("expected a range, got {other:?}"),
+            }
+            for dim in &plan.dims {
+                assert!(matches!(dim, PlannedDim::Width { codes: Some(_), .. }));
+            }
+            // The measure still decodes: one stage, for `d`.
+            assert_eq!(plan.stages.len(), 1);
+            assert_eq!(
+                crate::execute_exact(&ds, &q).unwrap(),
+                crate::execute_exact_scalar(&ds, &q).unwrap(),
+                "range [{min}, {max})"
+            );
+        }
+    }
+
+    #[test]
+    fn wide_decimal_spans_decode_by_division() {
+        // Codes spanning more values than a decode table covers: measures
+        // decode by division and ranges fall back to staged decoding.
+        let mut b = TableBuilder::with_fields("flights", &[("d", DataType::Float)]);
+        for i in 0..300 {
+            b.push_row(&[f64::from(i * 337 % 100_001).into()]).unwrap();
+        }
+        let ds = Dataset::Denormalized(Arc::new(b.finish()));
+        let col = ds.as_denormalized().unwrap().column_at(0);
+        assert!(matches!(col.data(), ColumnData::Decimal(Ints::I32(_), 0)));
+        assert!(col.decode_table().is_none());
+        let spec = VizSpec::new(
+            "v",
+            "flights",
+            vec![BinDef::Width {
+                dimension: "d".into(),
+                width: 5_000.0,
+                anchor: 0.0,
+            }],
+            vec![AggregateSpec::over(AggFunc::Avg, "d")],
+        );
+        let q = Query::for_viz(
+            &spec,
+            Some(FilterExpr::Pred(Predicate::Range {
+                column: "d".into(),
+                min: 10_000.5,
+                max: 90_000.0,
+            })),
+        );
+        let plan = CompiledPlan::compile(&ds, &q).unwrap();
+        assert!(matches!(
+            plan.filter,
+            Some(PlannedFilter::Range { codes: None, .. })
+        ));
+        assert_eq!(
+            crate::execute_exact(&ds, &q).unwrap(),
+            crate::execute_exact_scalar(&ds, &q).unwrap()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! dataset storage, following star-schema foreign keys when necessary.
 
 use idebench_core::{CoreError, Query};
-use idebench_storage::{Column, Dataset};
+use idebench_storage::{Column, ColumnData, Dataset, Ints};
 
 /// A query column bound to physical storage.
 ///
@@ -13,7 +13,7 @@ use idebench_storage::{Column, Dataset};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedColumn<'a> {
     column: &'a Column,
-    fk: Option<&'a [i64]>,
+    fk: Option<&'a Ints>,
 }
 
 impl<'a> ResolvedColumn<'a> {
@@ -34,10 +34,9 @@ impl<'a> ResolvedColumn<'a> {
                 let (spec, dim) = s.dimension_of_column(name).ok_or_else(|| {
                     CoreError::Storage(format!("unknown column {name} in star schema"))
                 })?;
-                let fk =
-                    s.fact().column(&spec.fk_name)?.as_int().ok_or_else(|| {
-                        CoreError::Storage(format!("fk {} not int", spec.fk_name))
-                    })?;
+                let ColumnData::Int(fk) = s.fact().column(&spec.fk_name)?.data() else {
+                    return Err(CoreError::Storage(format!("fk {} not int", spec.fk_name)));
+                };
                 Ok(ResolvedColumn {
                     column: dim.column(name)?,
                     fk: Some(fk),
@@ -49,7 +48,7 @@ impl<'a> ResolvedColumn<'a> {
     #[inline]
     fn physical_row(&self, row: usize) -> usize {
         match self.fk {
-            Some(fk) => fk[row] as usize,
+            Some(fk) => fk.get(row) as usize,
             None => row,
         }
     }
@@ -63,11 +62,7 @@ impl<'a> ResolvedColumn<'a> {
     /// Dictionary code at the (fact) row, `None` when null or non-nominal.
     #[inline]
     pub(crate) fn code_at(&self, row: usize) -> Option<u32> {
-        let r = self.physical_row(row);
-        if !self.column.is_valid(r) {
-            return None;
-        }
-        self.column.as_nominal().map(|(codes, _)| codes[r])
+        self.column.code_at(self.physical_row(row))
     }
 
     /// The underlying column (dictionary access etc.).

@@ -76,6 +76,16 @@ pub fn read_csv<R: Read>(name: &str, input: R) -> Result<Table, StorageError> {
             Ok(Field::new(name, dtype))
         })
         .collect::<Result<Vec<_>, StorageError>>()?;
+    if let Some(dup) = fields
+        .iter()
+        .enumerate()
+        .find(|(i, f)| fields[..*i].iter().any(|g| g.name == f.name))
+    {
+        return Err(StorageError::Csv {
+            line: 1,
+            message: format!("duplicate field name {:?}", dup.1.name),
+        });
+    }
     let schema = Schema::new(fields);
     let ncols = schema.len();
     let dtypes: Vec<DataType> = schema.fields().iter().map(|f| f.dtype).collect();
@@ -185,6 +195,20 @@ mod tests {
             StorageError::Csv { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_header_names_rejected() {
+        let err = read_csv("t", "x:int,x:int\n1,2\n".as_bytes()).unwrap_err();
+        match err {
+            StorageError::Csv { line, message } => {
+                assert_eq!(line, 1);
+                assert!(message.contains("duplicate"), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // Same name, different types: still one column name twice.
+        assert!(read_csv("t", "x:int,y:float,x:nominal\n".as_bytes()).is_err());
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! passes to system adapters; engines that only support de-normalized data
 //! (like the paper's IDEA and System X) reject the `Star` variant.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
+use crate::encoding::Code;
 use crate::error::StorageError;
+use crate::match_ints;
 use crate::table::Table;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,14 +113,17 @@ impl StarSchema {
         capacity: usize,
     ) -> Result<Self, StorageError> {
         for (spec, dim) in &dimensions {
-            let fk = fact.column(&spec.fk_name)?;
-            let keys = fk.as_int().ok_or_else(|| StorageError::TypeMismatch {
-                column: spec.fk_name.clone(),
-                expected: "int",
-                got: "non-int",
-            })?;
+            let ColumnData::Int(keys) = fact.column(&spec.fk_name)?.data() else {
+                return Err(StorageError::TypeMismatch {
+                    column: spec.fk_name.clone(),
+                    expected: "int",
+                    got: "non-int",
+                });
+            };
             let n = dim.num_rows() as i64;
-            if let Some(&bad) = keys.iter().find(|&&k| k < 0 || k >= n) {
+            let bad =
+                match_ints!(keys, v => v.iter().map(|&k| k.widen()).find(|&k| k < 0 || k >= n));
+            if let Some(bad) = bad {
                 return Err(StorageError::Csv {
                     line: 0,
                     message: format!(
@@ -202,11 +207,9 @@ impl StarSchema {
         // not cost an O(fact) gather. The estimate matches the built
         // column's [`Column::byte_size`] by construction: element width ×
         // fact rows, plus the validity bitmap `take` carries over whenever
-        // the dimension column has one.
-        let elem = match dim_col.data() {
-            crate::column::ColumnData::Nominal(..) => 4,
-            _ => 8,
-        };
+        // the dimension column has one. The materialization keeps the
+        // dimension column's encoding, so narrow columns stay narrow.
+        let elem = dim_col.data().row_width();
         let validity_bytes = if dim_col.validity().is_some() {
             self.fact.num_rows().div_ceil(64) * 8
         } else {
@@ -220,13 +223,12 @@ impl StarSchema {
                 return None;
             }
         }
-        let fk = self
-            .fact
-            .column(&spec.fk_name)
-            .ok()?
-            .as_int()
-            .expect("fk column validated at construction");
-        let materialized = Arc::new(dim_col.take(fk.iter().map(|&k| k as usize)));
+        let ColumnData::Int(fk) = self.fact.column(&spec.fk_name).ok()?.data() else {
+            unreachable!("fk column validated at construction");
+        };
+        let materialized = Arc::new(match_ints!(fk, v => dim_col.take(
+            v.iter().map(|&k| k.widen() as usize)
+        )));
         debug_assert_eq!(materialized.byte_size(), size, "pre-sizing is exact");
         let mut guard = cache.columns.lock().unwrap();
         // Re-check under the lock: a racing materialization may have landed
@@ -353,8 +355,9 @@ impl Dataset {
         }
     }
 
-    /// Computes and caches numeric min/max statistics for every column
-    /// (see [`crate::Column::numeric_min_max`]).
+    /// Computes and caches numeric min/max statistics and decimal decode
+    /// tables for every column (see [`crate::Column::numeric_min_max`] and
+    /// [`crate::Column::decode_table`]).
     ///
     /// Engines call this during `prepare`, where load/preprocess cost is
     /// already reported, so plan compilation never pays a lazy O(rows)
@@ -363,7 +366,7 @@ impl Dataset {
     pub fn warm_numeric_stats(&self) {
         let warm = |t: &Table| {
             for col in t.columns() {
-                let _ = col.numeric_min_max();
+                let _ = (col.numeric_min_max(), col.decode_table());
             }
         };
         match self {
@@ -446,7 +449,7 @@ mod tests {
         let a = s.materialize_join("carrier").unwrap();
         // Fact-ordered: keys [0, 1, 0] → codes of AA, DL, AA.
         let (codes, dict) = a.as_nominal().unwrap();
-        assert_eq!(codes, &[0, 1, 0]);
+        assert_eq!(&*codes, &[0, 1, 0]);
         assert_eq!(dict.value(1), Some("DL"));
         // Second lookup — and lookups through a *clone* of the schema —
         // share the same materialization.
@@ -456,7 +459,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &c));
         let stats = s.join_cache_stats();
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.bytes, 3 * 4);
+        // One-byte codes: the dimension's two-entry dictionary narrows them.
+        assert_eq!(stats.bytes, 3);
         assert_eq!((stats.hits, stats.misses, stats.declined), (2, 1, 0));
     }
 

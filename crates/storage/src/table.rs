@@ -60,6 +60,10 @@ pub struct Table {
 
 impl Table {
     /// Builds a table from parts, validating column counts and lengths.
+    ///
+    /// Every plain column is stored in the narrowest lossless encoding
+    /// [`crate::encoding`] finds for it; columns that are already narrow
+    /// (or have no narrow encoding) are kept as they are, payloads shared.
     pub fn new(
         name: impl Into<String>,
         schema: Schema,
@@ -78,7 +82,7 @@ impl Table {
         Ok(Table {
             name: name.into(),
             schema,
-            columns,
+            columns: columns.into_iter().map(Column::narrowed).collect(),
             nrows,
         })
     }
@@ -125,10 +129,12 @@ impl Table {
             return Value::Null;
         }
         match c.data() {
-            ColumnData::Float(v) => Value::Float(v[row]),
-            ColumnData::Int(v) => Value::Int(v[row]),
+            ColumnData::Float(_) | ColumnData::Decimal(..) => {
+                Value::Float(c.numeric_at(row).expect("valid row"))
+            }
+            ColumnData::Int(v) => Value::Int(v.get(row)),
             ColumnData::Nominal(v, d) => {
-                Value::Str(d.value(v[row]).unwrap_or_default().to_string())
+                Value::Str(d.value(v.get(row) as u32).unwrap_or_default().to_string())
             }
         }
     }
@@ -154,18 +160,10 @@ impl Table {
         self
     }
 
-    /// Estimated in-memory footprint in bytes (column payloads only).
-    ///
-    /// Used by the data-preparation report to model load cost.
+    /// In-memory footprint in bytes of the column payloads, as encoded
+    /// (validity bitmaps not included).
     pub fn byte_size(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c.data() {
-                ColumnData::Float(v) => v.len() * 8,
-                ColumnData::Int(v) => v.len() * 8,
-                ColumnData::Nominal(v, _) => v.len() * 4,
-            })
-            .sum()
+        self.columns.iter().map(|c| c.data().payload_bytes()).sum()
     }
 }
 
@@ -273,7 +271,7 @@ impl TableBuilder {
     }
 
     /// Finishes the build, producing an immutable table. The column buffers
-    /// move into the table; nothing is copied.
+    /// move into the table, where [`Table::new`] narrows their encodings.
     pub fn finish(mut self) -> Table {
         let mut columns = Vec::with_capacity(self.schema.len());
         for (i, field) in self.schema.fields().iter().enumerate() {
@@ -327,10 +325,10 @@ mod tests {
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.num_columns(), 3);
         let (codes, dict) = t.column("carrier").unwrap().as_nominal().unwrap();
-        assert_eq!(codes, &[0, 1, 0]);
+        assert_eq!(&*codes, &[0, 1, 0]);
         assert_eq!(dict.value(1), Some("DL"));
         assert_eq!(
-            t.column("distance").unwrap().as_int().unwrap(),
+            &*t.column("distance").unwrap().as_int().unwrap(),
             &[300, 900, 120]
         );
     }
@@ -356,7 +354,7 @@ mod tests {
         let mut b = TableBuilder::with_fields("t", &[("x", DataType::Float)]);
         b.push_row(&[Value::Int(4)]).unwrap();
         let t = b.finish();
-        assert_eq!(t.column("x").unwrap().as_float().unwrap(), &[4.0]);
+        assert_eq!(&*t.column("x").unwrap().as_float().unwrap(), &[4.0]);
     }
 
     #[test]
@@ -381,8 +379,31 @@ mod tests {
     #[test]
     fn byte_size_counts_payloads() {
         let t = small_table();
-        // 3 rows: nominal 3*4 + float 3*8 + int 3*8
-        assert_eq!(t.byte_size(), 12 + 24 + 24);
+        // 3 rows: u8 codes 3*1 + float 3*8 (a null's NaN placeholder keeps
+        // the column plain) + u16 ints 3*2.
+        assert_eq!(t.byte_size(), 3 + 24 + 6);
+    }
+
+    #[test]
+    fn new_narrows_plain_columns_losslessly() {
+        let schema = Schema::new(vec![
+            Field::new("d", DataType::Float),
+            Field::new("k", DataType::Int),
+        ]);
+        let d = Column::float(vec![-4.5, 0.0, 12.25]);
+        let k = Column::int(vec![7, 1]).take([0, 1, 1]);
+        let t = Table::new("t", schema, vec![d.clone(), k.clone()]).unwrap();
+        assert!(matches!(
+            t.column_at(0).data(),
+            ColumnData::Decimal(crate::Ints::I16(_), 2)
+        ));
+        assert_eq!(t.column_at(0), &d);
+        assert!(matches!(
+            t.column_at(1).data(),
+            ColumnData::Int(crate::Ints::U8(_))
+        ));
+        assert_eq!(t.column_at(1), &k);
+        assert_eq!(t.value_at(0, 2), Value::Float(12.25));
     }
 
     #[test]

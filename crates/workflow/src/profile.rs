@@ -156,8 +156,8 @@ impl DataProfile {
         let mut dimensions = Vec::new();
         for (idx, field) in table.schema().fields().iter().enumerate() {
             let col = table.column_at(idx);
-            match col.as_nominal() {
-                Some((_, dict)) => {
+            match col.dictionary() {
+                Some(dict) => {
                     if dict.len() <= max_categories && !dict.is_empty() {
                         dimensions.push(DimensionProfile::Nominal {
                             name: field.name.clone(),
@@ -180,13 +180,14 @@ impl DataProfile {
                     let raw_width = (max - min) / f64::from(target_bins.max(1));
                     let mut width = friendly_step(raw_width);
                     // Fractional bins on integer columns are sparse noise.
-                    if col.as_int().is_some() && width < 1.0 {
+                    let is_int = col.dtype() == idebench_storage::DataType::Int;
+                    if is_int && width < 1.0 {
                         width = 1.0;
                     }
                     let anchor = (min / width).floor() * width;
                     // Integers with a narrow domain (day-of-week style) are
                     // dimensions, not measures.
-                    let narrow_int = col.as_int().is_some() && (max - min) <= 32.0;
+                    let narrow_int = is_int && (max - min) <= 32.0;
                     dimensions.push(DimensionProfile::Quantitative {
                         name: field.name.clone(),
                         bin_width: width,

@@ -610,7 +610,7 @@ proptest! {
             let s = seed_table.column(col).unwrap().as_float().unwrap();
             let g = scaled.column(col).unwrap().as_float().unwrap();
             let (smin, smax) = s.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            for &v in g {
+            for &v in g.iter() {
                 prop_assert!(v >= smin - 1e-9 && v <= smax + 1e-9, "{col}: {v} outside [{smin}, {smax}]");
             }
         }
