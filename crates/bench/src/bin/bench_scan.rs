@@ -1,6 +1,7 @@
 //! Scan-throughput benchmark: emits `BENCH_scan.json` with rows/sec for the
-//! vectorized execution core on the paper's canonical scan shapes and on
-//! star-schema join cases, each against the scalar oracle for the speedup
+//! vectorized execution core on the paper's canonical scan shapes, on the
+//! brush filters linked selections compile to (an OR of ranges, ANDed with
+//! an IN list), and on star-schema join cases, each against the scalar oracle for the speedup
 //! ratio, plus per-worker-count scaling rows for the parallel morsel
 //! dispatcher: a one-shot count scan, and a shuffled scan stepped in
 //! `step_quantum`-sized grants the way the progressive engine drives it.
@@ -21,7 +22,9 @@
 //! reading and the fastest and slowest over the run. Each case also records
 //! the physical bytes per row its kernels read (narrow encodings as
 //! stored, see `CompiledPlan::bytes_per_row`) and the bandwidth its best
-//! run achieved.
+//! run achieved. A roofline row — a streaming sum over one `u16` column of
+//! the same length — gives the bandwidth the host reaches on the simplest
+//! scan there is, and each case records its bandwidth as a fraction of it.
 
 use idebench_core::metrics::{median, percentiles};
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
@@ -246,6 +249,58 @@ fn star_joined_2d_agg() -> Query {
     Query::for_viz(&spec, None)
 }
 
+/// Origin counts under a brush of three `dep_time` buckets — the OR of
+/// ranges a linked selection on a departure-time histogram compiles to.
+fn nom_count_or_ranges() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![BinDef::Nominal {
+            dimension: "origin".into(),
+        }],
+        vec![AggregateSpec::count()],
+    );
+    let bucket = |min: f64| {
+        FilterExpr::Pred(Predicate::Range {
+            column: "dep_time".into(),
+            min,
+            max: min + 2.0,
+        })
+    };
+    Query::for_viz(
+        &spec,
+        Some(FilterExpr::Or(vec![
+            bucket(6.0),
+            bucket(12.0),
+            bucket(18.0),
+        ])),
+    )
+}
+
+/// [`nom_count_or_ranges`] further brushed on a destination-state map: the
+/// OR of ranges ANDed with an IN list.
+fn nom_count_in_and_or() -> Query {
+    let mut q = nom_count_or_ranges();
+    q.compose_filter(FilterExpr::Pred(Predicate::In {
+        column: "dest_state".into(),
+        values: vec!["S00".into(), "S03".into(), "S07".into()],
+    }));
+    q
+}
+
+/// Rows/s of a streaming sum over `ROWS` `u16` values: the bandwidth
+/// ceiling the cases' GB/s are read against.
+fn roofline_sum_u16() -> Throughput {
+    let col: Vec<u16> = (0..ROWS).map(|i| (i * 7) as u16).collect();
+    time_rows_per_sec(ROWS, || {
+        let sum: u64 = std::hint::black_box(&col)
+            .iter()
+            .map(|&k| u64::from(k))
+            .sum();
+        std::hint::black_box(sum);
+    })
+}
+
 /// A shuffled visit order of `n` positions (Fisher–Yates over splitmix64).
 fn shuffled(n: usize, seed: u64) -> Arc<Vec<u32>> {
     let mut state = seed;
@@ -312,9 +367,11 @@ fn main() {
     // The star cases run the devirtualized join layer (shared fact-ordered
     // materializations) against the scalar oracle, which follows the
     // foreign key per row, on the normalized twin of the same data.
-    let cases: [(&str, &Dataset, Query); 6] = [
+    let cases: [(&str, &Dataset, Query); 8] = [
         ("exact_scan_1d_nominal_count", &ds, exact_scan()),
         ("filtered_scan_1d_nominal_avg", &ds, filtered_1d_nominal()),
+        ("nom_count_or_ranges", &ds, nom_count_or_ranges()),
+        ("nom_count_in_and_or", &ds, nom_count_in_and_or()),
         ("binned_2d_agg", &ds, binned_2d()),
         ("dense_bucketed_2d_agg", &ds, dense_bucketed_2d()),
         ("star_1d_nominal_via_fk", &star, star_1d_nominal_via_fk()),
@@ -322,6 +379,13 @@ fn main() {
     ];
 
     let mut host = HostReadings::default();
+    let roofline_ref_ms = host.read();
+    let roofline = roofline_sum_u16();
+    let roofline_gbps = gb_per_sec(roofline.best, 2.0);
+    println!(
+        "{:<32} streaming  {:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   2.0 B/row {roofline_gbps:.2} GB/s   ref {roofline_ref_ms:.1} ms",
+        "roofline_sum_u16", roofline.best, roofline.median, roofline.p25, roofline.p75,
+    );
     let mut entries = Vec::new();
     let mut regressions = Vec::new();
     for (name, data, q) in &cases {
@@ -343,13 +407,14 @@ fn main() {
         let speedup = vec.best / scalar.best;
         let gbps = gb_per_sec(vec.best, bytes_per_row);
         println!(
-            "{name:<32} vectorized {:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   scalar {:>12.0} rows/s   speedup {speedup:.2}x   {}   {bytes_per_row:.1} B/row {gbps:.2} GB/s   ref {reference_ms:.1} ms",
+            "{name:<32} vectorized {:>12.0} rows/s (median {:>12.0}, IQR {:.0}–{:.0})   scalar {:>12.0} rows/s   speedup {speedup:.2}x   {}   {bytes_per_row:.1} B/row {gbps:.2} GB/s ({:.0}% of roofline)   ref {reference_ms:.1} ms",
             vec.best,
             vec.median,
             vec.p25,
             vec.p75,
             scalar.best,
-            if dense { "dense" } else { "sparse" }
+            if dense { "dense" } else { "sparse" },
+            100.0 * gbps / roofline_gbps,
         );
         if speedup < 1.0 {
             regressions.push(format!("{name}: {speedup:.2}x"));
@@ -368,6 +433,7 @@ fn main() {
             "speedup": speedup,
             "bytes_per_row": bytes_per_row,
             "vectorized_gb_per_sec": gbps,
+            "roofline_frac": gbps / roofline_gbps,
             "reference_kernel_ms": reference_ms,
         }));
     }
@@ -505,6 +571,16 @@ fn main() {
         "available_cores": cores,
         "scaling_note": scaling_note,
         "reference_kernel_ms": host.summary(),
+        "roofline": {
+            "case": "roofline_sum_u16",
+            "rows": ROWS,
+            "rows_per_sec": roofline.best,
+            "median_rows_per_sec": roofline.median,
+            "iqr_rows_per_sec": roofline.iqr(),
+            "bytes_per_row": 2.0,
+            "gb_per_sec": roofline_gbps,
+            "reference_kernel_ms": roofline_ref_ms,
+        },
         "join_cache": {
             "materializations": join_stats.entries,
             "bytes": join_stats.bytes,

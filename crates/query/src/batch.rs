@@ -2,25 +2,34 @@
 //!
 //! Execution processes fixed-size morsels (`MORSEL` rows) of contiguous
 //! scan positions — a shuffled run reads permuted column copies, so every
-//! morsel is a natural-order slice. Per morsel:
+//! morsel is a natural-order slice. Kernels read the stored codes in place
+//! wherever they can (see `crate::plan::Access`). Per morsel:
 //!
 //! 1. the staged columns the *filter* reads are decoded into flat scratch
-//!    buffers — narrow payloads decode, joined columns read their
-//!    foreign-key column **once** per morsel and translate it through the
-//!    plan's per-dimension join caches, nullable columns fold their
-//!    validity bitmap into a morsel mask (see `crate::plan::StageSpec`);
+//!    buffers — only nullable columns, joins without a materialization
+//!    (their foreign-key column is read **once** per morsel and translated
+//!    through the plan's per-dimension join caches) and decimals too wide
+//!    for a decode table are staged; a staged column's validity bitmap is
+//!    folded into a morsel mask (see `crate::plan::StageSpec`);
 //! 2. the filter tree is evaluated into a bitmask (`Mask`) by typed
-//!    kernels — one `match` on column type per *morsel*, not per row; a
-//!    range over a narrow numeric column compares codes (`CodeRange`);
+//!    kernels — one `match` on column type per *morsel*, not per row. Each
+//!    kernel builds its mask a 64-row word at a time: the predicate fills a
+//!    64-byte lane buffer, which is packed into the word in a register and
+//!    stored once. A range over a narrow numeric column compares codes
+//!    (`CodeRange`), and an IN list looks `u8`/`u16` dictionary codes up
+//!    where they are stored;
 //! 3. the remaining staged (binning / measure) columns are decoded — a
 //!    morsel the filter fully rejects skips this phase entirely;
-//! 4. bin slots (dense) or bin keys (sparse) are computed for all rows — a
-//!    dense fixed-width dimension over a narrow numeric column looks its
-//!    slots up by code (`CodeSlots`);
-//! 5. matching rows are folded into the accumulator in bulk.
+//! 4. bin slots (dense) or bin keys (sparse) are computed for all rows from
+//!    dictionary codes in place — a dense fixed-width dimension over a
+//!    narrow numeric column looks its slots up by code (`CodeSlots`);
+//! 5. matching rows are folded into the accumulator in bulk. A measure over
+//!    a narrow numeric column decodes the code of each matched, valid row
+//!    only (through the column's decode table, or by widening an int), so
+//!    no measure is staged.
 //!
-//! Every other kernel consumes a `ColView`: a plain slice or a staged one,
-//! so star-schema joins devirtualized by the planner run the same code as
+//! Every kernel consumes a `ColView` — a payload in place or a stage buffer
+//! — so star-schema joins devirtualized by the planner run the same code as
 //! de-normalized columns. The dense path exploits that an all-nominal
 //! binning has a bin space bounded by dictionary sizes: accumulators live
 //! in a flat array indexed by `code0 + code1 * dict_len0`, replacing the
@@ -29,7 +38,7 @@
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 use crate::plan::{
     AccMode, CodeRange, CodeSlots, ColView, CompiledPlan, DenseWidth, PlannedDim, PlannedFilter,
-    StagePhases, StageSpec,
+    StagePhases, StageSpec, Vals,
 };
 use idebench_core::{AggFunc, BinCoord, BinKey};
 use idebench_storage::encoding::{decimal_scale, decode_decimal, Code};
@@ -43,6 +52,9 @@ const WORDS: usize = MORSEL / 64;
 
 /// A per-morsel bitmask (bit `i` = row `i` of the morsel).
 pub(crate) type Mask = [u64; WORDS];
+
+/// The mask of a column without nulls.
+const ONES: Mask = [u64::MAX; WORDS];
 
 /// Zeroes mask bits at positions `n..`.
 #[inline]
@@ -71,6 +83,47 @@ fn decode_span<T: Copy, O>(src: &[T], base: usize, out: &mut [O], f: impl Fn(T) 
     for (o, &k) in out.iter_mut().zip(&src[base..base + n]) {
         *o = f(k);
     }
+}
+
+/// Sets bit `i` of `out` to `hit(src[i])` for every `i < src.len()` and
+/// clears the bits past it, one 64-row word at a time (see
+/// [`pack_word`]): each word is stored once, so no row waits on the
+/// previous row's read-modify-write of the same word.
+#[inline(always)]
+fn pack_mask<T: Copy>(src: &[T], out: &mut Mask, hit: impl Fn(T) -> bool) {
+    let mut chunks = src.chunks(64);
+    for word in out.iter_mut() {
+        *word = chunks.next().map_or(0, |chunk| pack_word(chunk, &hit));
+    }
+}
+
+/// The mask word of up to 64 rows (bit `i` = `hit(chunk[i])`, bits past
+/// the chunk 0). The predicate fills a 64-byte lane buffer — a fixed-length
+/// loop for a full chunk, so it vectorizes — and each 8 lanes pack into a
+/// byte with one multiply: lane `j`'s 0/1 byte lands on bit `56 + j`, and no
+/// two lanes' partial products overlap, so nothing carries between them.
+#[inline(always)]
+fn pack_word<T: Copy>(chunk: &[T], hit: &impl Fn(T) -> bool) -> u64 {
+    let mut lanes = [0u8; 64];
+    match <&[T; 64]>::try_from(chunk) {
+        Ok(full) => {
+            for (l, &v) in lanes.iter_mut().zip(full) {
+                *l = u8::from(hit(v));
+            }
+        }
+        Err(_) => {
+            for (l, &v) in lanes.iter_mut().zip(chunk) {
+                *l = u8::from(hit(v));
+            }
+        }
+    }
+    lanes
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |word, (j, eight)| {
+            let x = u64::from_le_bytes(eight.try_into().expect("eight lanes"));
+            word | (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j)
+        })
 }
 
 // -------------------------------------------------------------- binding
@@ -269,26 +322,27 @@ impl CompiledPlan {
 
 // -------------------------------------------------------------- staging
 
+/// The values of one stage buffer: dictionary codes (always
+/// [`Ints::U32`]) or numerics, whichever the staged column holds.
+enum StageVals {
+    Codes(Ints),
+    Nums(Vec<f64>),
+}
+
 /// Scratch buffer of one staged column for the current morsel: flat values
-/// (codes or numerics, whichever the column is) plus a validity mask.
+/// plus a validity mask.
 pub(crate) struct StageBuf {
-    codes: Vec<u32>,
-    nums: Vec<f64>,
+    vals: StageVals,
     mask: Mask,
 }
 
 impl StageBuf {
     fn for_spec(spec: &StageSpec) -> StageBuf {
         StageBuf {
-            codes: if spec.nominal() {
-                vec![0; MORSEL]
+            vals: if spec.nominal() {
+                StageVals::Codes(Ints::U32(vec![0; MORSEL]))
             } else {
-                Vec::new()
-            },
-            nums: if spec.nominal() {
-                Vec::new()
-            } else {
-                vec![0.0; MORSEL]
+                StageVals::Nums(vec![0.0; MORSEL])
             },
             mask: [0u64; WORDS],
         }
@@ -328,26 +382,30 @@ fn stage_cols(
         let (spec, buf) = (&bound.stages[si], &mut bufs[si]);
         buf.mask = [u64::MAX; WORDS];
         mask_tail(&mut buf.mask, n);
-        match spec {
-            BoundStage::Own { col } => {
-                let (nums, codes) = (&mut buf.nums[..], &mut buf.codes[..]);
-                match col.data() {
-                    ColumnData::Float(d) => nums[..n].copy_from_slice(&d[base..base + n]),
-                    ColumnData::Decimal(c, exp) => match col.decode_table() {
-                        Some(t) => {
-                            match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| t.decode(k)))
+        match (spec, &mut buf.vals) {
+            (BoundStage::Own { col }, vals) => {
+                match (col.data(), vals) {
+                    (ColumnData::Float(d), StageVals::Nums(nums)) => {
+                        nums[..n].copy_from_slice(&d[base..base + n])
+                    }
+                    (ColumnData::Decimal(c, exp), StageVals::Nums(nums)) => {
+                        match col.decode_table() {
+                            Some(t) => {
+                                match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| t.decode(k)))
+                            }
+                            None => {
+                                let scale = decimal_scale(*exp);
+                                match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| decode_decimal(k, scale)))
+                            }
                         }
-                        None => {
-                            let scale = decimal_scale(*exp);
-                            match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| decode_decimal(k, scale)))
-                        }
-                    },
-                    ColumnData::Int(c) => {
+                    }
+                    (ColumnData::Int(c), StageVals::Nums(nums)) => {
                         match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| k.widen() as f64));
                     }
-                    ColumnData::Nominal(c, _) => {
+                    (ColumnData::Nominal(c, _), StageVals::Codes(Ints::U32(codes))) => {
                         match_ints!(c, v => decode_span(v, base, &mut codes[..n], |k| k.widen() as u32));
                     }
+                    _ => unreachable!("a stage buffer holds its column's type"),
                 }
                 if let Some(v) = col.validity() {
                     for i in 0..n {
@@ -357,9 +415,9 @@ fn stage_cols(
                     }
                 }
             }
-            BoundStage::JoinCodes { fk_slot, cache } => {
+            (BoundStage::JoinCodes { fk_slot, cache }, StageVals::Codes(Ints::U32(codes))) => {
                 let fkb = &fk_stage[*fk_slot];
-                for (i, (o, &r)) in buf.codes.iter_mut().zip(&fkb[..n]).enumerate() {
+                for (i, (o, &r)) in codes.iter_mut().zip(&fkb[..n]).enumerate() {
                     let c = cache[r as usize];
                     if c == crate::plan::NULL_CODE {
                         *o = 0;
@@ -369,13 +427,16 @@ fn stage_cols(
                     }
                 }
             }
-            BoundStage::JoinNum {
-                fk_slot,
-                vals,
-                valid,
-            } => {
+            (
+                BoundStage::JoinNum {
+                    fk_slot,
+                    vals,
+                    valid,
+                },
+                StageVals::Nums(nums),
+            ) => {
                 let fkb = &fk_stage[*fk_slot];
-                for (o, &r) in buf.nums.iter_mut().zip(&fkb[..n]) {
+                for (o, &r) in nums.iter_mut().zip(&fkb[..n]) {
                     *o = vals[r as usize];
                 }
                 if let Some(v) = valid {
@@ -386,17 +447,113 @@ fn stage_cols(
                     }
                 }
             }
+            _ => unreachable!("a stage buffer holds its column's type"),
         }
     }
 }
 
 // -------------------------------------------------------------- kernels
 
+/// One morsel of a column as the kernels read it: its values at positions
+/// `off..off + n` (scan positions in place, morsel positions in a stage
+/// buffer) and, for a staged column, its validity mask.
+#[derive(Clone, Copy)]
+struct Part<'x> {
+    vals: Vals<'x>,
+    off: usize,
+    mask: Option<&'x Mask>,
+}
+
+impl<'x> Part<'x> {
+    /// The morsel at scan positions `base..` of `col`.
+    #[inline]
+    fn of(col: ColView<'x>, stages: &'x [StageBuf], base: usize) -> Self {
+        match col {
+            ColView::InPlace(vals) => Part {
+                vals,
+                off: base,
+                mask: None,
+            },
+            ColView::Staged(s) => Part {
+                vals: match &stages[s].vals {
+                    StageVals::Codes(c) => Vals::Ints(c),
+                    StageVals::Nums(d) => Vals::F64(d),
+                },
+                off: 0,
+                mask: Some(&stages[s].mask),
+            },
+        }
+    }
+
+    /// Row `i`'s numeric value (`None` when null) — the sparse store's
+    /// row-at-a-time measure accessor.
+    #[inline(always)]
+    fn number(&self, i: usize) -> Option<f64> {
+        if self.mask.is_some_and(|m| m[i / 64] >> (i % 64) & 1 == 0) {
+            return None;
+        }
+        let j = self.off + i;
+        Some(match self.vals {
+            Vals::F64(d) => d[j],
+            Vals::Ints(c) => c.get(j) as f64,
+            Vals::Decimal(c, t) => match_ints!(c, v => t.decode(v[j])),
+        })
+    }
+}
+
+/// Runs `$body` with `$src` bound to the `$n` values of a [`Part`] and
+/// `$of` to the function that reads one as an `f64` (as
+/// `Column::numeric_at` does): one monomorphized copy of `$body` per
+/// payload type.
+macro_rules! with_numbers {
+    ($part:expr, $n:expr, |$src:ident, $of:ident| $body:expr) => {{
+        let Part { vals, off, .. } = $part;
+        let end = off + $n;
+        match vals {
+            Vals::F64(d) => {
+                let $src = &d[off..end];
+                let $of = |v: f64| v;
+                $body
+            }
+            Vals::Ints(c) => match_ints!(c, v => {
+                let $src = &v[off..end];
+                let $of = |k: _| Code::widen(k) as f64;
+                $body
+            }),
+            Vals::Decimal(c, t) => match_ints!(c, v => {
+                let $src = &v[off..end];
+                let $of = |k: _| t.decode(k);
+                $body
+            }),
+        }
+    }};
+}
+
+/// Runs `$body` with `$src` bound to the `$n` dictionary codes of a
+/// [`Part`], at their stored width.
+macro_rules! with_codes {
+    ($part:expr, $n:expr, |$src:ident| $body:expr) => {{
+        let Part { vals, off, .. } = $part;
+        let end = off + $n;
+        match vals {
+            Vals::Ints(c) => match_ints!(c, v => {
+                let $src = &v[off..end];
+                $body
+            }),
+            Vals::F64(_) | Vals::Decimal(..) => {
+                unreachable!("nominal uses are compiled over dictionary codes only")
+            }
+        }
+    }};
+}
+
 /// Clears every `out` bit whose staged-validity bit is unset.
 #[inline]
-fn and_mask(out: &mut Mask, mask: &Mask) {
-    for w in 0..WORDS {
-        out[w] &= mask[w];
+fn and_mask(out: &mut Mask, mask: Option<&Mask>) {
+    if let Some(mask) = mask {
+        for w in 0..WORDS {
+            out[w] &= mask[w];
+        }
     }
 }
 
@@ -406,13 +563,21 @@ fn and_mask(out: &mut Mask, mask: &Mask) {
 fn eval_filter(f: &BoundFilter<'_>, stages: &[StageBuf], base: usize, n: usize, out: &mut Mask) {
     match f {
         BoundFilter::Range { col, min, max } => {
-            range_mask(col.at(base, n), stages, *min, *max, n, out);
+            let (min, max) = (*min, *max);
+            let part = Part::of(*col, stages, base);
+            with_numbers!(part, n, |src, of| pack_mask(src, out, |v| {
+                let v = of(v);
+                v >= min && v < max
+            }));
+            and_mask(out, part.mask);
         }
         BoundFilter::In { col, member } => {
-            in_mask(col.at(base, n), stages, member, n, out);
+            let part = Part::of(*col, stages, base);
+            let member = |c: i64| member.get(c as usize).copied().unwrap_or(false);
+            with_codes!(part, n, |src| pack_mask(src, out, |c| member(c.widen())));
+            and_mask(out, part.mask);
         }
         BoundFilter::RangeCodes { codes, range } => {
-            *out = [0u64; WORDS];
             match_ints!(codes, v => range_codes(&v[base..base + n], range, out));
         }
         BoundFilter::And(children) => {
@@ -439,68 +604,22 @@ fn eval_filter(f: &BoundFilter<'_>, stages: &[StageBuf], base: usize, n: usize, 
     }
 }
 
-/// Range mask over a morsel-local view (see [`ColView::at`]).
-#[inline]
-fn range_mask(col: ColView<'_>, stages: &[StageBuf], min: f64, max: f64, n: usize, out: &mut Mask) {
-    *out = [0u64; WORDS];
-    // One monomorphized flat comparison loop per arm (no per-row dispatch).
-    macro_rules! cmp {
-        ($src:expr, $of:expr) => {{
-            let of = $of;
-            for (i, &v) in $src.iter().enumerate() {
-                let v: f64 = of(v);
-                out[i / 64] |= u64::from(v >= min && v < max) << (i % 64);
-            }
-        }};
-    }
-    match col {
-        ColView::F64(d) => cmp!(d, |v| v),
-        ColView::I64(d) => cmp!(d, |v| v as f64),
-        ColView::Codes(d) => cmp!(d, f64::from),
-        ColView::StagedNum(s) => {
-            let b = &stages[s];
-            cmp!(&b.nums[..n], |v| v);
-            and_mask(out, &b.mask);
-        }
-        ColView::StagedCodes(s) => {
-            let b = &stages[s];
-            cmp!(&b.codes[..n], f64::from);
-            and_mask(out, &b.mask);
-        }
-    }
-}
-
-/// Range mask over one morsel's codes (see [`CodeRange`]).
+/// Range mask over one morsel's codes (see [`CodeRange`]), compared in the
+/// codes' own type.
 #[inline]
 fn range_codes<T: Code>(codes: &[T], range: &CodeRange, out: &mut Mask) {
-    for (i, &k) in codes.iter().enumerate() {
-        let inside = (k.widen().wrapping_sub(range.lo) as u64) < range.width;
-        let hit = inside | (range.neg_zero & (k == T::NEG_ZERO));
-        out[i / 64] |= u64::from(hit) << (i % 64);
-    }
-}
-
-/// Membership mask over a morsel-local view (see [`ColView::at`]).
-#[inline]
-fn in_mask(col: ColView<'_>, stages: &[StageBuf], member: &[bool], n: usize, out: &mut Mask) {
-    *out = [0u64; WORDS];
-    let hits = |codes: &[u32], out: &mut Mask| {
-        for (i, &c) in codes.iter().enumerate() {
-            let hit = member.get(c as usize).copied().unwrap_or(false);
-            out[i / 64] |= u64::from(hit) << (i % 64);
-        }
+    // Every code of a non-empty range is a code of the column, so it fits
+    // `T`; `MAX..=MIN` holds no code.
+    let (lo, hi) = if range.lo <= range.hi {
+        let fit = |k: i64| T::try_from(k).ok().expect("range ends are codes");
+        (fit(range.lo), fit(range.hi))
+    } else {
+        (T::MAX, T::MIN)
     };
-    match col {
-        ColView::Codes(d) => hits(d, out),
-        ColView::StagedCodes(s) => {
-            let b = &stages[s];
-            hits(&b.codes[..n], out);
-            and_mask(out, &b.mask);
-        }
-        // Numeric columns have no dictionary codes: nothing matches,
-        // mirroring the scalar oracle's per-row `code_at` returning `None`.
-        ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {}
-    }
+    let neg_zero = range.neg_zero;
+    pack_mask(codes, out, |k| {
+        (lo <= k && k <= hi) | (neg_zero && k == T::NEG_ZERO)
+    });
 }
 
 /// Computes dense bin slots for the morsel at positions `base..base + n`.
@@ -517,24 +636,6 @@ fn dense_slots(
     mask_tail(valid, n);
     let slots = &mut slots[..n];
 
-    // Morsel-local codes of a nominal view, plus the staged validity mask
-    // to fold into `valid`.
-    fn codes<'x>(
-        col: ColView<'x>,
-        stages: &'x [StageBuf],
-        n: usize,
-    ) -> (&'x [u32], Option<&'x Mask>) {
-        match col {
-            ColView::Codes(d) => (d, None),
-            ColView::StagedCodes(s) => (&stages[s].codes[..n], Some(&stages[s].mask)),
-            // Compilation rejects nominal binning over non-nominal
-            // columns, and staged/direct views preserve the type.
-            ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
-                unreachable!("nominal binning compiled over a non-nominal column")
-            }
-        }
-    }
-
     // Fused 2D fast path: two nominal dimensions compute both coordinates
     // in a single pass — `slot = c0 + c1 · stride` — instead of one
     // slots-array round-trip per dimension. Devirtualized star joins land
@@ -545,15 +646,15 @@ fn dense_slots(
         dict_len: stride,
     }, BoundDim::Nominal { col: c1, .. }] = dims
     {
-        let (s0, m0) = codes(c0.at(base, n), stages, n);
-        let (s1, m1) = codes(c1.at(base, n), stages, n);
+        let (p0, p1) = (Part::of(*c0, stages, base), Part::of(*c1, stages, base));
         let stride = (*stride).max(1);
-        for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
-            *slot = a + b * stride;
-        }
-        for m in [m0, m1].into_iter().flatten() {
-            and_mask(valid, m);
-        }
+        with_codes!(p0, n, |s0| with_codes!(p1, n, |s1| {
+            for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
+                *slot = Code::widen(a) as u32 + Code::widen(b) as u32 * stride;
+            }
+        }));
+        and_mask(valid, p0.mask);
+        and_mask(valid, p1.mask);
         return;
     }
 
@@ -577,11 +678,9 @@ fn dense_slots(
         }
         match dim {
             BoundDim::Nominal { col, dict_len } => {
-                let (src, mask) = codes(col.at(base, n), stages, n);
-                if let Some(m) = mask {
-                    and_mask(valid, m);
-                }
-                slot_span!(src, |c| c);
+                let part = Part::of(*col, stages, base);
+                with_codes!(part, n, |src| slot_span!(src, |c: _| Code::widen(c) as u32));
+                and_mask(valid, part.mask);
                 stride *= (*dict_len).max(1);
             }
             BoundDim::WidthCodes {
@@ -606,21 +705,9 @@ fn dense_slots(
             } => {
                 let (lo, len) = dense.expect("dense path requires bounded bucket space");
                 let slot_of = DenseWidth::slot_of(lo, len, *width, *anchor);
-                match col.at(base, n) {
-                    ColView::F64(d) => slot_span!(d, slot_of),
-                    ColView::I64(d) => slot_span!(d, |v: i64| slot_of(v as f64)),
-                    ColView::Codes(d) => slot_span!(d, |c: u32| slot_of(f64::from(c))),
-                    ColView::StagedNum(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        slot_span!(&b.nums[..n], slot_of);
-                    }
-                    ColView::StagedCodes(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        slot_span!(&b.codes[..n], |c: u32| slot_of(f64::from(c)));
-                    }
-                }
+                let part = Part::of(*col, stages, base);
+                with_numbers!(part, n, |src, of| slot_span!(src, |v| slot_of(of(v))));
+                and_mask(valid, part.mask);
                 stride *= len.max(1);
             }
         }
@@ -652,17 +739,11 @@ fn sparse_keys(
             }};
         }
         match dim {
-            BoundDim::Nominal { col, .. } => match col.at(base, n) {
-                ColView::Codes(d) => key_span!(d, i64::from),
-                ColView::StagedCodes(s) => {
-                    let b = &stages[s];
-                    and_mask(valid, &b.mask);
-                    key_span!(&b.codes[..n], i64::from);
-                }
-                ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
-                    unreachable!("nominal binning compiled over a non-nominal column")
-                }
-            },
+            BoundDim::Nominal { col, .. } => {
+                let part = Part::of(*col, stages, base);
+                with_codes!(part, n, |src| key_span!(src, |c: _| Code::widen(c)));
+                and_mask(valid, part.mask);
+            }
             BoundDim::WidthCodes { .. } => {
                 unreachable!("code-space slotting is planned for dense accumulation only")
             }
@@ -671,41 +752,10 @@ fn sparse_keys(
             } => {
                 let (anchor, width) = (*anchor, *width);
                 let key_of = move |v: f64| ((v - anchor) / width).floor() as i64;
-                match col.at(base, n) {
-                    ColView::F64(d) => key_span!(d, key_of),
-                    ColView::I64(d) => key_span!(d, |v: i64| key_of(v as f64)),
-                    ColView::Codes(d) => key_span!(d, |c: u32| key_of(f64::from(c))),
-                    ColView::StagedNum(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        key_span!(&b.nums[..n], key_of);
-                    }
-                    ColView::StagedCodes(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        key_span!(&b.codes[..n], |c: u32| key_of(f64::from(c)));
-                    }
-                }
+                let part = Part::of(*col, stages, base);
+                with_numbers!(part, n, |src, of| key_span!(src, |v| key_of(of(v))));
+                and_mask(valid, part.mask);
             }
-        }
-    }
-}
-
-/// Numeric value of a morsel-local view at position `i` (`None` when
-/// null) — the sparse store's row-at-a-time measure accessor.
-#[inline(always)]
-fn measure_value(col: ColView<'_>, stages: &[StageBuf], i: usize) -> Option<f64> {
-    match col {
-        ColView::F64(d) => Some(d[i]),
-        ColView::I64(d) => Some(d[i] as f64),
-        ColView::Codes(d) => Some(f64::from(d[i])),
-        ColView::StagedNum(s) => {
-            let b = &stages[s];
-            (b.mask[i / 64] >> (i % 64) & 1 == 1).then(|| b.nums[i])
-        }
-        ColView::StagedCodes(s) => {
-            let b = &stages[s];
-            (b.mask[i / 64] >> (i % 64) & 1 == 1).then(|| f64::from(b.codes[i]))
         }
     }
 }
@@ -942,22 +992,13 @@ impl BatchAcc {
                         }
                     }};
                 }
-                let ones = [u64::MAX; WORDS];
                 for (m, col) in bound.measures.iter().enumerate() {
                     let Some(col) = col else { continue };
-                    match col.at(base, n) {
-                        ColView::F64(d) => measure_pass!(m, ones, |i: usize| d[i]),
-                        ColView::I64(d) => measure_pass!(m, ones, |i: usize| d[i] as f64),
-                        ColView::Codes(d) => measure_pass!(m, ones, |i: usize| f64::from(d[i])),
-                        ColView::StagedNum(s) => {
-                            let b = &stages[s];
-                            measure_pass!(m, b.mask, |i: usize| b.nums[i]);
-                        }
-                        ColView::StagedCodes(s) => {
-                            let b = &stages[s];
-                            measure_pass!(m, b.mask, |i: usize| f64::from(b.codes[i]));
-                        }
-                    }
+                    let part = Part::of(*col, stages, base);
+                    let mask = part.mask.unwrap_or(&ONES);
+                    with_numbers!(part, n, |src, of| measure_pass!(m, mask, |i: usize| of(
+                        src[i]
+                    )));
                 }
             }
             Store::Sparse { index, accs, .. } => {
@@ -972,6 +1013,11 @@ impl BatchAcc {
                 );
                 let two_d = bound.dims.len() == 2;
                 let nmeasures = self.nmeasures;
+                let parts: Vec<Option<Part<'_>>> = bound
+                    .measures
+                    .iter()
+                    .map(|c| c.map(|c| Part::of(c, stages, base)))
+                    .collect();
                 // Consecutive rows often land in the same bin; memoize the
                 // last slot to skip the hash probe.
                 let mut last: Option<((i64, i64), u32)> = None;
@@ -1000,11 +1046,9 @@ impl BatchAcc {
                         };
                         let acc = &mut accs[slot as usize].1;
                         acc.count += 1;
-                        for (m, col) in bound.measures.iter().enumerate() {
-                            if let Some(col) = col {
-                                if let Some(v) = measure_value(col.at(base, n), stages, i) {
-                                    acc.measures[m].update(v);
-                                }
+                        for (m, part) in parts.iter().enumerate() {
+                            if let Some(v) = part.and_then(|p| p.number(i)) {
+                                acc.measures[m].update(v);
                             }
                         }
                     }

@@ -25,11 +25,15 @@
 //!   ranges and dense bucketings over narrow numeric columns lowered to code
 //!   space. Built exactly once per run; [`plan_compilations`] lets tests
 //!   pin that.
-//! - [`batch`]: fixed-size morsel kernels (filter → bitmask, batched bin
-//!   slot computation, bulk accumulation) and the dense flat-array /
-//!   sparse hashed accumulators. Narrow payloads (see
-//!   [`idebench_storage::encoding`]) are read as codes or decoded per
-//!   morsel into stage buffers.
+//! - [`batch`]: fixed-size morsel kernels (filter → bitmask built a 64-row
+//!   word at a time, batched bin slot computation, bulk accumulation) and
+//!   the dense flat-array / sparse hashed accumulators. Narrow payloads
+//!   (see [`idebench_storage::encoding`]) are read as stored: ranges and
+//!   dense bucketings compare or look up codes, IN lists and nominal
+//!   binnings read `u8`/`u16` dictionary codes in place, and measures
+//!   decode only the codes of matched rows. Only nullable columns,
+//!   unmaterialized joins and decimals too wide for a decode table are
+//!   decoded per morsel into stage buffers.
 //! - [`shuffle`]: [`Shuffle`] — a visit order interned per (dataset, seed)
 //!   with lazily built, `Arc`-shared permuted copies of the columns plans
 //!   read, so shuffled runs scan contiguous morsels.

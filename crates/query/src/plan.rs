@@ -46,21 +46,26 @@
 //!
 //! # Narrow columns and shuffled orders
 //!
-//! Plain payloads are read directly. A narrow numeric column without nulls
-//! (see [`idebench_storage::encoding`]) is read as codes by a range filter
-//! (a code interval, `CodeRange`) and by a fixed-width dimension of a
-//! densely accumulated plan (a per-code slot table, `CodeSlots`); both are
-//! computed here from the decoded value of every code, so they agree with
-//! the decoded kernels bit for bit. Every other use of a narrow, joined or
-//! nullable column is staged: decoded per morsel into a stage buffer.
-//! A run over a shuffled order rebinds the plan to the order's permuted
-//! column copies ([`crate::Shuffle`]) through the same slot join
+//! Kernels read stored payloads in place wherever they can (see `Access`):
+//! plain floats, and integers or dictionary codes at their stored width
+//! (`u8`/`u16` included), in columns without nulls. A narrow numeric column
+//! without nulls (see [`idebench_storage::encoding`]) is read as codes by
+//! every use: a range filter compares a code interval (`CodeRange`), a
+//! fixed-width dimension of a densely accumulated plan looks its slot up
+//! in a per-code table (`CodeSlots`) — both computed here from the decoded
+//! value of every code, so they agree with the decoded kernels bit for bit
+//! — and measures and sparse dimensions decode the codes of the rows they
+//! read through the column's cached decode table (ints widen). Only
+//! nullable columns, joins the shared cache declined, and decimals too
+//! wide for a decode table are staged: decoded per morsel into a stage
+//! buffer. A run over a shuffled order rebinds the plan to the order's
+//! permuted column copies ([`crate::Shuffle`]) through the same slot join
 //! materializations use, so every plan scans contiguous positions; the
 //! cost model is unchanged.
 
 use crate::shuffle::Shuffle;
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
-use idebench_storage::encoding::MAX_DECODE_TABLE;
+use idebench_storage::encoding::{DecodeTable, MAX_DECODE_TABLE};
 use idebench_storage::{Column, ColumnData, DataType, Dataset, Ints, SelVec, Table};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,16 +90,21 @@ pub fn plan_compilations() -> u64 {
 pub(crate) const NULL_CODE: u32 = u32::MAX;
 
 /// How morsel kernels physically access a planned column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Access {
-    /// Plain payload without nulls — kernels index it by scan position
-    /// directly.
+    /// Read in place by scan position: plain floats, and integers or
+    /// dictionary codes at their stored width, in a column without nulls.
     Direct,
     /// Decoded per morsel into stage buffer `slot` (flat values plus a
-    /// validity mask); `nominal` picks the code vs. numeric buffer.
-    Staged { slot: usize, nominal: bool },
-    /// Read as narrow codes by a code-space kernel (see [`CodeRange`] and
-    /// [`CodeSlots`]); this use needs no decoded view.
+    /// validity mask): nullable columns, joins without a materialization,
+    /// and decimals too wide for a decode table.
+    Staged(usize),
+    /// Read as codes: a narrow numeric column without nulls that a
+    /// [`CodeSpan`] covers. A range compares codes ([`CodeRange`]), a
+    /// dense fixed-width dimension looks its slots up by code
+    /// ([`CodeSlots`]), and every other use decodes the codes of the rows
+    /// it reads in place — through the column's cached decode table for a
+    /// decimal, by widening for an int.
     Codes,
 }
 
@@ -195,66 +205,51 @@ impl PlannedColumn {
         }
     }
 
-    /// The column as one morsel's kernels see it (see [`ColView`]).
+    /// The column as the morsel kernels read it (see [`ColView`]).
     #[inline]
     pub(crate) fn view(&self) -> ColView<'_> {
         match self.access {
-            Access::Codes => unreachable!("code-space uses bind their codes, not a view"),
-            Access::Direct => ColView::direct(self.payload().data()),
-            Access::Staged { slot, nominal } => {
-                if nominal {
-                    ColView::StagedCodes(slot)
-                } else {
-                    ColView::StagedNum(slot)
-                }
-            }
+            Access::Staged(slot) => ColView::Staged(slot),
+            Access::Direct | Access::Codes => ColView::InPlace(Vals::of(self.payload())),
         }
     }
 }
 
-/// A column as the morsel kernels consume it: a plain typed slice indexed by
-/// scan position (`F64` / `I64` / `Codes` — no nulls by construction), or a
-/// staged scratch slot indexed by morsel position with a validity mask
-/// (narrow, joined or nullable columns).
+/// Values the morsel kernels read: a payload in place (indexed by scan
+/// position), or a stage buffer (indexed by morsel position).
+#[derive(Clone, Copy)]
+pub(crate) enum Vals<'a> {
+    /// Plain floats.
+    F64(&'a [f64]),
+    /// Integers or dictionary codes at their stored width, read widened.
+    Ints(&'a Ints),
+    /// Decimal codes, read through the column's cached decode table.
+    Decimal(&'a Ints, &'a DecodeTable),
+}
+
+impl<'a> Vals<'a> {
+    /// The in-place values of a column planned [`Access::Direct`] or
+    /// [`Access::Codes`].
+    fn of(col: &'a Column) -> Self {
+        match col.data() {
+            ColumnData::Float(d) => Vals::F64(d),
+            ColumnData::Int(c) | ColumnData::Nominal(c, _) => Vals::Ints(c),
+            ColumnData::Decimal(c, _) => Vals::Decimal(
+                c,
+                col.decode_table()
+                    .expect("decimals read in place have a decode table"),
+            ),
+        }
+    }
+}
+
+/// A column as the morsel kernels consume it: its payload read in place
+/// (no nulls by construction), or stage buffer `slot`, whose values sit at
+/// morsel positions next to a validity mask.
 #[derive(Clone, Copy)]
 pub(crate) enum ColView<'a> {
-    /// Direct float slice.
-    F64(&'a [f64]),
-    /// Direct integer slice.
-    I64(&'a [i64]),
-    /// Direct dictionary-code slice.
-    Codes(&'a [u32]),
-    /// Numeric stage buffer `slot` (values at morsel positions).
-    StagedNum(usize),
-    /// Code stage buffer `slot` (codes at morsel positions).
-    StagedCodes(usize),
-}
-
-impl<'a> ColView<'a> {
-    /// Direct view of a plain, fully-valid payload (the planner gives
-    /// narrow payloads staged access).
-    #[inline]
-    pub(crate) fn direct(data: &'a ColumnData) -> Self {
-        match data {
-            ColumnData::Float(d) => ColView::F64(d),
-            ColumnData::Int(Ints::I64(d)) => ColView::I64(d),
-            ColumnData::Nominal(Ints::U32(d), _) => ColView::Codes(d),
-            _ => unreachable!("direct access is planned for plain payloads only"),
-        }
-    }
-
-    /// The view for the morsel at positions `base..base + n`: direct
-    /// slices are cut to the morsel, so every view is indexed by morsel
-    /// position (stage buffers already are).
-    #[inline]
-    pub(crate) fn at(self, base: usize, n: usize) -> Self {
-        match self {
-            ColView::F64(d) => ColView::F64(&d[base..base + n]),
-            ColView::I64(d) => ColView::I64(&d[base..base + n]),
-            ColView::Codes(d) => ColView::Codes(&d[base..base + n]),
-            staged => staged,
-        }
-    }
+    InPlace(Vals<'a>),
+    Staged(usize),
 }
 
 /// A filter tree lowered to planned columns and dense membership tables.
@@ -336,15 +331,13 @@ impl PlannedFilter {
         }
     }
 
-    /// Calls `f` with every predicate's column and whether the predicate
-    /// is a range (which code space can evaluate).
+    /// Calls `f` with every predicate's column.
     fn try_for_each_col_mut(
         &mut self,
-        f: &mut impl FnMut(&mut PlannedColumn, bool) -> Result<(), CoreError>,
+        f: &mut impl FnMut(&mut PlannedColumn) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
         match self {
-            PlannedFilter::Range { col, .. } => f(col, true),
-            PlannedFilter::In { col, .. } => f(col, false),
+            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
             PlannedFilter::And(children) | PlannedFilter::Or(children) => children
                 .iter_mut()
                 .try_for_each(|c| c.try_for_each_col_mut(f)),
@@ -360,7 +353,7 @@ impl PlannedFilter {
                 max,
                 codes,
             } => {
-                if matches!(col.access, Access::Codes) {
+                if col.access == Access::Codes {
                     let span = CodeSpan::of(col.payload()).expect("code-space column");
                     *codes = Some(CodeRange::new(&span, *min, *max));
                 }
@@ -461,36 +454,51 @@ impl<'a> CodeSpan<'a> {
     /// [`idebench_storage::encoding::MAX_DECODE_TABLE`] values. Columns
     /// with nulls and other payloads have none.
     pub(crate) fn of(col: &'a Column) -> Option<Self> {
-        if col.validity().is_some() {
+        if !Self::covers(col) {
             return None;
         }
-        match col.data() {
-            ColumnData::Decimal(..) => col.decode_table().map(|t| CodeSpan {
-                lo: t.lo(),
-                values: std::borrow::Cow::Borrowed(t.values()),
-                decimal: true,
-            }),
-            ColumnData::Int(Ints::U8(_) | Ints::U16(_)) => {
+        Some(match col.data() {
+            ColumnData::Decimal(..) => {
+                let t = col.decode_table()?;
+                CodeSpan {
+                    lo: t.lo(),
+                    values: std::borrow::Cow::Borrowed(t.values()),
+                    decimal: true,
+                }
+            }
+            _ => {
                 let (min, max) = col.numeric_min_max()?;
                 let (lo, hi) = (min as i64, max as i64);
-                ((hi - lo) < MAX_DECODE_TABLE as i64).then(|| CodeSpan {
+                CodeSpan {
                     lo,
                     values: (lo..=hi).map(|k| k as f64).collect(),
                     decimal: false,
-                })
+                }
             }
-            _ => None,
-        }
+        })
+    }
+
+    /// Whether `col` has a span, without building its values.
+    fn covers(col: &Column) -> bool {
+        col.validity().is_none()
+            && match col.data() {
+                ColumnData::Decimal(..) => col.decode_table().is_some(),
+                ColumnData::Int(Ints::U8(_) | Ints::U16(_)) => col
+                    .numeric_min_max()
+                    .is_some_and(|(min, max)| max - min < MAX_DECODE_TABLE as f64),
+                _ => false,
+            }
     }
 }
 
 /// A range predicate in code space: decoding is increasing in the code, so
-/// `min ≤ v < max` holds exactly for the codes in `[lo, lo + width)` — and
-/// for a decimal's `-0.0` code when `neg_zero` says `-0.0` passes.
+/// `min ≤ v < max` holds exactly for the codes in `lo..=hi` (none when
+/// `hi < lo`) — and for a decimal's `-0.0` code when `neg_zero` says
+/// `-0.0` passes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CodeRange {
     pub lo: i64,
-    pub width: u64,
+    pub hi: i64,
     pub neg_zero: bool,
 }
 
@@ -499,10 +507,10 @@ impl CodeRange {
         // The same comparisons the decoded kernel makes, on every value.
         let at_least_min = |v: f64| v >= min;
         let first = span.values.partition_point(|&v| !at_least_min(v));
-        let end = span.values.partition_point(|&v| v < max);
+        let end = span.values.partition_point(|&v| v < max).max(first);
         CodeRange {
             lo: span.lo + first as i64,
-            width: end.saturating_sub(first) as u64,
+            hi: span.lo + end as i64 - 1,
             neg_zero: span.decimal && (-0.0 >= min && -0.0 < max),
         }
     }
@@ -738,10 +746,11 @@ impl CompiledPlan {
     /// physical column: the shared stage slots, per-plan join caches, and
     /// distinct FK staging columns fall out of this pass (module docs).
     ///
-    /// Range filters, and fixed-width dimensions of a densely accumulated
-    /// plan, read a narrow numeric column without nulls as codes
-    /// ([`Access::Codes`]): their code-space tables are built here and the
-    /// column is staged only if another use needs its decoded values.
+    /// A column is staged only when it is nullable, joined without a
+    /// materialization, or a decimal too wide for a decode table. A narrow
+    /// numeric column without nulls is read as codes ([`Access::Codes`]):
+    /// the code-space tables of its ranges, and of its fixed-width
+    /// dimensions when the plan accumulates densely, are built here.
     fn plan_access(
         dataset: &Dataset,
         filter: &mut Option<PlannedFilter>,
@@ -749,15 +758,15 @@ impl CompiledPlan {
         measures: &mut [Option<PlannedColumn>],
         acc_mode: AccMode,
     ) -> Result<(Vec<StageSpec>, Vec<ColRef>), CoreError> {
-        // Per physical column: any shared materialization, plus the access
-        // of its decoded uses once one needs it.
+        // Per physical column: any shared materialization, plus its access
+        // once one use has assigned it.
         type AccessMemo = FxHashMap<(usize, usize), (Option<Arc<Column>>, Option<Access>)>;
         let star = dataset.as_star();
         let mut stages: Vec<StageSpec> = Vec::new();
         let mut fk_cols: Vec<ColRef> = Vec::new();
         let mut memo: AccessMemo = FxHashMap::default();
 
-        let mut assign = |col: &mut PlannedColumn, code_space: bool| -> Result<(), CoreError> {
+        let mut assign = |col: &mut PlannedColumn| -> Result<(), CoreError> {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
             let (materialized, known) = memo.entry(key).or_insert_with(|| {
                 let materialized = match (&col.fk, star) {
@@ -767,76 +776,73 @@ impl CompiledPlan {
                 (materialized, None)
             });
             col.materialized = materialized.clone();
-            let readable = col.fk.is_none() || col.materialized.is_some();
-            if code_space && readable && CodeSpan::of(col.payload()).is_some() {
-                col.access = Access::Codes;
-                return Ok(());
-            }
             if let Some(access) = known {
                 col.access = access.clone();
                 return Ok(());
             }
-            let push_stage = |stages: &mut Vec<StageSpec>, spec: StageSpec| Access::Staged {
-                nominal: spec.nominal(),
-                slot: {
-                    stages.push(spec);
-                    stages.len() - 1
-                },
+            let mut push_stage = |spec: StageSpec| {
+                stages.push(spec);
+                Access::Staged(stages.len() - 1)
             };
-            let direct = |c: &Column| c.validity().is_none() && c.data().is_plain();
-            let access = if let Some(m) = &col.materialized {
-                if direct(m) {
-                    Access::Direct
-                } else {
-                    push_stage(&mut stages, StageSpec::Own(ColRef::Owned(Arc::clone(m))))
+            let access = match (&col.fk, &col.materialized) {
+                (Some((fact, fk_idx)), None) => {
+                    // Joined but not materialized (shared cache full):
+                    // per-plan dimension-row caches, indexed by the
+                    // u32-staged FK.
+                    let dim_col = col.column();
+                    if dim_col.len() >= u32::MAX as usize {
+                        return Err(CoreError::Unsupported(format!(
+                            "dimension column {} has {} rows; staged joins need fewer than {}",
+                            col.name(),
+                            dim_col.len(),
+                            u32::MAX
+                        )));
+                    }
+                    let fk_slot = fk_cols
+                        .iter()
+                        .position(|fk| matches!(fk, ColRef::Table(t, i) if Arc::ptr_eq(t, fact) && i == fk_idx))
+                        .unwrap_or_else(|| {
+                            fk_cols.push(ColRef::Table(Arc::clone(fact), *fk_idx));
+                            fk_cols.len() - 1
+                        });
+                    push_stage(match dim_col.dtype() {
+                        DataType::Nominal => StageSpec::JoinCodes {
+                            fk_slot,
+                            cache: Arc::new(
+                                (0..dim_col.len())
+                                    .map(|i| dim_col.code_at(i).unwrap_or(NULL_CODE))
+                                    .collect(),
+                            ),
+                        },
+                        _ => StageSpec::JoinNum {
+                            fk_slot,
+                            vals: Arc::new(
+                                (0..dim_col.len())
+                                    .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
+                                    .collect(),
+                            ),
+                            valid: dim_col.validity().cloned(),
+                        },
+                    })
                 }
-            } else if let Some((fact, fk_idx)) = &col.fk {
-                // Joined but not materialized (shared cache full): per-plan
-                // dimension-row caches, indexed by the u32-staged FK.
-                let dim_col = col.column();
-                if dim_col.len() >= u32::MAX as usize {
-                    return Err(CoreError::Unsupported(format!(
-                        "dimension column {} has {} rows; staged joins need fewer than {}",
-                        col.name(),
-                        dim_col.len(),
-                        u32::MAX
-                    )));
+                _ => {
+                    let c = col.payload();
+                    if CodeSpan::covers(c) {
+                        Access::Codes
+                    } else if c.validity().is_none() && !matches!(c.data(), ColumnData::Decimal(..))
+                    {
+                        Access::Direct
+                    } else {
+                        // Nullable, or a decimal too wide for a decode
+                        // table: stage it so kernels decode the payload and
+                        // fold the validity bitmap into the morsel mask
+                        // once.
+                        push_stage(StageSpec::Own(match &col.materialized {
+                            Some(m) => ColRef::Owned(Arc::clone(m)),
+                            None => ColRef::Table(Arc::clone(&col.table), col.col),
+                        }))
+                    }
                 }
-                let fk_slot = fk_cols
-                    .iter()
-                    .position(|fk| matches!(fk, ColRef::Table(t, i) if Arc::ptr_eq(t, fact) && i == fk_idx))
-                    .unwrap_or_else(|| {
-                        fk_cols.push(ColRef::Table(Arc::clone(fact), *fk_idx));
-                        fk_cols.len() - 1
-                    });
-                let spec = match dim_col.dtype() {
-                    DataType::Nominal => StageSpec::JoinCodes {
-                        fk_slot,
-                        cache: Arc::new(
-                            (0..dim_col.len())
-                                .map(|i| dim_col.code_at(i).unwrap_or(NULL_CODE))
-                                .collect(),
-                        ),
-                    },
-                    _ => StageSpec::JoinNum {
-                        fk_slot,
-                        vals: Arc::new(
-                            (0..dim_col.len())
-                                .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
-                                .collect(),
-                        ),
-                        valid: dim_col.validity().cloned(),
-                    },
-                };
-                push_stage(&mut stages, spec)
-            } else if direct(col.column()) {
-                Access::Direct
-            } else {
-                // Narrow or nullable fact column: stage it so kernels decode
-                // the payload and fold the validity bitmap into the morsel
-                // mask once.
-                let spec = StageSpec::Own(ColRef::Table(Arc::clone(&col.table), col.col));
-                push_stage(&mut stages, spec)
             };
             *known = Some(access.clone());
             col.access = access;
@@ -845,8 +851,7 @@ impl CompiledPlan {
 
         let dense = matches!(acc_mode, AccMode::Dense(_));
         for dim in dims.iter_mut() {
-            let code_space = dense && matches!(dim, PlannedDim::Width { .. });
-            assign(dim.col_mut(), code_space)?;
+            assign(dim.col_mut())?;
             if let PlannedDim::Width {
                 col,
                 width,
@@ -855,7 +860,7 @@ impl CompiledPlan {
                 codes,
             } = dim
             {
-                if matches!(col.access, Access::Codes) {
+                if dense && col.access == Access::Codes {
                     let span = CodeSpan::of(col.payload()).expect("code-space column");
                     let slot_of = DenseWidth::slot_of(d.lo, d.len as u32, *width, *anchor);
                     *codes = Some(Arc::new(CodeSlots::new(&span, slot_of)));
@@ -867,7 +872,7 @@ impl CompiledPlan {
             f.lower_ranges();
         }
         for m in measures.iter_mut().flatten() {
-            assign(m, false)?;
+            assign(m)?;
         }
         Ok((stages, fk_cols))
     }
@@ -955,7 +960,7 @@ impl CompiledPlan {
         let mut in_filter = vec![false; stages.len()];
         if let Some(f) = filter {
             f.for_each_col(&mut |col| {
-                if let Access::Staged { slot, .. } = col.access {
+                if let Access::Staged(slot) = col.access {
                     in_filter[slot] = true;
                 }
             });
@@ -1405,20 +1410,14 @@ mod tests {
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
         // The materialization keeps the dimension's one-byte codes, which
-        // the kernels decode through a stage buffer; no FK is staged.
-        assert!(matches!(
-            col.access,
-            Access::Staged {
-                slot: 0,
-                nominal: true
-            }
-        ));
+        // the kernels read in place; the (narrow) measure reads its codes,
+        // so nothing is staged and no FK is read.
+        assert_eq!(col.access, Access::Direct);
         let mat = col.materialized.as_ref().expect("materialized column");
         assert_eq!(&*mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
-        assert!(matches!(
-            &plan.stages[..],
-            [StageSpec::Own(ColRef::Owned(m)), StageSpec::Own(_)] if Arc::ptr_eq(m, mat)
-        ));
+        assert!(matches!(mat.data(), ColumnData::Nominal(Ints::U8(_), _)));
+        assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
+        assert!(plan.stages.is_empty());
         assert!(plan.fk_cols.is_empty());
         // The cost model still bills the logical join.
         assert_eq!(plan.joined_columns(), 1);
@@ -1440,25 +1439,21 @@ mod tests {
         let ds = star_capped(0);
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
-        assert!(
-            matches!(
-                col.access,
-                Access::Staged {
-                    slot: 0,
-                    nominal: true
-                }
-            ),
+        assert_eq!(
+            col.access,
+            Access::Staged(0),
             "declined materialization stages through the FK"
         );
         assert!(col.materialized.is_none());
         assert_eq!(plan.fk_cols.len(), 1, "one staged FK column");
-        // The carrier join, then the (narrow, so staged) dep_delay measure.
+        // Only the carrier join: the narrow dep_delay measure reads codes.
         match &plan.stages[..] {
-            [StageSpec::JoinCodes { fk_slot: 0, cache }, StageSpec::Own(_)] => {
+            [StageSpec::JoinCodes { fk_slot: 0, cache }] => {
                 assert_eq!(cache.as_slice(), &[0, 1], "dim-row-indexed codes");
             }
-            other => panic!("expected a JoinCodes and an Own stage, got {other:?}"),
+            other => panic!("expected one JoinCodes stage, got {other:?}"),
         }
+        assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
         assert_eq!(ds.as_star().unwrap().join_cache_stats().declined, 1);
     }
 
@@ -1540,20 +1535,8 @@ mod tests {
         );
         let plan = CompiledPlan::compile(&ds, &Query::for_viz(&spec, None)).unwrap();
         assert_eq!(plan.stages.len(), 1, "dim and measure share the stage");
-        assert!(matches!(
-            plan.dims[0].col().access,
-            Access::Staged {
-                slot: 0,
-                nominal: false
-            }
-        ));
-        assert!(matches!(
-            plan.measures[0].as_ref().unwrap().access,
-            Access::Staged {
-                slot: 0,
-                nominal: false
-            }
-        ));
+        assert_eq!(plan.dims[0].col().access, Access::Staged(0));
+        assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Staged(0));
     }
 
     /// A decimal column holding both zeros, and an int column.
@@ -1611,15 +1594,16 @@ mod tests {
             assert!(matches!(plan.acc_mode(), AccMode::Dense(_)));
             match plan.filter.as_ref().unwrap() {
                 PlannedFilter::Range { col, codes, .. } => {
-                    assert!(matches!(col.access, Access::Codes) && codes.is_some());
+                    assert!(col.access == Access::Codes && codes.is_some());
                 }
                 other => panic!("expected a range, got {other:?}"),
             }
             for dim in &plan.dims {
                 assert!(matches!(dim, PlannedDim::Width { codes: Some(_), .. }));
             }
-            // The measure still decodes: one stage, for `d`.
-            assert_eq!(plan.stages.len(), 1);
+            // The measure decodes the codes of matched rows: no stage.
+            assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
+            assert!(plan.stages.is_empty());
             assert_eq!(
                 crate::execute_exact(&ds, &q).unwrap(),
                 crate::execute_exact_scalar(&ds, &q).unwrap(),

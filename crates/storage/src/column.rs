@@ -1,7 +1,7 @@
 //! Typed columns with optional null bitmaps.
 
 use crate::dictionary::Dictionary;
-use crate::encoding::{self, decimal_scale, decode_decimal, Code, DecodeTable, Ints};
+use crate::encoding::{self, decimal_scale, decode_decimal, Code, CodeBounds, DecodeTable, Ints};
 use crate::match_ints;
 use crate::schema::DataType;
 use crate::selection::SelVec;
@@ -46,17 +46,6 @@ impl ColumnData {
     /// True when the payload has zero rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Whether the payload is in its plain (widest) form: `f64` floats,
-    /// `i64` ints or `u32` codes.
-    pub fn is_plain(&self) -> bool {
-        matches!(
-            self,
-            ColumnData::Float(_)
-                | ColumnData::Int(Ints::I64(_))
-                | ColumnData::Nominal(Ints::U32(_), _)
-        )
     }
 
     /// Bytes per row of the payload.
@@ -145,12 +134,17 @@ struct NumericStats {
 ///
 /// Columns also lazily cache numeric min/max statistics (see
 /// [`Column::numeric_min_max`]), which query planning uses to bound the
-/// bucket space of fixed-width binnings.
+/// bucket space of fixed-width binnings. A coded payload finds its code
+/// bounds in one pass, which feeds both the statistics and the decode
+/// table.
 #[derive(Debug, Clone)]
 pub struct Column {
     data: Arc<ColumnData>,
     validity: Option<Arc<SelVec>>,
     stats: OnceLock<NumericStats>,
+    /// Lazily found code bounds of an integer-coded payload (see
+    /// [`Column::code_bounds`]).
+    bounds: OnceLock<Option<CodeBounds>>,
     /// Lazily built decode table of a decimal payload (see
     /// [`Column::decode_table`]).
     decode: OnceLock<Option<Arc<DecodeTable>>>,
@@ -171,6 +165,7 @@ impl Column {
             data: Arc::new(data),
             validity: None,
             stats: OnceLock::new(),
+            bounds: OnceLock::new(),
             decode: OnceLock::new(),
         }
     }
@@ -197,6 +192,7 @@ impl Column {
     pub fn narrowed(mut self) -> Self {
         if let Some(data) = self.data.narrowed() {
             self.data = Arc::new(data);
+            self.bounds = OnceLock::new();
             self.decode = OnceLock::new();
         }
         self
@@ -307,10 +303,24 @@ impl Column {
     pub fn decode_table(&self) -> Option<&DecodeTable> {
         self.decode
             .get_or_init(|| match &*self.data {
-                ColumnData::Decimal(codes, exp) => DecodeTable::build(codes, *exp).map(Arc::new),
+                ColumnData::Decimal(_, exp) => self
+                    .code_bounds()
+                    .and_then(|b| DecodeTable::build(&b, *exp))
+                    .map(Arc::new),
                 _ => None,
             })
             .as_deref()
+    }
+
+    /// The code bounds of an integer-coded payload (decimal, int or
+    /// nominal; see [`CodeBounds`]), found once and cached; `None` for
+    /// plain floats. Null rows' placeholder codes count.
+    fn code_bounds(&self) -> Option<CodeBounds> {
+        *self.bounds.get_or_init(|| match &*self.data {
+            ColumnData::Float(_) => None,
+            ColumnData::Decimal(c, _) => Some(CodeBounds::of(c, true)),
+            ColumnData::Int(c) | ColumnData::Nominal(c, _) => Some(CodeBounds::of(c, false)),
+        })
     }
 
     /// Calls `f` with every valid row's numeric value (as
@@ -339,19 +349,45 @@ impl Column {
     }
 
     fn stats(&self) -> NumericStats {
-        *self.stats.get_or_init(|| {
-            let mut finite: Option<(f64, f64)> = None;
-            let mut all_finite = true;
-            self.for_each_valid_value(|v| {
-                if v.is_finite() {
-                    let (lo, hi) = finite.unwrap_or((v, v));
-                    finite = Some((lo.min(v), hi.max(v)));
-                } else {
-                    all_finite = false;
-                }
-            });
-            NumericStats { finite, all_finite }
+        *self
+            .stats
+            .get_or_init(|| self.stats_from_codes().unwrap_or_else(|| self.walk_stats()))
+    }
+
+    /// The statistics of a coded payload without nulls, from its code
+    /// bounds: decoding is monotone in the code, so the extremes decode
+    /// from the extreme codes. `None` — walk the decoded values instead —
+    /// for plain floats, for columns with nulls, and for decimals holding
+    /// the `-0.0` code, where which zero `f64::min` keeps depends on the
+    /// row order.
+    fn stats_from_codes(&self) -> Option<NumericStats> {
+        let b = self.code_bounds().filter(|b| !b.neg_zero)?;
+        if self.validity.is_some() {
+            return None;
+        }
+        let decode = |k: i64| match &*self.data {
+            ColumnData::Decimal(_, exp) => k as f64 / decimal_scale(*exp),
+            _ => k as f64,
+        };
+        Some(NumericStats {
+            finite: (!b.is_empty()).then(|| (decode(b.lo), decode(b.hi))),
+            all_finite: true,
         })
+    }
+
+    /// The statistics of any column, from a walk over its decoded values.
+    fn walk_stats(&self) -> NumericStats {
+        let mut finite: Option<(f64, f64)> = None;
+        let mut all_finite = true;
+        self.for_each_valid_value(|v| {
+            if v.is_finite() {
+                let (lo, hi) = finite.unwrap_or((v, v));
+                finite = Some((lo.min(v), hi.max(v)));
+            } else {
+                all_finite = false;
+            }
+        });
+        NumericStats { finite, all_finite }
     }
 
     /// Numeric `(min, max)` over the column's valid rows, computed once and
@@ -419,6 +455,7 @@ impl Column {
             data: Arc::new(data),
             validity,
             stats: OnceLock::new(),
+            bounds: OnceLock::new(),
             decode,
         }
     }

@@ -42,9 +42,13 @@ pub fn decimal_scale(exp: u8) -> f64 {
 }
 
 /// An integer element type of a narrow payload.
-pub trait Code: Copy + PartialEq + Into<i64> + TryFrom<i64> + Send + Sync + 'static {
+pub trait Code: Copy + Ord + Into<i64> + TryFrom<i64> + Send + Sync + 'static {
     /// The code a decimal payload reserves for `-0.0`.
     const NEG_ZERO: Self;
+    /// The type's smallest value.
+    const MIN: Self;
+    /// The type's largest value.
+    const MAX: Self;
 
     /// The code widened to `i64`.
     #[inline(always)]
@@ -57,6 +61,8 @@ macro_rules! impl_code {
     ($($t:ty => $neg_zero:expr),*) => {
         $(impl Code for $t {
             const NEG_ZERO: $t = $neg_zero;
+            const MIN: $t = <$t>::MIN;
+            const MAX: $t = <$t>::MAX;
         })*
     };
 }
@@ -194,6 +200,51 @@ impl Ints {
 /// Largest code span a [`DecodeTable`] covers (256 KiB of `f64`s).
 pub const MAX_DECODE_TABLE: usize = 1 << 15;
 
+/// The smallest and largest code of a payload, found in one pass. For a
+/// decimal payload the reserved `-0.0` code is left out of the range and
+/// reported by `neg_zero` instead; integer and dictionary payloads reserve
+/// no code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeBounds {
+    /// The smallest code (other than a decimal's `-0.0` code).
+    pub lo: i64,
+    /// The largest code (other than a decimal's `-0.0` code); below `lo`
+    /// when there is no such code.
+    pub hi: i64,
+    /// Whether a decimal payload holds the `-0.0` code.
+    pub neg_zero: bool,
+}
+
+impl CodeBounds {
+    /// The bounds of `codes`; `decimal` says whether the payload reserves
+    /// the `-0.0` code.
+    pub fn of(codes: &Ints, decimal: bool) -> CodeBounds {
+        // Branch-free reductions in the code's own type, so the loop
+        // vectorizes.
+        fn scan<T: Code>(v: &[T], decimal: bool) -> CodeBounds {
+            let (mut lo, mut hi, mut neg_zero) = (T::MAX, T::MIN, false);
+            for &k in v {
+                let reserved = decimal && k == T::NEG_ZERO;
+                lo = lo.min(if reserved { T::MAX } else { k });
+                hi = hi.max(if reserved { T::MIN } else { k });
+                neg_zero |= reserved;
+            }
+            // With no unreserved code the loop ends at `MAX > MIN`: empty.
+            CodeBounds {
+                lo: lo.widen(),
+                hi: hi.widen(),
+                neg_zero,
+            }
+        }
+        match_ints!(codes, v => scan(v, decimal))
+    }
+
+    /// Whether no code other than a decimal's `-0.0` code occurs.
+    pub fn is_empty(&self) -> bool {
+        self.lo > self.hi
+    }
+}
+
 /// The decoded value of every code in a decimal payload's code range:
 /// decoding through it is one load instead of a conversion and a division,
 /// and bit-identical by construction (each entry is [`decode_decimal`] of
@@ -207,19 +258,17 @@ pub struct DecodeTable {
 }
 
 impl DecodeTable {
-    /// The table of a decimal payload, or `None` when its codes span more
-    /// than [`MAX_DECODE_TABLE`] values.
-    pub fn build(codes: &Ints, exp: u8) -> Option<DecodeTable> {
-        fn range<T: Code>(v: &[T]) -> (i64, i64) {
-            v.iter()
-                .filter(|&&k| k != T::NEG_ZERO)
-                .fold((i64::MAX, i64::MIN), |(lo, hi), &k| {
-                    (lo.min(k.widen()), hi.max(k.widen()))
-                })
-        }
-        let (lo, hi) = match_ints!(codes, v => range(v));
-        let span = if lo > hi { 0 } else { (hi - lo + 1) as usize };
-        if span > MAX_DECODE_TABLE {
+    /// The table of a decimal payload with exponent `exp` whose codes lie
+    /// within `bounds`, or `None` when they span more than
+    /// [`MAX_DECODE_TABLE`] values.
+    pub fn build(bounds: &CodeBounds, exp: u8) -> Option<DecodeTable> {
+        let lo = bounds.lo;
+        let span = if bounds.is_empty() {
+            0
+        } else {
+            (bounds.hi - lo) as u64 + 1
+        };
+        if span > MAX_DECODE_TABLE as u64 {
             return None;
         }
         let scale = decimal_scale(exp);
@@ -355,7 +404,7 @@ mod tests {
     fn decode_tables_match_division_bit_for_bit() {
         let values = [-0.0, -40.5, 0.0, 12.3, 668.1, -0.0];
         let (ints, exp) = encode_floats(&values).unwrap();
-        let table = DecodeTable::build(&ints, exp).unwrap();
+        let table = DecodeTable::build(&CodeBounds::of(&ints, true), exp).unwrap();
         let scale = decimal_scale(exp);
         let via_table: Vec<f64> =
             match_ints!(&ints, v => v.iter().map(|&k| table.decode(k)).collect());
@@ -366,11 +415,13 @@ mod tests {
 
         // Only -0.0 codes: an empty table decodes everything to -0.0.
         let (ints, exp) = encode_floats(&[-0.0]).unwrap();
-        let table = DecodeTable::build(&ints, exp).unwrap();
+        let bounds = CodeBounds::of(&ints, true);
+        assert!(bounds.is_empty() && bounds.neg_zero);
+        let table = DecodeTable::build(&bounds, exp).unwrap();
         assert!(table.decode(u16::MAX).is_sign_negative());
         // Too wide a span keeps division.
         let (ints, exp) = encode_floats(&[0.0, 1e6]).unwrap();
-        assert!(DecodeTable::build(&ints, exp).is_none());
+        assert!(DecodeTable::build(&CodeBounds::of(&ints, true), exp).is_none());
     }
 
     #[test]

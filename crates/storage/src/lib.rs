@@ -34,7 +34,7 @@ pub mod table;
 pub use column::{Column, ColumnData};
 pub use csv::{read_csv, write_csv};
 pub use dictionary::Dictionary;
-pub use encoding::{Code, DecodeTable, Ints};
+pub use encoding::{Code, CodeBounds, DecodeTable, Ints};
 pub use error::StorageError;
 pub use schema::{DataType, Field, Schema};
 pub use selection::SelVec;

@@ -246,10 +246,9 @@ impl TableBuilder {
                 (_, Value::Null) => {
                     self.nulls[i].push(self.nrows);
                     match field.dtype {
-                        DataType::Float => self.floats[i]
-                            .as_mut()
-                            .expect("float buffer")
-                            .push(f64::NAN),
+                        // A placeholder every decimal encoding holds, so a
+                        // null does not keep its column plain.
+                        DataType::Float => self.floats[i].as_mut().expect("float buffer").push(0.0),
                         DataType::Int => self.ints[i].as_mut().expect("int buffer").push(0),
                         DataType::Nominal => {
                             let (buf, _) = self.codes[i].as_mut().expect("code buffer");
@@ -379,9 +378,13 @@ mod tests {
     #[test]
     fn byte_size_counts_payloads() {
         let t = small_table();
-        // 3 rows: u8 codes 3*1 + float 3*8 (a null's NaN placeholder keeps
-        // the column plain) + u16 ints 3*2.
-        assert_eq!(t.byte_size(), 3 + 24 + 6);
+        // 3 rows: u8 codes 3*1 + i16 decimal codes 3*2 (the null's 0.0
+        // placeholder narrows with the rest) + u16 ints 3*2.
+        assert!(matches!(
+            t.column("dep_delay").unwrap().data(),
+            ColumnData::Decimal(crate::Ints::I16(_), 0)
+        ));
+        assert_eq!(t.byte_size(), 3 + 6 + 6);
     }
 
     #[test]

@@ -109,6 +109,91 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------ column statistics
+
+/// The statistics of `col` from a walk over its decoded valid values, in
+/// row order: `(numeric_min_max, finite_min_max)` as bit patterns.
+#[allow(clippy::type_complexity)]
+fn walked_stats(col: &Column) -> (Option<(u64, u64)>, Option<(u64, u64)>) {
+    let mut finite: Option<(f64, f64)> = None;
+    let mut all_finite = true;
+    for v in (0..col.len()).filter_map(|i| col.numeric_at(i)) {
+        if v.is_finite() {
+            let (lo, hi) = finite.unwrap_or((v, v));
+            finite = Some((lo.min(v), hi.max(v)));
+        } else {
+            all_finite = false;
+        }
+    }
+    let bits = |p: Option<(f64, f64)>| p.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+    (bits(all_finite.then_some(finite).flatten()), bits(finite))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Statistics found from a coded payload's extreme codes equal the
+    /// decoded walk, for int, nominal and decimal columns: with and without
+    /// the `-0.0` code, with nulls, with one row and with every row equal.
+    #[test]
+    fn code_stats_match_the_decoded_walk(
+        kind in 0u8..3,
+        shape in 0u8..4,
+        cells in prop::collection::vec((any::<u32>(), 0u8..16), 1..70),
+        nulls in any::<bool>(),
+        signed in any::<bool>(),
+        exp in 0u8..3,
+    ) {
+        // Shape 0: one row; 1: every row equal; else as drawn.
+        let cells = match shape {
+            0 => cells[..1].to_vec(),
+            1 => vec![cells[0]; cells.len()],
+            _ => cells,
+        };
+        let n = cells.len();
+        let col = match kind {
+            0 => Column::int(
+                cells.iter().map(|&(k, e)| if e == 0 { 255 } else { i64::from(k % 70_000) }).collect(),
+            ),
+            1 => {
+                let dict = Arc::new(idebench::storage::Dictionary::from_values(
+                    (0..400).map(|i| format!("v{i}")),
+                ));
+                let len = 1 + cells[0].0 % 400;
+                Column::nominal(cells.iter().map(|&(k, _)| k % len).collect(), dict)
+            }
+            _ => {
+                let scale = 10f64.powi(i32::from(exp));
+                Column::float(
+                    cells
+                        .iter()
+                        .map(|&(k, e)| match e {
+                            0 => -0.0,
+                            1 => 0.0,
+                            // `u16` codes, or `i16` ones when signed.
+                            _ if signed => (f64::from(k % 60_001) - 30_000.0) / scale,
+                            _ => f64::from(k % 60_001) / scale,
+                        })
+                        .collect(),
+                )
+            }
+        }
+        .narrowed();
+        if kind == 2 {
+            prop_assert!(matches!(col.data(), ColumnData::Decimal(..)), "decimal payload");
+        }
+        let col = if nulls {
+            col.with_validity(SelVec::from_bools(n, cells.iter().map(|&(_, e)| e % 3 != 2)))
+        } else {
+            col
+        };
+        let (walked_bounds, walked_finite) = walked_stats(&col);
+        let bits = |p: Option<(f64, f64)>| p.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        prop_assert_eq!(bits(col.numeric_min_max()), walked_bounds);
+        prop_assert_eq!(bits(col.finite_min_max()), walked_finite);
+    }
+}
+
 // -------------------------------------------------------------------- CSV
 
 const CSV_CELLS: [&str; 16] = [
