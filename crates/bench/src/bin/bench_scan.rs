@@ -1,13 +1,16 @@
 //! Scan-throughput benchmark: emits `BENCH_scan.json` with rows/sec for the
 //! vectorized execution core on the paper's canonical scan shapes, on the
 //! brush filters linked selections compile to (an OR of ranges, ANDed with
-//! an IN list), and on star-schema join cases, each against the scalar oracle for the speedup
-//! ratio, plus per-worker-count scaling rows for the parallel morsel
+//! an IN list), on a nullable column and a decimal too wide for a decode
+//! table (both read in place), and on star-schema join cases, each against
+//! the scalar oracle for the speedup ratio, plus per-worker-count scaling
+//! rows for the parallel morsel
 //! dispatcher: a one-shot count scan, and a shuffled scan stepped in
 //! `step_quantum`-sized grants the way the progressive engine drives it.
 //!
 //! Doubles as the CI regression gate: the process exits non-zero if any
-//! case, de-normalized or star, drops below 1× the scalar oracle (set
+//! case — de-normalized, nullable, wide-decimal or star — drops below 1×
+//! the scalar oracle (set
 //! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring), and panics if a
 //! worker count changes a result — the stepped scan's hash covers every
 //! grant's rows and billed units as well as the final snapshot.
@@ -34,7 +37,7 @@ use idebench_query::{
     available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, AccMode,
     ChunkedRun, CompiledPlan, Shuffle, SnapshotMode,
 };
-use idebench_storage::Dataset;
+use idebench_storage::{Column, ColumnData, DataType, Dataset, Field, Schema, SelVec, Table};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -288,6 +291,92 @@ fn nom_count_in_and_or() -> Query {
     q
 }
 
+/// The flights table plus two columns its generator does not produce:
+/// `dep_delay_n`, a copy of `dep_delay` with every tenth row null, and
+/// `dep_time_fine`, departure times at 1/10 000 h, whose codes span too many
+/// values for a decode table.
+fn with_nulls_and_wide_decimals(t: &Table) -> Dataset {
+    let n = t.num_rows();
+    let nullable = t
+        .column("dep_delay")
+        .expect("flights has dep_delay")
+        .clone()
+        .with_validity(SelVec::from_bools(n, (0..n).map(|r| r % 10 != 3)));
+    let dep_time = t
+        .column("dep_time")
+        .expect("flights has dep_time")
+        .as_float()
+        .expect("dep_time is numeric");
+    let fine = Column::float(
+        dep_time
+            .iter()
+            .enumerate()
+            .map(|(r, &v)| ((v * 100.0).round() as i64 * 100 + (r * 37 % 100) as i64) as f64 / 1e4)
+            .collect(),
+    );
+    let mut fields = t.schema().fields().to_vec();
+    fields.push(Field::new("dep_delay_n", DataType::Float));
+    fields.push(Field::new("dep_time_fine", DataType::Float));
+    let mut columns = t.columns().to_vec();
+    columns.extend([nullable, fine]);
+    let table = Table::new(t.name(), Schema::new(fields), columns).expect("aligned columns");
+    let wide = table.column("dep_time_fine").unwrap();
+    assert!(
+        matches!(wide.data(), ColumnData::Decimal(..)) && wide.decode_table().is_none(),
+        "dep_time_fine is a decimal too wide for a decode table"
+    );
+    Dataset::Denormalized(Arc::new(table))
+}
+
+/// Carrier averages of the nullable `dep_delay_n` under a range over it:
+/// the range compares codes and ANDs the validity bitmap, and the measure
+/// skips null rows.
+fn nullable_filtered_1d_nominal_avg() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![BinDef::Nominal {
+            dimension: "carrier".into(),
+        }],
+        vec![AggregateSpec::over(AggFunc::Avg, "dep_delay_n")],
+    );
+    Query::for_viz(
+        &spec,
+        Some(FilterExpr::Pred(Predicate::Range {
+            column: "dep_delay_n".into(),
+            min: 0.0,
+            max: 60.0,
+        })),
+    )
+}
+
+/// Hourly averages of the wide decimal `dep_time_fine` under a range over
+/// it: filter, dense bucketing and measure all decode its codes by
+/// division.
+fn wide_decimal_filtered_avg() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![BinDef::Width {
+            dimension: "dep_time_fine".into(),
+            width: 1.0,
+            anchor: 0.0,
+        }],
+        vec![
+            AggregateSpec::count(),
+            AggregateSpec::over(AggFunc::Avg, "dep_time_fine"),
+        ],
+    );
+    Query::for_viz(
+        &spec,
+        Some(FilterExpr::Pred(Predicate::Range {
+            column: "dep_time_fine".into(),
+            min: 6.0,
+            max: 18.0,
+        })),
+    )
+}
+
 /// Rows/s of a streaming sum over `ROWS` `u16` values: the bandwidth
 /// ceiling the cases' GB/s are read against.
 fn roofline_sum_u16() -> Throughput {
@@ -363,17 +452,28 @@ fn main() {
     let table = idebench_datagen::flights::generate(ROWS, 42);
     let ds = Dataset::Denormalized(Arc::new(table.clone()));
     let star = idebench_datagen::normalize_flights(&table).expect("flights normalize");
+    let extra = with_nulls_and_wide_decimals(&table);
 
     // The star cases run the devirtualized join layer (shared fact-ordered
     // materializations) against the scalar oracle, which follows the
     // foreign key per row, on the normalized twin of the same data.
-    let cases: [(&str, &Dataset, Query); 8] = [
+    let cases: [(&str, &Dataset, Query); 10] = [
         ("exact_scan_1d_nominal_count", &ds, exact_scan()),
         ("filtered_scan_1d_nominal_avg", &ds, filtered_1d_nominal()),
         ("nom_count_or_ranges", &ds, nom_count_or_ranges()),
         ("nom_count_in_and_or", &ds, nom_count_in_and_or()),
         ("binned_2d_agg", &ds, binned_2d()),
         ("dense_bucketed_2d_agg", &ds, dense_bucketed_2d()),
+        (
+            "nullable_filtered_1d_nominal_avg",
+            &extra,
+            nullable_filtered_1d_nominal_avg(),
+        ),
+        (
+            "wide_decimal_filtered_avg",
+            &extra,
+            wide_decimal_filtered_avg(),
+        ),
         ("star_1d_nominal_via_fk", &star, star_1d_nominal_via_fk()),
         ("star_joined_2d_agg", &star, star_joined_2d_agg()),
     ];

@@ -232,11 +232,10 @@ pub fn build_stratified_sample(
 }
 
 /// A strata code column resolved against a dataset: borrowed from the fact
-/// table, shared from the star schema's join cache, or gathered once.
+/// table, or shared from the star schema's join cache.
 enum StrataCodes<'a> {
     Borrowed(&'a Ints),
     Shared(Arc<Column>),
-    Owned(Ints),
 }
 
 impl StrataCodes<'_> {
@@ -244,7 +243,6 @@ impl StrataCodes<'_> {
         match self {
             StrataCodes::Borrowed(c) => c,
             StrataCodes::Shared(c) => nominal_codes(c).expect("nominal strata column").0,
-            StrataCodes::Owned(c) => c,
         }
     }
 }
@@ -253,13 +251,13 @@ impl StrataCodes<'_> {
 ///
 /// De-normalized datasets sample the single table as before. Star schemas
 /// sample *fact rows* — strata attributes living in dimension tables are
-/// read fact-ordered through the schema's shared join cache (gathered once
-/// through the foreign key if the cache declines) — and keep the sampled
-/// fact joined to the **original** dimension tables, so the sample remains
-/// a normalized dataset and sampled queries still pay the (devirtualized)
-/// join. Strata are keyed on attribute *values* (not dictionary codes), so
-/// the sampled rows are identical to the de-normalized form's even when a
-/// dimension table's dictionary assigns codes in a different order.
+/// read fact-ordered through the schema's shared join cache — and keep the
+/// sampled fact joined to the **original** dimension tables, so the sample
+/// remains a normalized dataset and sampled queries still pay the
+/// (devirtualized) join. Strata are keyed on attribute *values* (not
+/// dictionary codes), so the sampled rows are identical to the
+/// de-normalized form's even when a dimension table's dictionary assigns
+/// codes in a different order.
 pub fn build_stratified_sample_dataset(
     dataset: &Dataset,
     strata_columns: &[String],
@@ -276,9 +274,8 @@ pub fn build_stratified_sample_dataset(
         Dataset::Star(s) => {
             let fact = s.fact();
             // Each present nominal strata column: its fact-ordered codes
-            // (borrowed, cache-shared, or gathered) plus the value-key
-            // table of its dictionary (the materialization shares the
-            // dimension dictionary, so either source gives the same keys).
+            // (borrowed or cache-shared) plus the value-key table of its
+            // dictionary.
             let holders: Vec<(StrataCodes<'_>, Vec<u64>)> = strata_columns
                 .iter()
                 .filter_map(|name| {
@@ -287,22 +284,10 @@ pub fn build_stratified_sample_dataset(
                             (StrataCodes::Borrowed(codes), dictionary_value_keys(dict))
                         });
                     }
-                    let (spec, dim) = s.dimension_of_column(name)?;
-                    let dim_col = dim.column(name).ok()?;
-                    let (codes, dict) = nominal_codes(dim_col)?;
+                    let (_, dim) = s.dimension_of_column(name)?;
+                    let (_, dict) = nominal_codes(dim.column(name).ok()?)?;
                     let value_keys = dictionary_value_keys(dict);
-                    if let Some(shared) = s.materialize_join(name) {
-                        return Some((StrataCodes::Shared(shared), value_keys));
-                    }
-                    // Cache declined: gather fact-ordered codes transiently.
-                    let ColumnData::Int(fk) = fact.column(&spec.fk_name).ok()?.data() else {
-                        return None;
-                    };
-                    let gathered = (0..fk.len()).map(|r| codes.get(fk.get(r) as usize) as u32);
-                    Some((
-                        StrataCodes::Owned(Ints::U32(gathered.collect())),
-                        value_keys,
-                    ))
+                    Some((StrataCodes::Shared(s.materialize_join(name)?), value_keys))
                 })
                 .collect();
             let strata_cols: Vec<StrataCol<'_>> = holders
@@ -316,16 +301,9 @@ pub fn build_stratified_sample_dataset(
             let sampled_fact = fact
                 .take(&chosen)
                 .renamed(format!("{}_sample", fact.name()));
-            // The sample schema inherits the source's join-cache capacity:
-            // an operator who capped (or disabled) materialization on the
-            // dataset gets the same bound on the sample.
             Dataset::Star(Arc::new(
-                StarSchema::with_join_cache_capacity(
-                    Arc::new(sampled_fact),
-                    s.dimensions().to_vec(),
-                    s.join_cache_stats().capacity,
-                )
-                .expect("sampled fact keeps valid foreign keys"),
+                StarSchema::new(Arc::new(sampled_fact), s.dimensions().to_vec())
+                    .expect("sampled fact keeps valid foreign keys"),
             ))
         }
     }

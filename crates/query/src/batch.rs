@@ -2,47 +2,44 @@
 //!
 //! Execution processes fixed-size morsels (`MORSEL` rows) of contiguous
 //! scan positions — a shuffled run reads permuted column copies, so every
-//! morsel is a natural-order slice. Kernels read the stored codes in place
-//! wherever they can (see `crate::plan::Access`). Per morsel:
+//! morsel is a natural-order slice. Kernels read every column in place, at
+//! its stored encoding (see `crate::plan::Access`). Per morsel:
 //!
-//! 1. the staged columns the *filter* reads are decoded into flat scratch
-//!    buffers — only nullable columns, joins without a materialization
-//!    (their foreign-key column is read **once** per morsel and translated
-//!    through the plan's per-dimension join caches) and decimals too wide
-//!    for a decode table are staged; a staged column's validity bitmap is
-//!    folded into a morsel mask (see `crate::plan::StageSpec`);
-//! 2. the filter tree is evaluated into a bitmask (`Mask`) by typed
+//! 1. the filter tree is evaluated into a bitmask (`Mask`) by typed
 //!    kernels — one `match` on column type per *morsel*, not per row. Each
 //!    kernel builds its mask a 64-row word at a time: the predicate fills a
 //!    64-byte lane buffer, which is packed into the word in a register and
 //!    stored once. A range over a narrow numeric column compares codes
 //!    (`CodeRange`), and an IN list looks `u8`/`u16` dictionary codes up
-//!    where they are stored;
-//! 3. the remaining staged (binning / measure) columns are decoded — a
-//!    morsel the filter fully rejects skips this phase entirely;
-//! 4. bin slots (dense) or bin keys (sparse) are computed for all rows from
+//!    where they are stored; a morsel the filter fully rejects stops here;
+//! 2. bin slots (dense) or bin keys (sparse) are computed for all rows from
 //!    dictionary codes in place — a dense fixed-width dimension over a
 //!    narrow numeric column looks its slots up by code (`CodeSlots`);
-//! 5. matching rows are folded into the accumulator in bulk. A measure over
+//! 3. matching rows are folded into the accumulator in bulk. A measure over
 //!    a narrow numeric column decodes the code of each matched, valid row
-//!    only (through the column's decode table, or by widening an int), so
-//!    no measure is staged.
+//!    only (through the column's decode table, or by widening an int).
 //!
-//! Every kernel consumes a `ColView` — a payload in place or a stage buffer
-//! — so star-schema joins devirtualized by the planner run the same code as
-//! de-normalized columns. The dense path exploits that an all-nominal
-//! binning has a bin space bounded by dictionary sizes: accumulators live
-//! in a flat array indexed by `code0 + code1 * dict_len0`, replacing the
-//! per-row hash probe of the scalar oracle.
+//! A nullable column's morsel mask is `WORDS` words of its validity bitmap
+//! read in place: a morsel starts at a multiple of 64 (chunks and morsels
+//! are), so no bit shifting is needed. Each kernel ANDs it into the mask it
+//! builds, so null rows never match a filter and never reach an
+//! accumulator, and a code is used as an index only under that mask.
+//!
+//! Every kernel consumes a `ColView`, so star-schema joins devirtualized by
+//! the planner run the same code as de-normalized columns. The dense path
+//! exploits that an all-nominal binning has a bin space bounded by
+//! dictionary sizes: accumulators live in a flat array indexed by
+//! `code0 + code1 * dict_len0`, replacing the per-row hash probe of the
+//! scalar oracle.
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 use crate::plan::{
     AccMode, CodeRange, CodeSlots, ColView, CompiledPlan, DenseWidth, PlannedDim, PlannedFilter,
-    StagePhases, StageSpec, Vals,
+    Vals,
 };
 use idebench_core::{AggFunc, BinCoord, BinKey};
-use idebench_storage::encoding::{decimal_scale, decode_decimal, Code};
-use idebench_storage::{match_ints, Column, ColumnData, Ints, SelVec};
+use idebench_storage::encoding::{decode_decimal, Code};
+use idebench_storage::{match_ints, Ints, SelVec};
 use rustc_hash::FxHashMap;
 
 /// Rows per morsel. A multiple of 64 so a morsel's filter mask is a
@@ -66,22 +63,6 @@ fn mask_tail(mask: &mut Mask, n: usize) {
         } else if n < lo + 64 {
             *word &= (1u64 << (n - lo)) - 1;
         }
-    }
-}
-
-/// Clears bit `i` of `mask`.
-#[inline]
-fn clear_bit(mask: &mut Mask, i: usize) {
-    mask[i / 64] &= !(1u64 << (i % 64));
-}
-
-/// Writes `f(src[base + i])` to every `out[i]`: one monomorphized,
-/// contiguous decode loop per payload width.
-#[inline(always)]
-fn decode_span<T: Copy, O>(src: &[T], base: usize, out: &mut [O], f: impl Fn(T) -> O) {
-    let n = out.len();
-    for (o, &k) in out.iter_mut().zip(&src[base..base + n]) {
-        *o = f(k);
     }
 }
 
@@ -133,14 +114,6 @@ pub(crate) struct BoundPlan<'a> {
     filter: Option<BoundFilter<'a>>,
     dims: Vec<BoundDim<'a>>,
     measures: Vec<Option<ColView<'a>>>,
-    /// Per-morsel staging instructions, parallel to the accumulator's
-    /// stage buffers.
-    stages: Vec<BoundStage<'a>>,
-    /// Distinct FK columns gathered once per morsel, parallel to the
-    /// accumulator's FK staging buffers.
-    fks: Vec<&'a Ints>,
-    /// Filter-phase vs. post-filter-phase staging split.
-    phases: &'a StagePhases,
 }
 
 enum BoundFilter<'a> {
@@ -151,7 +124,7 @@ enum BoundFilter<'a> {
     },
     /// A range evaluated on the column's codes (see [`CodeRange`]).
     RangeCodes {
-        codes: &'a Ints,
+        col: ColView<'a>,
         range: CodeRange,
     },
     In {
@@ -179,34 +152,10 @@ enum BoundDim<'a> {
     /// A dense fixed-width dimension slotted from the column's codes (see
     /// [`CodeSlots`]); `len` is its bucket count.
     WidthCodes {
-        codes: &'a Ints,
+        col: ColView<'a>,
         slots: &'a CodeSlots,
         len: u32,
     },
-}
-
-/// A [`StageSpec`] bound to borrowed slices for one `advance`.
-enum BoundStage<'a> {
-    Own {
-        col: &'a Column,
-    },
-    JoinCodes {
-        fk_slot: usize,
-        cache: &'a [u32],
-    },
-    JoinNum {
-        fk_slot: usize,
-        vals: &'a [f64],
-        valid: Option<&'a SelVec>,
-    },
-}
-
-/// The codes of a column read in code space.
-fn payload_codes(col: &Column) -> &Ints {
-    match col.data() {
-        ColumnData::Decimal(codes, _) | ColumnData::Int(codes) => codes,
-        _ => unreachable!("code-space columns are narrow numeric"),
-    }
 }
 
 impl PlannedFilter {
@@ -227,7 +176,7 @@ impl PlannedFilter {
                 codes: Some(range),
                 ..
             } => BoundFilter::RangeCodes {
-                codes: payload_codes(col.payload()),
+                col: col.view(),
                 range: *range,
             },
             PlannedFilter::In { col, member } => BoundFilter::In {
@@ -264,7 +213,7 @@ impl CompiledPlan {
                         codes: Some(slots),
                         ..
                     } => BoundDim::WidthCodes {
-                        codes: payload_codes(col.payload()),
+                        col: col.view(),
                         slots,
                         len: d.len as u32,
                     },
@@ -287,201 +236,50 @@ impl CompiledPlan {
                 .iter()
                 .map(|m| m.as_ref().map(|c| c.view()))
                 .collect(),
-            stages: self
-                .stages
-                .iter()
-                .map(|s| match s {
-                    StageSpec::Own(col) => BoundStage::Own { col: col.get() },
-                    StageSpec::JoinCodes { fk_slot, cache } => BoundStage::JoinCodes {
-                        fk_slot: *fk_slot,
-                        cache,
-                    },
-                    StageSpec::JoinNum {
-                        fk_slot,
-                        vals,
-                        valid,
-                    } => BoundStage::JoinNum {
-                        fk_slot: *fk_slot,
-                        vals,
-                        valid: valid.as_ref(),
-                    },
-                })
-                .collect(),
-            fks: self
-                .fk_cols
-                .iter()
-                .map(|fk| match fk.get().data() {
-                    ColumnData::Int(keys) => keys,
-                    _ => unreachable!("fk column validated at compile time"),
-                })
-                .collect(),
-            phases: &self.phases,
-        }
-    }
-}
-
-// -------------------------------------------------------------- staging
-
-/// The values of one stage buffer: dictionary codes (always
-/// [`Ints::U32`]) or numerics, whichever the staged column holds.
-enum StageVals {
-    Codes(Ints),
-    Nums(Vec<f64>),
-}
-
-/// Scratch buffer of one staged column for the current morsel: flat values
-/// plus a validity mask.
-pub(crate) struct StageBuf {
-    vals: StageVals,
-    mask: Mask,
-}
-
-impl StageBuf {
-    fn for_spec(spec: &StageSpec) -> StageBuf {
-        StageBuf {
-            vals: if spec.nominal() {
-                StageVals::Codes(Ints::U32(vec![0; MORSEL]))
-            } else {
-                StageVals::Nums(vec![0.0; MORSEL])
-            },
-            mask: [0u64; WORDS],
-        }
-    }
-}
-
-/// Stages the FK buffers named by `which` for the morsel at positions
-/// `base..base + n` — every joined column translating through an FK reads
-/// it from here, so each distinct FK column is read at most once per
-/// morsel.
-fn stage_fks(
-    bound: &BoundPlan<'_>,
-    base: usize,
-    n: usize,
-    fk_stage: &mut [Vec<u32>],
-    which: &[usize],
-) {
-    for &slot in which {
-        let dst = &mut fk_stage[slot][..n];
-        match_ints!(bound.fks[slot], v => decode_span(v, base, dst, |k| k.widen() as u32));
-    }
-}
-
-/// Fills the stage buffers named by `which` for the morsel at positions
-/// `base..base + n`, decoding narrow payloads. Stage buffers hold the
-/// staged value at each morsel *position* (null rows hold a placeholder
-/// and have their mask bit cleared).
-fn stage_cols(
-    bound: &BoundPlan<'_>,
-    base: usize,
-    n: usize,
-    fk_stage: &[Vec<u32>],
-    bufs: &mut [StageBuf],
-    which: &[usize],
-) {
-    for &si in which {
-        let (spec, buf) = (&bound.stages[si], &mut bufs[si]);
-        buf.mask = [u64::MAX; WORDS];
-        mask_tail(&mut buf.mask, n);
-        match (spec, &mut buf.vals) {
-            (BoundStage::Own { col }, vals) => {
-                match (col.data(), vals) {
-                    (ColumnData::Float(d), StageVals::Nums(nums)) => {
-                        nums[..n].copy_from_slice(&d[base..base + n])
-                    }
-                    (ColumnData::Decimal(c, exp), StageVals::Nums(nums)) => {
-                        match col.decode_table() {
-                            Some(t) => {
-                                match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| t.decode(k)))
-                            }
-                            None => {
-                                let scale = decimal_scale(*exp);
-                                match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| decode_decimal(k, scale)))
-                            }
-                        }
-                    }
-                    (ColumnData::Int(c), StageVals::Nums(nums)) => {
-                        match_ints!(c, v => decode_span(v, base, &mut nums[..n], |k| k.widen() as f64));
-                    }
-                    (ColumnData::Nominal(c, _), StageVals::Codes(Ints::U32(codes))) => {
-                        match_ints!(c, v => decode_span(v, base, &mut codes[..n], |k| k.widen() as u32));
-                    }
-                    _ => unreachable!("a stage buffer holds its column's type"),
-                }
-                if let Some(v) = col.validity() {
-                    for i in 0..n {
-                        if !v.contains(base + i) {
-                            clear_bit(&mut buf.mask, i);
-                        }
-                    }
-                }
-            }
-            (BoundStage::JoinCodes { fk_slot, cache }, StageVals::Codes(Ints::U32(codes))) => {
-                let fkb = &fk_stage[*fk_slot];
-                for (i, (o, &r)) in codes.iter_mut().zip(&fkb[..n]).enumerate() {
-                    let c = cache[r as usize];
-                    if c == crate::plan::NULL_CODE {
-                        *o = 0;
-                        clear_bit(&mut buf.mask, i);
-                    } else {
-                        *o = c;
-                    }
-                }
-            }
-            (
-                BoundStage::JoinNum {
-                    fk_slot,
-                    vals,
-                    valid,
-                },
-                StageVals::Nums(nums),
-            ) => {
-                let fkb = &fk_stage[*fk_slot];
-                for (o, &r) in nums.iter_mut().zip(&fkb[..n]) {
-                    *o = vals[r as usize];
-                }
-                if let Some(v) = valid {
-                    for (i, &r) in fkb[..n].iter().enumerate() {
-                        if !v.contains(r as usize) {
-                            clear_bit(&mut buf.mask, i);
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("a stage buffer holds its column's type"),
         }
     }
 }
 
 // -------------------------------------------------------------- kernels
 
-/// One morsel of a column as the kernels read it: its values at positions
-/// `off..off + n` (scan positions in place, morsel positions in a stage
-/// buffer) and, for a staged column, its validity mask.
+/// One morsel of a column as the kernels read it: its values at scan
+/// positions `off..off + n` and, for a nullable column, its validity bitmap.
 #[derive(Clone, Copy)]
 struct Part<'x> {
     vals: Vals<'x>,
     off: usize,
-    mask: Option<&'x Mask>,
+    validity: Option<&'x SelVec>,
 }
 
 impl<'x> Part<'x> {
     /// The morsel at scan positions `base..` of `col`.
     #[inline]
-    fn of(col: ColView<'x>, stages: &'x [StageBuf], base: usize) -> Self {
-        match col {
-            ColView::InPlace(vals) => Part {
-                vals,
-                off: base,
-                mask: None,
-            },
-            ColView::Staged(s) => Part {
-                vals: match &stages[s].vals {
-                    StageVals::Codes(c) => Vals::Ints(c),
-                    StageVals::Nums(d) => Vals::F64(d),
-                },
-                off: 0,
-                mask: Some(&stages[s].mask),
-            },
+    fn of(col: ColView<'x>, base: usize) -> Self {
+        debug_assert_eq!(base % 64, 0, "morsels start on a bitmap word");
+        Part {
+            vals: col.vals,
+            off: base,
+            validity: col.validity,
+        }
+    }
+
+    /// The morsel's validity mask; `None` for a column without nulls.
+    /// `off` is a multiple of 64, so the mask is `WORDS` words of the
+    /// bitmap, zero past its end.
+    #[inline]
+    fn mask(&self) -> Option<Mask> {
+        self.validity
+            .map(|v| std::array::from_fn(|w| v.word(self.off / 64 + w)))
+    }
+
+    /// The integer or decimal codes of a column read in code space.
+    #[inline]
+    fn codes(&self) -> &'x Ints {
+        match self.vals {
+            Vals::Ints(c) | Vals::Decimal(c, _) => c,
+            Vals::F64(_) | Vals::WideDecimal(..) => {
+                unreachable!("code-space columns have a code span")
+            }
         }
     }
 
@@ -489,7 +287,7 @@ impl<'x> Part<'x> {
     /// row-at-a-time measure accessor.
     #[inline(always)]
     fn number(&self, i: usize) -> Option<f64> {
-        if self.mask.is_some_and(|m| m[i / 64] >> (i % 64) & 1 == 0) {
+        if self.validity.is_some_and(|v| !v.contains(self.off + i)) {
             return None;
         }
         let j = self.off + i;
@@ -497,6 +295,7 @@ impl<'x> Part<'x> {
             Vals::F64(d) => d[j],
             Vals::Ints(c) => c.get(j) as f64,
             Vals::Decimal(c, t) => match_ints!(c, v => t.decode(v[j])),
+            Vals::WideDecimal(c, scale) => match_ints!(c, v => decode_decimal(v[j], scale)),
         })
     }
 }
@@ -525,6 +324,11 @@ macro_rules! with_numbers {
                 let $of = |k: _| t.decode(k);
                 $body
             }),
+            Vals::WideDecimal(c, scale) => match_ints!(c, v => {
+                let $src = &v[off..end];
+                let $of = |k: _| decode_decimal(k, scale);
+                $body
+            }),
         }
     }};
 }
@@ -540,17 +344,17 @@ macro_rules! with_codes {
                 let $src = &v[off..end];
                 $body
             }),
-            Vals::F64(_) | Vals::Decimal(..) => {
+            Vals::F64(_) | Vals::Decimal(..) | Vals::WideDecimal(..) => {
                 unreachable!("nominal uses are compiled over dictionary codes only")
             }
         }
     }};
 }
 
-/// Clears every `out` bit whose staged-validity bit is unset.
+/// Clears every `out` bit of a null row of `part`.
 #[inline]
-fn and_mask(out: &mut Mask, mask: Option<&Mask>) {
-    if let Some(mask) = mask {
+fn and_mask(out: &mut Mask, part: &Part<'_>) {
+    if let Some(mask) = part.mask() {
         for w in 0..WORDS {
             out[w] &= mask[w];
         }
@@ -560,32 +364,34 @@ fn and_mask(out: &mut Mask, mask: Option<&Mask>) {
 /// Evaluates a filter tree over the morsel at positions `base..base + n`
 /// into `out` (bit = row matches). Null values never match, mirroring SQL
 /// WHERE semantics.
-fn eval_filter(f: &BoundFilter<'_>, stages: &[StageBuf], base: usize, n: usize, out: &mut Mask) {
+fn eval_filter(f: &BoundFilter<'_>, base: usize, n: usize, out: &mut Mask) {
     match f {
         BoundFilter::Range { col, min, max } => {
             let (min, max) = (*min, *max);
-            let part = Part::of(*col, stages, base);
+            let part = Part::of(*col, base);
             with_numbers!(part, n, |src, of| pack_mask(src, out, |v| {
                 let v = of(v);
                 v >= min && v < max
             }));
-            and_mask(out, part.mask);
+            and_mask(out, &part);
         }
         BoundFilter::In { col, member } => {
-            let part = Part::of(*col, stages, base);
+            let part = Part::of(*col, base);
             let member = |c: i64| member.get(c as usize).copied().unwrap_or(false);
             with_codes!(part, n, |src| pack_mask(src, out, |c| member(c.widen())));
-            and_mask(out, part.mask);
+            and_mask(out, &part);
         }
-        BoundFilter::RangeCodes { codes, range } => {
-            match_ints!(codes, v => range_codes(&v[base..base + n], range, out));
+        BoundFilter::RangeCodes { col, range } => {
+            let part = Part::of(*col, base);
+            match_ints!(part.codes(), v => range_codes(&v[base..base + n], range, out));
+            and_mask(out, &part);
         }
         BoundFilter::And(children) => {
             *out = [u64::MAX; WORDS];
             mask_tail(out, n);
             let mut tmp = [0u64; WORDS];
             for child in children {
-                eval_filter(child, stages, base, n, &mut tmp);
+                eval_filter(child, base, n, &mut tmp);
                 for w in 0..WORDS {
                     out[w] &= tmp[w];
                 }
@@ -595,7 +401,7 @@ fn eval_filter(f: &BoundFilter<'_>, stages: &[StageBuf], base: usize, n: usize, 
             *out = [0u64; WORDS];
             let mut tmp = [0u64; WORDS];
             for child in children {
-                eval_filter(child, stages, base, n, &mut tmp);
+                eval_filter(child, base, n, &mut tmp);
                 for w in 0..WORDS {
                     out[w] |= tmp[w];
                 }
@@ -624,14 +430,7 @@ fn range_codes<T: Code>(codes: &[T], range: &CodeRange, out: &mut Mask) {
 
 /// Computes dense bin slots for the morsel at positions `base..base + n`.
 /// Rows with a null binned value get their `valid` bit cleared.
-fn dense_slots(
-    dims: &[BoundDim<'_>],
-    stages: &[StageBuf],
-    base: usize,
-    n: usize,
-    slots: &mut [u32],
-    valid: &mut Mask,
-) {
+fn dense_slots(dims: &[BoundDim<'_>], base: usize, n: usize, slots: &mut [u32], valid: &mut Mask) {
     *valid = [u64::MAX; WORDS];
     mask_tail(valid, n);
     let slots = &mut slots[..n];
@@ -646,22 +445,22 @@ fn dense_slots(
         dict_len: stride,
     }, BoundDim::Nominal { col: c1, .. }] = dims
     {
-        let (p0, p1) = (Part::of(*c0, stages, base), Part::of(*c1, stages, base));
+        let (p0, p1) = (Part::of(*c0, base), Part::of(*c1, base));
         let stride = (*stride).max(1);
         with_codes!(p0, n, |s0| with_codes!(p1, n, |s1| {
             for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
                 *slot = Code::widen(a) as u32 + Code::widen(b) as u32 * stride;
             }
         }));
-        and_mask(valid, p0.mask);
-        and_mask(valid, p1.mask);
+        and_mask(valid, &p0);
+        and_mask(valid, &p1);
         return;
     }
 
     let mut stride = 1u32;
     for (di, dim) in dims.iter().enumerate() {
-        // One monomorphized flat slotting loop per arm; staged-null rows
-        // carry a placeholder 0 and are cleared from `valid` via the mask.
+        // One monomorphized flat slotting loop per arm; null rows carry a
+        // placeholder and are cleared from `valid` via the mask.
         macro_rules! slot_span {
             ($src:expr, $of:expr) => {{
                 let of = $of;
@@ -678,23 +477,21 @@ fn dense_slots(
         }
         match dim {
             BoundDim::Nominal { col, dict_len } => {
-                let part = Part::of(*col, stages, base);
+                let part = Part::of(*col, base);
                 with_codes!(part, n, |src| slot_span!(src, |c: _| Code::widen(c) as u32));
-                and_mask(valid, part.mask);
+                and_mask(valid, &part);
                 stride *= (*dict_len).max(1);
             }
-            BoundDim::WidthCodes {
-                codes,
-                slots: t,
-                len,
-            } => {
+            BoundDim::WidthCodes { col, slots: t, len } => {
                 // One table load per row: the slot of every code was
                 // computed at compile time from its decoded value.
                 let slot_of = |k: i64| {
                     let i = k.wrapping_sub(t.lo) as usize;
                     t.slots.get(i).copied().unwrap_or(t.neg_zero)
                 };
-                match_ints!(codes, v => slot_span!(&v[base..base + n], |k| slot_of(Code::widen(k))));
+                let part = Part::of(*col, base);
+                match_ints!(part.codes(), v => slot_span!(&v[base..base + n], |k| slot_of(Code::widen(k))));
+                and_mask(valid, &part);
                 stride *= (*len).max(1);
             }
             BoundDim::Width {
@@ -705,9 +502,9 @@ fn dense_slots(
             } => {
                 let (lo, len) = dense.expect("dense path requires bounded bucket space");
                 let slot_of = DenseWidth::slot_of(lo, len, *width, *anchor);
-                let part = Part::of(*col, stages, base);
+                let part = Part::of(*col, base);
                 with_numbers!(part, n, |src, of| slot_span!(src, |v| slot_of(of(v))));
-                and_mask(valid, part.mask);
+                and_mask(valid, &part);
                 stride *= len.max(1);
             }
         }
@@ -719,7 +516,6 @@ fn dense_slots(
 /// `valid` bit cleared.
 fn sparse_keys(
     dims: &[BoundDim<'_>],
-    stages: &[StageBuf],
     base: usize,
     n: usize,
     k0: &mut [i64],
@@ -740,9 +536,9 @@ fn sparse_keys(
         }
         match dim {
             BoundDim::Nominal { col, .. } => {
-                let part = Part::of(*col, stages, base);
+                let part = Part::of(*col, base);
                 with_codes!(part, n, |src| key_span!(src, |c: _| Code::widen(c)));
-                and_mask(valid, part.mask);
+                and_mask(valid, &part);
             }
             BoundDim::WidthCodes { .. } => {
                 unreachable!("code-space slotting is planned for dense accumulation only")
@@ -752,9 +548,9 @@ fn sparse_keys(
             } => {
                 let (anchor, width) = (*anchor, *width);
                 let key_of = move |v: f64| ((v - anchor) / width).floor() as i64;
-                let part = Part::of(*col, stages, base);
+                let part = Part::of(*col, base);
                 with_numbers!(part, n, |src, of| key_span!(src, |v| key_of(of(v))));
-                and_mask(valid, part.mask);
+                and_mask(valid, &part);
             }
         }
     }
@@ -819,10 +615,6 @@ pub(crate) struct BatchAcc {
     slots: Vec<u32>,
     k0: Vec<i64>,
     k1: Vec<i64>,
-    /// Stage buffers, parallel to the plan's [`StageSpec`]s.
-    stages: Vec<StageBuf>,
-    /// Staged FK values, parallel to the plan's distinct FK columns.
-    fk_stage: Vec<Vec<u32>>,
 }
 
 impl BatchAcc {
@@ -879,57 +671,30 @@ impl BatchAcc {
             slots: vec![0; MORSEL],
             k0: vec![0; MORSEL],
             k1: vec![0; MORSEL],
-            stages: plan.stages.iter().map(StageBuf::for_spec).collect(),
-            fk_stage: plan.fk_cols.iter().map(|_| vec![0; MORSEL]).collect(),
         }
     }
 
-    /// Processes the morsel at scan positions `base..base + n`: stage →
-    /// filter → bin → accumulate. Returns the filter-match mask (bit `i` =
-    /// morsel row `i` passed the filter; its popcount is the cost model's
-    /// matched-row input).
+    /// Processes the morsel at scan positions `base..base + n` (`base` a
+    /// multiple of 64): filter → bin → accumulate. Returns the filter-match
+    /// mask (bit `i` = morsel row `i` passed the filter; its popcount is
+    /// the cost model's matched-row input).
     pub fn process_morsel(&mut self, bound: &BoundPlan<'_>, base: usize, n: usize) -> Mask {
         debug_assert!(n <= MORSEL);
         self.rows_seen += n as u64;
 
-        // 1. Stage the joined / nullable columns the *filter* reads.
-        stage_fks(bound, base, n, &mut self.fk_stage, &bound.phases.filter_fks);
-        stage_cols(
-            bound,
-            base,
-            n,
-            &self.fk_stage,
-            &mut self.stages,
-            &bound.phases.filter_stages,
-        );
-
-        // 2. Filter.
+        // 1. Filter.
         let mut fmask: Mask = [u64::MAX; WORDS];
         mask_tail(&mut fmask, n);
         if let Some(filter) = &bound.filter {
-            eval_filter(filter, &self.stages, base, n, &mut fmask);
+            eval_filter(filter, base, n, &mut fmask);
         }
         let matched: usize = fmask.iter().map(|w| w.count_ones() as usize).sum();
         self.rows_matched += matched as u64;
         if matched == 0 {
-            // Binning and measure staging is deferred to here precisely so
-            // a fully-filtered-out morsel never pays for it.
             return fmask;
         }
 
-        // 3. Stage the remaining (binning / measure) columns.
-        stage_fks(bound, base, n, &mut self.fk_stage, &bound.phases.post_fks);
-        stage_cols(
-            bound,
-            base,
-            n,
-            &self.fk_stage,
-            &mut self.stages,
-            &bound.phases.post_stages,
-        );
-        let stages = &self.stages;
-
-        // 4. Bin keys, 5. accumulate matching rows.
+        // 2. Bin keys, 3. accumulate matching rows.
         let mut valid: Mask = [0u64; WORDS];
         match &mut self.store {
             Store::Dense {
@@ -938,7 +703,7 @@ impl BatchAcc {
                 touched,
                 ..
             } => {
-                dense_slots(&bound.dims, stages, base, n, &mut self.slots, &mut valid);
+                dense_slots(&bound.dims, base, n, &mut self.slots, &mut valid);
                 // Counts pass. Full words (the common unfiltered case) skip
                 // the per-bit scan; iteration order is unchanged either way.
                 for w in 0..WORDS {
@@ -969,7 +734,7 @@ impl BatchAcc {
                 let nmeasures = self.nmeasures;
                 let slots = &self.slots;
                 // A flat measure-update pass: walk the matching valid rows
-                // (optionally AND-ing a staged mask) and fold `get(i)`
+                // (AND-ing the measure's validity mask) and fold `get(i)`
                 // into the row's bin accumulator.
                 macro_rules! measure_pass {
                     ($m:expr, $mask:expr, $get:expr) => {{
@@ -994,29 +759,21 @@ impl BatchAcc {
                 }
                 for (m, col) in bound.measures.iter().enumerate() {
                     let Some(col) = col else { continue };
-                    let part = Part::of(*col, stages, base);
-                    let mask = part.mask.unwrap_or(&ONES);
+                    let part = Part::of(*col, base);
+                    let mask = part.mask().unwrap_or(ONES);
                     with_numbers!(part, n, |src, of| measure_pass!(m, mask, |i: usize| of(
                         src[i]
                     )));
                 }
             }
             Store::Sparse { index, accs, .. } => {
-                sparse_keys(
-                    &bound.dims,
-                    stages,
-                    base,
-                    n,
-                    &mut self.k0,
-                    &mut self.k1,
-                    &mut valid,
-                );
+                sparse_keys(&bound.dims, base, n, &mut self.k0, &mut self.k1, &mut valid);
                 let two_d = bound.dims.len() == 2;
                 let nmeasures = self.nmeasures;
                 let parts: Vec<Option<Part<'_>>> = bound
                     .measures
                     .iter()
-                    .map(|c| c.map(|c| Part::of(c, stages, base)))
+                    .map(|c| c.map(|c| Part::of(c, base)))
                     .collect();
                 // Consecutive rows often land in the same bin; memoize the
                 // last slot to skip the hash probe.
@@ -1047,7 +804,7 @@ impl BatchAcc {
                         let acc = &mut accs[slot as usize].1;
                         acc.count += 1;
                         for (m, part) in parts.iter().enumerate() {
-                            if let Some(v) = part.and_then(|p| p.number(i)) {
+                            if let Some(v) = part.as_ref().and_then(|p| p.number(i)) {
                                 acc.measures[m].update(v);
                             }
                         }

@@ -403,6 +403,7 @@ pub fn execute_exact_scalar_with_order(
 mod tests {
     use super::*;
     use crate::plan::plan_compilations;
+    use crate::test_bits::bits;
     use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
     use idebench_core::{BinCoord, BinKey, FilterExpr, Predicate, VizSpec};
     use idebench_storage::{DataType, TableBuilder};
@@ -468,8 +469,8 @@ mod tests {
             })),
         );
         assert_eq!(
-            execute_exact(&ds, &q).unwrap(),
-            execute_exact_scalar(&ds, &q).unwrap()
+            bits(&execute_exact(&ds, &q).unwrap()),
+            bits(&execute_exact_scalar(&ds, &q).unwrap())
         );
     }
 
@@ -826,10 +827,10 @@ mod tests {
         // > 3 chunks, so real cross-chunk merging happens.
         let ds = float_dataset(3 * CHUNK_ROWS + 517);
         let q = float_query();
-        let scalar = execute_exact_scalar(&ds, &q).unwrap();
+        let scalar = bits(&execute_exact_scalar(&ds, &q).unwrap());
         for workers in [1, 2, 3, 8] {
             let parallel = execute_exact_parallel(&ds, &q, workers).unwrap();
-            assert_eq!(parallel, scalar, "workers = {workers}");
+            assert_eq!(bits(&parallel), scalar, "workers = {workers}");
         }
     }
 
@@ -898,17 +899,16 @@ mod tests {
             plan.acc_mode()
         );
         assert_eq!(
-            execute_exact(&ds, &q).unwrap(),
-            execute_exact_scalar(&ds, &q).unwrap()
+            bits(&execute_exact(&ds, &q).unwrap()),
+            bits(&execute_exact_scalar(&ds, &q).unwrap())
         );
     }
 
-    /// A star schema spanning more than two dispatch chunks, with an
-    /// optional join-cache capacity (0 forces the per-plan staged-FK
-    /// fallback). Every column the queries below read holds nulls: fact
-    /// columns `dep_delay` (float) and `status` (nominal), and dimension
-    /// attributes `carrier` (nominal) and `carrier_age` (int).
-    fn star_dataset(n: usize, capacity: usize) -> Dataset {
+    /// A star schema spanning more than two dispatch chunks. Every column
+    /// the queries below read holds nulls: fact columns `dep_delay`
+    /// (float) and `status` (nominal), and dimension attributes `carrier`
+    /// (nominal) and `carrier_age` (int).
+    fn star_dataset(n: usize) -> Dataset {
         use idebench_storage::{DimensionSpec, StarSchema, Value};
         let mut f = TableBuilder::with_fields(
             "flights",
@@ -953,7 +953,7 @@ mod tests {
             d.push_row(&[name, age]).unwrap();
         }
         Dataset::Star(Arc::new(
-            StarSchema::with_join_cache_capacity(
+            StarSchema::new(
                 Arc::new(f.finish()),
                 vec![(
                     DimensionSpec::new(
@@ -963,7 +963,6 @@ mod tests {
                     ),
                     Arc::new(d.finish()),
                 )],
-                capacity,
             )
             .unwrap(),
         ))
@@ -1083,10 +1082,10 @@ mod tests {
 
     #[test]
     fn join_paths_agree_with_scalar_bit_for_bit() {
-        // Materialized (shared-cache) and staged (capacity 0) join access,
-        // over nullable fact columns and nullable dimension attributes,
-        // must equal the scalar oracle at every worker count and under a
-        // shuffled visit order.
+        // Materialized join access over nullable fact columns and nullable
+        // dimension attributes, read in place under their validity masks,
+        // must equal the per-row FK scalar oracle bit for bit at every
+        // worker count and under a shuffled visit order.
         let n = 2 * CHUNK_ROWS + 777;
         // 1_000_003 is prime and does not divide `n`: i ↦ i·p + c mod n
         // is a permutation.
@@ -1095,46 +1094,40 @@ mod tests {
                 .map(|i| ((i * 1_000_003 + 12_345) % n as u64) as u32)
                 .collect(),
         );
-        for capacity in [usize::MAX, 0] {
-            let ds = star_dataset(n, capacity);
-            for (q, dense) in nullable_queries() {
-                let plan = CompiledPlan::compile(&ds, &q).unwrap();
+        let ds = star_dataset(n);
+        for (q, dense) in nullable_queries() {
+            let plan = CompiledPlan::compile(&ds, &q).unwrap();
+            assert_eq!(
+                matches!(plan.acc_mode(), crate::plan::AccMode::Dense(_)),
+                dense,
+                "{}",
+                q.canonical_key()
+            );
+            let scalar = bits(&execute_exact_scalar(&ds, &q).unwrap());
+            for workers in [1, 2, 8] {
+                let got = execute_exact_parallel(&ds, &q, workers).unwrap();
                 assert_eq!(
-                    matches!(plan.acc_mode(), crate::plan::AccMode::Dense(_)),
-                    dense,
-                    "{}",
-                    q.canonical_key()
-                );
-                let scalar = execute_exact_scalar(&ds, &q).unwrap();
-                for workers in [1, 2, 8] {
-                    let got = execute_exact_parallel(&ds, &q, workers).unwrap();
-                    assert_eq!(
-                        got,
-                        scalar,
-                        "capacity {capacity}, workers {workers}, {}",
-                        q.canonical_key()
-                    );
-                }
-                let mut run =
-                    ChunkedRun::from_plan(plan, Some(Arc::clone(&order)), SnapshotMode::Exact);
-                run.set_workers(2);
-                while !run.is_done() {
-                    run.advance(50_021);
-                }
-                assert_eq!(
-                    run.snapshot().unwrap(),
-                    execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap(),
-                    "capacity {capacity}, shuffled, {}",
+                    bits(&got),
+                    scalar,
+                    "workers {workers}, {}",
                     q.canonical_key()
                 );
             }
-            let stats = ds.as_star().unwrap().join_cache_stats();
-            if capacity == 0 {
-                assert!(stats.entries == 0 && stats.declined > 0, "{stats:?}");
-            } else {
-                assert_eq!(stats.entries, 2, "both attributes materialized");
+            let mut run =
+                ChunkedRun::from_plan(plan, Some(Arc::clone(&order)), SnapshotMode::Exact);
+            run.set_workers(2);
+            while !run.is_done() {
+                run.advance(50_021);
             }
+            assert_eq!(
+                bits(&run.snapshot().unwrap()),
+                bits(&execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap()),
+                "shuffled, {}",
+                q.canonical_key()
+            );
         }
+        let stats = ds.as_star().unwrap().join_cache_stats();
+        assert_eq!(stats.entries, 2, "both attributes materialized");
     }
 
     /// 64-bit FNV-1a over a stream of words.

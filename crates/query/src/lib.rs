@@ -31,9 +31,11 @@
 //!   (see [`idebench_storage::encoding`]) are read as stored: ranges and
 //!   dense bucketings compare or look up codes, IN lists and nominal
 //!   binnings read `u8`/`u16` dictionary codes in place, and measures
-//!   decode only the codes of matched rows. Only nullable columns,
-//!   unmaterialized joins and decimals too wide for a decode table are
-//!   decoded per morsel into stage buffers.
+//!   decode only the codes of matched rows. Every column is read in place:
+//!   nullable ones AND their validity bitmap into the morsel masks a word
+//!   at a time, decimals too wide for a decode table decode by division,
+//!   and star-schema dimension attributes read their shared fact-ordered
+//!   materialization.
 //! - [`shuffle`]: [`Shuffle`] — a visit order interned per (dataset, seed)
 //!   with lazily built, `Arc`-shared permuted copies of the columns plans
 //!   read, so shuffled runs scan contiguous morsels.
@@ -114,3 +116,32 @@ pub use plan::{plan_compilations, AccMode, CompiledPlan, PlannedColumn, DENSE_BI
 pub use pool::{global_pool, ScanPool};
 pub use shuffle::Shuffle;
 pub use sql::to_sql;
+
+#[cfg(test)]
+pub(crate) mod test_bits {
+    use idebench_core::AggResult;
+
+    /// A result's bins in key order, each with its values' and margins'
+    /// bit patterns.
+    pub(crate) type BinBits = Vec<(String, Vec<u64>, Vec<u64>)>;
+
+    /// `r` as bit patterns — so `-0.0` and `0.0` differ and a NaN equals
+    /// itself: its bins in key order, then its processed fraction's bits
+    /// and its exactness flag. Differential tests compare these, not the
+    /// results' `f64 ==`.
+    pub(crate) fn bits(r: &AggResult) -> (BinBits, u64, bool) {
+        let mut bins: BinBits = r
+            .bins
+            .iter()
+            .map(|(k, s)| {
+                (
+                    format!("{k:?}"),
+                    s.values.iter().map(|v| v.to_bits()).collect(),
+                    s.margins.iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect();
+        bins.sort();
+        (bins, r.processed_fraction.to_bits(), r.exact)
+    }
+}

@@ -22,50 +22,38 @@
 //!
 //! On star schemas, a dimension attribute is logically reached through the
 //! fact table's foreign key (`column[fk[row]]`). Compilation eliminates
-//! that per-row indirection from the kernels:
-//!
-//! 1. **Materialization** (preferred): the plan asks the schema's shared
-//!    [`idebench_storage::StarSchema::materialize_join`] cache for a
-//!    fact-ordered copy of the column. On success the kernels read a flat
-//!    slice — star scans run at de-normalized speed, and the `Arc`-shared
-//!    memo means every session and query over the dataset reuses one copy.
-//! 2. **Per-plan join caches** (fallback, e.g. when the shared cache is
-//!    over capacity): the plan builds an `O(|dim|)` dimension-row-indexed
-//!    cache — dictionary codes for nominal attributes, widened values for
-//!    numeric ones — and each morsel gathers the FK column **once** into a
-//!    shared staging buffer, translating every joined column through its
-//!    cache into flat per-morsel slices. Staged FKs are `u32`, so a
-//!    dimension of `u32::MAX` rows or more fails compilation with
-//!    [`CoreError::Unsupported`].
-//!
-//! Either way, the batch kernels only ever see flat slices (plus a staged
-//! validity mask for joined or nullable columns). Devirtualization changes
-//! *wall-clock* cost only: the benchmark's virtual cost model
-//! ([`CompiledPlan::row_cost`], [`CompiledPlan::width_units`]) still
-//! charges every logical join.
+//! that per-row indirection from the kernels: the plan asks the schema's
+//! shared [`idebench_storage::StarSchema::materialize_join`] cache for a
+//! fact-ordered copy of the column, and the kernels read it like any
+//! de-normalized column — star scans run at de-normalized speed, and the
+//! `Arc`-shared memo means every session and query over the dataset reuses
+//! one copy. Devirtualization changes *wall-clock* cost only: the
+//! benchmark's virtual cost model ([`CompiledPlan::row_cost`],
+//! [`CompiledPlan::width_units`]) still charges every logical join.
 //!
 //! # Narrow columns and shuffled orders
 //!
-//! Kernels read stored payloads in place wherever they can (see `Access`):
-//! plain floats, and integers or dictionary codes at their stored width
-//! (`u8`/`u16` included), in columns without nulls. A narrow numeric column
-//! without nulls (see [`idebench_storage::encoding`]) is read as codes by
+//! Kernels read every column in place, at its stored encoding (see
+//! `Access`): plain floats, integers and dictionary codes at their stored
+//! width (`u8`/`u16` included), and decimals through their decode table
+//! or, when the codes span too many values for one, by division. A narrow
+//! numeric column (see [`idebench_storage::encoding`]) is read as codes by
 //! every use: a range filter compares a code interval (`CodeRange`), a
 //! fixed-width dimension of a densely accumulated plan looks its slot up
 //! in a per-code table (`CodeSlots`) — both computed here from the decoded
 //! value of every code, so they agree with the decoded kernels bit for bit
 //! — and measures and sparse dimensions decode the codes of the rows they
-//! read through the column's cached decode table (ints widen). Only
-//! nullable columns, joins the shared cache declined, and decimals too
-//! wide for a decode table are staged: decoded per morsel into a stage
-//! buffer. A run over a shuffled order rebinds the plan to the order's
-//! permuted column copies ([`crate::Shuffle`]) through the same slot join
+//! read through the column's cached decode table (ints widen). A nullable
+//! column's validity bitmap is read a 64-row word at a time into each
+//! morsel's masks, so a null's placeholder never reaches an accumulator. A
+//! run over a shuffled order rebinds the plan to the order's permuted
+//! column copies ([`crate::Shuffle`]) through the same slot join
 //! materializations use, so every plan scans contiguous positions; the
 //! cost model is unchanged.
 
 use crate::shuffle::Shuffle;
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
-use idebench_storage::encoding::{DecodeTable, MAX_DECODE_TABLE};
+use idebench_storage::encoding::{decimal_scale, DecodeTable, MAX_DECODE_TABLE};
 use idebench_storage::{Column, ColumnData, DataType, Dataset, Ints, SelVec, Table};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,45 +74,40 @@ pub fn plan_compilations() -> u64 {
     PLAN_COMPILATIONS.load(Ordering::Relaxed)
 }
 
-/// Sentinel in a per-plan nominal join cache marking a null dimension row.
-pub(crate) const NULL_CODE: u32 = u32::MAX;
-
-/// How morsel kernels physically access a planned column.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How morsel kernels read a planned column. Either way they read it in
+/// place by scan position, and AND its validity bitmap, if it has one, into
+/// their masks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Access {
-    /// Read in place by scan position: plain floats, and integers or
-    /// dictionary codes at their stored width, in a column without nulls.
+    /// Values read at their stored width: plain floats, integers and
+    /// dictionary codes widened, and decimals too wide for a decode table
+    /// decoded by division.
     Direct,
-    /// Decoded per morsel into stage buffer `slot` (flat values plus a
-    /// validity mask): nullable columns, joins without a materialization,
-    /// and decimals too wide for a decode table.
-    Staged(usize),
-    /// Read as codes: a narrow numeric column without nulls that a
-    /// [`CodeSpan`] covers. A range compares codes ([`CodeRange`]), a
-    /// dense fixed-width dimension looks its slots up by code
-    /// ([`CodeSlots`]), and every other use decodes the codes of the rows
-    /// it reads in place — through the column's cached decode table for a
-    /// decimal, by widening for an int.
+    /// Read as codes: a narrow numeric column that a [`CodeSpan`] covers.
+    /// A range compares codes ([`CodeRange`]), a dense fixed-width
+    /// dimension looks its slots up by code ([`CodeSlots`]), and every
+    /// other use decodes the codes of the rows it reads — through the
+    /// column's cached decode table for a decimal, by widening for an int.
     Codes,
 }
 
 /// A query column resolved to owned storage handles.
 ///
-/// `table` holds the column payload; for star-schema dimension attributes,
-/// `fk` names the fact table's foreign-key column through which fact rows
-/// logically reach it (`column[fk[row]]` — the indirection *is* the join).
-/// `materialized` carries the column the kernels read in its place: the
-/// fact-ordered copy when the shared join cache devirtualized that
-/// indirection, or — for a plan bound to a [`Shuffle`] — the permuted copy
-/// of the fact-length column (position `i` holding row `order[i]`). `access`
-/// says how kernels read it (see `Access`). The *cost model* always follows
-/// `fk` and the logical column: a devirtualized join still bills as a join,
-/// and a permuted copy still bills shuffled access.
+/// `table` holds the column payload; a star-schema dimension attribute is
+/// `joined`: fact rows logically reach it through the fact table's foreign
+/// key (`column[fk[row]]` — the indirection *is* the join). `materialized`
+/// carries the column the kernels read in its place: the fact-ordered copy
+/// of a joined column from the shared join cache, or — for a plan bound to
+/// a [`Shuffle`] — the permuted copy of the fact-length column (position
+/// `i` holding row `order[i]`). `access` says how kernels read it (see
+/// `Access`). The *cost model* always follows the logical column: a
+/// devirtualized join still bills as a join, and a permuted copy still
+/// bills shuffled access.
 #[derive(Debug, Clone)]
 pub struct PlannedColumn {
     table: Arc<Table>,
     col: usize,
-    fk: Option<(Arc<Table>, usize)>,
+    joined: bool,
     materialized: Option<Arc<Column>>,
     access: Access,
 }
@@ -133,34 +116,29 @@ impl PlannedColumn {
     /// Resolves `name` against the dataset.
     ///
     /// Only [`CompiledPlan::compile`] decides how kernels read the column
-    /// (flat, materialized or staged); a standalone resolution serves
-    /// metadata lookups such as [`Self::column`].
+    /// (in place or materialized, as values or as codes); a standalone
+    /// resolution serves metadata lookups such as [`Self::column`].
     pub fn resolve(dataset: &Dataset, name: &str) -> Result<Self, CoreError> {
-        let make = |table: Arc<Table>, col: usize, fk: Option<(Arc<Table>, usize)>| PlannedColumn {
-            table,
-            col,
-            fk,
-            materialized: None,
-            access: Access::Direct,
+        let make = |table: &Arc<Table>, joined: bool| -> Result<Self, CoreError> {
+            Ok(PlannedColumn {
+                table: Arc::clone(table),
+                col: table.schema().index_of(name)?,
+                joined,
+                materialized: None,
+                access: Access::Direct,
+            })
         };
         match dataset {
-            Dataset::Denormalized(t) => Ok(make(Arc::clone(t), t.schema().index_of(name)?, None)),
+            Dataset::Denormalized(t) => make(t, false),
             Dataset::Star(s) => {
-                if let Ok(col) = s.fact().schema().index_of(name) {
-                    return Ok(make(Arc::clone(s.fact()), col, None));
+                if s.fact().schema().index_of(name).is_ok() {
+                    return make(s.fact(), false);
                 }
-                let (spec, dim) = s.dimension_of_column(name).ok_or_else(|| {
+                // The schema validated the foreign key when it was built.
+                let (_, dim) = s.dimension_of_column(name).ok_or_else(|| {
                     CoreError::Storage(format!("unknown column {name} in star schema"))
                 })?;
-                let fk_idx = s.fact().schema().index_of(&spec.fk_name)?;
-                if s.fact().column_at(fk_idx).dtype() != DataType::Int {
-                    return Err(CoreError::Storage(format!("fk {} not int", spec.fk_name)));
-                }
-                Ok(make(
-                    Arc::clone(dim),
-                    dim.schema().index_of(name)?,
-                    Some((Arc::clone(s.fact()), fk_idx)),
-                ))
+                make(dim, true)
             }
         }
     }
@@ -187,7 +165,7 @@ impl PlannedColumn {
 
     /// Whether the column is reached through a foreign key (join access).
     pub fn is_joined(&self) -> bool {
-        self.fk.is_some()
+        self.joined
     }
 
     /// Scan width in 4-byte units (dictionary codes 1 unit, ints/floats 2,
@@ -198,7 +176,7 @@ impl PlannedColumn {
             DataType::Nominal => 1.0,
             _ => 2.0,
         };
-        if self.fk.is_some() {
+        if self.joined {
             own + 2.0 + 0.5
         } else {
             own
@@ -208,15 +186,15 @@ impl PlannedColumn {
     /// The column as the morsel kernels read it (see [`ColView`]).
     #[inline]
     pub(crate) fn view(&self) -> ColView<'_> {
-        match self.access {
-            Access::Staged(slot) => ColView::Staged(slot),
-            Access::Direct | Access::Codes => ColView::InPlace(Vals::of(self.payload())),
+        let payload = self.payload();
+        ColView {
+            vals: Vals::of(payload),
+            validity: payload.validity(),
         }
     }
 }
 
-/// Values the morsel kernels read: a payload in place (indexed by scan
-/// position), or a stage buffer (indexed by morsel position).
+/// A payload's values as the morsel kernels read them, by scan position.
 #[derive(Clone, Copy)]
 pub(crate) enum Vals<'a> {
     /// Plain floats.
@@ -225,31 +203,30 @@ pub(crate) enum Vals<'a> {
     Ints(&'a Ints),
     /// Decimal codes, read through the column's cached decode table.
     Decimal(&'a Ints, &'a DecodeTable),
+    /// Decimal codes spanning too many values for a decode table, decoded
+    /// by division by the scale.
+    WideDecimal(&'a Ints, f64),
 }
 
 impl<'a> Vals<'a> {
-    /// The in-place values of a column planned [`Access::Direct`] or
-    /// [`Access::Codes`].
     fn of(col: &'a Column) -> Self {
         match col.data() {
             ColumnData::Float(d) => Vals::F64(d),
             ColumnData::Int(c) | ColumnData::Nominal(c, _) => Vals::Ints(c),
-            ColumnData::Decimal(c, _) => Vals::Decimal(
-                c,
-                col.decode_table()
-                    .expect("decimals read in place have a decode table"),
-            ),
+            ColumnData::Decimal(c, exp) => match col.decode_table() {
+                Some(t) => Vals::Decimal(c, t),
+                None => Vals::WideDecimal(c, decimal_scale(*exp)),
+            },
         }
     }
 }
 
-/// A column as the morsel kernels consume it: its payload read in place
-/// (no nulls by construction), or stage buffer `slot`, whose values sit at
-/// morsel positions next to a validity mask.
+/// A column as the morsel kernels consume it: its payload in place, and
+/// its validity bitmap when it has nulls (null rows hold placeholders).
 #[derive(Clone, Copy)]
-pub(crate) enum ColView<'a> {
-    InPlace(Vals<'a>),
-    Staged(usize),
+pub(crate) struct ColView<'a> {
+    pub vals: Vals<'a>,
+    pub validity: Option<&'a SelVec>,
 }
 
 /// A filter tree lowered to planned columns and dense membership tables.
@@ -328,19 +305,6 @@ impl PlannedFilter {
             PlannedFilter::And(children) | PlannedFilter::Or(children) => {
                 children.iter().map(PlannedFilter::joined_columns).sum()
             }
-        }
-    }
-
-    /// Calls `f` with every predicate's column.
-    fn try_for_each_col_mut(
-        &mut self,
-        f: &mut impl FnMut(&mut PlannedColumn) -> Result<(), CoreError>,
-    ) -> Result<(), CoreError> {
-        match self {
-            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
-            PlannedFilter::And(children) | PlannedFilter::Or(children) => children
-                .iter_mut()
-                .try_for_each(|c| c.try_for_each_col_mut(f)),
         }
     }
 
@@ -437,8 +401,9 @@ impl DenseWidth {
     }
 }
 
-/// The codes a narrow numeric column without nulls holds, each with the
-/// value it decodes to — what code-space kernels are built from.
+/// The codes a narrow numeric column holds, each with the value it decodes
+/// to — what code-space kernels are built from. A null's placeholder code
+/// can lie outside the span; kernels only read it under the validity mask.
 pub(crate) struct CodeSpan<'a> {
     /// The smallest code (other than a decimal's `-0.0` code).
     lo: i64,
@@ -450,9 +415,9 @@ pub(crate) struct CodeSpan<'a> {
 
 impl<'a> CodeSpan<'a> {
     /// The span of `col`'s payload: a decimal with a decode table, or
-    /// `u8`/`u16` integers spanning at most
-    /// [`idebench_storage::encoding::MAX_DECODE_TABLE`] values. Columns
-    /// with nulls and other payloads have none.
+    /// `u8`/`u16` integers whose valid values span at most
+    /// [`idebench_storage::encoding::MAX_DECODE_TABLE`] values. Other
+    /// payloads have none.
     pub(crate) fn of(col: &'a Column) -> Option<Self> {
         if !Self::covers(col) {
             return None;
@@ -480,14 +445,13 @@ impl<'a> CodeSpan<'a> {
 
     /// Whether `col` has a span, without building its values.
     fn covers(col: &Column) -> bool {
-        col.validity().is_none()
-            && match col.data() {
-                ColumnData::Decimal(..) => col.decode_table().is_some(),
-                ColumnData::Int(Ints::U8(_) | Ints::U16(_)) => col
-                    .numeric_min_max()
-                    .is_some_and(|(min, max)| max - min < MAX_DECODE_TABLE as f64),
-                _ => false,
-            }
+        match col.data() {
+            ColumnData::Decimal(..) => col.decode_table().is_some(),
+            ColumnData::Int(Ints::U8(_) | Ints::U16(_)) => col
+                .numeric_min_max()
+                .is_some_and(|(min, max)| max - min < MAX_DECODE_TABLE as f64),
+            _ => false,
+        }
     }
 }
 
@@ -587,74 +551,6 @@ pub enum AccMode {
     Sparse,
 }
 
-/// An owned handle to a fact-length column the kernels read per morsel (a
-/// [`StageSpec::Own`] column or a staged foreign key).
-#[derive(Debug, Clone)]
-pub(crate) enum ColRef {
-    /// A column inside a table.
-    Table(Arc<Table>, usize),
-    /// A free-standing column (fact-ordered materialization or permuted
-    /// copy).
-    Owned(Arc<Column>),
-}
-
-impl ColRef {
-    pub(crate) fn get(&self) -> &Column {
-        match self {
-            ColRef::Table(t, i) => t.column_at(*i),
-            ColRef::Owned(c) => c,
-        }
-    }
-}
-
-/// One per-morsel staging instruction of a compiled plan. Stage buffer `i`
-/// of the accumulator is filled by `stages[i]` at the top of every morsel;
-/// kernels then consume flat slices plus the staged validity mask.
-#[derive(Debug, Clone)]
-pub(crate) enum StageSpec {
-    /// Decode the column's own rows (folding its validity into the mask).
-    Own(ColRef),
-    /// Translate the staged FK buffer `fk_slot` through a per-plan
-    /// dimension-row code cache ([`NULL_CODE`] marks null dimension rows).
-    JoinCodes {
-        fk_slot: usize,
-        cache: Arc<Vec<u32>>,
-    },
-    /// Translate the staged FK buffer `fk_slot` through a per-plan
-    /// dimension-row numeric cache (`valid` is the dimension column's
-    /// validity, indexed by dimension row).
-    JoinNum {
-        fk_slot: usize,
-        vals: Arc<Vec<f64>>,
-        valid: Option<SelVec>,
-    },
-}
-
-impl StageSpec {
-    /// Whether the staged values are dictionary codes (vs. numerics).
-    pub(crate) fn nominal(&self) -> bool {
-        match self {
-            StageSpec::Own(col) => col.get().dtype() == DataType::Nominal,
-            StageSpec::JoinCodes { .. } => true,
-            StageSpec::JoinNum { .. } => false,
-        }
-    }
-}
-
-/// Which stage buffers (and FK gathers) each morsel phase fills: columns
-/// the filter reads stage *before* filter evaluation, everything else only
-/// after — a fully-filtered-out morsel skips the post-phase gathers
-/// entirely, so selective filters never pay for join staging they don't
-/// consume. Each FK gathers at most once per morsel (a filter-phase FK is
-/// excluded from the post phase even when post stages read it).
-#[derive(Debug, Default)]
-pub(crate) struct StagePhases {
-    pub filter_stages: Vec<usize>,
-    pub post_stages: Vec<usize>,
-    pub filter_fks: Vec<usize>,
-    pub post_fks: Vec<usize>,
-}
-
 /// An owned, reusable compiled query plan (see module docs).
 pub struct CompiledPlan {
     dataset: Dataset,
@@ -662,13 +558,6 @@ pub struct CompiledPlan {
     pub(crate) filter: Option<PlannedFilter>,
     pub(crate) dims: Vec<PlannedDim>,
     pub(crate) measures: Vec<Option<PlannedColumn>>,
-    /// Per-morsel staging instructions (one per stage buffer).
-    pub(crate) stages: Vec<StageSpec>,
-    /// Distinct foreign-key columns staged once per morsel, shared by
-    /// every [`StageSpec::JoinCodes`]/[`StageSpec::JoinNum`] over them.
-    pub(crate) fk_cols: Vec<ColRef>,
-    /// Filter-phase vs. post-filter-phase staging split.
-    pub(crate) phases: StagePhases,
     acc_mode: AccMode,
     num_rows: usize,
     joined_columns: usize,
@@ -708,9 +597,7 @@ impl CompiledPlan {
             .collect::<Result<Vec<_>, _>>()?;
 
         let acc_mode = Self::pick_acc_mode(&dims);
-        let (stages, fk_cols) =
-            Self::plan_access(dataset, &mut filter, &mut dims, &mut measures, acc_mode)?;
-        let phases = Self::partition_stages(&filter, &stages, fk_cols.len());
+        Self::plan_access(dataset, &mut filter, &mut dims, &mut measures, acc_mode);
         let joined_columns = dims.iter().filter(|d| d.col().is_joined()).count()
             + filter.as_ref().map_or(0, PlannedFilter::joined_columns)
             + measures.iter().flatten().filter(|m| m.is_joined()).count();
@@ -732,9 +619,6 @@ impl CompiledPlan {
             filter,
             dims,
             measures,
-            stages,
-            fk_cols,
-            phases,
             acc_mode,
             joined_columns,
             width_units,
@@ -742,116 +626,46 @@ impl CompiledPlan {
         })
     }
 
-    /// Assigns every planned column its kernel [`Access`], deduplicated by
-    /// physical column: the shared stage slots, per-plan join caches, and
-    /// distinct FK staging columns fall out of this pass (module docs).
-    ///
-    /// A column is staged only when it is nullable, joined without a
-    /// materialization, or a decimal too wide for a decode table. A narrow
-    /// numeric column without nulls is read as codes ([`Access::Codes`]):
-    /// the code-space tables of its ranges, and of its fixed-width
-    /// dimensions when the plan accumulates densely, are built here.
+    /// Assigns every planned column its payload and kernel [`Access`],
+    /// once per physical column: a joined column reads its fact-ordered
+    /// materialization from the schema's shared join cache. A narrow
+    /// numeric column is read as codes ([`Access::Codes`]): the code-space
+    /// tables of its ranges, and of its fixed-width dimensions when the
+    /// plan accumulates densely, are built here.
     fn plan_access(
         dataset: &Dataset,
         filter: &mut Option<PlannedFilter>,
         dims: &mut [PlannedDim],
         measures: &mut [Option<PlannedColumn>],
         acc_mode: AccMode,
-    ) -> Result<(Vec<StageSpec>, Vec<ColRef>), CoreError> {
-        // Per physical column: any shared materialization, plus its access
-        // once one use has assigned it.
-        type AccessMemo = FxHashMap<(usize, usize), (Option<Arc<Column>>, Option<Access>)>;
-        let star = dataset.as_star();
-        let mut stages: Vec<StageSpec> = Vec::new();
-        let mut fk_cols: Vec<ColRef> = Vec::new();
-        let mut memo: AccessMemo = FxHashMap::default();
-
-        let mut assign = |col: &mut PlannedColumn| -> Result<(), CoreError> {
+    ) {
+        // Per physical column: its materialization, if any, and access.
+        type AccessMemo = FxHashMap<(usize, usize), (Option<Arc<Column>>, Access)>;
+        let mut memo = AccessMemo::default();
+        let mut assign = |col: &mut PlannedColumn| {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
-            let (materialized, known) = memo.entry(key).or_insert_with(|| {
-                let materialized = match (&col.fk, star) {
-                    (Some(_), Some(s)) => s.materialize_join(col.name()),
-                    _ => None,
+            let (materialized, access) = memo.entry(key).or_insert_with(|| {
+                let materialized = col.joined.then(|| {
+                    dataset
+                        .as_star()
+                        .and_then(|s| s.materialize_join(col.name()))
+                        .expect("a joined column is a dimension attribute of a star schema")
+                });
+                let payload = materialized.as_deref().unwrap_or_else(|| col.column());
+                let access = if CodeSpan::covers(payload) {
+                    Access::Codes
+                } else {
+                    Access::Direct
                 };
-                (materialized, None)
+                (materialized, access)
             });
             col.materialized = materialized.clone();
-            if let Some(access) = known {
-                col.access = access.clone();
-                return Ok(());
-            }
-            let mut push_stage = |spec: StageSpec| {
-                stages.push(spec);
-                Access::Staged(stages.len() - 1)
-            };
-            let access = match (&col.fk, &col.materialized) {
-                (Some((fact, fk_idx)), None) => {
-                    // Joined but not materialized (shared cache full):
-                    // per-plan dimension-row caches, indexed by the
-                    // u32-staged FK.
-                    let dim_col = col.column();
-                    if dim_col.len() >= u32::MAX as usize {
-                        return Err(CoreError::Unsupported(format!(
-                            "dimension column {} has {} rows; staged joins need fewer than {}",
-                            col.name(),
-                            dim_col.len(),
-                            u32::MAX
-                        )));
-                    }
-                    let fk_slot = fk_cols
-                        .iter()
-                        .position(|fk| matches!(fk, ColRef::Table(t, i) if Arc::ptr_eq(t, fact) && i == fk_idx))
-                        .unwrap_or_else(|| {
-                            fk_cols.push(ColRef::Table(Arc::clone(fact), *fk_idx));
-                            fk_cols.len() - 1
-                        });
-                    push_stage(match dim_col.dtype() {
-                        DataType::Nominal => StageSpec::JoinCodes {
-                            fk_slot,
-                            cache: Arc::new(
-                                (0..dim_col.len())
-                                    .map(|i| dim_col.code_at(i).unwrap_or(NULL_CODE))
-                                    .collect(),
-                            ),
-                        },
-                        _ => StageSpec::JoinNum {
-                            fk_slot,
-                            vals: Arc::new(
-                                (0..dim_col.len())
-                                    .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
-                                    .collect(),
-                            ),
-                            valid: dim_col.validity().cloned(),
-                        },
-                    })
-                }
-                _ => {
-                    let c = col.payload();
-                    if CodeSpan::covers(c) {
-                        Access::Codes
-                    } else if c.validity().is_none() && !matches!(c.data(), ColumnData::Decimal(..))
-                    {
-                        Access::Direct
-                    } else {
-                        // Nullable, or a decimal too wide for a decode
-                        // table: stage it so kernels decode the payload and
-                        // fold the validity bitmap into the morsel mask
-                        // once.
-                        push_stage(StageSpec::Own(match &col.materialized {
-                            Some(m) => ColRef::Owned(Arc::clone(m)),
-                            None => ColRef::Table(Arc::clone(&col.table), col.col),
-                        }))
-                    }
-                }
-            };
-            *known = Some(access.clone());
-            col.access = access;
-            Ok(())
+            col.access = *access;
         };
 
         let dense = matches!(acc_mode, AccMode::Dense(_));
         for dim in dims.iter_mut() {
-            assign(dim.col_mut())?;
+            assign(dim.col_mut());
             if let PlannedDim::Width {
                 col,
                 width,
@@ -868,13 +682,12 @@ impl CompiledPlan {
             }
         }
         if let Some(f) = filter {
-            f.try_for_each_col_mut(&mut assign)?;
+            f.for_each_col_mut(&mut assign);
             f.lower_ranges();
         }
         for m in measures.iter_mut().flatten() {
-            assign(m)?;
+            assign(m);
         }
-        Ok((stages, fk_cols))
     }
 
     fn compile_dim(dataset: &Dataset, def: &BinDef) -> Result<PlannedDim, CoreError> {
@@ -949,58 +762,6 @@ impl CompiledPlan {
         })
     }
 
-    /// Splits staging into the filter phase (stage slots the filter reads,
-    /// plus the FK gathers feeding them) and the post phase (everything
-    /// else) — see [`StagePhases`].
-    fn partition_stages(
-        filter: &Option<PlannedFilter>,
-        stages: &[StageSpec],
-        n_fks: usize,
-    ) -> StagePhases {
-        let mut in_filter = vec![false; stages.len()];
-        if let Some(f) = filter {
-            f.for_each_col(&mut |col| {
-                if let Access::Staged(slot) = col.access {
-                    in_filter[slot] = true;
-                }
-            });
-        }
-        let mut fk_in_filter = vec![false; n_fks];
-        let mut fk_in_post = vec![false; n_fks];
-        for (i, spec) in stages.iter().enumerate() {
-            if let StageSpec::JoinCodes { fk_slot, .. } | StageSpec::JoinNum { fk_slot, .. } = spec
-            {
-                if in_filter[i] {
-                    fk_in_filter[*fk_slot] = true;
-                } else {
-                    fk_in_post[*fk_slot] = true;
-                }
-            }
-        }
-        let split = |flags: &[bool]| -> (Vec<usize>, Vec<usize>) {
-            let mut yes = Vec::new();
-            let mut no = Vec::new();
-            for (i, &f) in flags.iter().enumerate() {
-                if f {
-                    yes.push(i);
-                } else {
-                    no.push(i);
-                }
-            }
-            (yes, no)
-        };
-        let (filter_stages, post_stages) = split(&in_filter);
-        StagePhases {
-            filter_stages,
-            post_stages,
-            filter_fks: split(&fk_in_filter).0,
-            // A filter-phase FK is already staged when the post phase runs.
-            post_fks: (0..n_fks)
-                .filter(|&i| fk_in_post[i] && !fk_in_filter[i])
-                .collect(),
-        }
-    }
-
     /// Dense accumulation applies when every dimension has a bounded bin
     /// space — a nominal dictionary, or a bucketed dimension whose column
     /// statistics bound its reachable buckets — and the product of those
@@ -1020,11 +781,11 @@ impl CompiledPlan {
         AccMode::Dense(space)
     }
 
-    /// Rebinds the plan to `shuffle`'s permuted copies: every fact-length
-    /// column the kernels read (fact columns, join materializations, staged
-    /// foreign keys) is replaced by its copy in `shuffle`'s order, so scan
-    /// position `i` reads row `order[i]` through a natural-order morsel.
-    /// Accesses, stage layout and the cost model are unchanged.
+    /// Rebinds the plan to `shuffle`'s permuted copies: every column the
+    /// kernels read (fact columns and join materializations) is replaced by
+    /// its copy in `shuffle`'s order, so scan position `i` reads row
+    /// `order[i]` through a natural-order morsel. Accesses and the cost
+    /// model are unchanged.
     pub(crate) fn permute(&mut self, shuffle: &Shuffle) {
         assert_eq!(
             shuffle.order().len(),
@@ -1034,11 +795,7 @@ impl CompiledPlan {
             self.num_rows
         );
         let mut bind = |col: &mut PlannedColumn| {
-            // A joined column that was not materialized reads a dimension
-            // column through its (permuted) foreign key instead.
-            if col.fk.is_none() || col.materialized.is_some() {
-                col.materialized = Some(shuffle.copy_of(col.payload()));
-            }
+            col.materialized = Some(shuffle.copy_of(col.payload()));
         };
         for dim in &mut self.dims {
             bind(dim.col_mut());
@@ -1049,22 +806,13 @@ impl CompiledPlan {
         for m in self.measures.iter_mut().flatten() {
             bind(m);
         }
-        for stage in &mut self.stages {
-            if let StageSpec::Own(col) = stage {
-                *col = ColRef::Owned(shuffle.copy_of(col.get()));
-            }
-        }
-        for fk in &mut self.fk_cols {
-            *fk = ColRef::Owned(shuffle.copy_of(fk.get()));
-        }
     }
 
     /// Physical bytes the kernels read per scanned row: the element width
     /// of every distinct column they read (payloads as encoded, permuted
-    /// copies and join materializations included, foreign keys staged for
-    /// translated joins too), plus 1/8 byte per validity bitmap. Per-plan
-    /// dimension-row join caches are not counted. Benchmarks divide
-    /// throughput by this to report achieved bandwidth.
+    /// copies and join materializations included), plus 1/8 byte per
+    /// validity bitmap. Benchmarks divide throughput by this to report
+    /// achieved bandwidth.
     pub fn bytes_per_row(&self) -> f64 {
         let mut seen: Vec<*const ColumnData> = Vec::new();
         let mut total = 0.0;
@@ -1075,12 +823,7 @@ impl CompiledPlan {
                 total += c.data().row_width() as f64 + validity;
             }
         };
-        let mut planned = |col: &PlannedColumn| {
-            // A translated join reads its staged foreign key instead.
-            if col.fk.is_none() || col.materialized.is_some() {
-                add(col.payload());
-            }
-        };
+        let mut planned = |col: &PlannedColumn| add(col.payload());
         for dim in &self.dims {
             planned(dim.col());
         }
@@ -1089,9 +832,6 @@ impl CompiledPlan {
         }
         for m in self.measures.iter().flatten() {
             planned(m);
-        }
-        for fk in &self.fk_cols {
-            add(fk.get());
         }
         total
     }
@@ -1141,6 +881,7 @@ impl CompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_bits::bits;
     use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
     use idebench_core::VizSpec;
     use idebench_storage::{DataType, DimensionSpec, StarSchema, TableBuilder, Value};
@@ -1378,47 +1119,18 @@ mod tests {
         assert!(CompiledPlan::compile(&denorm(), &bad_width).is_err());
     }
 
-    fn star_capped(capacity: usize) -> Dataset {
-        let mut f = TableBuilder::with_fields(
-            "flights",
-            &[
-                ("dep_delay", DataType::Float),
-                ("carrier_key", DataType::Int),
-            ],
-        );
-        f.push_row(&[5.0.into(), 1i64.into()]).unwrap();
-        f.push_row(&[15.0.into(), 0i64.into()]).unwrap();
-        let mut d = TableBuilder::with_fields("carriers", &[("carrier", DataType::Nominal)]);
-        d.push_row(&[Value::Str("AA".into())]).unwrap();
-        d.push_row(&[Value::Str("DL".into())]).unwrap();
-        Dataset::Star(Arc::new(
-            StarSchema::with_join_cache_capacity(
-                Arc::new(f.finish()),
-                vec![(
-                    DimensionSpec::new("carriers", "carrier_key", vec!["carrier".into()]),
-                    Arc::new(d.finish()),
-                )],
-                capacity,
-            )
-            .unwrap(),
-        ))
-    }
-
     #[test]
     fn star_joins_devirtualize_through_the_shared_cache() {
         let ds = star();
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
         // The materialization keeps the dimension's one-byte codes, which
-        // the kernels read in place; the (narrow) measure reads its codes,
-        // so nothing is staged and no FK is read.
+        // the kernels read in place; the (narrow) measure reads its codes.
         assert_eq!(col.access, Access::Direct);
         let mat = col.materialized.as_ref().expect("materialized column");
         assert_eq!(&*mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
         assert!(matches!(mat.data(), ColumnData::Nominal(Ints::U8(_), _)));
         assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
-        assert!(plan.stages.is_empty());
-        assert!(plan.fk_cols.is_empty());
         // The cost model still bills the logical join.
         assert_eq!(plan.joined_columns(), 1);
         assert_eq!(plan.row_cost(), 2);
@@ -1435,77 +1147,9 @@ mod tests {
     }
 
     #[test]
-    fn capped_cache_falls_back_to_per_plan_code_caches() {
-        let ds = star_capped(0);
-        let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
-        let col = plan.dims[0].col();
-        assert_eq!(
-            col.access,
-            Access::Staged(0),
-            "declined materialization stages through the FK"
-        );
-        assert!(col.materialized.is_none());
-        assert_eq!(plan.fk_cols.len(), 1, "one staged FK column");
-        // Only the carrier join: the narrow dep_delay measure reads codes.
-        match &plan.stages[..] {
-            [StageSpec::JoinCodes { fk_slot: 0, cache }] => {
-                assert_eq!(cache.as_slice(), &[0, 1], "dim-row-indexed codes");
-            }
-            other => panic!("expected one JoinCodes stage, got {other:?}"),
-        }
-        assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
-        assert_eq!(ds.as_star().unwrap().join_cache_stats().declined, 1);
-    }
-
-    #[test]
-    fn staging_defers_non_filter_columns_past_the_filter() {
-        // Filter on a fact column, binning on a staged joined one: the join
-        // staging must land in the post-filter phase, so morsels the filter
-        // rejects never pay the FK gather.
-        let ds = star_capped(0);
-        let spec = VizSpec::new(
-            "v",
-            "flights",
-            vec![BinDef::Nominal {
-                dimension: "carrier".into(),
-            }],
-            vec![AggregateSpec::count()],
-        );
-        let q = Query::for_viz(
-            &spec,
-            Some(FilterExpr::Pred(Predicate::Range {
-                column: "dep_delay".into(),
-                min: 0.0,
-                max: 10.0,
-            })),
-        );
-        let plan = CompiledPlan::compile(&ds, &q).unwrap();
-        // The filter reads dep_delay's codes, which need no stage.
-        assert_eq!(plan.stages.len(), 1);
-        assert!(plan.phases.filter_stages.is_empty());
-        assert!(plan.phases.filter_fks.is_empty());
-        assert_eq!(plan.phases.post_stages, vec![0]);
-        assert_eq!(plan.phases.post_fks, vec![0]);
-
-        // When the filter itself reads the staged column, it (and its FK)
-        // moves to the filter phase — and is not re-staged afterwards.
-        let q2 = Query::for_viz(
-            &spec,
-            Some(FilterExpr::Pred(Predicate::In {
-                column: "carrier".into(),
-                values: vec!["AA".into()],
-            })),
-        );
-        let plan2 = CompiledPlan::compile(&ds, &q2).unwrap();
-        assert_eq!(plan2.phases.filter_stages, vec![0]);
-        assert_eq!(plan2.phases.filter_fks, vec![0]);
-        assert!(plan2.phases.post_stages.is_empty());
-        assert!(plan2.phases.post_fks.is_empty());
-    }
-
-    #[test]
-    fn repeated_column_references_share_one_stage_slot() {
-        // dep_delay appears as a (joined) dim *and* a measure: staged once.
+    fn dim_and_measure_share_one_materialization() {
+        // dep_delay appears as a (joined) dim *and* a measure: one
+        // materialization, one cache lookup.
         let mut f = TableBuilder::with_fields("facts", &[("k", DataType::Int)]);
         f.push_row(&[0i64.into()]).unwrap();
         f.push_row(&[1i64.into()]).unwrap();
@@ -1513,13 +1157,12 @@ mod tests {
         d.push_row(&[5.0.into()]).unwrap();
         d.push_row(&[15.0.into()]).unwrap();
         let ds = Dataset::Star(Arc::new(
-            StarSchema::with_join_cache_capacity(
+            StarSchema::new(
                 Arc::new(f.finish()),
                 vec![(
                     DimensionSpec::new("dims", "k", vec!["dep_delay".into()]),
                     Arc::new(d.finish()),
                 )],
-                0,
             )
             .unwrap(),
         ));
@@ -1534,9 +1177,14 @@ mod tests {
             vec![AggregateSpec::over(AggFunc::Avg, "dep_delay")],
         );
         let plan = CompiledPlan::compile(&ds, &Query::for_viz(&spec, None)).unwrap();
-        assert_eq!(plan.stages.len(), 1, "dim and measure share the stage");
-        assert_eq!(plan.dims[0].col().access, Access::Staged(0));
-        assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Staged(0));
+        let (dim, measure) = (plan.dims[0].col(), plan.measures[0].as_ref().unwrap());
+        assert!(Arc::ptr_eq(
+            dim.materialized.as_ref().unwrap(),
+            measure.materialized.as_ref().unwrap()
+        ));
+        assert_eq!(dim.access, measure.access);
+        let stats = ds.as_star().unwrap().join_cache_stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 0));
     }
 
     /// A decimal column holding both zeros, and an int column.
@@ -1601,21 +1249,84 @@ mod tests {
             for dim in &plan.dims {
                 assert!(matches!(dim, PlannedDim::Width { codes: Some(_), .. }));
             }
-            // The measure decodes the codes of matched rows: no stage.
+            // The measure decodes the codes of matched rows.
             assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
-            assert!(plan.stages.is_empty());
             assert_eq!(
-                crate::execute_exact(&ds, &q).unwrap(),
-                crate::execute_exact_scalar(&ds, &q).unwrap(),
+                bits(&crate::execute_exact(&ds, &q).unwrap()),
+                bits(&crate::execute_exact_scalar(&ds, &q).unwrap()),
                 "range [{min}, {max})"
             );
         }
     }
 
     #[test]
+    fn nullable_narrow_columns_run_in_code_space() {
+        // `m` holds 11..=19 and nulls, whose placeholder code 0 lies outside
+        // the valid span; `d` is a nullable decimal.
+        let mut b =
+            TableBuilder::with_fields("flights", &[("d", DataType::Float), ("m", DataType::Int)]);
+        for i in 0..300i64 {
+            let null = |k: i64| i % k == 0;
+            b.push_row(&[
+                if null(7) {
+                    Value::Null
+                } else {
+                    (i as f64 / 4.0 - 30.0).into()
+                },
+                if null(5) {
+                    Value::Null
+                } else {
+                    (10 + i % 10).into()
+                },
+            ])
+            .unwrap();
+        }
+        let ds = Dataset::Denormalized(Arc::new(b.finish()));
+        let m = ds.as_denormalized().unwrap().column_at(1);
+        assert!(matches!(m.data(), ColumnData::Int(Ints::U8(_))));
+        assert!(m.validity().is_some() && m.numeric_min_max() == Some((11.0, 19.0)));
+        let spec = VizSpec::new(
+            "v",
+            "flights",
+            vec![BinDef::Width {
+                dimension: "m".into(),
+                width: 3.0,
+                anchor: 1.0,
+            }],
+            vec![
+                AggregateSpec::count(),
+                AggregateSpec::over(AggFunc::Sum, "d"),
+            ],
+        );
+        let q = Query::for_viz(
+            &spec,
+            Some(FilterExpr::Pred(Predicate::Range {
+                column: "d".into(),
+                min: -20.0,
+                max: 30.0,
+            })),
+        );
+        let plan = CompiledPlan::compile(&ds, &q).unwrap();
+        assert!(matches!(
+            plan.filter,
+            Some(PlannedFilter::Range { codes: Some(_), .. })
+        ));
+        assert!(matches!(
+            plan.dims[0],
+            PlannedDim::Width { codes: Some(_), .. }
+        ));
+        assert_eq!(plan.measures[1].as_ref().unwrap().access, Access::Codes);
+        assert_eq!(
+            bits(&crate::execute_exact(&ds, &q).unwrap()),
+            bits(&crate::execute_exact_scalar(&ds, &q).unwrap())
+        );
+    }
+
+    #[test]
     fn wide_decimal_spans_decode_by_division() {
-        // Codes spanning more values than a decode table covers: measures
-        // decode by division and ranges fall back to staged decoding.
+        // Codes spanning more values than a decode table covers: the range,
+        // the dimension and the measure all read them in place and decode
+        // them by division.
         let mut b = TableBuilder::with_fields("flights", &[("d", DataType::Float)]);
         for i in 0..300 {
             b.push_row(&[f64::from(i * 337 % 100_001).into()]).unwrap();
@@ -1643,13 +1354,18 @@ mod tests {
             })),
         );
         let plan = CompiledPlan::compile(&ds, &q).unwrap();
-        assert!(matches!(
-            plan.filter,
-            Some(PlannedFilter::Range { codes: None, .. })
-        ));
+        match plan.filter.as_ref().unwrap() {
+            PlannedFilter::Range { col, codes, .. } => {
+                assert!(col.access == Access::Direct && codes.is_none());
+                assert!(matches!(col.view().vals, Vals::WideDecimal(_, s) if s == 1.0));
+            }
+            other => panic!("expected a range, got {other:?}"),
+        }
+        assert_eq!(plan.dims[0].col().access, Access::Direct);
+        assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Direct);
         assert_eq!(
-            crate::execute_exact(&ds, &q).unwrap(),
-            crate::execute_exact_scalar(&ds, &q).unwrap()
+            bits(&crate::execute_exact(&ds, &q).unwrap()),
+            bits(&crate::execute_exact_scalar(&ds, &q).unwrap())
         );
     }
 

@@ -130,7 +130,8 @@ struct NumericStats {
 /// table keeping de-normalized columns, for one) therefore shares the
 /// columns it keeps instead of copying them. [`Column::byte_size`] still
 /// counts a shared payload in full for every column holding it, so byte
-/// budgets charged with it (the star-schema join cache) are unchanged.
+/// counts taken with it, such as the star-schema join cache's, do not
+/// depend on sharing.
 ///
 /// Columns also lazily cache numeric min/max statistics (see
 /// [`Column::numeric_min_max`]), which query planning uses to bound the
@@ -412,8 +413,8 @@ impl Column {
 
     /// In-memory footprint in bytes: payload plus the validity bitmap's
     /// backing words, counted in full even when the payload is shared with
-    /// other columns. The star-schema join cache accounts materialized
-    /// columns with this when charging its byte budget.
+    /// other columns. The star-schema join cache counts the bytes of its
+    /// materialized columns with this.
     pub fn byte_size(&self) -> usize {
         self.data.payload_bytes()
             + self

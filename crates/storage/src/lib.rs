@@ -38,5 +38,5 @@ pub use encoding::{Code, CodeBounds, DecodeTable, Ints};
 pub use error::StorageError;
 pub use schema::{DataType, Field, Schema};
 pub use selection::SelVec;
-pub use star::{Dataset, DimensionSpec, JoinCacheStats, StarSchema, DEFAULT_JOIN_CACHE_BYTES};
+pub use star::{Dataset, DimensionSpec, JoinCacheStats, StarSchema};
 pub use table::{Table, TableBuilder, Value};

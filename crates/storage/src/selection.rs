@@ -3,8 +3,9 @@
 /// A fixed-length bitmap over the rows of a column.
 ///
 /// A column carries one as its validity bitmap (bit set = value present);
-/// the scan kernels read it through [`SelVec::contains`]. Filters do not
-/// use it: scans evaluate predicates into per-morsel masks instead.
+/// the scan kernels read it a 64-row word at a time ([`SelVec::word`]).
+/// Filters do not use it: scans evaluate predicates into per-morsel masks
+/// instead.
 /// Words are 64-bit; trailing bits beyond `len` are kept zero as an
 /// invariant so popcounts stay exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +82,12 @@ impl SelVec {
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
+    /// Word `w`: bit `i` is row `64 · w + i`. Words past the end are 0.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
+    }
+
     /// Number of selected rows.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -111,5 +118,15 @@ mod tests {
         s.remove(63);
         assert!(!s.contains(63));
         assert_eq!(s.count(), 3);
+    }
+
+    #[test]
+    fn words_are_zero_filled_past_the_end() {
+        let mut s = SelVec::none(100);
+        s.insert(1);
+        s.insert(64);
+        assert_eq!((s.word(0), s.word(1)), (0b10, 1));
+        assert_eq!(s.word(2), 0);
+        assert_eq!(SelVec::all(70).word(1), 0b11_1111);
     }
 }

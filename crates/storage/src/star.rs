@@ -44,10 +44,6 @@ impl DimensionSpec {
     }
 }
 
-/// Default capacity of a star schema's join cache, in bytes (see
-/// [`StarSchema::materialize_join`]).
-pub const DEFAULT_JOIN_CACHE_BYTES: usize = 256 << 20;
-
 /// Observable counters of a star schema's join cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JoinCacheStats {
@@ -55,14 +51,10 @@ pub struct JoinCacheStats {
     pub entries: usize,
     /// Bytes held by the cached materializations.
     pub bytes: usize,
-    /// Capacity in bytes; materializations that would exceed it are declined.
-    pub capacity: usize,
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that materialized (and inserted) a new column.
     pub misses: u64,
-    /// Materializations declined because they would exceed the capacity.
-    pub declined: u64,
 }
 
 /// `(dimension index, column index)` → fact-ordered materialization.
@@ -72,18 +64,16 @@ type MaterializedColumns = FxHashMap<(usize, usize), Arc<Column>>;
 ///
 /// The cache lives behind an `Arc`, so every clone of a [`StarSchema`] —
 /// and every engine, session, or [`Dataset`] handle derived from it —
-/// shares one set of materialized columns. Insertion is capped by a byte
-/// budget; once full, further materializations are declined (the caller
-/// falls back to translated per-morsel join access) rather than evicted,
-/// keeping hot columns resident for the lifetime of the dataset.
+/// shares one set of materialized columns. It holds at most one copy per
+/// dimension attribute, in that attribute's (narrow) encoding, so its size
+/// is bounded by the schema — attribute widths times fact rows — not by
+/// traffic; nothing is evicted for the lifetime of the dataset.
 #[derive(Debug)]
 struct JoinCacheInner {
-    capacity: usize,
     /// Materialized columns plus the bytes they hold, under one lock.
     columns: Mutex<(MaterializedColumns, usize)>,
     hits: AtomicU64,
     misses: AtomicU64,
-    declined: AtomicU64,
 }
 
 /// A normalized dataset: one fact table and its dimensions.
@@ -101,16 +91,6 @@ impl StarSchema {
     pub fn new(
         fact: Arc<Table>,
         dimensions: Vec<(DimensionSpec, Arc<Table>)>,
-    ) -> Result<Self, StorageError> {
-        Self::with_join_cache_capacity(fact, dimensions, DEFAULT_JOIN_CACHE_BYTES)
-    }
-
-    /// [`StarSchema::new`] with an explicit join-cache byte capacity
-    /// (`0` disables materialization entirely).
-    pub fn with_join_cache_capacity(
-        fact: Arc<Table>,
-        dimensions: Vec<(DimensionSpec, Arc<Table>)>,
-        capacity: usize,
     ) -> Result<Self, StorageError> {
         for (spec, dim) in &dimensions {
             let ColumnData::Int(keys) = fact.column(&spec.fk_name)?.data() else {
@@ -137,11 +117,9 @@ impl StarSchema {
             fact,
             dimensions,
             join_cache: Arc::new(JoinCacheInner {
-                capacity,
                 columns: Mutex::new((FxHashMap::default(), 0)),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
-                declined: AtomicU64::new(0),
             }),
         })
     }
@@ -187,9 +165,9 @@ impl StarSchema {
     /// so concurrent sessions and repeated queries against one dataset
     /// reuse a single materialization.
     ///
-    /// Returns `None` when `column` is not a dimension attribute, or when
-    /// materializing it would push the cache past its byte capacity (the
-    /// caller then keeps translated join access; nothing is evicted).
+    /// Returns `None` when `column` is not a dimension attribute. The
+    /// materialization keeps the dimension column's encoding, so narrow
+    /// columns stay narrow.
     pub fn materialize_join(&self, column: &str) -> Option<Arc<Column>> {
         let (dim_idx, (spec, dim)) = self
             .dimensions
@@ -203,43 +181,18 @@ impl StarSchema {
             return Some(Arc::clone(hit));
         }
         let dim_col = dim.column_at(col_idx);
-        // Size the materialization *before* building it — declining must
-        // not cost an O(fact) gather. The estimate matches the built
-        // column's [`Column::byte_size`] by construction: element width ×
-        // fact rows, plus the validity bitmap `take` carries over whenever
-        // the dimension column has one. The materialization keeps the
-        // dimension column's encoding, so narrow columns stay narrow.
-        let elem = dim_col.data().row_width();
-        let validity_bytes = if dim_col.validity().is_some() {
-            self.fact.num_rows().div_ceil(64) * 8
-        } else {
-            0
-        };
-        let size = elem * self.fact.num_rows() + validity_bytes;
-        {
-            let held = self.join_cache.columns.lock().unwrap().1;
-            if held + size > cache.capacity {
-                cache.declined.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
         let ColumnData::Int(fk) = self.fact.column(&spec.fk_name).ok()?.data() else {
             unreachable!("fk column validated at construction");
         };
         let materialized = Arc::new(match_ints!(fk, v => dim_col.take(
             v.iter().map(|&k| k.widen() as usize)
         )));
-        debug_assert_eq!(materialized.byte_size(), size, "pre-sizing is exact");
         let mut guard = cache.columns.lock().unwrap();
         // Re-check under the lock: a racing materialization may have landed
-        // (reuse it, dropping ours) or consumed the remaining budget.
+        // (reuse it, dropping ours).
         if let Some(existing) = guard.0.get(&(dim_idx, col_idx)) {
             cache.hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(existing));
-        }
-        if guard.1 + size > cache.capacity {
-            cache.declined.fetch_add(1, Ordering::Relaxed);
-            return None;
         }
         guard.1 += materialized.byte_size();
         guard
@@ -259,10 +212,8 @@ impl StarSchema {
         JoinCacheStats {
             entries,
             bytes,
-            capacity: self.join_cache.capacity,
             hits: self.join_cache.hits.load(Ordering::Relaxed),
             misses: self.join_cache.misses.load(Ordering::Relaxed),
-            declined: self.join_cache.declined.load(Ordering::Relaxed),
         }
     }
 
@@ -461,17 +412,7 @@ mod tests {
         assert_eq!(stats.entries, 1);
         // One-byte codes: the dimension's two-entry dictionary narrows them.
         assert_eq!(stats.bytes, 3);
-        assert_eq!((stats.hits, stats.misses, stats.declined), (2, 1, 0));
-    }
-
-    #[test]
-    fn join_cache_declines_over_capacity() {
-        let s =
-            StarSchema::with_join_cache_capacity(fact(), vec![(spec(), carriers())], 0).unwrap();
-        assert!(s.materialize_join("carrier").is_none());
-        let stats = s.join_cache_stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.declined, 1);
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]

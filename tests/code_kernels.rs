@@ -1,14 +1,22 @@
 //! Differential tests of the code-space kernels against the scalar oracle:
 //! word-at-a-time filter masks, measures decoded from codes, and
-//! dictionary codes read at their stored width. Every result must match
-//! `execute_exact_scalar` bit for bit at one and two workers, over row
-//! counts that leave partial mask words, morsels and chunks.
+//! dictionary codes read at their stored width — in columns without nulls
+//! and in nullable ones, whose validity bitmaps the kernels read in place.
+//! Every result must match `execute_exact_scalar` bit for bit across worker
+//! counts, over row counts that leave partial mask words, morsels and
+//! chunks.
 
 use idebench::core::spec::{AggFunc, AggregateSpec, BinDef, FilterExpr, Predicate};
-use idebench::core::{AggResult, Query, VizSpec};
-use idebench::query::{execute_exact_parallel, execute_exact_scalar, AccMode, CompiledPlan};
+use idebench::core::{Query, VizSpec};
+use idebench::query::{
+    execute_exact_parallel, execute_exact_scalar, execute_exact_scalar_with_order, AccMode,
+    ChunkedRun, CompiledPlan, Shuffle, SnapshotMode,
+};
 use idebench::storage::{ColumnData, DataType, Dataset, Ints, TableBuilder, Value};
 use std::sync::Arc;
+
+mod common;
+use common::bits;
 
 /// Row counts around the 64-row mask word, the 1 024-row morsel and the
 /// 65 536-row chunk.
@@ -26,7 +34,12 @@ const WIDE_CATEGORIES: usize = 300;
 /// - `m8`, `m16`: ints up to 255 and in `[1 000, 9 000]` (`u8`, `u16`);
 /// - `w16`: ints spanning `[0, 65 535]`, too wide for a code table;
 /// - `c8`, `c16`: nominals over 40 and 300 categories (`u8`, `u16` codes).
-fn table(n: usize) -> Dataset {
+///
+/// With `nullable`, four columns hold nulls: `d` every sixth row, `c8`
+/// every ninth, `w16` (read as decoded values, not codes) every seventh,
+/// and `m8` every fourth — its valid values then lie in `[17, 255]`, so a
+/// null's placeholder code 0 lies outside their span.
+fn table(n: usize, nullable: bool) -> Dataset {
     let mut b = TableBuilder::with_fields(
         "t",
         &[
@@ -47,22 +60,41 @@ fn table(n: usize) -> Dataset {
             7 => 0.0,
             _ => ((h % 201) as f64 - 100.0) / 10.0,
         };
+        let null = |k: usize, r: usize| nullable && i % k == r;
         let row = [
-            Value::Float(d),
+            if null(6, 1) {
+                Value::Null
+            } else {
+                Value::Float(d)
+            },
             Value::Float((h % 2_400) as f64 / 100.0),
             if i % 5 == 2 {
                 Value::Null
             } else {
                 Value::Float(d)
             },
-            Value::Int((h % 256) as i64),
-            Value::Int(1_000 + (h % 8_001) as i64),
-            Value::Int(if i % 2 == 0 {
-                0
+            if null(4, 3) {
+                Value::Null
+            } else if nullable {
+                Value::Int(17 + (h % 239) as i64)
             } else {
-                65_535 - (h % 7) as i64
-            }),
-            Value::Str(format!("k{}", h % 40)),
+                Value::Int((h % 256) as i64)
+            },
+            Value::Int(1_000 + (h % 8_001) as i64),
+            if null(7, 5) {
+                Value::Null
+            } else {
+                Value::Int(if i % 2 == 0 {
+                    0
+                } else {
+                    65_535 - (h % 7) as i64
+                })
+            },
+            if null(9, 4) {
+                Value::Null
+            } else {
+                Value::Str(format!("k{}", h % 40))
+            },
             Value::Str(format!("w{}", (i * 7 + (h % 3) as usize) % WIDE_CATEGORIES)),
         ];
         b.push_row(&row).unwrap();
@@ -123,6 +155,19 @@ fn filters() -> Vec<Option<FilterExpr>> {
     ]
 }
 
+/// Filters every valid value of a nullable column passes, so only its
+/// validity mask keeps the null rows out: an IN list of every `c8`
+/// category (a null's placeholder code is a category's code) and ranges
+/// over all of `d` (compared as codes) and `w16` (compared as values).
+fn all_valid_filters() -> Vec<Option<FilterExpr>> {
+    let every: Vec<String> = (0..40).map(|k| format!("k{k}")).collect();
+    vec![
+        Some(members("c8", &every)),
+        Some(range("d", f64::NEG_INFINITY, f64::INFINITY)),
+        Some(range("w16", 0.0, 65_536.0)),
+    ]
+}
+
 /// Binnings with edges on decoded values and negative anchors, nominal
 /// binnings over both dictionary widths (the fused 2-D path included), and
 /// spaces too large for dense accumulation.
@@ -165,29 +210,11 @@ fn aggregates() -> Vec<AggregateSpec> {
     ]
 }
 
-/// A result with every value as its bit pattern, bins in key order, so
-/// `-0.0` and `0.0` differ.
-fn bits(r: &AggResult) -> Vec<(String, Vec<u64>, Vec<u64>)> {
-    let mut bins: Vec<_> = r
-        .bins
-        .iter()
-        .map(|(k, s)| {
-            (
-                format!("{k:?}"),
-                s.values.iter().map(|v| v.to_bits()).collect(),
-                s.margins.iter().map(|v| v.to_bits()).collect(),
-            )
-        })
-        .collect();
-    bins.sort();
-    bins
-}
-
 #[test]
 fn code_kernels_match_the_scalar_oracle() {
     let mut modes = (false, false);
     for n in ROW_COUNTS {
-        let ds = table(n);
+        let ds = table(n, false);
         if n > 1_000 {
             let t = ds.as_denormalized().unwrap();
             let encoding = |name: &str| t.column(name).unwrap().data();
@@ -238,4 +265,63 @@ fn code_kernels_match_the_scalar_oracle() {
         }
     }
     assert_eq!(modes, (true, true), "both accumulation stores are covered");
+}
+
+#[test]
+fn nullable_code_kernels_match_the_scalar_oracle() {
+    for n in ROW_COUNTS {
+        let ds = table(n, true);
+        if n > 1_000 {
+            let t = ds.as_denormalized().unwrap();
+            for name in ["d", "m8", "c8", "w16"] {
+                assert!(t.column(name).unwrap().validity().is_some(), "{name}");
+            }
+            let m8 = t.column("m8").unwrap();
+            assert!(matches!(m8.data(), ColumnData::Int(Ints::U8(_))));
+            assert_eq!(m8.numeric_min_max(), Some((17.0, 255.0)));
+        }
+        // 1 000 003 is a prime above every row count: i ↦ i·p + c mod n is
+        // a permutation.
+        let order: Arc<Vec<u32>> = Arc::new(
+            (0..n as u64)
+                .map(|i| ((i * 1_000_003 + 12_345) % n as u64) as u32)
+                .collect(),
+        );
+        let shuffle = Shuffle::from_order(&ds, Arc::clone(&order));
+        // A dense bucketing of decoded values: `w16` spans too many codes
+        // for a slot table.
+        let decoded_dense = vec![BinDef::Width {
+            dimension: "w16".into(),
+            width: 8_192.0,
+            anchor: 0.0,
+        }];
+        for binning in binnings().into_iter().chain([decoded_dense]) {
+            let spec = VizSpec::new("v", "t", binning, aggregates());
+            for filter in filters().into_iter().chain(all_valid_filters()) {
+                let q = Query::for_viz(&spec, filter);
+                let want = bits(&execute_exact_scalar(&ds, &q).unwrap());
+                for workers in [1, 2, 8] {
+                    let got = execute_exact_parallel(&ds, &q, workers).unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "{n} rows, {workers} workers: {}",
+                        q.canonical_key()
+                    );
+                }
+                let plan = CompiledPlan::compile(&ds, &q).unwrap();
+                let mut run = ChunkedRun::from_shuffle(plan, &shuffle, SnapshotMode::Exact);
+                run.set_workers(2);
+                while !run.is_done() {
+                    run.advance(40_009);
+                }
+                assert_eq!(
+                    bits(&run.snapshot().unwrap()),
+                    bits(&execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap()),
+                    "{n} rows, shuffled: {}",
+                    q.canonical_key()
+                );
+            }
+        }
+    }
 }

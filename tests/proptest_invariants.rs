@@ -9,6 +9,9 @@ use idebench::workflow::{WorkflowGenerator, WorkflowType};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod common;
+use common::bits;
+
 // ---------------------------------------------------------------- storage
 
 proptest! {
@@ -144,7 +147,7 @@ proptest! {
                 run.advance(budget + 8);
             }
         }
-        prop_assert_eq!(run.snapshot().unwrap(), execute_exact(&ds, &q).unwrap());
+        prop_assert_eq!(bits(&run.snapshot().unwrap()), bits(&execute_exact(&ds, &q).unwrap()));
     }
 
     /// Count estimates from a shuffled prefix hit the truth within a few
@@ -389,13 +392,15 @@ proptest! {
             // One-shot vectorized scan.
             let vectorized = execute_exact(ds, &q)
                 .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-            prop_assert_eq!(&vectorized, &scalar, "one-shot vs scalar");
+            prop_assert_eq!(bits(&vectorized), bits(&scalar), "one-shot vs scalar");
 
             // Parallel morsel dispatch: every worker count is bit-identical
             // to the scalar reference.
             let parallel = execute_exact_parallel(ds, &q, workers)
                 .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-            prop_assert_eq!(&parallel, &scalar, "parallel ({} workers) vs scalar", workers);
+            prop_assert_eq!(
+                bits(&parallel), bits(&scalar), "parallel ({} workers) vs scalar", workers
+            );
 
             // Budget-sliced chunked scan, optionally over a shuffled order,
             // stepped under the parallel dispatcher.
@@ -410,7 +415,7 @@ proptest! {
                 }
             }
             let chunked = run.snapshot().unwrap();
-            prop_assert_eq!(&chunked, &ordered_scalar, "chunked vs ordered scalar");
+            prop_assert_eq!(bits(&chunked), bits(&ordered_scalar), "chunked vs ordered scalar");
         }
     }
 }
@@ -471,7 +476,7 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
         let scalar = idebench::query::execute_exact_scalar(&ds, &q)
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        prop_assert_eq!(&vectorized, &scalar, "dense slots vs scalar floor");
+        prop_assert_eq!(bits(&vectorized), bits(&scalar), "dense slots vs scalar floor");
     }
 }
 
@@ -513,8 +518,8 @@ fn dense_width_exact_boundaries_match_scalar() {
         );
         let q = Query::for_viz(&spec, None);
         assert_eq!(
-            execute_exact(&ds, &q).unwrap(),
-            idebench::query::execute_exact_scalar(&ds, &q).unwrap(),
+            bits(&execute_exact(&ds, &q).unwrap()),
+            bits(&idebench::query::execute_exact_scalar(&ds, &q).unwrap()),
             "anchor {anchor}, width {width}"
         );
     }
@@ -557,10 +562,10 @@ fn worker_counts_are_interchangeable_across_chunks() {
             max: 90.0,
         })),
     );
-    let scalar = execute_exact_scalar(&ds, &q).unwrap();
+    let scalar = bits(&execute_exact_scalar(&ds, &q).unwrap());
     for workers in [1usize, 2, 3, 5, 8] {
         let result = execute_exact_parallel(&ds, &q, workers).unwrap();
-        assert_eq!(result, scalar, "workers = {workers}");
+        assert_eq!(bits(&result), scalar, "workers = {workers}");
     }
 }
 
@@ -589,7 +594,7 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("{e}")))?;
             // Dictionaries are built in identical first-seen order on both
             // paths, so results must be bit-identical.
-            prop_assert_eq!(&flat, &starred, "query {:?}", q.canonical_key());
+            prop_assert_eq!(bits(&flat), bits(&starred), "query {:?}", q.canonical_key());
         }
     }
 }

@@ -241,8 +241,6 @@ fn join_cache_is_shared_across_sessions_and_queries() {
         stats.hits >= 3,
         "repeated queries across sessions hit the shared memo: {stats:?}"
     );
-    assert_eq!(stats.declined, 0, "{stats:?}");
-    assert!(stats.bytes <= stats.capacity);
 
     // A second engine over the *same* dataset handle reuses the cache too.
     let before = schema.join_cache_stats();
