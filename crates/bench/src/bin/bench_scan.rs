@@ -31,7 +31,7 @@
 
 use idebench_core::metrics::{median, percentiles};
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
-use idebench_core::{FilterExpr, Predicate, Query, Settings, VizSpec};
+use idebench_core::{AggResult, FilterExpr, Predicate, Query, Settings, VizSpec};
 use idebench_engine_progressive::ProgressiveConfig;
 use idebench_query::{
     available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, AccMode,
@@ -51,6 +51,29 @@ const MIN_RUNS: usize = 10;
 /// Shortest timed span per reading: a scan takes a few milliseconds, so a
 /// handful of runs lets one scheduler stall or one quiet moment decide it.
 const MIN_SPAN: Duration = Duration::from_millis(200);
+
+/// A result's bins, in key order, each with its values' and margins' bit
+/// patterns.
+type BinBits = Vec<(String, Vec<u64>, Vec<u64>)>;
+
+/// `r` as bit patterns — so `-0.0` and `0.0` differ and a NaN equals
+/// itself: its bins in key order, then its processed fraction's bits and
+/// its exactness flag. The agreement checks compare these, not `f64 ==`.
+fn bits(r: &AggResult) -> (BinBits, u64, bool) {
+    let mut bins: BinBits = r
+        .bins
+        .iter()
+        .map(|(k, s)| {
+            (
+                format!("{k:?}"),
+                s.values.iter().map(|v| v.to_bits()).collect(),
+                s.margins.iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect();
+    bins.sort();
+    (bins, r.processed_fraction.to_bits(), r.exact)
+}
 
 /// Rows/s over the timed runs of one reading.
 struct Throughput {
@@ -494,9 +517,9 @@ fn main() {
         let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
         let bytes_per_row = plan.bytes_per_row();
         assert_eq!(
-            execute_exact(data, q).unwrap(),
-            execute_exact_scalar(data, q).unwrap(),
-            "vectorized and scalar paths must agree on {name}"
+            bits(&execute_exact(data, q).unwrap()),
+            bits(&execute_exact_scalar(data, q).unwrap()),
+            "vectorized and scalar paths must agree bit for bit on {name}"
         );
         let vec = time_rows_per_sec(ROWS, || {
             let _ = execute_exact(data, q).unwrap();
@@ -570,8 +593,8 @@ fn main() {
     for &workers in &worker_counts {
         let reference_ms = host.read();
         assert_eq!(
-            execute_exact_parallel(&scaling_ds, &scan, workers).unwrap(),
-            scalar_ref,
+            bits(&execute_exact_parallel(&scaling_ds, &scan, workers).unwrap()),
+            bits(&scalar_ref),
             "parallel scan ({workers} workers) must stay bit-identical to scalar"
         );
         let t = time_rows_per_sec(SCALING_ROWS, || {

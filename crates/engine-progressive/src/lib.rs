@@ -475,15 +475,16 @@ mod tests {
 
     #[test]
     fn sessions_over_one_dataset_share_one_order_and_one_copy_per_column() {
-        // The service runs one adapter per session; two adapters over one
-        // dataset and seed must not build two orders or two sets of copies.
+        // The service runs one adapter per session, and a restarted service
+        // new ones; adapters over one dataset and seed must not build two
+        // orders or two sets of copies.
         let ds = dataset(3_000);
         let mut a = ProgressiveAdapter::new(warmless());
         let mut b = ProgressiveAdapter::new(warmless());
         a.prepare(&ds, &settings()).unwrap();
         b.prepare(&ds, &settings()).unwrap();
         let (sa, sb) = (a.shuffle().unwrap().clone(), b.shuffle().unwrap().clone());
-        assert!(Arc::ptr_eq(&sa, &sb), "one interned order");
+        assert!(Arc::ptr_eq(&sa, &sb), "one order per dataset and seed");
         for adapter in [&mut a, &mut b] {
             let mut h = adapter.submit(&avg_query());
             while !h.step(1_000_000).is_done() {}
@@ -491,9 +492,29 @@ mod tests {
         // carrier and dep_delay: one copy each, shared by both sessions.
         assert_eq!(sa.copy_stats().0, 2);
         let table = ds.as_denormalized().unwrap();
-        for name in ["carrier", "dep_delay"] {
-            let col = table.column(name).unwrap();
-            assert!(Arc::ptr_eq(&sa.copy_of(col), &sb.copy_of(col)));
+        let copies: Vec<_> = ["carrier", "dep_delay"]
+            .iter()
+            .map(|name| {
+                let col = table.column(name).unwrap();
+                assert!(Arc::ptr_eq(&sa.copy_of(col), &sb.copy_of(col)));
+                sa.copy_of(col)
+            })
+            .collect();
+        // Engines created one after the other, each after the previous one
+        // was dropped, get the same order and copies from the dataset.
+        drop((a, b, sb));
+        for _ in 0..2 {
+            let mut fresh = ProgressiveAdapter::new(warmless());
+            fresh.prepare(&ds, &settings()).unwrap();
+            let mut h = fresh.submit(&avg_query());
+            while !h.step(1_000_000).is_done() {}
+            let shuffle = fresh.shuffle().unwrap();
+            assert!(Arc::ptr_eq(&sa, shuffle), "the dataset's order");
+            for (name, copy) in ["carrier", "dep_delay"].iter().zip(&copies) {
+                let col = table.column(name).unwrap();
+                assert!(Arc::ptr_eq(copy, &shuffle.copy_of(col)));
+            }
+            assert_eq!(shuffle.copy_stats().0, 2);
         }
         // Another seed shuffles differently.
         let mut c = ProgressiveAdapter::new(warmless());

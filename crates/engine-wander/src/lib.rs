@@ -87,8 +87,8 @@ pub fn online_eligible(query: &Query) -> bool {
 pub struct WanderAdapter {
     config: WanderConfig,
     dataset: Option<Dataset>,
-    /// The random-walk order and its permuted column copies (interned, see
-    /// [`Shuffle::interned`]).
+    /// The random-walk order and its permuted column copies (kept in the
+    /// dataset's memo, see [`Shuffle::interned`]).
     shuffle: Option<Arc<Shuffle>>,
     z: f64,
     report_interval_units: u64,

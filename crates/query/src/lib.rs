@@ -36,9 +36,10 @@
 //!   at a time, decimals too wide for a decode table decode by division,
 //!   and star-schema dimension attributes read their shared fact-ordered
 //!   materialization.
-//! - [`shuffle`]: [`Shuffle`] — a visit order interned per (dataset, seed)
-//!   with lazily built, `Arc`-shared permuted copies of the columns plans
-//!   read, so shuffled runs scan contiguous morsels.
+//! - [`shuffle`]: [`Shuffle`] — a visit order kept in the dataset's memo
+//!   (one per dataset, for the newest seed) with `Arc`-shared permuted
+//!   copies of the columns plans read, each gathered once on the scan pool,
+//!   so shuffled runs scan contiguous morsels.
 //! - [`dispatch`]: the [`MorselDispatcher`] — partitions the scan into
 //!   fixed [`CHUNK_ROWS`]-sized chunks, computes whole chunks ahead of the
 //!   cursor over the persistent [`ScanPool`] with a per-chunk accumulator

@@ -6,7 +6,7 @@ use crate::match_ints;
 use crate::schema::DataType;
 use crate::selection::SelVec;
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The physical payload of a column. Which payload a column gets is
 /// decided in [`crate::encoding`]; every payload of a logical type holds
@@ -435,30 +435,178 @@ impl Column {
         I: IntoIterator<Item = usize>,
         I::IntoIter: ExactSizeIterator + Clone,
     {
-        let rows = rows.into_iter();
-        let validity = self.validity.as_ref().map(|val| {
-            Arc::new(SelVec::from_bools(
-                rows.len(),
-                rows.clone().map(|i| val.contains(i)),
-            ))
-        });
-        let data = match &*self.data {
-            ColumnData::Float(v) => ColumnData::Float(rows.map(|i| v[i]).collect()),
-            ColumnData::Decimal(c, exp) => ColumnData::Decimal(c.take(rows), *exp),
-            ColumnData::Int(c) => ColumnData::Int(c.take(rows)),
-            ColumnData::Nominal(c, d) => ColumnData::Nominal(c.take(rows), Arc::clone(d)),
-        };
-        let decode = OnceLock::new();
-        if let Some(table) = self.decode.get() {
-            let _ = decode.set(table.clone());
-        }
+        let (data, validity) = self.gathered(&Whole(rows.into_iter()));
         Column {
             data: Arc::new(data),
             validity,
             stats: OnceLock::new(),
             bounds: OnceLock::new(),
-            decode,
+            decode: self.decode.clone(),
         }
+    }
+
+    /// The permuted copy of the column: row `i` is row `order[i]` of
+    /// `self`, in the same encoding, as [`Column::take`] gathers it. The
+    /// output is cut into disjoint ranges of `part_rows` positions (a
+    /// positive multiple of 64, so each range owns whole words of the
+    /// validity bitmap), and `run(parts, fill)` must call `fill(p)` exactly
+    /// once for every part `p` in `0..parts`, from any threads in any
+    /// order, before it returns; the result does not depend on how.
+    ///
+    /// `order` must be a permutation of the rows. The copy then holds the
+    /// same values, so it keeps what the source has already computed about
+    /// them: its code bounds, its decode table and its statistics — a
+    /// float column's statistics only when neither extreme is a zero, since
+    /// which zero `f64::min` keeps can depend on the row order.
+    pub fn permuted(&self, order: &[u32], part_rows: usize, run: &RunParts<'_>) -> Column {
+        assert_eq!(order.len(), self.len(), "a permutation of the rows");
+        assert!(
+            part_rows > 0 && part_rows.is_multiple_of(64),
+            "parts own whole validity words"
+        );
+        let (data, validity) = self.gathered(&Parts {
+            order,
+            part_rows,
+            run,
+        });
+        let signed_zero = |s: &&NumericStats| {
+            self.dtype() == DataType::Float
+                && s.finite.is_some_and(|(lo, hi)| lo == 0.0 || hi == 0.0)
+        };
+        let stats = match self.stats.get() {
+            Some(s) if !signed_zero(&s) => OnceLock::from(*s),
+            _ => OnceLock::new(),
+        };
+        Column {
+            data: Arc::new(data),
+            validity,
+            stats,
+            bounds: self.bounds.clone(),
+            decode: self.decode.clone(),
+        }
+    }
+
+    /// The payload and validity bitmap at the positions `rows` lays out.
+    fn gathered(&self, rows: &impl Gather) -> (ColumnData, Option<Arc<SelVec>>) {
+        let data = match &*self.data {
+            ColumnData::Float(v) => ColumnData::Float(rows.values(v)),
+            ColumnData::Decimal(c, exp) => ColumnData::Decimal(gather_ints(c, rows), *exp),
+            ColumnData::Int(c) => ColumnData::Int(gather_ints(c, rows)),
+            ColumnData::Nominal(c, d) => ColumnData::Nominal(gather_ints(c, rows), Arc::clone(d)),
+        };
+        let validity = self
+            .validity
+            .as_ref()
+            .map(|val| Arc::new(rows.validity(val)));
+        (data, validity)
+    }
+}
+
+/// How [`Column::permuted`] runs a gather's parts: called with the part
+/// count and the routine that fills one part.
+pub type RunParts<'a> = dyn Fn(usize, &(dyn Fn(usize) + Sync)) + 'a;
+
+/// `src[rows[i]]` written to `out[i]`: the one gather loop every take and
+/// every part of a permuted copy runs.
+#[inline]
+fn gather_into<T: Copy>(src: &[T], rows: impl Iterator<Item = usize>, out: &mut [T]) {
+    for (o, r) in out.iter_mut().zip(rows) {
+        *o = src[r];
+    }
+}
+
+/// Codes gathered at the same width.
+fn gather_ints(codes: &Ints, rows: &impl Gather) -> Ints {
+    match_ints!(codes, v => Ints::from(rows.values(v)))
+}
+
+/// The output positions of a gather and how they are filled: in one pass
+/// ([`Whole`]) or in disjoint parts ([`Parts`]).
+trait Gather {
+    /// The gathered elements of `src`.
+    fn values<T: Copy + Default + Send + Sync>(&self, src: &[T]) -> Vec<T>;
+    /// The gathered bits of `src`.
+    fn validity(&self, src: &SelVec) -> SelVec;
+}
+
+/// Every position in one pass over an index iterator.
+struct Whole<I>(I);
+
+impl<I: ExactSizeIterator<Item = usize> + Clone> Gather for Whole<I> {
+    fn values<T: Copy + Default + Send + Sync>(&self, src: &[T]) -> Vec<T> {
+        let mut out = vec![T::default(); self.0.len()];
+        gather_into(src, self.0.clone(), &mut out);
+        out
+    }
+
+    fn validity(&self, src: &SelVec) -> SelVec {
+        let len = self.0.len();
+        let mut words = vec![0; len.div_ceil(64)];
+        src.gather_into(self.0.clone(), &mut words);
+        SelVec::from_words(words, len)
+    }
+}
+
+/// A permutation's positions in parts of `part_rows`, each filled once by
+/// whoever `run` lets claim it (see [`Column::permuted`]).
+struct Parts<'a> {
+    order: &'a [u32],
+    part_rows: usize,
+    run: &'a RunParts<'a>,
+}
+
+/// One part of a [`Parts`] gather: its output range and its rows, until
+/// a claim takes them.
+type Part<'a, E> = Mutex<Option<(&'a mut [E], &'a [u32])>>;
+
+impl Parts<'_> {
+    /// Cuts `out` into parts of `per_part` elements, one per part of the
+    /// order, and has `run` fill each with `fill(out part, its rows)`.
+    fn fill<E: Send>(
+        &self,
+        out: &mut [E],
+        per_part: usize,
+        fill: impl Fn(&mut [E], &[u32]) + Sync,
+    ) {
+        let parts: Vec<Part<'_, E>> = out
+            .chunks_mut(per_part)
+            .zip(self.order.chunks(self.part_rows))
+            .map(|part| Mutex::new(Some(part)))
+            .collect();
+        let claim = |p: usize| {
+            let (out, rows) = parts[p]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take()
+                .expect("each part is filled once");
+            fill(out, rows);
+        };
+        (self.run)(parts.len(), &claim);
+        assert!(
+            parts
+                .iter()
+                .all(|p| p.lock().unwrap_or_else(|e| e.into_inner()).is_none()),
+            "every part is filled"
+        );
+    }
+}
+
+impl Gather for Parts<'_> {
+    fn values<T: Copy + Default + Send + Sync>(&self, src: &[T]) -> Vec<T> {
+        let mut out = vec![T::default(); self.order.len()];
+        self.fill(&mut out, self.part_rows, |out, rows| {
+            gather_into(src, rows.iter().map(|&r| r as usize), out)
+        });
+        out
+    }
+
+    fn validity(&self, src: &SelVec) -> SelVec {
+        let len = self.order.len();
+        let mut words = vec![0; len.div_ceil(64)];
+        self.fill(&mut words, self.part_rows / 64, |out, rows| {
+            src.gather_into(rows.iter().map(|&r| r as usize), out)
+        });
+        SelVec::from_words(words, len)
     }
 }
 
@@ -570,6 +718,67 @@ mod tests {
         let c = Column::float(vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         let f = c.take([1, 4]);
         assert_eq!(&*f.as_float().unwrap(), &[1.0, 4.0]);
+    }
+
+    /// Fills every part on the calling thread, last part first.
+    fn backwards(parts: usize, fill: &(dyn Fn(usize) + Sync)) {
+        (0..parts).rev().for_each(fill)
+    }
+
+    #[test]
+    fn permuted_copies_carry_what_the_source_computed() {
+        let n = 200;
+        let order: Vec<u32> = (0..n as u32).map(|i| (i * 73 + 11) % n as u32).collect();
+        let nulls = SelVec::from_bools(n, (0..n).map(|i| i % 7 != 0));
+        let values = |zero: f64| -> Vec<f64> {
+            (0..n)
+                .map(|i| if i == 5 { zero } else { 0.25 * i as f64 + 1.0 })
+                .collect()
+        };
+        let cases = [
+            Column::float(values(1.0)).narrowed(),
+            Column::float(values(1.0))
+                .narrowed()
+                .with_validity(nulls.clone()),
+            Column::float(values(0.1 + 0.2)),
+            Column::int((0..n as i64).map(|i| i * 3 % 11).collect()).narrowed(),
+            Column::nominal((0..n as u32).map(|i| i % 3).collect(), dict()).with_validity(nulls),
+            // A zero extreme: which zero the walk keeps may follow the row
+            // order, so the copy finds its own statistics.
+            Column::float(values(-0.0)),
+        ];
+        for (i, col) in cases.iter().enumerate() {
+            let _ = (col.numeric_min_max(), col.decode_table());
+            let copy = col.permuted(&order, 64, &backwards);
+            let fresh = col.take(order.iter().map(|&r| r as usize));
+            assert_eq!(copy, fresh, "case {i}");
+            assert_eq!(copy.validity(), fresh.validity());
+            let bits = |s: &NumericStats| s.finite.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+            match copy.stats.get() {
+                Some(carried) => {
+                    assert_eq!(bits(carried), bits(&fresh.stats()), "case {i}");
+                    assert_eq!(carried.all_finite, fresh.stats().all_finite);
+                }
+                None => assert_eq!(i, cases.len() - 1, "only the zero extreme is left out"),
+            }
+            assert_eq!(
+                copy.bounds.get().copied(),
+                Some(fresh.code_bounds()),
+                "case {i}"
+            );
+            assert_eq!(
+                copy.decode.get().cloned(),
+                Some(fresh.decode_table().cloned().map(Arc::new))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "every part is filled")]
+    fn permuted_needs_every_part_filled() {
+        let col = Column::int((0..130).collect());
+        let order: Vec<u32> = (0..130).collect();
+        col.permuted(&order, 64, &|parts, fill| (1..parts).for_each(fill));
     }
 
     #[test]

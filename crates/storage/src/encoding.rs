@@ -183,18 +183,6 @@ impl Ints {
             other => Cow::Owned((0..other.len()).map(|i| other.get(i) as u32).collect()),
         }
     }
-
-    /// The elements at `rows`, in order, at the same width.
-    pub fn take(&self, rows: impl Iterator<Item = usize>) -> Ints {
-        match self {
-            Ints::U8(v) => Ints::U8(rows.map(|i| v[i]).collect()),
-            Ints::U16(v) => Ints::U16(rows.map(|i| v[i]).collect()),
-            Ints::U32(v) => Ints::U32(rows.map(|i| v[i]).collect()),
-            Ints::I16(v) => Ints::I16(rows.map(|i| v[i]).collect()),
-            Ints::I32(v) => Ints::I32(rows.map(|i| v[i]).collect()),
-            Ints::I64(v) => Ints::I64(rows.map(|i| v[i]).collect()),
-        }
-    }
 }
 
 /// Largest code span a [`DecodeTable`] covers (256 KiB of `f64`s).
@@ -460,7 +448,6 @@ mod tests {
         let v = Ints::I16(vec![-3, 7]);
         assert_eq!(v.get(0), -3);
         assert_eq!(&*v.to_i64(), &[-3, 7]);
-        assert_eq!(v.take([1, 1, 0].into_iter()), Ints::I16(vec![7, 7, -3]));
         assert!(matches!(Ints::U32(vec![4]).to_u32(), Cow::Borrowed(_)));
         assert_eq!(&*Ints::U8(vec![4]).to_u32(), &[4]);
     }

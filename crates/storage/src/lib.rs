@@ -18,6 +18,9 @@
 //!   takes ≈19 MB instead of ≈84 MB). [`Table::new`] runs the chooser on
 //!   every plain column; readers see logical values through the decoding
 //!   accessors of [`Column`], and scan kernels match on [`ColumnData`].
+//! - Values engines prepare from a dataset (shuffled scan orders,
+//!   stratified samples) are kept in its fact table's [`Memo`], so every
+//!   engine instance over one dataset builds each of them once.
 //! - Nulls are tracked with an optional validity bitmap; fully-valid columns
 //!   carry no bitmap at all.
 
@@ -26,16 +29,18 @@ pub mod csv;
 pub mod dictionary;
 pub mod encoding;
 pub mod error;
+pub mod memo;
 pub mod schema;
 pub mod selection;
 pub mod star;
 pub mod table;
 
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, RunParts};
 pub use csv::{read_csv, write_csv};
 pub use dictionary::Dictionary;
 pub use encoding::{Code, CodeBounds, DecodeTable, Ints};
 pub use error::StorageError;
+pub use memo::Memo;
 pub use schema::{DataType, Field, Schema};
 pub use selection::SelVec;
 pub use star::{Dataset, DimensionSpec, JoinCacheStats, StarSchema};

@@ -42,6 +42,24 @@ impl SelVec {
         sel
     }
 
+    /// A bitmap of `len` rows over its words (bit `i` of word `w` is row
+    /// `64 · w + i`); bits past `len` must be clear.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "one word per 64 rows");
+        debug_assert!(len.is_multiple_of(64) || words.last().is_none_or(|w| w >> (len % 64) == 0));
+        SelVec { words, len }
+    }
+
+    /// Sets bit `i` of `words` (bit `i % 64` of word `i / 64`) for every
+    /// `rows[i]` selected here; `words` starts clear.
+    pub(crate) fn gather_into(&self, rows: impl Iterator<Item = usize>, words: &mut [u64]) {
+        for (i, r) in rows.enumerate() {
+            if self.contains(r) {
+                words[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
     fn mask_tail(words: &mut [u64], len: usize) {
         let tail = len % 64;
         if tail != 0 {

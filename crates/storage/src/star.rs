@@ -10,6 +10,7 @@ use crate::column::{Column, ColumnData};
 use crate::encoding::Code;
 use crate::error::StorageError;
 use crate::match_ints;
+use crate::memo::Memo;
 use crate::table::Table;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -251,10 +252,22 @@ impl Dataset {
     /// Rows in the fact (or single) table — the "size" of the dataset in the
     /// sense of the paper's S/M/L settings.
     pub fn fact_rows(&self) -> usize {
+        self.fact_table().num_rows()
+    }
+
+    /// The fact (or single) table.
+    pub fn fact_table(&self) -> &Arc<Table> {
         match self {
-            Dataset::Denormalized(t) => t.num_rows(),
-            Dataset::Star(s) => s.fact.num_rows(),
+            Dataset::Denormalized(t) => t,
+            Dataset::Star(s) => &s.fact,
         }
+    }
+
+    /// The dataset's memo of prepared values, owned by its fact table (see
+    /// [`crate::memo`]): engine instances over one dataset share it, and
+    /// dropping the last handle of the dataset frees what it holds.
+    pub fn memo(&self) -> &Memo {
+        self.fact_table().memo()
     }
 
     /// True when the dataset is normalized (requires join support).

@@ -3,6 +3,7 @@
 use crate::column::{Column, ColumnData};
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
+use crate::memo::Memo;
 use crate::schema::{DataType, Schema};
 use crate::selection::SelVec;
 use std::sync::Arc;
@@ -50,12 +51,39 @@ impl From<&str> for Value {
 }
 
 /// An immutable, named collection of equal-length columns.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A table also owns a [`Memo`] of values engines prepare from it (see
+/// [`Table::memo`]). The memo is not part of the table's value: equality
+/// ignores it, and a clone — another table as far as
+/// [`crate::Dataset::ptr_eq`] is concerned — starts with an empty one.
+#[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
     nrows: usize,
+    memo: Memo,
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Table {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            columns: self.columns.clone(),
+            nrows: self.nrows,
+            memo: Memo::default(),
+        }
+    }
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.schema == other.schema
+            && self.columns == other.columns
+            && self.nrows == other.nrows
+    }
 }
 
 impl Table {
@@ -84,6 +112,7 @@ impl Table {
             schema,
             columns: columns.into_iter().map(Column::narrowed).collect(),
             nrows,
+            memo: Memo::default(),
         })
     }
 
@@ -151,7 +180,15 @@ impl Table {
             schema: self.schema.clone(),
             columns,
             nrows: rows.len(),
+            memo: Memo::default(),
         }
+    }
+
+    /// The memo of values prepared from this table as a dataset's fact
+    /// table: shuffled scan orders, stratified samples (see
+    /// [`crate::memo`]).
+    pub fn memo(&self) -> &Memo {
+        &self.memo
     }
 
     /// Renames the table (used when deriving samples / normalized tables).
