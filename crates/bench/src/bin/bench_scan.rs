@@ -241,6 +241,29 @@ fn dense_bucketed_2d() -> Query {
     Query::for_viz(&spec, None)
 }
 
+/// MIN and MAX of one measure over a dense nominal × nominal space of
+/// 120 × 48 = 5 760 bins (origin × destination state): rows spread over
+/// thousands of bins, where a conditional min/max store mispredicts.
+fn dense_2d_min_max() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![
+            BinDef::Nominal {
+                dimension: "origin".into(),
+            },
+            BinDef::Nominal {
+                dimension: "dest_state".into(),
+            },
+        ],
+        vec![
+            AggregateSpec::over(AggFunc::Min, "arr_delay"),
+            AggregateSpec::over(AggFunc::Max, "arr_delay"),
+        ],
+    );
+    Query::for_viz(&spec, None)
+}
+
 /// 1D nominal binning reached through a foreign key (star schema).
 fn star_1d_nominal_via_fk() -> Query {
     let spec = VizSpec::new(
@@ -480,13 +503,14 @@ fn main() {
     // The star cases run the devirtualized join layer (shared fact-ordered
     // materializations) against the scalar oracle, which follows the
     // foreign key per row, on the normalized twin of the same data.
-    let cases: [(&str, &Dataset, Query); 10] = [
+    let cases: [(&str, &Dataset, Query); 11] = [
         ("exact_scan_1d_nominal_count", &ds, exact_scan()),
         ("filtered_scan_1d_nominal_avg", &ds, filtered_1d_nominal()),
         ("nom_count_or_ranges", &ds, nom_count_or_ranges()),
         ("nom_count_in_and_or", &ds, nom_count_in_and_or()),
         ("binned_2d_agg", &ds, binned_2d()),
         ("dense_bucketed_2d_agg", &ds, dense_bucketed_2d()),
+        ("dense_2d_min_max", &ds, dense_2d_min_max()),
         (
             "nullable_filtered_1d_nominal_avg",
             &extra,

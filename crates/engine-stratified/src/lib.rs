@@ -32,7 +32,7 @@
 
 use idebench_core::{CoreError, Overhead, PrepStats, Query, QueryHandle, Settings, SystemAdapter};
 use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
-use idebench_storage::{Column, ColumnData, Dataset, Dictionary, Ints, StarSchema, Table};
+use idebench_storage::{Code, Column, ColumnData, Dataset, Dictionary, Ints, StarSchema, Table};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -188,11 +188,9 @@ fn dictionary_value_keys(dict: &Dictionary) -> Vec<u64> {
 /// strata keyed by the given columns' *values*, minimum one row per
 /// stratum, seeded row choice within each stratum.
 ///
-/// A counting sort lays the rows out in one `u32` per row: a first pass
-/// counts each stratum's rows, the strata are ordered by key, and a second
-/// pass writes every row id into its stratum's range, in row order. Each
-/// range is then shuffled with one generator, stratum by stratum in key
-/// order.
+/// The rows are laid out grouped by stratum ([`group_by_stratum`]), and
+/// each stratum's range is shuffled with one generator, stratum by stratum
+/// in key order.
 fn choose_stratified_rows(
     num_rows: usize,
     strata_cols: &[StrataCol<'_>],
@@ -206,34 +204,22 @@ fn choose_stratified_rows(
                 .wrapping_add(col.value_keys[col.codes.get(row) as usize])
         })
     };
-    // Pass 1: rows per stratum.
-    let mut cursors: FxHashMap<u64, usize> = FxHashMap::default();
-    for row in 0..num_rows {
-        *cursors.entry(key_of(row)).or_default() += 1;
-    }
-    // Strata in key order (deterministic); each count becomes the write
-    // cursor of its stratum's range.
-    let mut keys: Vec<u64> = cursors.keys().copied().collect();
-    keys.sort_unstable();
-    let mut start = 0;
-    for key in &keys {
-        let cursor = cursors.get_mut(key).expect("key from map");
-        start += std::mem::replace(cursor, start);
-    }
-    // Pass 2: every row into its stratum's range, in row order.
-    let mut grouped = vec![0u32; num_rows];
-    for row in 0..num_rows {
-        let cursor = cursors.get_mut(&key_of(row)).expect("counted in pass 1");
-        grouped[*cursor] = row as u32;
-        *cursor += 1;
-    }
+    // Strata ids are dense, so the number of code tuples bounds them: a
+    // `u16` per row holds them for any realistic strata columns, and halves
+    // the memory pass 1 holds until pass 2 has read it.
+    let tuples = strata_cols
+        .iter()
+        .fold(1usize, |n, col| n.saturating_mul(col.value_keys.len()));
+    let (mut grouped, ends) = if tuples <= 1 << 16 {
+        group_by_stratum::<u16>(num_rows, key_of)
+    } else {
+        group_by_stratum::<u32>(num_rows, key_of)
+    };
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5177_a7e5);
     let mut chosen: Vec<usize> = Vec::with_capacity((num_rows as f64 * rate) as usize + 1);
     let mut start = 0;
-    for key in &keys {
-        // Each cursor now sits at the end of its range.
-        let end = cursors[key];
+    for end in ends {
         let rows = &mut grouped[start..end];
         start = end;
         let take = ((rows.len() as f64 * rate).round() as usize).clamp(1, rows.len());
@@ -242,6 +228,54 @@ fn choose_stratified_rows(
     }
     chosen.sort_unstable();
     chosen
+}
+
+/// Lays rows `0..num_rows` out grouped by stratum, in one `u32` per row:
+/// strata in key order, rows in row order within each. Returns the grouped
+/// rows and the end of each stratum's range, in key order.
+///
+/// A counting sort: pass 1 hashes each row's strata key once, numbers the
+/// strata densely in order of first appearance, records each row's id as a
+/// `T`, and counts the rows per stratum; the strata are ordered by key, and
+/// pass 2 reads each row's id back and writes the row into its stratum's
+/// range.
+fn group_by_stratum<T: Code>(
+    num_rows: usize,
+    key_of: impl Fn(usize) -> u64,
+) -> (Vec<u32>, Vec<usize>) {
+    let mut ids: FxHashMap<u64, T> = FxHashMap::default();
+    let mut keys: Vec<u64> = Vec::new();
+    let mut cursors: Vec<usize> = Vec::new();
+    let stratum: Vec<T> = (0..num_rows)
+        .map(|row| {
+            let key = key_of(row);
+            let id = *ids.entry(key).or_insert_with(|| {
+                keys.push(key);
+                cursors.push(0);
+                T::try_from(keys.len() as i64 - 1)
+                    .ok()
+                    .expect("the code tuples bound the strata ids")
+            });
+            cursors[id.widen() as usize] += 1;
+            id
+        })
+        .collect();
+    // Each count becomes the write cursor of its stratum's range.
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&id| keys[id]);
+    let mut start = 0;
+    for &id in &order {
+        start += std::mem::replace(&mut cursors[id], start);
+    }
+    let mut grouped = vec![0u32; num_rows];
+    for (row, id) in stratum.into_iter().enumerate() {
+        let cursor = &mut cursors[id.widen() as usize];
+        grouped[*cursor] = row as u32;
+        *cursor += 1;
+    }
+    // Each cursor now sits at the end of its range.
+    let ends = order.iter().map(|&id| cursors[id]).collect();
+    (grouped, ends)
 }
 
 /// Builds a stratified sample of `table`: proportional allocation over the
@@ -804,6 +838,28 @@ mod tests {
             }
         }
         assert_eq!(choose_stratified_rows(50, &own, 0.01, 3).len(), 50);
+    }
+
+    #[test]
+    fn strata_ids_of_either_width_match_the_oracle() {
+        // 65 536 code tuples record `u16` stratum ids, 65 537 `u32` ones;
+        // rows spread over thousands of codes.
+        for dict in [1usize << 16, (1 << 16) + 1] {
+            let codes = Ints::U32((0..5_000u32).map(|r| (r * 7_919) % dict as u32).collect());
+            let cols = [StrataCol {
+                codes: &codes,
+                value_keys: (0..dict as u64)
+                    .map(|k| k.wrapping_mul(0x9e37_79b9))
+                    .collect(),
+            }];
+            for rate in [0.01, 0.5] {
+                assert_eq!(
+                    choose_stratified_rows(5_000, &cols, rate, 7),
+                    choose_rows_oracle(5_000, &cols, rate, 7),
+                    "{dict} code tuples, rate {rate}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,22 @@ use idebench_core::{AggFunc, AggResult, BinKey, BinStats};
 use rustc_hash::FxHashMap;
 
 /// Running statistics for one measure inside one bin.
+///
+/// Which fields are live depends on the aggregate that owns the
+/// accumulator: the scan kernels update only the fields the aggregate's
+/// finish reads, and leave the others at their initial values (`0` for
+/// the sums, `±∞` for `min` and `max`).
+///
+/// | aggregate  | live fields           |
+/// |------------|-----------------------|
+/// | SUM, AVG   | `n`, `sum`, `sumsq`   |
+/// | MIN        | `n`, `min`            |
+/// | MAX        | `n`, `max`            |
+///
+/// The scalar oracle ([`GroupedAcc`]'s row-at-a-time path) keeps every
+/// field. A live field holds the same bits on either path, so
+/// [`GroupedAcc::finish_exact`] and [`GroupedAcc::finish_estimate`] agree
+/// bit for bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeasureAcc {
     /// Non-null observations.
@@ -19,6 +35,31 @@ pub struct MeasureAcc {
     pub max: f64,
 }
 
+/// The statistics of a [`MeasureAcc`] that one aggregate reads (see the
+/// table on [`MeasureAcc`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stats {
+    /// `n`, `sum` and `sumsq` (SUM and AVG).
+    Moments,
+    /// `n` and `min` (MIN).
+    Min,
+    /// `n` and `max` (MAX).
+    Max,
+}
+
+impl Stats {
+    /// The statistics `func` reads; `None` for COUNT, which reads only the
+    /// bin's row count.
+    pub(crate) fn of(func: AggFunc) -> Option<Stats> {
+        match func {
+            AggFunc::Count => None,
+            AggFunc::Sum | AggFunc::Avg => Some(Stats::Moments),
+            AggFunc::Min => Some(Stats::Min),
+            AggFunc::Max => Some(Stats::Max),
+        }
+    }
+}
+
 impl MeasureAcc {
     pub(crate) fn new() -> Self {
         MeasureAcc {
@@ -30,6 +71,7 @@ impl MeasureAcc {
         }
     }
 
+    /// Folds one observation into every field (the scalar oracle's update).
     #[inline]
     pub(crate) fn update(&mut self, v: f64) {
         self.n += 1;
@@ -41,6 +83,42 @@ impl MeasureAcc {
         if v > self.max {
             self.max = v;
         }
+    }
+
+    /// Folds one observation into the fields `stats` names.
+    #[inline(always)]
+    pub(crate) fn update_stats(&mut self, stats: Stats, v: f64) {
+        match stats {
+            Stats::Moments => self.update_moments(v),
+            Stats::Min => self.update_min(v),
+            Stats::Max => self.update_max(v),
+        }
+    }
+
+    /// Folds one observation into the fields of [`Stats::Moments`].
+    #[inline(always)]
+    pub(crate) fn update_moments(&mut self, v: f64) {
+        self.n += 1;
+        self.sum += v;
+        self.sumsq += v * v;
+    }
+
+    /// Folds one observation into the fields of [`Stats::Min`]. The select
+    /// keeps [`MeasureAcc::update`]'s semantics (a NaN or an equal zero
+    /// never replaces the minimum) without a conditional store, which
+    /// mispredicts when rows spread over many bins.
+    #[inline(always)]
+    pub(crate) fn update_min(&mut self, v: f64) {
+        self.n += 1;
+        self.min = if v < self.min { v } else { self.min };
+    }
+
+    /// Folds one observation into the fields of [`Stats::Max`] (a select,
+    /// as in [`MeasureAcc::update_min`]).
+    #[inline(always)]
+    pub(crate) fn update_max(&mut self, v: f64) {
+        self.n += 1;
+        self.max = if v > self.max { v } else { self.max };
     }
 
     /// Sample variance (n−1 denominator); 0 for fewer than 2 observations.
@@ -337,7 +415,7 @@ mod tests {
     fn run_all(ds: &Dataset, q: &Query) -> GroupedAcc {
         let resolved = ResolvedQuery::new(ds, q).unwrap();
         let mut acc = GroupedAcc::for_query(&resolved, q.aggregates());
-        for row in 0..resolved.num_rows {
+        for row in 0..ds.fact_rows() {
             acc.process_row(&resolved, row);
         }
         acc

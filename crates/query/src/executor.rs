@@ -372,22 +372,34 @@ pub fn execute_exact_scalar(dataset: &Dataset, query: &Query) -> Result<AggResul
 
 /// [`execute_exact_scalar`] over an explicit visit order (position `i`
 /// processes row `order[i]`), for differential tests against ordered runs.
-///
-/// This is the one place the scalar reference's chunk-folding lives — the
-/// grid must match the dispatcher's, or bit-identity differentials would
-/// compare against a stale fold.
 pub fn execute_exact_scalar_with_order(
     dataset: &Dataset,
     query: &Query,
     order: Option<&[u32]>,
 ) -> Result<AggResult, CoreError> {
-    let resolved = ResolvedQuery::new(dataset, query)?;
+    let num_rows = dataset.fact_rows();
     if let Some(o) = order {
-        assert_eq!(o.len(), resolved.num_rows, "order must cover every row");
+        assert_eq!(o.len(), num_rows, "order must cover every row");
     }
+    Ok(scalar_prefix(dataset, query, order, num_rows)?.finish_exact())
+}
+
+/// The scalar oracle's accumulated state after scan positions `0..end`,
+/// folded over the dispatcher's chunk grid.
+///
+/// This is the one place the scalar reference's chunk-folding lives — the
+/// grid must match the dispatcher's, or bit-identity differentials would
+/// compare against a stale fold.
+pub(crate) fn scalar_prefix(
+    dataset: &Dataset,
+    query: &Query,
+    order: Option<&[u32]>,
+    end: usize,
+) -> Result<GroupedAcc, CoreError> {
+    let resolved = ResolvedQuery::new(dataset, query)?;
     let mut total = GroupedAcc::for_query(&resolved, query.aggregates());
     let mut chunk = GroupedAcc::for_query(&resolved, query.aggregates());
-    for i in 0..resolved.num_rows {
+    for i in 0..end {
         if i > 0 && i % CHUNK_ROWS == 0 {
             total.merge(&chunk);
             chunk = GroupedAcc::for_query(&resolved, query.aggregates());
@@ -396,13 +408,14 @@ pub fn execute_exact_scalar_with_order(
         chunk.process_row(&resolved, row);
     }
     total.merge(&chunk);
-    Ok(total.finish_exact())
+    Ok(total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_compilations;
+    use crate::plan::{plan_compilations, AccMode};
+    use crate::resolve::ResolvedQuery;
     use crate::test_bits::bits;
     use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
     use idebench_core::{BinCoord, BinKey, FilterExpr, Predicate, VizSpec};
@@ -1410,5 +1423,255 @@ mod tests {
         // Every row lands in a bin: NaN in the one `floor(NaN) as i64` gives.
         let total: f64 = scalar.bins.values().map(|b| b.values[0]).sum();
         assert_eq!(total, 4.0);
+    }
+
+    /// Steps a fresh run to exactly `cursor` positions (unit row cost, no
+    /// match surcharge) and returns its accumulated state.
+    fn accumulator_at(
+        ds: &Dataset,
+        q: &Query,
+        order: Option<&Arc<Vec<u32>>>,
+        workers: usize,
+        cursor: usize,
+    ) -> GroupedAcc {
+        let mut run =
+            ChunkedRun::with_order(ds.clone(), q.clone(), order.cloned(), SnapshotMode::Exact)
+                .unwrap();
+        run.set_row_cost(1.0);
+        run.set_match_cost(0.0);
+        run.set_workers(workers);
+        assert_eq!(run.advance(cursor as u64), cursor as u64);
+        assert_eq!(run.rows_done(), cursor);
+        run.accumulator()
+    }
+
+    /// `keys` inserted, in the given order, into a map like the one
+    /// `to_grouped` builds: the iteration order that insertion sequence
+    /// produces.
+    fn inserted_in(keys: impl IntoIterator<Item = BinKey>) -> Vec<BinKey> {
+        let mut map = rustc_hash::FxHashMap::default();
+        for k in keys {
+            map.insert(k, ());
+        }
+        map.into_keys().collect()
+    }
+
+    /// Report bits depend on the order in which `to_grouped` inserts bins:
+    /// `Metrics::evaluate` sums floats while iterating the ground truth's
+    /// hash map. Through chunk merges at any worker count, the bins of a
+    /// shuffled scan must be inserted in the order of their first
+    /// appearance in the scan.
+    #[test]
+    fn bins_leave_to_grouped_in_first_appearance_order() {
+        let n = 3 * CHUNK_ROWS + 517;
+        let ds = float_dataset(n);
+        let spec = VizSpec::new(
+            "v",
+            "flights",
+            vec![
+                BinDef::Nominal {
+                    dimension: "carrier".into(),
+                },
+                BinDef::Width {
+                    dimension: "dep_delay".into(),
+                    width: 0.5,
+                    anchor: 0.0,
+                },
+            ],
+            vec![AggregateSpec::count()],
+        );
+        let q = Query::for_viz(&spec, None);
+        assert!(matches!(
+            CompiledPlan::compile(&ds, &q).unwrap().acc_mode(),
+            AccMode::Dense(_)
+        ));
+        let order: Arc<Vec<u32>> = Arc::new(
+            (0..n as u64)
+                .map(|i| ((i * 1_000_003 + 12_345) % n as u64) as u32)
+                .collect(),
+        );
+        let resolved = ResolvedQuery::new(&ds, &q).unwrap();
+        let first_seen = |end: usize| {
+            let mut seen = rustc_hash::FxHashSet::default();
+            let mut keys = Vec::new();
+            for &row in &order[..end] {
+                let key = resolved.binning.bin_of(row as usize).unwrap();
+                if seen.insert(key.clone()) {
+                    keys.push(key);
+                }
+            }
+            keys
+        };
+        for end in [2 * CHUNK_ROWS, n] {
+            let appearance = first_seen(end);
+            assert!(appearance.len() > 500, "{} bins", appearance.len());
+            let expected = inserted_in(appearance.iter().cloned());
+            // The check has teeth: the same bins inserted in key order
+            // iterate differently.
+            let mut sorted = appearance.clone();
+            sorted.sort_by_key(|k| format!("{k:?}"));
+            assert_ne!(inserted_in(sorted), expected);
+            for workers in [1, 2, 8] {
+                let acc = accumulator_at(&ds, &q, Some(&order), workers, end);
+                assert_eq!(
+                    acc.bins.keys().cloned().collect::<Vec<_>>(),
+                    expected,
+                    "end {end}, workers {workers}"
+                );
+            }
+        }
+    }
+
+    /// A dataset spanning two chunks and a ragged third with three measure
+    /// payloads: `dep_delay` (decimal codes), `arr_delay` (nullable decimal
+    /// codes, both zeros among its values) and `wobble` (plain `f64`, with
+    /// NaNs and both zeros).
+    fn measure_dataset(n: usize) -> Dataset {
+        use idebench_storage::Value;
+        let mut b = TableBuilder::with_fields(
+            "flights",
+            &[
+                ("carrier", DataType::Nominal),
+                ("dep_delay", DataType::Float),
+                ("arr_delay", DataType::Float),
+                ("wobble", DataType::Float),
+            ],
+        );
+        for i in 0..n {
+            let c = ["AA", "AA", "DL", "DL", "DL", "UA", "UA"][i % 7];
+            // `k / 10^e` round-trips through a decimal code; `k · 0.1`
+            // would not.
+            let dep = ((i % 1013) as f64 - 173.0) / 10.0;
+            let arr = match i % 11 {
+                3 => Value::Null,
+                7 if i % 3 == 0 => (-0.0).into(),
+                7 => 0.0.into(),
+                _ => ((((i * 7) % 2003) as f64 - 350.0) / 100.0).into(),
+            };
+            let wobble = match i % 509 {
+                17 => f64::NAN,
+                99 => -0.0,
+                100 => 0.0,
+                _ => (i as f64 * 0.37).sin() * 100.0,
+            };
+            b.push_row(&[c.into(), dep.into(), arr, wobble.into()])
+                .unwrap();
+        }
+        let t = b.finish();
+        let payload = |name: &str| {
+            let col = t.column(name).unwrap();
+            let decimal = matches!(col.data(), idebench_storage::ColumnData::Decimal(..));
+            (decimal, col.validity().is_some())
+        };
+        assert_eq!(payload("dep_delay"), (true, false));
+        assert_eq!(payload("arr_delay"), (true, true));
+        assert_eq!(payload("wobble"), (false, false));
+        Dataset::Denormalized(Arc::new(t))
+    }
+
+    /// Every field a finish reads, for each aggregate position (COUNT reads
+    /// the bin's count only), as `(name, bits)`.
+    fn read_fields(acc: &crate::aggregate::BinAcc, aggs: &[AggregateSpec]) -> Vec<(String, u64)> {
+        let mut fields = vec![("count".to_string(), acc.count)];
+        for (i, a) in aggs.iter().enumerate() {
+            let m = &acc.measures[i];
+            let read: &[(&str, u64)] = match a.func {
+                AggFunc::Count => &[],
+                AggFunc::Sum | AggFunc::Avg => &[
+                    ("n", m.n),
+                    ("sum", m.sum.to_bits()),
+                    ("sumsq", m.sumsq.to_bits()),
+                ],
+                AggFunc::Min => &[("n", m.n), ("min", m.min.to_bits())],
+                AggFunc::Max => &[("n", m.n), ("max", m.max.to_bits())],
+            };
+            fields.extend(read.iter().map(|&(f, v)| (format!("{}.{f}", a.label()), v)));
+        }
+        fields
+    }
+
+    /// The vectorized stores accumulate only the statistics each aggregate
+    /// reads. Those must equal the scalar oracle's, bit for bit, at
+    /// cursors inside the first morsel, the first chunk and the second
+    /// chunk, and at the end, for dense 1-D, dense 2-D (≥ 3 000 bins) and
+    /// sparse binnings.
+    #[test]
+    fn vectorized_statistics_match_scalar_at_every_cursor() {
+        let n = 2 * CHUNK_ROWS + 321;
+        let ds = measure_dataset(n);
+        let aggs = vec![
+            AggregateSpec::count(),
+            AggregateSpec::over(AggFunc::Sum, "dep_delay"),
+            AggregateSpec::over(AggFunc::Avg, "dep_delay"),
+            AggregateSpec::over(AggFunc::Min, "arr_delay"),
+            AggregateSpec::over(AggFunc::Max, "arr_delay"),
+            AggregateSpec::over(AggFunc::Avg, "arr_delay"),
+            AggregateSpec::over(AggFunc::Min, "wobble"),
+            AggregateSpec::over(AggFunc::Max, "wobble"),
+            AggregateSpec::over(AggFunc::Sum, "wobble"),
+        ];
+        let carrier = || BinDef::Nominal {
+            dimension: "carrier".into(),
+        };
+        let dep = |width: f64| BinDef::Width {
+            dimension: "dep_delay".into(),
+            width,
+            anchor: 0.0,
+        };
+        let filter = FilterExpr::Pred(Predicate::Range {
+            column: "arr_delay".into(),
+            min: -3.0,
+            max: 16.0,
+        });
+        let cases = [
+            ("dense 1-D", vec![carrier()], None),
+            ("dense 2-D", vec![carrier(), dep(0.05)], Some(filter)),
+            ("sparse", vec![dep(0.01)], None),
+        ];
+        for (name, binning, filter) in cases {
+            let q = Query::for_viz(&VizSpec::new("v", "flights", binning, aggs.clone()), filter);
+            let mode = CompiledPlan::compile(&ds, &q).unwrap().acc_mode();
+            match name {
+                "dense 1-D" => assert_eq!(mode, AccMode::Dense(3)),
+                "dense 2-D" => assert!(matches!(mode, AccMode::Dense(s) if s >= 3_000)),
+                _ => assert_eq!(mode, AccMode::Sparse),
+            }
+            for cursor in [1, 1_023, CHUNK_ROWS + 1, n] {
+                let scalar = scalar_prefix(&ds, &q, None, cursor).unwrap();
+                let ctx = format!("{name}, cursor {cursor}");
+                if name == "dense 2-D" && cursor == n {
+                    assert!(
+                        scalar.bins.len() >= 3_000,
+                        "{ctx}: {} bins",
+                        scalar.bins.len()
+                    );
+                }
+                for workers in [1, 2] {
+                    let acc = accumulator_at(&ds, &q, None, workers, cursor);
+                    assert_eq!(
+                        (acc.rows_seen, acc.rows_matched),
+                        (scalar.rows_seen, scalar.rows_matched),
+                        "{ctx}"
+                    );
+                    assert_eq!(acc.bins.len(), scalar.bins.len(), "{ctx}");
+                    for (key, want) in &scalar.bins {
+                        let got = acc
+                            .bins
+                            .get(key)
+                            .unwrap_or_else(|| panic!("{ctx}: {key:?}"));
+                        assert_eq!(
+                            read_fields(got, &aggs),
+                            read_fields(want, &aggs),
+                            "{ctx}, workers {workers}, bin {key:?}"
+                        );
+                    }
+                    assert_eq!(
+                        bits(&acc.finish_estimate(10 * n as u64, 1.96)),
+                        bits(&scalar.finish_estimate(10 * n as u64, 1.96)),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -80,8 +80,6 @@ pub(crate) struct ResolvedQuery<'a> {
     pub binning: crate::binning::CompiledBinning<'a>,
     /// Measure column per aggregate (`None` for COUNT).
     pub measures: Vec<Option<ResolvedColumn<'a>>>,
-    /// Number of fact rows.
-    pub num_rows: usize,
 }
 
 impl<'a> ResolvedQuery<'a> {
@@ -106,7 +104,6 @@ impl<'a> ResolvedQuery<'a> {
             filter,
             binning,
             measures,
-            num_rows: dataset.fact_rows(),
         })
     }
 
