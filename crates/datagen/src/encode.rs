@@ -1,6 +1,6 @@
 //! First-seen dictionary encoding for generated nominal columns.
 
-use idebench_storage::{Column, ColumnData, Dictionary, Ints};
+use idebench_storage::{Column, ColumnData, DictCodes, Dictionary};
 use std::sync::Arc;
 
 /// Marks a category index whose label has not been interned yet.
@@ -21,7 +21,7 @@ pub(crate) fn first_seen_column<T>(
 ) -> Column
 where
     T: Copy + Into<u32> + TryFrom<u32>,
-    Ints: From<Vec<T>>,
+    DictCodes: From<Vec<T>>,
 {
     let mut code_of = vec![UNSEEN; domain];
     let mut dict = Dictionary::new();
@@ -37,7 +37,7 @@ where
             .ok()
             .expect("first-seen codes stay below the domain size");
     }
-    Column::new(ColumnData::Nominal(Ints::from(indexes), Arc::new(dict)))
+    Column::new(ColumnData::Nominal(indexes.into(), Arc::new(dict)))
 }
 
 #[cfg(test)]

@@ -421,7 +421,7 @@ pub(crate) fn generate_with_workers(n: usize, seed: u64, workers: usize) -> Tabl
     } = buffers;
     let airport = |a: usize| world.airports[a].code.clone();
     let state = |s: usize| format!("S{s:02}");
-    let int = |v| Column::new(ColumnData::Int(Ints::U8(v)));
+    let int = |v| Column::new(ColumnData::Int(Ints::Narrow(v)));
     let decimal = |codes, exp| Column::new(ColumnData::Decimal(codes, exp));
     let columns = vec![
         first_seen_column(carrier, NUM_CARRIERS, |c| format!("C{c:02}")),
@@ -431,12 +431,12 @@ pub(crate) fn generate_with_workers(n: usize, seed: u64, workers: usize) -> Tabl
         first_seen_column(dest_state, NUM_STATES, state),
         int(month),
         int(dow),
-        decimal(Ints::U16(dep_time), 2),
-        decimal(Ints::I16(dep_delay), 1),
-        decimal(Ints::U16(arr_time), 2),
-        decimal(Ints::I16(arr_delay), 1),
-        decimal(Ints::U16(distance), 0),
-        decimal(Ints::U16(air_time), 0),
+        decimal(Ints::Narrow(dep_time), 2),
+        decimal(Ints::Mid(dep_delay), 1),
+        decimal(Ints::Narrow(arr_time), 2),
+        decimal(Ints::Mid(arr_delay), 1),
+        decimal(Ints::Narrow(distance), 0),
+        decimal(Ints::Narrow(air_time), 0),
     ];
     Table::new(FLIGHTS_TABLE, Schema::from_pairs(SCHEMA), columns)
         .expect("flights columns have equal lengths")

@@ -32,7 +32,9 @@
 
 use idebench_core::{CoreError, Overhead, PrepStats, Query, QueryHandle, Settings, SystemAdapter};
 use idebench_query::{ChunkedRun, CompiledPlan, SnapshotMode};
-use idebench_storage::{Code, Column, ColumnData, Dataset, Dictionary, Ints, StarSchema, Table};
+use idebench_storage::{
+    Code, Column, ColumnData, Dataset, DictCodes, Dictionary, StarSchema, Table,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -160,12 +162,12 @@ impl StratifiedAdapter {
 /// so a star schema whose dimension table permutes the code order still
 /// samples exactly the rows its de-normalized twin would.
 struct StrataCol<'a> {
-    codes: &'a Ints,
+    codes: &'a DictCodes,
     value_keys: Vec<u64>,
 }
 
 /// A nominal column's codes, as stored, and its dictionary.
-fn nominal_codes(col: &Column) -> Option<(&Ints, &Arc<Dictionary>)> {
+fn nominal_codes(col: &Column) -> Option<(&DictCodes, &Arc<Dictionary>)> {
     match col.data() {
         ColumnData::Nominal(codes, dict) => Some((codes, dict)),
         _ => None,
@@ -307,12 +309,12 @@ pub fn build_stratified_sample(
 /// A strata code column resolved against a dataset: borrowed from the fact
 /// table, or shared from the star schema's join cache.
 enum StrataCodes<'a> {
-    Borrowed(&'a Ints),
+    Borrowed(&'a DictCodes),
     Shared(Arc<Column>),
 }
 
 impl StrataCodes<'_> {
-    fn codes(&self) -> &Ints {
+    fn codes(&self) -> &DictCodes {
         match self {
             StrataCodes::Borrowed(c) => c,
             StrataCodes::Shared(c) => nominal_codes(c).expect("nominal strata column").0,
@@ -780,15 +782,15 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(case);
             let rows = rng.random_range(1..400usize);
             let ncols = rng.random_range(0..4usize);
-            let columns: Vec<(Ints, Vec<u64>)> = (0..ncols)
+            let columns: Vec<(DictCodes, Vec<u64>)> = (0..ncols)
                 .map(|_| {
                     let codes = rng.random_range(1..60u32);
                     let distinct = rng.random_range(1..=codes as u64);
                     let keys = (0..codes).map(|_| rng.random_range(0..distinct)).collect();
-                    let col = (0..rows)
+                    let col: Vec<u8> = (0..rows)
                         .map(|_| rng.random_range(0..codes) as u8)
                         .collect();
-                    (Ints::U8(col), keys)
+                    (DictCodes::from(col), keys)
                 })
                 .collect();
             let strata: Vec<StrataCol<'_>> = columns
@@ -812,12 +814,15 @@ mod tests {
     fn counting_sort_edge_strata_match_the_oracle() {
         // Every row its own stratum; and two code tuples, (0, 0) in row 2
         // and (1, 1) in row 3, whose value keys give one strata key.
-        let codes = Ints::U16((0..50).collect());
+        let codes = DictCodes::from((0..50u16).collect::<Vec<_>>());
         let own = [StrataCol {
             codes: &codes,
             value_keys: (0..50).map(|k| k * 31).collect(),
         }];
-        let (a, b) = (Ints::U8(vec![0, 1, 0, 1, 1]), Ints::U8(vec![1, 0, 0, 1, 0]));
+        let (a, b) = (
+            DictCodes::from(vec![0u8, 1, 0, 1, 1]),
+            DictCodes::from(vec![1u8, 0, 0, 1, 0]),
+        );
         let shared = [
             StrataCol {
                 codes: &a,
@@ -845,7 +850,11 @@ mod tests {
         // 65 536 code tuples record `u16` stratum ids, 65 537 `u32` ones;
         // rows spread over thousands of codes.
         for dict in [1usize << 16, (1 << 16) + 1] {
-            let codes = Ints::U32((0..5_000u32).map(|r| (r * 7_919) % dict as u32).collect());
+            let codes = DictCodes::from(
+                (0..5_000u32)
+                    .map(|r| (r * 7_919) % dict as u32)
+                    .collect::<Vec<_>>(),
+            );
             let cols = [StrataCol {
                 codes: &codes,
                 value_keys: (0..dict as u64)

@@ -3,15 +3,20 @@
 //! Execution processes fixed-size morsels (`MORSEL` rows) of contiguous
 //! scan positions — a shuffled run reads permuted column copies, so every
 //! morsel is a natural-order slice. Kernels read every column in place, at
-//! its stored encoding (see `crate::plan::Access`). Per morsel:
+//! its stored encoding (see `crate::plan::Access`), through a view typed by
+//! use (`ColView`): numeric uses read `Vals`, nominal uses the column's
+//! `DictCodes` (`u8`/`u16`/`u32`) and code-space uses `CodeVals` (the
+//! `IntValues` or `DecimalCodes` of a narrow column). Each kernel body is
+//! therefore compiled once per width its column's role can hold — the
+//! fused 2-D nominal path 3 × 3 times. Per morsel:
 //!
 //! 1. the filter tree is evaluated into a bitmask (`Mask`) by typed
 //!    kernels — one `match` on column type per *morsel*, not per row. Each
 //!    kernel builds its mask a 64-row word at a time: the predicate fills a
 //!    64-byte lane buffer, which is packed into the word in a register and
 //!    stored once. A range over a narrow numeric column compares codes
-//!    (`CodeRange`), and an IN list looks `u8`/`u16` dictionary codes up
-//!    where they are stored; a morsel the filter fully rejects stops here;
+//!    (`CodeRange`), and an IN list looks dictionary codes up where they
+//!    are stored; a morsel the filter fully rejects stops here;
 //! 2. bin slots (dense) or bin keys (sparse) are computed for all rows from
 //!    dictionary codes in place — a dense fixed-width dimension over a
 //!    narrow numeric column looks its slots up by code (`CodeSlots`);
@@ -39,12 +44,12 @@
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc, Stats};
 use crate::plan::{
-    AccMode, CodeRange, CodeSlots, ColView, CompiledPlan, DenseWidth, PlannedDim, PlannedFilter,
-    Vals,
+    AccMode, CodeRange, CodeSlots, CodeVals, ColView, CompiledPlan, DenseWidth, PlannedDim,
+    PlannedFilter, Vals,
 };
 use idebench_core::{AggFunc, BinCoord, BinKey};
 use idebench_storage::encoding::{decode_decimal, Code};
-use idebench_storage::{match_ints, Ints, SelVec};
+use idebench_storage::{match_ints, DictCodes};
 use rustc_hash::FxHashMap;
 
 /// Rows per morsel. A multiple of 64 so a morsel's filter mask is a
@@ -129,11 +134,11 @@ enum BoundFilter<'a> {
     },
     /// A range evaluated on the column's codes (see [`CodeRange`]).
     RangeCodes {
-        col: ColView<'a>,
+        col: ColView<'a, CodeVals<'a>>,
         range: CodeRange,
     },
     In {
-        col: ColView<'a>,
+        col: ColView<'a, &'a DictCodes>,
         member: &'a [bool],
     },
     And(Vec<BoundFilter<'a>>),
@@ -142,7 +147,7 @@ enum BoundFilter<'a> {
 
 enum BoundDim<'a> {
     Nominal {
-        col: ColView<'a>,
+        col: ColView<'a, &'a DictCodes>,
         /// Dictionary size bounding this dimension's bin space (stride).
         dict_len: u32,
     },
@@ -157,7 +162,7 @@ enum BoundDim<'a> {
     /// A dense fixed-width dimension slotted from the column's codes (see
     /// [`CodeSlots`]); `len` is its bucket count.
     WidthCodes {
-        col: ColView<'a>,
+        col: ColView<'a, CodeVals<'a>>,
         slots: &'a CodeSlots,
         len: u32,
     },
@@ -181,11 +186,11 @@ impl PlannedFilter {
                 codes: Some(range),
                 ..
             } => BoundFilter::RangeCodes {
-                col: col.view(),
+                col: col.code_view(),
                 range: *range,
             },
             PlannedFilter::In { col, member } => BoundFilter::In {
-                col: col.view(),
+                col: col.dict_view(),
                 member,
             },
             PlannedFilter::And(children) => {
@@ -209,7 +214,7 @@ impl CompiledPlan {
                 .iter()
                 .map(|d| match d {
                     PlannedDim::Nominal { col, dict_len } => BoundDim::Nominal {
-                        col: col.view(),
+                        col: col.dict_view(),
                         dict_len: (*dict_len).max(1) as u32,
                     },
                     PlannedDim::Width {
@@ -218,7 +223,7 @@ impl CompiledPlan {
                         codes: Some(slots),
                         ..
                     } => BoundDim::WidthCodes {
-                        col: col.view(),
+                        col: col.code_view(),
                         slots,
                         len: d.len as u32,
                     },
@@ -247,119 +252,104 @@ impl CompiledPlan {
 
 // -------------------------------------------------------------- kernels
 
-/// One morsel of a column as the kernels read it: its values at scan
-/// positions `off..off + n` and, for a nullable column, its validity bitmap.
-#[derive(Clone, Copy)]
-struct Part<'x> {
-    vals: Vals<'x>,
-    off: usize,
-    validity: Option<&'x SelVec>,
+impl<V> ColView<'_, V> {
+    /// The validity mask of the morsel at scan positions `base..`; `None`
+    /// for a column without nulls. `base` is a multiple of 64, so the mask
+    /// is `WORDS` words of the bitmap, zero past its end.
+    #[inline]
+    fn mask(&self, base: usize) -> Option<Mask> {
+        debug_assert_eq!(base % 64, 0, "morsels start on a bitmap word");
+        self.validity
+            .map(|v| std::array::from_fn(|w| v.word(base / 64 + w)))
+    }
 }
 
-impl<'x> Part<'x> {
-    /// The morsel at scan positions `base..` of `col`.
-    #[inline]
-    fn of(col: ColView<'x>, base: usize) -> Self {
-        debug_assert_eq!(base % 64, 0, "morsels start on a bitmap word");
-        Part {
-            vals: col.vals,
-            off: base,
-            validity: col.validity,
-        }
-    }
-
-    /// The morsel's validity mask; `None` for a column without nulls.
-    /// `off` is a multiple of 64, so the mask is `WORDS` words of the
-    /// bitmap, zero past its end.
-    #[inline]
-    fn mask(&self) -> Option<Mask> {
-        self.validity
-            .map(|v| std::array::from_fn(|w| v.word(self.off / 64 + w)))
-    }
-
-    /// The integer or decimal codes of a column read in code space.
-    #[inline]
-    fn codes(&self) -> &'x Ints {
-        match self.vals {
-            Vals::Ints(c) | Vals::Decimal(c, _) => c,
-            Vals::F64(_) | Vals::WideDecimal(..) => {
-                unreachable!("code-space columns have a code span")
-            }
-        }
-    }
-
-    /// Row `i`'s numeric value (`None` when null) — the sparse store's
-    /// row-at-a-time measure accessor.
+impl ColView<'_> {
+    /// The numeric value at scan position `j` (`None` when null) — the
+    /// sparse store's row-at-a-time measure accessor.
     #[inline(always)]
-    fn number(&self, i: usize) -> Option<f64> {
-        if self.validity.is_some_and(|v| !v.contains(self.off + i)) {
+    fn number(&self, j: usize) -> Option<f64> {
+        if self.validity.is_some_and(|v| !v.contains(j)) {
             return None;
         }
-        let j = self.off + i;
         Some(match self.vals {
             Vals::F64(d) => d[j],
-            Vals::Ints(c) => c.get(j) as f64,
+            Vals::Int(c) => c.get(j) as f64,
+            Vals::Dict(c) => c.get(j) as f64,
             Vals::Decimal(c, t) => match_ints!(c, v => t.decode(v[j])),
             Vals::WideDecimal(c, scale) => match_ints!(c, v => decode_decimal(v[j], scale)),
         })
     }
 }
 
-/// Runs `$body` with `$src` bound to the `$n` values of a [`Part`] and
-/// `$of` to the function that reads one as an `f64` (as
-/// `Column::numeric_at` does): one monomorphized copy of `$body` per
-/// payload type.
+/// Runs `$body` once per width of `$codes`, with `$src` bound to the codes
+/// at scan positions `$base..$base + $n` and `$of`, if named, to `$read`.
+macro_rules! per_width {
+    ($codes:expr, $base:expr, $n:expr, $src:ident; $body:expr) => {
+        match_ints!($codes, v => {
+            let $src = &v[$base..$base + $n];
+            $body
+        })
+    };
+    ($codes:expr, $base:expr, $n:expr, $src:ident, $of:ident = $read:expr; $body:expr) => {
+        per_width!($codes, $base, $n, $src; {
+            let $of = $read;
+            $body
+        })
+    };
+}
+
+/// An integer or dictionary code read as a number: its own value.
+#[inline(always)]
+fn code_value<T: Code>(k: T) -> f64 {
+    k.widen() as f64
+}
+
+/// Runs `$body` with `$src` bound to the values of a column's morsel at
+/// scan positions `$base..$base + $n` and `$of` to the function that reads
+/// one as an `f64` (as `Column::numeric_at` does): one monomorphized copy
+/// of `$body` per payload type.
 macro_rules! with_numbers {
-    ($part:expr, $n:expr, |$src:ident, $of:ident| $body:expr) => {{
-        let Part { vals, off, .. } = $part;
-        let end = off + $n;
-        match vals {
+    ($col:expr, $base:expr, $n:expr, |$src:ident, $of:ident| $body:expr) => {
+        match $col.vals {
             Vals::F64(d) => {
-                let $src = &d[off..end];
+                let $src = &d[$base..$base + $n];
                 let $of = |v: f64| v;
                 $body
             }
-            Vals::Ints(c) => match_ints!(c, v => {
-                let $src = &v[off..end];
-                let $of = |k: _| Code::widen(k) as f64;
-                $body
-            }),
-            Vals::Decimal(c, t) => match_ints!(c, v => {
-                let $src = &v[off..end];
-                let $of = |k: _| t.decode(k);
-                $body
-            }),
-            Vals::WideDecimal(c, scale) => match_ints!(c, v => {
-                let $src = &v[off..end];
-                let $of = |k: _| decode_decimal(k, scale);
-                $body
-            }),
-        }
-    }};
-}
-
-/// Runs `$body` with `$src` bound to the `$n` dictionary codes of a
-/// [`Part`], at their stored width.
-macro_rules! with_codes {
-    ($part:expr, $n:expr, |$src:ident| $body:expr) => {{
-        let Part { vals, off, .. } = $part;
-        let end = off + $n;
-        match vals {
-            Vals::Ints(c) => match_ints!(c, v => {
-                let $src = &v[off..end];
-                $body
-            }),
-            Vals::F64(_) | Vals::Decimal(..) | Vals::WideDecimal(..) => {
-                unreachable!("nominal uses are compiled over dictionary codes only")
+            Vals::Int(c) => per_width!(c, $base, $n, $src, $of = code_value; $body),
+            Vals::Dict(c) => per_width!(c, $base, $n, $src, $of = code_value; $body),
+            Vals::Decimal(c, t) => per_width!(c, $base, $n, $src, $of = |k: _| t.decode(k); $body),
+            Vals::WideDecimal(c, s) => {
+                per_width!(c, $base, $n, $src, $of = |k: _| decode_decimal(k, s); $body)
             }
         }
-    }};
+    };
 }
 
-/// Clears every `out` bit of a null row of `part`.
+/// Runs `$body` with `$src` bound to the dictionary codes of a column's
+/// morsel at scan positions `$base..$base + $n`, at their stored width.
+macro_rules! with_codes {
+    ($col:expr, $base:expr, $n:expr, |$src:ident| $body:expr) => {
+        per_width!($col.vals, $base, $n, $src; $body)
+    };
+}
+
+/// Runs `$body` with `$src` bound to the codes of a column read in code
+/// space, at scan positions `$base..$base + $n` and their stored width.
+macro_rules! with_code_vals {
+    ($col:expr, $base:expr, $n:expr, |$src:ident| $body:expr) => {
+        match $col.vals {
+            CodeVals::Int(c) => per_width!(c, $base, $n, $src; $body),
+            CodeVals::Decimal(c) => per_width!(c, $base, $n, $src; $body),
+        }
+    };
+}
+
+/// Clears every `out` bit of a null row of `col`'s morsel at `base..`.
 #[inline]
-fn and_mask(out: &mut Mask, part: &Part<'_>) {
-    if let Some(mask) = part.mask() {
+fn and_mask<V>(out: &mut Mask, col: &ColView<'_, V>, base: usize) {
+    if let Some(mask) = col.mask(base) {
         for w in 0..WORDS {
             out[w] &= mask[w];
         }
@@ -373,23 +363,20 @@ fn eval_filter(f: &BoundFilter<'_>, base: usize, n: usize, out: &mut Mask) {
     match f {
         BoundFilter::Range { col, min, max } => {
             let (min, max) = (*min, *max);
-            let part = Part::of(*col, base);
-            with_numbers!(part, n, |src, of| pack_mask(src, out, |v| {
+            with_numbers!(col, base, n, |src, of| pack_mask(src, out, |v| {
                 let v = of(v);
                 v >= min && v < max
             }));
-            and_mask(out, &part);
+            and_mask(out, col, base);
         }
         BoundFilter::In { col, member } => {
-            let part = Part::of(*col, base);
-            let member = |c: i64| member.get(c as usize).copied().unwrap_or(false);
-            with_codes!(part, n, |src| pack_mask(src, out, |c| member(c.widen())));
-            and_mask(out, &part);
+            let hit = |c: i64| member.get(c as usize).copied().unwrap_or(false);
+            with_codes!(col, base, n, |src| pack_mask(src, out, |c| hit(c.widen())));
+            and_mask(out, col, base);
         }
         BoundFilter::RangeCodes { col, range } => {
-            let part = Part::of(*col, base);
-            match_ints!(part.codes(), v => range_codes(&v[base..base + n], range, out));
-            and_mask(out, &part);
+            with_code_vals!(col, base, n, |src| range_codes(src, range, out));
+            and_mask(out, col, base);
         }
         BoundFilter::And(children) => {
             *out = [u64::MAX; WORDS];
@@ -450,15 +437,14 @@ fn dense_slots(dims: &[BoundDim<'_>], base: usize, n: usize, slots: &mut [u32], 
         dict_len: stride,
     }, BoundDim::Nominal { col: c1, .. }] = dims
     {
-        let (p0, p1) = (Part::of(*c0, base), Part::of(*c1, base));
         let stride = (*stride).max(1);
-        with_codes!(p0, n, |s0| with_codes!(p1, n, |s1| {
+        with_codes!(c0, base, n, |s0| with_codes!(c1, base, n, |s1| {
             for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
                 *slot = Code::widen(a) as u32 + Code::widen(b) as u32 * stride;
             }
         }));
-        and_mask(valid, &p0);
-        and_mask(valid, &p1);
+        and_mask(valid, c0, base);
+        and_mask(valid, c1, base);
         return;
     }
 
@@ -482,9 +468,10 @@ fn dense_slots(dims: &[BoundDim<'_>], base: usize, n: usize, slots: &mut [u32], 
         }
         match dim {
             BoundDim::Nominal { col, dict_len } => {
-                let part = Part::of(*col, base);
-                with_codes!(part, n, |src| slot_span!(src, |c: _| Code::widen(c) as u32));
-                and_mask(valid, &part);
+                with_codes!(col, base, n, |src| {
+                    slot_span!(src, |c: _| Code::widen(c) as u32)
+                });
+                and_mask(valid, col, base);
                 stride *= (*dict_len).max(1);
             }
             BoundDim::WidthCodes { col, slots: t, len } => {
@@ -494,9 +481,10 @@ fn dense_slots(dims: &[BoundDim<'_>], base: usize, n: usize, slots: &mut [u32], 
                     let i = k.wrapping_sub(t.lo) as usize;
                     t.slots.get(i).copied().unwrap_or(t.neg_zero)
                 };
-                let part = Part::of(*col, base);
-                match_ints!(part.codes(), v => slot_span!(&v[base..base + n], |k| slot_of(Code::widen(k))));
-                and_mask(valid, &part);
+                with_code_vals!(col, base, n, |src| {
+                    slot_span!(src, |k| slot_of(Code::widen(k)))
+                });
+                and_mask(valid, col, base);
                 stride *= (*len).max(1);
             }
             BoundDim::Width {
@@ -507,9 +495,8 @@ fn dense_slots(dims: &[BoundDim<'_>], base: usize, n: usize, slots: &mut [u32], 
             } => {
                 let (lo, len) = dense.expect("dense path requires bounded bucket space");
                 let slot_of = DenseWidth::slot_of(lo, len, *width, *anchor);
-                let part = Part::of(*col, base);
-                with_numbers!(part, n, |src, of| slot_span!(src, |v| slot_of(of(v))));
-                and_mask(valid, &part);
+                with_numbers!(col, base, n, |src, of| slot_span!(src, |v| slot_of(of(v))));
+                and_mask(valid, col, base);
                 stride *= len.max(1);
             }
         }
@@ -541,9 +528,8 @@ fn sparse_keys(
         }
         match dim {
             BoundDim::Nominal { col, .. } => {
-                let part = Part::of(*col, base);
-                with_codes!(part, n, |src| key_span!(src, |c: _| Code::widen(c)));
-                and_mask(valid, &part);
+                with_codes!(col, base, n, |src| key_span!(src, |c: _| Code::widen(c)));
+                and_mask(valid, col, base);
             }
             BoundDim::WidthCodes { .. } => {
                 unreachable!("code-space slotting is planned for dense accumulation only")
@@ -553,9 +539,8 @@ fn sparse_keys(
             } => {
                 let (anchor, width) = (*anchor, *width);
                 let key_of = move |v: f64| ((v - anchor) / width).floor() as i64;
-                let part = Part::of(*col, base);
-                with_numbers!(part, n, |src, of| key_span!(src, |v| key_of(of(v))));
-                and_mask(valid, &part);
+                with_numbers!(col, base, n, |src, of| key_span!(src, |v| key_of(of(v))));
+                and_mask(valid, col, base);
             }
         }
     }
@@ -763,15 +748,14 @@ impl BatchAcc {
                 // measure) the update sequence stays exactly row order.
                 let nmeasures = self.nmeasures;
                 let slots = &self.slots;
-                // A flat measure-update pass over the column of `$part`:
+                // A flat measure-update pass over the column `$col`:
                 // walk the live rows (AND-ing the column's validity mask) and
                 // fold each value into the row's bin accumulator with
                 // `$update`.
                 macro_rules! measure_pass {
-                    ($m:expr, $part:expr, $update:ident) => {{
-                        let part = $part;
-                        let mask = part.mask().unwrap_or(ONES);
-                        with_numbers!(part, n, |src, of| for w in 0..WORDS {
+                    ($m:expr, $col:expr, $update:ident) => {{
+                        let mask = $col.mask(base).unwrap_or(ONES);
+                        with_numbers!($col, base, n, |src, of| for w in 0..WORDS {
                             let mut bits = live[w] & mask[w];
                             if bits == u64::MAX {
                                 // Full word: straight-line row loop, same
@@ -795,11 +779,10 @@ impl BatchAcc {
                     let (Some(col), Some(stats)) = (col, self.stats[m]) else {
                         continue;
                     };
-                    let part = Part::of(*col, base);
                     match stats {
-                        Stats::Moments => measure_pass!(m, part, update_moments),
-                        Stats::Min => measure_pass!(m, part, update_min),
-                        Stats::Max => measure_pass!(m, part, update_max),
+                        Stats::Moments => measure_pass!(m, col, update_moments),
+                        Stats::Min => measure_pass!(m, col, update_min),
+                        Stats::Max => measure_pass!(m, col, update_max),
                     }
                 }
             }
@@ -808,11 +791,6 @@ impl BatchAcc {
                 let two_d = bound.dims.len() == 2;
                 let nmeasures = self.nmeasures;
                 let stats = &self.stats;
-                let parts: Vec<Option<Part<'_>>> = bound
-                    .measures
-                    .iter()
-                    .map(|c| c.map(|c| Part::of(c, base)))
-                    .collect();
                 // Consecutive rows often land in the same bin; memoize the
                 // last slot to skip the hash probe.
                 let mut last: Option<((i64, i64), u32)> = None;
@@ -841,8 +819,8 @@ impl BatchAcc {
                         };
                         let acc = &mut accs[slot as usize].1;
                         acc.count += 1;
-                        for (m, part) in parts.iter().enumerate() {
-                            let v = part.as_ref().and_then(|p| p.number(i));
+                        for (m, col) in bound.measures.iter().enumerate() {
+                            let v = col.as_ref().and_then(|c| c.number(base + i));
                             if let (Some(stats), Some(v)) = (stats[m], v) {
                                 acc.measures[m].update_stats(stats, v);
                             }

@@ -28,10 +28,13 @@
 //! - [`batch`]: fixed-size morsel kernels (filter → bitmask built a 64-row
 //!   word at a time, batched bin slot computation, bulk accumulation) and
 //!   the dense flat-array / sparse hashed accumulators. Narrow payloads
-//!   (see [`idebench_storage::encoding`]) are read as stored: ranges and
-//!   dense bucketings compare or look up codes, IN lists and nominal
-//!   binnings read `u8`/`u16` dictionary codes in place, and measures
-//!   decode only the codes of matched rows. Every column is read in place:
+//!   (see [`idebench_storage::encoding`]) are read as stored, typed by
+//!   role — `DictCodes` (`u8`/`u16`/`u32`), `IntValues` (`u8`/`u16`/`i64`)
+//!   and `DecimalCodes` (`u16`/`i16`/`i32`) — so each kernel is compiled
+//!   once per width its column can hold: ranges and dense bucketings
+//!   compare or look up codes, IN lists and nominal binnings read
+//!   dictionary codes in place, and measures decode only the codes of
+//!   matched rows. Every column is read in place:
 //!   nullable ones AND their validity bitmap into the morsel masks a word
 //!   at a time, decimals too wide for a decode table decode by division,
 //!   and star-schema dimension attributes read their shared fact-ordered

@@ -54,7 +54,9 @@
 use crate::shuffle::Shuffle;
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
 use idebench_storage::encoding::{decimal_scale, DecodeTable, MAX_DECODE_TABLE};
-use idebench_storage::{Column, ColumnData, DataType, Dataset, Ints, SelVec, Table};
+use idebench_storage::{
+    Column, ColumnData, DataType, Dataset, DecimalCodes, DictCodes, IntValues, Ints, SelVec, Table,
+};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -183,49 +185,82 @@ impl PlannedColumn {
         }
     }
 
-    /// The column as the morsel kernels read it (see [`ColView`]).
+    /// The column read as numbers (see [`ColView`]).
     #[inline]
     pub(crate) fn view(&self) -> ColView<'_> {
+        self.view_as(|col| match col.data() {
+            ColumnData::Float(d) => Vals::F64(d),
+            ColumnData::Int(c) => Vals::Int(c),
+            ColumnData::Nominal(c, _) => Vals::Dict(c),
+            ColumnData::Decimal(c, exp) => match col.decode_table() {
+                Some(t) => Vals::Decimal(c, t),
+                None => Vals::WideDecimal(c, decimal_scale(*exp)),
+            },
+        })
+    }
+
+    /// The dictionary codes of a column a nominal use reads.
+    #[inline]
+    pub(crate) fn dict_view(&self) -> ColView<'_, &DictCodes> {
+        self.view_as(|col| match col.data() {
+            ColumnData::Nominal(c, _) => c,
+            _ => unreachable!("nominal uses are compiled over dictionary columns only"),
+        })
+    }
+
+    /// The codes of a column read in code space ([`Access::Codes`]).
+    #[inline]
+    pub(crate) fn code_view(&self) -> ColView<'_, CodeVals<'_>> {
+        self.view_as(|col| match col.data() {
+            ColumnData::Int(c) => CodeVals::Int(c),
+            ColumnData::Decimal(c, _) => CodeVals::Decimal(c),
+            _ => unreachable!("code-space columns are narrow ints or decimals"),
+        })
+    }
+
+    #[inline]
+    fn view_as<'a, V>(&'a self, vals: impl FnOnce(&'a Column) -> V) -> ColView<'a, V> {
         let payload = self.payload();
         ColView {
-            vals: Vals::of(payload),
+            vals: vals(payload),
             validity: payload.validity(),
         }
     }
 }
 
-/// A payload's values as the morsel kernels read them, by scan position.
+/// A payload's values as the morsel kernels read them as numbers, by scan
+/// position (as `Column::numeric_at` does).
 #[derive(Clone, Copy)]
 pub(crate) enum Vals<'a> {
     /// Plain floats.
     F64(&'a [f64]),
-    /// Integers or dictionary codes at their stored width, read widened.
-    Ints(&'a Ints),
+    /// Integers at their stored width, read widened.
+    Int(&'a IntValues),
+    /// Dictionary codes at their stored width, each read as its own value.
+    Dict(&'a DictCodes),
     /// Decimal codes, read through the column's cached decode table.
-    Decimal(&'a Ints, &'a DecodeTable),
+    Decimal(&'a DecimalCodes, &'a DecodeTable),
     /// Decimal codes spanning too many values for a decode table, decoded
     /// by division by the scale.
-    WideDecimal(&'a Ints, f64),
+    WideDecimal(&'a DecimalCodes, f64),
 }
 
-impl<'a> Vals<'a> {
-    fn of(col: &'a Column) -> Self {
-        match col.data() {
-            ColumnData::Float(d) => Vals::F64(d),
-            ColumnData::Int(c) | ColumnData::Nominal(c, _) => Vals::Ints(c),
-            ColumnData::Decimal(c, exp) => match col.decode_table() {
-                Some(t) => Vals::Decimal(c, t),
-                None => Vals::WideDecimal(c, decimal_scale(*exp)),
-            },
-        }
-    }
-}
-
-/// A column as the morsel kernels consume it: its payload in place, and
-/// its validity bitmap when it has nulls (null rows hold placeholders).
+/// The codes of a column read in code space, at their stored width.
 #[derive(Clone, Copy)]
-pub(crate) struct ColView<'a> {
-    pub vals: Vals<'a>,
+pub(crate) enum CodeVals<'a> {
+    /// Integers, whose codes are their values.
+    Int(&'a IntValues),
+    /// Decimal codes.
+    Decimal(&'a DecimalCodes),
+}
+
+/// A column as the morsel kernels consume it: its payload in place, typed
+/// by use (`V`: [`Vals`] for numbers, `&DictCodes` for nominal uses,
+/// [`CodeVals`] in code space), and its validity bitmap when it has nulls
+/// (null rows hold placeholders).
+#[derive(Clone, Copy)]
+pub(crate) struct ColView<'a, V = Vals<'a>> {
+    pub vals: V,
     pub validity: Option<&'a SelVec>,
 }
 
@@ -297,17 +332,6 @@ impl PlannedFilter {
         })
     }
 
-    fn joined_columns(&self) -> usize {
-        match self {
-            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => {
-                usize::from(col.is_joined())
-            }
-            PlannedFilter::And(children) | PlannedFilter::Or(children) => {
-                children.iter().map(PlannedFilter::joined_columns).sum()
-            }
-        }
-    }
-
     /// Builds the code-space lowering of every range read as codes.
     fn lower_ranges(&mut self) {
         match self {
@@ -340,25 +364,30 @@ impl PlannedFilter {
         }
     }
 
-    fn for_each_col(&self, f: &mut impl FnMut(&PlannedColumn)) {
+    /// Appends the filter's columns to `out`, in tree order.
+    fn columns<'p>(&'p self, out: &mut Vec<&'p PlannedColumn>) {
         match self {
-            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
+            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => out.push(col),
             PlannedFilter::And(children) | PlannedFilter::Or(children) => {
-                for c in children {
-                    c.for_each_col(f);
-                }
+                children.iter().for_each(|c| c.columns(out))
             }
         }
     }
+}
 
-    fn width_units(&self) -> f64 {
-        match self {
-            PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => col.width_units(),
-            PlannedFilter::And(children) | PlannedFilter::Or(children) => {
-                children.iter().map(PlannedFilter::width_units).sum()
-            }
-        }
+/// Every column use of a plan: its dimensions', its filter's, then its
+/// measures'.
+fn planned_columns<'p>(
+    dims: &'p [PlannedDim],
+    filter: Option<&'p PlannedFilter>,
+    measures: &'p [Option<PlannedColumn>],
+) -> Vec<&'p PlannedColumn> {
+    let mut cols: Vec<&PlannedColumn> = dims.iter().map(PlannedDim::col).collect();
+    if let Some(f) = filter {
+        f.columns(&mut cols);
     }
+    cols.extend(measures.iter().flatten());
+    cols
 }
 
 /// Dense lowering of a fixed-width bucketing: column min/max statistics
@@ -447,7 +476,7 @@ impl<'a> CodeSpan<'a> {
     fn covers(col: &Column) -> bool {
         match col.data() {
             ColumnData::Decimal(..) => col.decode_table().is_some(),
-            ColumnData::Int(Ints::U8(_) | Ints::U16(_)) => col
+            ColumnData::Int(Ints::Narrow(_) | Ints::Mid(_)) => col
                 .numeric_min_max()
                 .is_some_and(|(min, max)| max - min < MAX_DECODE_TABLE as f64),
             _ => false,
@@ -598,16 +627,9 @@ impl CompiledPlan {
 
         let acc_mode = Self::pick_acc_mode(&dims);
         Self::plan_access(dataset, &mut filter, &mut dims, &mut measures, acc_mode);
-        let joined_columns = dims.iter().filter(|d| d.col().is_joined()).count()
-            + filter.as_ref().map_or(0, PlannedFilter::joined_columns)
-            + measures.iter().flatten().filter(|m| m.is_joined()).count();
-        let width_units = dims.iter().map(|d| d.col().width_units()).sum::<f64>()
-            + filter.as_ref().map_or(0.0, PlannedFilter::width_units)
-            + measures
-                .iter()
-                .flatten()
-                .map(PlannedColumn::width_units)
-                .sum::<f64>();
+        let cols = planned_columns(&dims, filter.as_ref(), &measures);
+        let joined_columns = cols.iter().filter(|c| c.is_joined()).count();
+        let width_units = cols.iter().map(|c| c.width_units()).sum();
         let fact_arity = match dataset {
             Dataset::Denormalized(t) => t.num_columns(),
             Dataset::Star(s) => s.fact().num_columns(),
@@ -816,22 +838,13 @@ impl CompiledPlan {
     pub fn bytes_per_row(&self) -> f64 {
         let mut seen: Vec<*const ColumnData> = Vec::new();
         let mut total = 0.0;
-        let mut add = |c: &Column| {
+        for col in planned_columns(&self.dims, self.filter.as_ref(), &self.measures) {
+            let c = col.payload();
             if !seen.contains(&(c.data() as *const _)) {
                 seen.push(c.data());
                 let validity = if c.validity().is_some() { 0.125 } else { 0.0 };
                 total += c.data().row_width() as f64 + validity;
             }
-        };
-        let mut planned = |col: &PlannedColumn| add(col.payload());
-        for dim in &self.dims {
-            planned(dim.col());
-        }
-        if let Some(f) = &self.filter {
-            f.for_each_col(&mut planned);
-        }
-        for m in self.measures.iter().flatten() {
-            planned(m);
         }
         total
     }
@@ -1129,7 +1142,10 @@ mod tests {
         assert_eq!(col.access, Access::Direct);
         let mat = col.materialized.as_ref().expect("materialized column");
         assert_eq!(&*mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
-        assert!(matches!(mat.data(), ColumnData::Nominal(Ints::U8(_), _)));
+        assert!(matches!(
+            mat.data(),
+            ColumnData::Nominal(Ints::Narrow(_), _)
+        ));
         assert_eq!(plan.measures[0].as_ref().unwrap().access, Access::Codes);
         // The cost model still bills the logical join.
         assert_eq!(plan.joined_columns(), 1);
@@ -1283,7 +1299,7 @@ mod tests {
         }
         let ds = Dataset::Denormalized(Arc::new(b.finish()));
         let m = ds.as_denormalized().unwrap().column_at(1);
-        assert!(matches!(m.data(), ColumnData::Int(Ints::U8(_))));
+        assert!(matches!(m.data(), ColumnData::Int(Ints::Narrow(_))));
         assert!(m.validity().is_some() && m.numeric_min_max() == Some((11.0, 19.0)));
         let spec = VizSpec::new(
             "v",
@@ -1333,7 +1349,7 @@ mod tests {
         }
         let ds = Dataset::Denormalized(Arc::new(b.finish()));
         let col = ds.as_denormalized().unwrap().column_at(0);
-        assert!(matches!(col.data(), ColumnData::Decimal(Ints::I32(_), 0)));
+        assert!(matches!(col.data(), ColumnData::Decimal(Ints::Wide(_), 0)));
         assert!(col.decode_table().is_none());
         let spec = VizSpec::new(
             "v",

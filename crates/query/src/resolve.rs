@@ -2,7 +2,7 @@
 //! dataset storage, following star-schema foreign keys when necessary.
 
 use idebench_core::{CoreError, Query};
-use idebench_storage::{Column, ColumnData, Dataset, Ints};
+use idebench_storage::{Column, ColumnData, Dataset, IntValues};
 
 /// A query column bound to physical storage.
 ///
@@ -13,7 +13,7 @@ use idebench_storage::{Column, ColumnData, Dataset, Ints};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedColumn<'a> {
     column: &'a Column,
-    fk: Option<&'a Ints>,
+    fk: Option<&'a IntValues>,
 }
 
 impl<'a> ResolvedColumn<'a> {

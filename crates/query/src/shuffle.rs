@@ -151,7 +151,7 @@ fn gather_copy(pool: &ScanPool, helpers: usize, col: &Column, order: &[u32]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idebench_storage::{ColumnData, DataType, Ints, SelVec, Table, TableBuilder};
+    use idebench_storage::{Code, ColumnData, DataType, Ints, SelVec, Table, TableBuilder};
 
     fn dataset(n: usize) -> Dataset {
         let mut b = TableBuilder::with_fields("t", &[("x", DataType::Float)]);
@@ -236,9 +236,9 @@ mod tests {
         col
     }
 
-    /// Every payload a copy can hold: plain floats (a NaN, both zeros),
-    /// integers at every width, decimal codes at each width the encoding
-    /// writes, and dictionary codes at each width.
+    /// Every payload a copy can hold: plain floats (a NaN, both zeros), and
+    /// integers, decimal codes and dictionary codes each at the three
+    /// widths of its role.
     fn payloads(n: usize) -> Vec<ColumnData> {
         let dict = Arc::new(idebench_storage::Dictionary::from_values(
             (0..70_000).map(|i| format!("v{i}")),
@@ -254,35 +254,33 @@ mod tests {
             .collect();
         vec![
             ColumnData::Float(floats),
-            ColumnData::Int(Ints::U8((0..n).map(|i| k(i, 256) as u8).collect())),
-            ColumnData::Int(Ints::U16((0..n).map(|i| k(i, 65_536) as u16).collect())),
-            ColumnData::Int(Ints::U32((0..n).map(|i| k(i, 1 << 20) as u32).collect())),
-            ColumnData::Int(Ints::I16((0..n).map(|i| k(i, 60_000) as i16).collect())),
-            ColumnData::Int(Ints::I32(
-                (0..n).map(|i| k(i, 1 << 20) as i32 - 9).collect(),
-            )),
-            ColumnData::Int(Ints::I64(
+            ColumnData::Int(Ints::Narrow((0..n).map(|i| k(i, 256) as u8).collect())),
+            ColumnData::Int(Ints::Mid((0..n).map(|i| k(i, 65_536) as u16).collect())),
+            ColumnData::Int(Ints::Wide(
                 (0..n).map(|i| k(i, 1 << 40) as i64 - 99).collect(),
             )),
-            ColumnData::Decimal(Ints::U16((0..n).map(|i| k(i, 60_000) as u16).collect()), 2),
             ColumnData::Decimal(
-                Ints::I16((0..n).map(|i| k(i, 600) as i16 - 300).collect()),
+                Ints::Narrow((0..n).map(|i| k(i, 60_000) as u16).collect()),
+                2,
+            ),
+            ColumnData::Decimal(
+                Ints::Mid((0..n).map(|i| k(i, 600) as i16 - 300).collect()),
                 1,
             ),
             ColumnData::Decimal(
-                Ints::I32((0..n).map(|i| k(i, 1 << 20) as i32 - 7).collect()),
+                Ints::Wide((0..n).map(|i| k(i, 1 << 20) as i32 - 7).collect()),
                 4,
             ),
             ColumnData::Nominal(
-                Ints::U8((0..n).map(|i| k(i, 200) as u8).collect()),
+                Ints::Narrow((0..n).map(|i| k(i, 200) as u8).collect()),
                 Arc::clone(&dict),
             ),
             ColumnData::Nominal(
-                Ints::U16((0..n).map(|i| k(i, 60_000) as u16).collect()),
+                Ints::Mid((0..n).map(|i| k(i, 60_000) as u16).collect()),
                 Arc::clone(&dict),
             ),
             ColumnData::Nominal(
-                Ints::U32((0..n).map(|i| k(i, 70_000) as u32).collect()),
+                Ints::Wide((0..n).map(|i| k(i, 70_000) as u32).collect()),
                 dict,
             ),
         ]
@@ -290,11 +288,14 @@ mod tests {
 
     /// A payload as bit patterns: floats by `to_bits`, codes widened.
     fn payload_bits(c: &Column) -> (usize, Vec<u64>) {
+        fn widened<N: Code, M: Code, W: Code>(k: &Ints<N, M, W>) -> Vec<u64> {
+            idebench_storage::match_ints!(k, v => v.iter().map(|&c| c.widen() as u64).collect())
+        }
         let bits = match c.data() {
             ColumnData::Float(v) => v.iter().map(|x| x.to_bits()).collect(),
-            ColumnData::Decimal(k, _) | ColumnData::Int(k) | ColumnData::Nominal(k, _) => {
-                (0..k.len()).map(|i| k.get(i) as u64).collect()
-            }
+            ColumnData::Decimal(k, _) => widened(k),
+            ColumnData::Int(k) => widened(k),
+            ColumnData::Nominal(k, _) => widened(k),
         };
         (c.data().row_width(), bits)
     }

@@ -17,12 +17,12 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Quantitative floats stored as scaled decimal codes with exponent
     /// `e`: code `k` reads as [`encoding::decode_decimal`]`(k, 10^e)`.
-    Decimal(Ints, u8),
+    Decimal(encoding::DecimalCodes, u8),
     /// Integer keys and discrete values: `i64` plain, `u8`/`u16` narrow.
-    Int(Ints),
+    Int(encoding::IntValues),
     /// Dictionary codes into the shared [`Dictionary`]: `u32` plain,
     /// `u8`/`u16` narrow.
-    Nominal(Ints, Arc<Dictionary>),
+    Nominal(encoding::DictCodes, Arc<Dictionary>),
 }
 
 impl ColumnData {
@@ -39,7 +39,9 @@ impl ColumnData {
     pub fn len(&self) -> usize {
         match self {
             ColumnData::Float(v) => v.len(),
-            ColumnData::Decimal(c, _) | ColumnData::Int(c) | ColumnData::Nominal(c, _) => c.len(),
+            ColumnData::Decimal(c, _) => c.len(),
+            ColumnData::Int(c) => c.len(),
+            ColumnData::Nominal(c, _) => c.len(),
         }
     }
 
@@ -52,7 +54,9 @@ impl ColumnData {
     pub fn row_width(&self) -> usize {
         match self {
             ColumnData::Float(_) => 8,
-            ColumnData::Decimal(c, _) | ColumnData::Int(c) | ColumnData::Nominal(c, _) => c.width(),
+            ColumnData::Decimal(c, _) => c.width(),
+            ColumnData::Int(c) => c.width(),
+            ColumnData::Nominal(c, _) => c.width(),
         }
     }
 
@@ -67,8 +71,8 @@ impl ColumnData {
             ColumnData::Float(v) => {
                 encoding::encode_floats(v).map(|(codes, exp)| ColumnData::Decimal(codes, exp))
             }
-            ColumnData::Int(Ints::I64(v)) => encoding::narrow_ints(v).map(ColumnData::Int),
-            ColumnData::Nominal(Ints::U32(c), d) => {
+            ColumnData::Int(Ints::Wide(v)) => encoding::narrow_ints(v).map(ColumnData::Int),
+            ColumnData::Nominal(Ints::Wide(c), d) => {
                 encoding::narrow_codes(c, d.len()).map(|c| ColumnData::Nominal(c, Arc::clone(d)))
             }
             _ => None,
@@ -80,9 +84,9 @@ impl ColumnData {
     fn logically_eq(&self, other: &ColumnData) -> bool {
         match (self, other) {
             (ColumnData::Nominal(a, da), ColumnData::Nominal(b, db)) => {
-                da == db && a.to_u32() == b.to_u32()
+                da == db && a.widened() == b.widened()
             }
-            (ColumnData::Int(a), ColumnData::Int(b)) => a.to_i64() == b.to_i64(),
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.widened() == b.widened(),
             _ => self.dtype() == DataType::Float && floats(self) == floats(other),
         }
     }
@@ -178,13 +182,13 @@ impl Column {
 
     /// A fully-valid plain integer column.
     pub fn int(values: Vec<i64>) -> Self {
-        Self::new(ColumnData::Int(Ints::I64(values)))
+        Self::new(ColumnData::Int(Ints::Wide(values)))
     }
 
     /// A fully-valid plain nominal column over a shared dictionary.
     pub fn nominal(codes: Vec<u32>, dict: Arc<Dictionary>) -> Self {
         debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len().max(1)));
-        Self::new(ColumnData::Nominal(Ints::U32(codes), dict))
+        Self::new(ColumnData::Nominal(Ints::Wide(codes), dict))
     }
 
     /// The column with its payload in the narrowest lossless encoding
@@ -256,7 +260,7 @@ impl Column {
     /// plain); `None` for non-int columns.
     pub fn as_int(&self) -> Option<Cow<'_, [i64]>> {
         match &*self.data {
-            ColumnData::Int(v) => Some(v.to_i64()),
+            ColumnData::Int(v) => Some(v.widened()),
             _ => None,
         }
     }
@@ -265,7 +269,7 @@ impl Column {
     /// plain), plus the dictionary; `None` for non-nominal columns.
     pub fn as_nominal(&self) -> Option<(Cow<'_, [u32]>, &Arc<Dictionary>)> {
         match &*self.data {
-            ColumnData::Nominal(v, d) => Some((v.to_u32(), d)),
+            ColumnData::Nominal(v, d) => Some((v.widened(), d)),
             _ => None,
         }
     }
@@ -284,7 +288,8 @@ impl Column {
             ColumnData::Decimal(c, exp) => {
                 match_ints!(c, v => decode_decimal(v[i], decimal_scale(*exp)))
             }
-            ColumnData::Int(c) | ColumnData::Nominal(c, _) => c.get(i) as f64,
+            ColumnData::Int(c) => c.get(i) as f64,
+            ColumnData::Nominal(c, _) => c.get(i) as f64,
         })
     }
 
@@ -320,7 +325,8 @@ impl Column {
         *self.bounds.get_or_init(|| match &*self.data {
             ColumnData::Float(_) => None,
             ColumnData::Decimal(c, _) => Some(CodeBounds::of(c, true)),
-            ColumnData::Int(c) | ColumnData::Nominal(c, _) => Some(CodeBounds::of(c, false)),
+            ColumnData::Int(c) => Some(CodeBounds::of(c, false)),
+            ColumnData::Nominal(c, _) => Some(CodeBounds::of(c, false)),
         })
     }
 
@@ -343,7 +349,8 @@ impl Column {
                 let scale = decimal_scale(*exp);
                 match_ints!(c, v => walk!(v, |k| decode_decimal(k, scale)))
             }
-            ColumnData::Int(c) | ColumnData::Nominal(c, _) => {
+            ColumnData::Int(c) => match_ints!(c, v => walk!(v, |k: _| Code::widen(k) as f64)),
+            ColumnData::Nominal(c, _) => {
                 match_ints!(c, v => walk!(v, |k: _| Code::widen(k) as f64))
             }
         }
@@ -490,9 +497,9 @@ impl Column {
     fn gathered(&self, rows: &impl Gather) -> (ColumnData, Option<Arc<SelVec>>) {
         let data = match &*self.data {
             ColumnData::Float(v) => ColumnData::Float(rows.values(v)),
-            ColumnData::Decimal(c, exp) => ColumnData::Decimal(gather_ints(c, rows), *exp),
-            ColumnData::Int(c) => ColumnData::Int(gather_ints(c, rows)),
-            ColumnData::Nominal(c, d) => ColumnData::Nominal(gather_ints(c, rows), Arc::clone(d)),
+            ColumnData::Decimal(c, exp) => ColumnData::Decimal(rows.codes(c), *exp),
+            ColumnData::Int(c) => ColumnData::Int(rows.codes(c)),
+            ColumnData::Nominal(c, d) => ColumnData::Nominal(rows.codes(c), Arc::clone(d)),
         };
         let validity = self
             .validity
@@ -515,16 +522,19 @@ fn gather_into<T: Copy>(src: &[T], rows: impl Iterator<Item = usize>, out: &mut 
     }
 }
 
-/// Codes gathered at the same width.
-fn gather_ints(codes: &Ints, rows: &impl Gather) -> Ints {
-    match_ints!(codes, v => Ints::from(rows.values(v)))
-}
-
 /// The output positions of a gather and how they are filled: in one pass
 /// ([`Whole`]) or in disjoint parts ([`Parts`]).
 trait Gather {
     /// The gathered elements of `src`.
     fn values<T: Copy + Default + Send + Sync>(&self, src: &[T]) -> Vec<T>;
+    /// The gathered codes of `src`, at its width.
+    fn codes<N: Code, M: Code, W: Code>(&self, src: &Ints<N, M, W>) -> Ints<N, M, W> {
+        match src {
+            Ints::Narrow(v) => Ints::Narrow(self.values(v)),
+            Ints::Mid(v) => Ints::Mid(self.values(v)),
+            Ints::Wide(v) => Ints::Wide(self.values(v)),
+        }
+    }
     /// The gathered bits of `src`.
     fn validity(&self, src: &SelVec) -> SelVec;
 }
@@ -644,7 +654,7 @@ mod tests {
         let narrow = plain.clone().narrowed();
         assert!(matches!(
             narrow.data(),
-            ColumnData::Decimal(Ints::U16(_), 2)
+            ColumnData::Decimal(Ints::Narrow(_), 2)
         ));
         assert_eq!(narrow, plain);
         let bits = |c: &Column| -> Vec<u64> {
@@ -655,10 +665,13 @@ mod tests {
         assert_eq!(narrow.byte_size(), 4 * 2);
 
         let ints = Column::int(vec![3, 250]).narrowed();
-        assert!(matches!(ints.data(), ColumnData::Int(Ints::U8(_))));
+        assert!(matches!(ints.data(), ColumnData::Int(Ints::Narrow(_))));
         assert_eq!(&*ints.as_int().unwrap(), &[3, 250]);
         let codes = Column::nominal(vec![2, 0], dict()).narrowed();
-        assert!(matches!(codes.data(), ColumnData::Nominal(Ints::U8(_), _)));
+        assert!(matches!(
+            codes.data(),
+            ColumnData::Nominal(Ints::Narrow(_), _)
+        ));
         assert_eq!(codes, Column::nominal(vec![2, 0], dict()));
         assert_ne!(codes, Column::nominal(vec![2, 1], dict()));
 
@@ -685,7 +698,7 @@ mod tests {
             .narrowed()
             .with_validity(v);
         let t = c.take([3, 1, 0]);
-        assert!(matches!(t.data(), ColumnData::Int(Ints::U8(_))));
+        assert!(matches!(t.data(), ColumnData::Int(Ints::Narrow(_))));
         assert_eq!(&*t.as_int().unwrap(), &[40, 20, 10]);
         assert!(t.is_valid(0));
         assert!(!t.is_valid(1));

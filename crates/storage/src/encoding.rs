@@ -5,11 +5,15 @@
 //! payload looks like. Where the values allow, the payload is narrower
 //! than the logical type:
 //!
-//! | logical type | plain payload | narrow payloads | chosen when |
-//! |---|---|---|---|
-//! | nominal | `u32` codes | `u8`, `u16` codes | the dictionary has ≤ 256 / ≤ 65 536 entries |
-//! | int | `i64` | `u8`, `u16` | every value lies in `0..=255` / `0..=65 535` |
-//! | float | `f64` | scaled decimal: `u16`, `i16` or `i32` code `k` with exponent `e`, read as `k as f64 / 10^e` | every value round-trips bit for bit |
+//! | logical type | payload type | plain payload | narrow payloads | chosen when |
+//! |---|---|---|---|---|
+//! | nominal | [`DictCodes`] | `u32` codes | `u8`, `u16` codes | the dictionary has ≤ 256 / ≤ 65 536 entries |
+//! | int | [`IntValues`] | `i64` | `u8`, `u16` | every value lies in `0..=255` / `0..=65 535` |
+//! | float | `f64`, or [`DecimalCodes`] | `f64` | scaled decimal: `u16`, `i16` or `i32` code `k` with exponent `e`, read as `k as f64 / 10^e` | every value round-trips bit for bit |
+//!
+//! Each payload type is an [`Ints`] over its role's three widths, so it
+//! admits only the widths the chooser writes for that role, and a kernel
+//! over one ([`match_ints!`](crate::match_ints)) is compiled once per such width.
 //!
 //! Every encoding is exact. A float column is encoded only when, for one
 //! exponent `e ≤` [`MAX_DECIMAL_EXP`], an encode → decode → `to_bits`
@@ -42,7 +46,7 @@ pub fn decimal_scale(exp: u8) -> f64 {
 }
 
 /// An integer element type of a narrow payload.
-pub trait Code: Copy + Ord + Into<i64> + TryFrom<i64> + Send + Sync + 'static {
+pub trait Code: Copy + Default + Ord + Into<i64> + TryFrom<i64> + Send + Sync + 'static {
     /// The code a decimal payload reserves for `-0.0`.
     const NEG_ZERO: Self;
     /// The type's smallest value.
@@ -95,51 +99,56 @@ pub(crate) fn encode_decimal<T: Code>(v: f64, exp: u8) -> Option<T> {
     (decode_decimal(code, scale).to_bits() == v.to_bits()).then_some(code)
 }
 
-/// A vector of integers stored at one element width.
+/// A vector of integers at one of the three widths [`crate::encoding`] may
+/// choose for one role ([`DictCodes`], [`IntValues`], [`DecimalCodes`]),
+/// narrowest choice first (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Ints {
-    /// One byte per element.
-    U8(Vec<u8>),
-    /// Two bytes per element.
-    U16(Vec<u16>),
-    /// Four bytes per element (plain dictionary codes).
-    U32(Vec<u32>),
-    /// Two bytes per element, signed (decimal codes).
-    I16(Vec<i16>),
-    /// Four bytes per element, signed (decimal codes).
-    I32(Vec<i32>),
-    /// Eight bytes per element (plain integers).
-    I64(Vec<i64>),
+pub enum Ints<N, M, W> {
+    /// The narrowest choice.
+    Narrow(Vec<N>),
+    /// The middle choice.
+    Mid(Vec<M>),
+    /// The widest choice: the role's plain payload.
+    Wide(Vec<W>),
 }
 
+/// Dictionary codes: `u8` up to 256 entries, `u16` up to 65 536, `u32`
+/// plain.
+pub type DictCodes = Ints<u8, u16, u32>;
+/// Integer values: `u8` or `u16` when every value fits, `i64` plain.
+pub type IntValues = Ints<u8, u16, i64>;
+/// Decimal codes (see the module docs): `u16`, then `i16` (both two
+/// bytes), then `i32`.
+pub type DecimalCodes = Ints<u16, i16, i32>;
+
+/// Dictionary codes from a vector at any of their widths: generators
+/// write codes at the width of their category indexes.
 macro_rules! impl_from_vec {
     ($($t:ty => $variant:ident),*) => {
-        $(impl From<Vec<$t>> for Ints {
-            fn from(v: Vec<$t>) -> Ints {
+        $(impl From<Vec<$t>> for DictCodes {
+            fn from(v: Vec<$t>) -> DictCodes {
                 Ints::$variant(v)
             }
         })*
     };
 }
-impl_from_vec!(u8 => U8, u16 => U16, u32 => U32, i16 => I16, i32 => I32, i64 => I64);
+impl_from_vec!(u8 => Narrow, u16 => Mid, u32 => Wide);
 
 /// Runs `$body` with `$v` bound to the element vector of an [`Ints`],
-/// whatever its width: one monomorphized copy of `$body` per width.
+/// whatever its width: one monomorphized copy of `$body` per width of the
+/// payload's role.
 #[macro_export]
 macro_rules! match_ints {
     ($ints:expr, $v:ident => $body:expr) => {
         match $ints {
-            $crate::Ints::U8($v) => $body,
-            $crate::Ints::U16($v) => $body,
-            $crate::Ints::U32($v) => $body,
-            $crate::Ints::I16($v) => $body,
-            $crate::Ints::I32($v) => $body,
-            $crate::Ints::I64($v) => $body,
+            $crate::Ints::Narrow($v) => $body,
+            $crate::Ints::Mid($v) => $body,
+            $crate::Ints::Wide($v) => $body,
         }
     };
 }
 
-impl Ints {
+impl<N: Code + Into<W>, M: Code + Into<W>, W: Code> Ints<N, M, W> {
     /// Number of elements.
     pub fn len(&self) -> usize {
         match_ints!(self, v => v.len())
@@ -153,10 +162,9 @@ impl Ints {
     /// Bytes per element.
     pub fn width(&self) -> usize {
         match self {
-            Ints::U8(_) => 1,
-            Ints::U16(_) | Ints::I16(_) => 2,
-            Ints::U32(_) | Ints::I32(_) => 4,
-            Ints::I64(_) => 8,
+            Ints::Narrow(_) => size_of::<N>(),
+            Ints::Mid(_) => size_of::<M>(),
+            Ints::Wide(_) => size_of::<W>(),
         }
     }
 
@@ -166,21 +174,13 @@ impl Ints {
         match_ints!(self, v => v[i].widen())
     }
 
-    /// The elements widened to `i64` (borrowed when already `i64`).
-    pub fn to_i64(&self) -> Cow<'_, [i64]> {
+    /// The elements at the role's plain width (borrowed when already
+    /// plain).
+    pub fn widened(&self) -> Cow<'_, [W]> {
         match self {
-            Ints::I64(v) => Cow::Borrowed(v),
-            other => Cow::Owned((0..other.len()).map(|i| other.get(i)).collect()),
-        }
-    }
-
-    /// The elements as `u32` dictionary codes (borrowed when already
-    /// `u32`). Only meaningful for code payloads, whose elements are never
-    /// negative.
-    pub fn to_u32(&self) -> Cow<'_, [u32]> {
-        match self {
-            Ints::U32(v) => Cow::Borrowed(v),
-            other => Cow::Owned((0..other.len()).map(|i| other.get(i) as u32).collect()),
+            Ints::Narrow(v) => Cow::Owned(v.iter().map(|&k| k.into()).collect()),
+            Ints::Mid(v) => Cow::Owned(v.iter().map(|&k| k.into()).collect()),
+            Ints::Wide(v) => Cow::Borrowed(v),
         }
     }
 }
@@ -206,7 +206,7 @@ pub struct CodeBounds {
 impl CodeBounds {
     /// The bounds of `codes`; `decimal` says whether the payload reserves
     /// the `-0.0` code.
-    pub fn of(codes: &Ints, decimal: bool) -> CodeBounds {
+    pub fn of<N: Code, M: Code, W: Code>(codes: &Ints<N, M, W>, decimal: bool) -> CodeBounds {
         // Branch-free reductions in the code's own type, so the loop
         // vectorizes.
         fn scan<T: Code>(v: &[T], decimal: bool) -> CodeBounds {
@@ -285,18 +285,20 @@ impl DecodeTable {
     }
 }
 
+/// `values` at element type `T`, or `None` when one does not fit.
+fn fitted<V: Copy, T: TryFrom<V>>(values: &[V]) -> Option<Vec<T>> {
+    values.iter().map(|&v| T::try_from(v).ok()).collect()
+}
+
 /// Dictionary codes at the narrowest width the dictionary size allows —
 /// `u8` up to 256 entries, `u16` up to 65 536 — or `None` when they stay
 /// plain `u32` (also when a code does not fit, which a valid column never
 /// holds).
-pub(crate) fn narrow_codes(codes: &[u32], dict_len: usize) -> Option<Ints> {
-    fn narrowed<T: TryFrom<u32>>(codes: &[u32]) -> Option<Vec<T>> {
-        codes.iter().map(|&c| T::try_from(c).ok()).collect()
-    }
+pub(crate) fn narrow_codes(codes: &[u32], dict_len: usize) -> Option<DictCodes> {
     if dict_len <= 1 << 8 {
-        narrowed(codes).map(Ints::U8)
+        fitted(codes).map(Ints::Narrow)
     } else if dict_len <= 1 << 16 {
-        narrowed(codes).map(Ints::U16)
+        fitted(codes).map(Ints::Mid)
     } else {
         None
     }
@@ -304,25 +306,16 @@ pub(crate) fn narrow_codes(codes: &[u32], dict_len: usize) -> Option<Ints> {
 
 /// Integers as `u8` or `u16` when every value fits, or `None` when they
 /// stay plain `i64`.
-pub(crate) fn narrow_ints(values: &[i64]) -> Option<Ints> {
-    let (lo, hi) = values
-        .iter()
-        .fold((0i64, 0i64), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    if lo < 0 {
-        None
-    } else if hi <= i64::from(u8::MAX) {
-        Some(Ints::U8(values.iter().map(|&v| v as u8).collect()))
-    } else if hi <= i64::from(u16::MAX) {
-        Some(Ints::U16(values.iter().map(|&v| v as u16).collect()))
-    } else {
-        None
-    }
+pub(crate) fn narrow_ints(values: &[i64]) -> Option<IntValues> {
+    fitted(values)
+        .map(Ints::Narrow)
+        .or_else(|| fitted(values).map(Ints::Mid))
 }
 
 /// The decimal encoding of `values` — codes and exponent — when one
 /// exists (see the module docs); `None` keeps the column plain. Empty
 /// columns stay plain.
-pub(crate) fn encode_floats(values: &[f64]) -> Option<(Ints, u8)> {
+pub(crate) fn encode_floats(values: &[f64]) -> Option<(DecimalCodes, u8)> {
     if values.is_empty() {
         return None;
     }
@@ -343,12 +336,12 @@ pub(crate) fn encode_floats(values: &[f64]) -> Option<(Ints, u8)> {
         let narrow = |neg_zero| move |k: i32| if k == i32::NEG_ZERO { neg_zero } else { k };
         let ints = if lo >= 0 && hi < i32::from(u16::NEG_ZERO) {
             let to = narrow(i32::from(u16::NEG_ZERO));
-            Ints::U16(codes.into_iter().map(|k| to(k) as u16).collect())
+            Ints::Narrow(codes.into_iter().map(|k| to(k) as u16).collect())
         } else if lo > i32::from(i16::NEG_ZERO) && hi <= i32::from(i16::MAX) {
             let to = narrow(i32::from(i16::NEG_ZERO));
-            Ints::I16(codes.into_iter().map(|k| to(k) as i16).collect())
+            Ints::Mid(codes.into_iter().map(|k| to(k) as i16).collect())
         } else {
-            Ints::I32(codes)
+            Ints::Wide(codes)
         };
         return Some((ints, exp));
     }
@@ -359,7 +352,7 @@ pub(crate) fn encode_floats(values: &[f64]) -> Option<(Ints, u8)> {
 mod tests {
     use super::*;
 
-    fn decode_all(ints: &Ints, exp: u8) -> Vec<f64> {
+    fn decode_all(ints: &DecimalCodes, exp: u8) -> Vec<f64> {
         let scale = decimal_scale(exp);
         match_ints!(ints, v => v.iter().map(|&k| decode_decimal(k, scale)).collect())
     }
@@ -373,19 +366,19 @@ mod tests {
         let times = [0.0, 8.25, 23.99, 17.5];
         let (ints, exp) = encode_floats(&times).unwrap();
         assert_eq!((exp, ints.width()), (2, 2));
-        assert!(matches!(ints, Ints::U16(_)));
+        assert!(matches!(ints, Ints::Narrow(_)));
         assert_eq!(bits(&decode_all(&ints, exp)), bits(&times));
 
         let delays = [-4.5, 0.0, -0.0, 668.0, 12.3];
         let (ints, exp) = encode_floats(&delays).unwrap();
         assert_eq!(exp, 1);
-        assert!(matches!(ints, Ints::I16(_)));
+        assert!(matches!(ints, Ints::Mid(_)));
         assert_eq!(bits(&decode_all(&ints, exp)), bits(&delays));
 
         let wide = [-1e5, 1e5];
         let (ints, exp) = encode_floats(&wide).unwrap();
         assert_eq!(exp, 0);
-        assert!(matches!(ints, Ints::I32(_)));
+        assert!(matches!(ints, Ints::Wide(_)));
     }
 
     #[test]
@@ -415,7 +408,7 @@ mod tests {
     #[test]
     fn negative_zero_takes_the_reserved_code() {
         let (ints, exp) = encode_floats(&[-0.0, 1.0]).unwrap();
-        assert_eq!(ints, Ints::U16(vec![u16::MAX, 1]));
+        assert_eq!(ints, Ints::Narrow(vec![u16::MAX, 1]));
         let back = decode_all(&ints, exp);
         assert!(back[0] == 0.0 && back[0].is_sign_negative());
     }
@@ -434,21 +427,55 @@ mod tests {
 
     #[test]
     fn ints_and_codes_narrow_by_range() {
-        assert_eq!(narrow_ints(&[1, 12]), Some(Ints::U8(vec![1, 12])));
-        assert_eq!(narrow_ints(&[0, 300]), Some(Ints::U16(vec![0, 300])));
+        assert_eq!(narrow_ints(&[1, 12]), Some(Ints::Narrow(vec![1, 12])));
+        assert_eq!(narrow_ints(&[0, 300]), Some(Ints::Mid(vec![0, 300])));
         assert_eq!(narrow_ints(&[-1, 3]), None);
         assert_eq!(narrow_ints(&[70_000]), None);
-        assert_eq!(narrow_codes(&[0, 2, 1], 3), Some(Ints::U8(vec![0, 2, 1])));
-        assert_eq!(narrow_codes(&[0, 300], 400), Some(Ints::U16(vec![0, 300])));
+        assert_eq!(
+            narrow_codes(&[0, 2, 1], 3),
+            Some(Ints::Narrow(vec![0, 2, 1]))
+        );
+        assert_eq!(narrow_codes(&[0, 300], 400), Some(Ints::Mid(vec![0, 300])));
         assert_eq!(narrow_codes(&[0, 300], 3), None);
     }
 
     #[test]
     fn ints_views_widen_exactly() {
-        let v = Ints::I16(vec![-3, 7]);
-        assert_eq!(v.get(0), -3);
-        assert_eq!(&*v.to_i64(), &[-3, 7]);
-        assert!(matches!(Ints::U32(vec![4]).to_u32(), Cow::Borrowed(_)));
-        assert_eq!(&*Ints::U8(vec![4]).to_u32(), &[4]);
+        // Each role at each of its three widths: `get` and `widened` read
+        // the same values, borrowed only at the plain width.
+        fn check<N: Code + Into<W>, M: Code + Into<W>, W: Code>(
+            ints: Ints<N, M, W>,
+            width: usize,
+            want: &[i64],
+        ) {
+            assert_eq!((ints.width(), ints.len()), (width, want.len()));
+            assert_eq!(
+                (0..ints.len()).map(|i| ints.get(i)).collect::<Vec<_>>(),
+                want
+            );
+            let wide = ints.widened();
+            assert_eq!(wide.iter().map(|&k| k.widen()).collect::<Vec<_>>(), want);
+            assert_eq!(
+                matches!(wide, Cow::Borrowed(_)),
+                matches!(ints, Ints::Wide(_))
+            );
+        }
+        check(DictCodes::from(vec![0u8, 255]), 1, &[0, 255]);
+        check(DictCodes::from(vec![256u16, 65_535]), 2, &[256, 65_535]);
+        check(
+            DictCodes::from(vec![0u32, u32::MAX]),
+            4,
+            &[0, 4_294_967_295],
+        );
+        check(IntValues::Narrow(vec![3, 250]), 1, &[3, 250]);
+        check(IntValues::Mid(vec![300, 65_535]), 2, &[300, 65_535]);
+        check(IntValues::Wide(vec![-5, i64::MAX]), 8, &[-5, i64::MAX]);
+        check(DecimalCodes::Narrow(vec![0, u16::MAX]), 2, &[0, 65_535]);
+        check(DecimalCodes::Mid(vec![-3, i16::MIN]), 2, &[-3, -32_768]);
+        check(
+            DecimalCodes::Wide(vec![-70_000, i32::MIN]),
+            4,
+            &[-70_000, -2_147_483_648],
+        );
     }
 }

@@ -25,6 +25,13 @@ pub enum StorageError {
     },
     /// A table referenced by name does not exist in a star schema.
     UnknownTable(String),
+    /// A star schema's foreign-key column holds a null or an out-of-range key.
+    ForeignKey {
+        /// The foreign-key column.
+        column: String,
+        /// What is wrong with its keys.
+        message: String,
+    },
     /// CSV parsing failed.
     Csv {
         /// 1-based line number of the offending record.
@@ -52,6 +59,9 @@ impl fmt::Display for StorageError {
                 write!(f, "column length mismatch: expected {expected}, got {got}")
             }
             StorageError::UnknownTable(name) => write!(f, "unknown table: {name}"),
+            StorageError::ForeignKey { column, message } => {
+                write!(f, "foreign key {column}: {message}")
+            }
             StorageError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             StorageError::Io(message) => write!(f, "io error: {message}"),
         }

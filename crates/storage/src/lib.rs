@@ -38,7 +38,7 @@ pub mod table;
 pub use column::{Column, ColumnData, RunParts};
 pub use csv::{read_csv, write_csv};
 pub use dictionary::Dictionary;
-pub use encoding::{Code, CodeBounds, DecodeTable, Ints};
+pub use encoding::{Code, CodeBounds, DecimalCodes, DecodeTable, DictCodes, IntValues, Ints};
 pub use error::StorageError;
 pub use memo::Memo;
 pub use schema::{DataType, Field, Schema};

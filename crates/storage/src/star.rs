@@ -86,33 +86,34 @@ pub struct StarSchema {
 }
 
 impl StarSchema {
-    /// Assembles a star schema. Each dimension's `fk_name` must exist as an
-    /// integer column of the fact table, and key values must be valid row
-    /// indexes of the dimension table.
+    /// Assembles a star schema. Each dimension's `fk_name` must name an
+    /// integer column of the fact table with no nulls whose keys are row
+    /// indexes of the dimension table ([`StorageError::ForeignKey`]).
     pub fn new(
         fact: Arc<Table>,
         dimensions: Vec<(DimensionSpec, Arc<Table>)>,
     ) -> Result<Self, StorageError> {
         for (spec, dim) in &dimensions {
-            let ColumnData::Int(keys) = fact.column(&spec.fk_name)?.data() else {
+            let fk = fact.column(&spec.fk_name)?;
+            let ColumnData::Int(keys) = fk.data() else {
                 return Err(StorageError::TypeMismatch {
                     column: spec.fk_name.clone(),
                     expected: "int",
                     got: "non-int",
                 });
             };
+            // A null's placeholder key would read as a dimension row.
+            let nulls = fk.validity().map_or(0, |v| v.len() - v.count());
             let n = dim.num_rows() as i64;
             let bad =
                 match_ints!(keys, v => v.iter().map(|&k| k.widen()).find(|&k| k < 0 || k >= n));
-            if let Some(bad) = bad {
-                return Err(StorageError::Csv {
-                    line: 0,
-                    message: format!(
-                        "foreign key {bad} out of range for dimension {} ({} rows)",
-                        spec.table_name, n
-                    ),
-                });
-            }
+            let message = match bad {
+                _ if nulls > 0 => format!("{nulls} null keys"),
+                Some(k) => format!("key {k} out of range for dimension {}", spec.table_name),
+                None => continue,
+            };
+            let column = spec.fk_name.clone();
+            return Err(StorageError::ForeignKey { column, message });
         }
         Ok(StarSchema {
             fact,
@@ -391,12 +392,35 @@ mod tests {
         assert_eq!(Dataset::Denormalized(fact()).total_rows(), 3);
     }
 
+    fn keys(keys: &[Value]) -> Arc<Table> {
+        let mut b = TableBuilder::with_fields("f", &[("carrier_key", DataType::Int)]);
+        for k in keys {
+            b.push_row(std::slice::from_ref(k)).unwrap();
+        }
+        Arc::new(b.finish())
+    }
+
     #[test]
     fn out_of_range_fk_rejected() {
-        let mut b = TableBuilder::with_fields("f", &[("carrier_key", DataType::Int)]);
-        b.push_row(&[Value::Int(5)]).unwrap();
-        let bad_fact = Arc::new(b.finish());
-        assert!(StarSchema::new(bad_fact, vec![(spec(), carriers())]).is_err());
+        let err = StarSchema::new(keys(&[Value::Int(5)]), vec![(spec(), carriers())]).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::ForeignKey { column, .. } if column == "carrier_key"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("key 5 out of range"), "{err}");
+    }
+
+    #[test]
+    fn nullable_fk_rejected() {
+        // The null's placeholder key 0 is in range, but names no row.
+        let fact = keys(&[Value::Int(1), Value::Null]);
+        assert!(!fact.column_at(0).is_valid(1));
+        let err = StarSchema::new(fact, vec![(spec(), carriers())]).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::ForeignKey { column, .. } if column == "carrier_key"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("1 null keys"), "{err}");
     }
 
     #[test]

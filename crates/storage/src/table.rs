@@ -212,34 +212,36 @@ impl Table {
 pub struct TableBuilder {
     name: String,
     schema: Schema,
-    floats: Vec<Option<Vec<f64>>>,
-    ints: Vec<Option<Vec<i64>>>,
-    codes: Vec<Option<(Vec<u32>, Dictionary)>>,
+    buffers: Vec<Buffer>,
     nulls: Vec<Vec<usize>>,
     nrows: usize,
+}
+
+/// The plain payload one column of a [`TableBuilder`] collects.
+#[derive(Debug)]
+enum Buffer {
+    Float(Vec<f64>),
+    Int(Vec<i64>),
+    Nominal(Vec<u32>, Dictionary),
 }
 
 impl TableBuilder {
     /// Starts a builder for the given schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let n = schema.len();
-        let mut floats = Vec::with_capacity(n);
-        let mut ints = Vec::with_capacity(n);
-        let mut codes = Vec::with_capacity(n);
-        for f in schema.fields() {
-            floats.push(matches!(f.dtype, DataType::Float).then(Vec::new));
-            ints.push(matches!(f.dtype, DataType::Int).then(Vec::new));
-            codes.push(
-                matches!(f.dtype, DataType::Nominal).then(|| (Vec::new(), Dictionary::new())),
-            );
-        }
+        let buffers = schema
+            .fields()
+            .iter()
+            .map(|f| match f.dtype {
+                DataType::Float => Buffer::Float(Vec::new()),
+                DataType::Int => Buffer::Int(Vec::new()),
+                DataType::Nominal => Buffer::Nominal(Vec::new(), Dictionary::new()),
+            })
+            .collect();
         TableBuilder {
             name: name.into(),
+            nulls: vec![Vec::new(); schema.len()],
             schema,
-            floats,
-            ints,
-            codes,
-            nulls: vec![Vec::new(); n],
+            buffers,
             nrows: 0,
         }
     }
@@ -263,42 +265,28 @@ impl TableBuilder {
     pub fn push_row(&mut self, row: &[Value]) -> Result<(), StorageError> {
         assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
         for (i, v) in row.iter().enumerate() {
-            let field = &self.schema.fields()[i];
-            match (field.dtype, v) {
-                (DataType::Float, Value::Float(x)) => {
-                    self.floats[i].as_mut().expect("float buffer").push(*x)
-                }
-                (DataType::Float, Value::Int(x)) => self.floats[i]
-                    .as_mut()
-                    .expect("float buffer")
-                    .push(*x as f64),
-                (DataType::Int, Value::Int(x)) => {
-                    self.ints[i].as_mut().expect("int buffer").push(*x)
-                }
-                (DataType::Nominal, Value::Str(s)) => {
-                    let (buf, dict) = self.codes[i].as_mut().expect("code buffer");
-                    let code = dict.intern(s);
-                    buf.push(code);
-                }
-                (_, Value::Null) => {
+            match (&mut self.buffers[i], v) {
+                (Buffer::Float(buf), Value::Float(x)) => buf.push(*x),
+                (Buffer::Float(buf), Value::Int(x)) => buf.push(*x as f64),
+                (Buffer::Int(buf), Value::Int(x)) => buf.push(*x),
+                (Buffer::Nominal(buf, dict), Value::Str(s)) => buf.push(dict.intern(s)),
+                (buffer, Value::Null) => {
                     self.nulls[i].push(self.nrows);
-                    match field.dtype {
+                    match buffer {
                         // A placeholder every decimal encoding holds, so a
                         // null does not keep its column plain.
-                        DataType::Float => self.floats[i].as_mut().expect("float buffer").push(0.0),
-                        DataType::Int => self.ints[i].as_mut().expect("int buffer").push(0),
-                        DataType::Nominal => {
-                            let (buf, _) = self.codes[i].as_mut().expect("code buffer");
-                            buf.push(0);
-                        }
+                        Buffer::Float(buf) => buf.push(0.0),
+                        Buffer::Int(buf) => buf.push(0),
+                        Buffer::Nominal(buf, _) => buf.push(0),
                     }
                 }
-                (dt, v) => {
+                (_, v) => {
+                    let field = &self.schema.fields()[i];
                     return Err(StorageError::TypeMismatch {
                         column: field.name.clone(),
-                        expected: dt.name(),
+                        expected: field.dtype.name(),
                         got: v.type_name(),
-                    })
+                    });
                 }
             }
         }
@@ -308,20 +296,17 @@ impl TableBuilder {
 
     /// Finishes the build, producing an immutable table. The column buffers
     /// move into the table, where [`Table::new`] narrows their encodings.
-    pub fn finish(mut self) -> Table {
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (i, field) in self.schema.fields().iter().enumerate() {
-            let mut col = match field.dtype {
-                DataType::Float => Column::float(self.floats[i].take().expect("float buffer")),
-                DataType::Int => Column::int(self.ints[i].take().expect("int buffer")),
-                DataType::Nominal => {
-                    let (buf, dict) = self.codes[i].take().expect("code buffer");
-                    Column::nominal(buf, Arc::new(dict))
-                }
+    pub fn finish(self) -> Table {
+        let mut columns = Vec::with_capacity(self.buffers.len());
+        for (buffer, nulls) in self.buffers.into_iter().zip(self.nulls) {
+            let mut col = match buffer {
+                Buffer::Float(buf) => Column::float(buf),
+                Buffer::Int(buf) => Column::int(buf),
+                Buffer::Nominal(buf, dict) => Column::nominal(buf, Arc::new(dict)),
             };
-            if !self.nulls[i].is_empty() {
+            if !nulls.is_empty() {
                 let mut validity = SelVec::all(self.nrows);
-                for &row in &self.nulls[i] {
+                for row in nulls {
                     validity.remove(row);
                 }
                 col = col.with_validity(validity);
@@ -419,7 +404,7 @@ mod tests {
         // placeholder narrows with the rest) + u16 ints 3*2.
         assert!(matches!(
             t.column("dep_delay").unwrap().data(),
-            ColumnData::Decimal(crate::Ints::I16(_), 0)
+            ColumnData::Decimal(crate::Ints::Mid(_), 0)
         ));
         assert_eq!(t.byte_size(), 3 + 6 + 6);
     }
@@ -435,12 +420,12 @@ mod tests {
         let t = Table::new("t", schema, vec![d.clone(), k.clone()]).unwrap();
         assert!(matches!(
             t.column_at(0).data(),
-            ColumnData::Decimal(crate::Ints::I16(_), 2)
+            ColumnData::Decimal(crate::Ints::Mid(_), 2)
         ));
         assert_eq!(t.column_at(0), &d);
         assert!(matches!(
             t.column_at(1).data(),
-            ColumnData::Int(crate::Ints::U8(_))
+            ColumnData::Int(crate::Ints::Narrow(_))
         ));
         assert_eq!(t.column_at(1), &k);
         assert_eq!(t.value_at(0, 2), Value::Float(12.25));

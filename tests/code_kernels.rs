@@ -220,26 +220,26 @@ fn code_kernels_match_the_scalar_oracle() {
             let encoding = |name: &str| t.column(name).unwrap().data();
             assert!(matches!(
                 encoding("d"),
-                ColumnData::Decimal(Ints::I16(_), 1)
+                ColumnData::Decimal(Ints::Mid(_), 1)
             ));
             assert!(matches!(
                 encoding("t"),
-                ColumnData::Decimal(Ints::U16(_), 2)
+                ColumnData::Decimal(Ints::Narrow(_), 2)
             ));
             assert!(matches!(
                 encoding("dn"),
-                ColumnData::Decimal(Ints::I16(_), 1)
+                ColumnData::Decimal(Ints::Mid(_), 1)
             ));
-            assert!(matches!(encoding("m8"), ColumnData::Int(Ints::U8(_))));
-            assert!(matches!(encoding("m16"), ColumnData::Int(Ints::U16(_))));
-            assert!(matches!(encoding("w16"), ColumnData::Int(Ints::U16(_))));
+            assert!(matches!(encoding("m8"), ColumnData::Int(Ints::Narrow(_))));
+            assert!(matches!(encoding("m16"), ColumnData::Int(Ints::Mid(_))));
+            assert!(matches!(encoding("w16"), ColumnData::Int(Ints::Mid(_))));
             assert!(matches!(
                 encoding("c8"),
-                ColumnData::Nominal(Ints::U8(_), _)
+                ColumnData::Nominal(Ints::Narrow(_), _)
             ));
             assert!(matches!(
                 encoding("c16"),
-                ColumnData::Nominal(Ints::U16(_), _)
+                ColumnData::Nominal(Ints::Mid(_), _)
             ));
         }
         for binning in binnings() {
@@ -277,7 +277,7 @@ fn nullable_code_kernels_match_the_scalar_oracle() {
                 assert!(t.column(name).unwrap().validity().is_some(), "{name}");
             }
             let m8 = t.column("m8").unwrap();
-            assert!(matches!(m8.data(), ColumnData::Int(Ints::U8(_))));
+            assert!(matches!(m8.data(), ColumnData::Int(Ints::Narrow(_))));
             assert_eq!(m8.numeric_min_max(), Some((17.0, 255.0)));
         }
         // 1 000 003 is a prime above every row count: i ↦ i·p + c mod n is
@@ -324,4 +324,143 @@ fn nullable_code_kernels_match_the_scalar_oracle() {
             }
         }
     }
+}
+
+/// A table whose columns take the widest width of each role, which the
+/// flights columns never hold:
+///
+/// - `i`: ints in `[-1 000, 1 000]`, null every eleventh row (`i64`: a
+///   negative value keeps them plain);
+/// - `d`: whole decimals in `[-50 000, -40 000]` and `-0.0` (`i32` codes
+///   at exponent 0, spanning few enough values for a decode table, so
+///   ranges and dense widths over them run in code space);
+/// - `c`: one category per row, so at 65 537 rows the dictionary holds
+///   more than 65 536 entries (`u32` codes).
+fn wide_table(n: usize) -> Dataset {
+    let mut b = TableBuilder::with_fields(
+        "t",
+        &[
+            ("i", DataType::Int),
+            ("d", DataType::Float),
+            ("c", DataType::Nominal),
+        ],
+    );
+    for i in 0..n {
+        let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 11;
+        let d = if i % 17 == 5 {
+            -0.0
+        } else {
+            -50_000.0 + (h % 10_001) as f64
+        };
+        b.push_row(&[
+            if i % 11 == 4 {
+                Value::Null
+            } else {
+                Value::Int(-1_000 + (h % 2_001) as i64)
+            },
+            Value::Float(d),
+            Value::Str(format!("v{}", i * 7_919 % 65_537)),
+        ])
+        .unwrap();
+    }
+    Dataset::Denormalized(Arc::new(b.finish()))
+}
+
+#[test]
+fn widest_role_widths_match_the_scalar_oracle() {
+    let width = |dimension: &str, width: f64, anchor: f64| BinDef::Width {
+        dimension: dimension.into(),
+        width,
+        anchor,
+    };
+    let nominal = BinDef::Nominal {
+        dimension: "c".into(),
+    };
+    let binnings = vec![
+        vec![width("i", 10.0, -5.0)],
+        // Sparse: 20 001 buckets.
+        vec![width("i", 0.1, 0.0)],
+        vec![width("d", 250.0, -0.0)],
+        // Sparse: 10 001 buckets.
+        vec![width("d", 1.0, 0.5)],
+        // Sparse once the dictionary outgrows the dense cap.
+        vec![nominal.clone()],
+        vec![nominal, width("i", 100.0, 0.0)],
+        // Dictionary codes read as numbers.
+        vec![width("c", 1_000.0, 0.0)],
+        vec![width("i", 50.0, 0.0), width("d", 500.0, 0.0)],
+    ];
+    let labels = |codes: &[usize]| -> Vec<String> {
+        codes
+            .iter()
+            .map(|k| format!("v{k}"))
+            .chain(["absent".to_string()])
+            .collect()
+    };
+    let filters = vec![
+        None,
+        Some(range("i", -500.0, 250.5)),
+        Some(range("i", 0.0, 0.0)),
+        Some(range("d", -45_000.0, -41_000.0)),
+        Some(range("d", -0.0, 1.0)),
+        Some(range("d", f64::NEG_INFINITY, -44_999.5)),
+        Some(members("c", &labels(&[0, 300, 40_000, 65_536]))),
+        Some(FilterExpr::Or(vec![
+            range("i", 900.0, 1_000.5),
+            members("c", &labels(&[7_919, 65_535])),
+        ])),
+        Some(FilterExpr::And(vec![
+            range("d", -48_000.0, -0.0),
+            range("c", 100.0, 30_000.5),
+        ])),
+    ];
+    let aggregates = vec![
+        AggregateSpec::count(),
+        AggregateSpec::over(AggFunc::Sum, "i"),
+        AggregateSpec::over(AggFunc::Avg, "i"),
+        AggregateSpec::over(AggFunc::Min, "i"),
+        AggregateSpec::over(AggFunc::Avg, "d"),
+        AggregateSpec::over(AggFunc::Min, "d"),
+        AggregateSpec::over(AggFunc::Max, "d"),
+        AggregateSpec::over(AggFunc::Max, "c"),
+    ];
+    let mut modes = (false, false);
+    for n in ROW_COUNTS {
+        let ds = wide_table(n);
+        if n > 65_536 {
+            let t = ds.as_denormalized().unwrap();
+            let col = |name: &str| t.column(name).unwrap();
+            assert!(matches!(col("i").data(), ColumnData::Int(Ints::Wide(_))));
+            assert!(matches!(
+                col("d").data(),
+                ColumnData::Decimal(Ints::Wide(_), 0)
+            ));
+            assert!(col("d").decode_table().is_some());
+            assert!(matches!(
+                col("c").data(),
+                ColumnData::Nominal(Ints::Wide(_), _)
+            ));
+        }
+        for binning in &binnings {
+            let spec = VizSpec::new("v", "t", binning.clone(), aggregates.clone());
+            for filter in &filters {
+                let q = Query::for_viz(&spec, filter.clone());
+                match CompiledPlan::compile(&ds, &q).unwrap().acc_mode() {
+                    AccMode::Dense(_) => modes.0 = true,
+                    AccMode::Sparse => modes.1 = true,
+                }
+                let want = bits(&execute_exact_scalar(&ds, &q).unwrap());
+                for workers in [1, 2] {
+                    let got = execute_exact_parallel(&ds, &q, workers).unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "{n} rows, {workers} workers: {}",
+                        q.canonical_key()
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(modes, (true, true), "both accumulation stores are covered");
 }

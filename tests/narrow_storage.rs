@@ -77,12 +77,7 @@ proptest! {
             let ColumnData::Decimal(codes, _) = narrow.data() else { unreachable!() };
             for i in 0..n {
                 let k = codes.get(i);
-                let via_table = match codes {
-                    idebench::storage::Ints::U16(v) => table.decode(v[i]),
-                    idebench::storage::Ints::I16(v) => table.decode(v[i]),
-                    idebench::storage::Ints::I32(v) => table.decode(v[i]),
-                    other => panic!("decimal codes of width {}", other.width()),
-                };
+                let via_table = idebench::storage::match_ints!(codes, v => table.decode(v[i]));
                 prop_assert_eq!(via_table.to_bits(), values[i].to_bits(), "code {}", k);
             }
         }
