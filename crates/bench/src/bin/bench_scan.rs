@@ -6,7 +6,8 @@
 //! the scalar oracle for the speedup ratio, plus per-worker-count scaling
 //! rows for the parallel morsel
 //! dispatcher: a one-shot count scan, and a shuffled scan stepped in
-//! `step_quantum`-sized grants the way the progressive engine drives it.
+//! `step_quantum`-sized grants the way the progressive engine drives it,
+//! and the cost of handing one span to the scan pool (`pool_handoff`).
 //!
 //! Doubles as the CI regression gate: the process exits non-zero if any
 //! case — de-normalized, nullable, wide-decimal or star — drops below 1×
@@ -34,8 +35,8 @@ use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
 use idebench_core::{AggResult, FilterExpr, Predicate, Query, Settings, VizSpec};
 use idebench_engine_progressive::ProgressiveConfig;
 use idebench_query::{
-    available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, AccMode,
-    ChunkedRun, CompiledPlan, Shuffle, SnapshotMode,
+    available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar, global_pool,
+    AccMode, ChunkedRun, CompiledPlan, Shuffle, SnapshotMode,
 };
 use idebench_storage::{Column, ColumnData, DataType, Dataset, Field, Schema, SelVec, Table};
 use std::sync::Arc;
@@ -494,6 +495,67 @@ fn stepped_scan(data: &Dataset, q: &Query, shuffle: &Shuffle, workers: usize) ->
     )
 }
 
+/// Busy-waits `d`, keeping the thread on its core as a scan does.
+fn busy(d: Duration) {
+    let start = Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// Spans per `pool_handoff` reading, after as many warm-up spans.
+const HANDOFF_SPANS: usize = 2_000;
+
+/// Wall µs of `global_pool().scope_run(1, body)` over a fixed 1 µs body,
+/// each span followed by `gap` of caller work: what a dispatcher's
+/// read-ahead pays to hand a chunk to a pool worker and join it. A gap
+/// inside the pool's spin window meets a spinning worker; a longer one
+/// meets a parked worker that must be woken.
+fn pool_handoff(gap: Duration, reference_ms: f64) -> serde_json::Value {
+    let body = || busy(Duration::from_micros(1));
+    let pool = global_pool();
+    for _ in 0..HANDOFF_SPANS {
+        pool.scope_run(1, &body);
+        busy(gap);
+    }
+    let before = pool.stats();
+    let samples: Vec<f64> = (0..HANDOFF_SPANS)
+        .map(|_| {
+            let run = Instant::now();
+            pool.scope_run(1, &body);
+            let us = run.elapsed().as_secs_f64() * 1e6;
+            busy(gap);
+            us
+        })
+        .collect();
+    let after = pool.stats();
+    let q: Vec<f64> = percentiles(&samples, &[25.0, 75.0])
+        .into_iter()
+        .flatten()
+        .collect();
+    let median_us = median(&samples).expect("at least one span");
+    let helper_run_frac =
+        (after.helper_runs - before.helper_runs) as f64 / (after.spans - before.spans) as f64;
+    let gap_us = gap.as_secs_f64() * 1e6;
+    let name = format!("pool_handoff_gap_{gap_us:.0}us");
+    println!(
+        "{name:<32} handoff    median {median_us:>6.2} µs (IQR {:.2}–{:.2})   helper ran {:.0}% of spans   ref {reference_ms:.1} ms",
+        q[0],
+        q[1],
+        100.0 * helper_run_frac,
+    );
+    serde_json::json!({
+        "gap_us": gap_us,
+        "spans": HANDOFF_SPANS,
+        "median_us": median_us,
+        "iqr_us": q[1] - q[0],
+        "p25_us": q[0],
+        "p75_us": q[1],
+        "helper_run_frac": helper_run_frac,
+        "reference_kernel_ms": reference_ms,
+    })
+}
+
 fn main() {
     let table = idebench_datagen::flights::generate(ROWS, 42);
     let ds = Dataset::Denormalized(Arc::new(table.clone()));
@@ -704,6 +766,11 @@ fn main() {
         }));
     }
 
+    // Pool handoff rows: one gap inside the pool's spin window, one past it.
+    let handoff: Vec<serde_json::Value> = [20, 500]
+        .map(|gap_us| pool_handoff(Duration::from_micros(gap_us), host.read()))
+        .into();
+
     // Multi-worker rows on a 1-core machine only measure pool overhead;
     // flag them so nobody reads ~1.0x as the dispatcher's ceiling.
     let scaling_note = if cores == 1 {
@@ -736,6 +803,7 @@ fn main() {
         "cases": entries,
         "scaling": scaling,
         "stepped": stepped,
+        "pool_handoff": handoff,
     });
     std::fs::write(
         "BENCH_scan.json",

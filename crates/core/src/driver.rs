@@ -294,7 +294,7 @@ impl WorkflowSession {
         let mut interaction_elapsed_ms = 0.0f64;
         for (viz_name, query, ticket) in lanes {
             let (elapsed_ms, done) = self.drive_ticket(&ticket, slowdown);
-            let snapshot = ticket.snapshot();
+            let snapshot = ticket.into_snapshot();
             let tr_violated = snapshot.is_none();
             debug_assert!(
                 !(done && tr_violated),
@@ -313,7 +313,6 @@ impl WorkflowSession {
                 concurrent,
             });
             self.query_id += 1;
-            // Dropping the ticket revokes any remaining work.
         }
 
         self.clock_ms += interaction_elapsed_ms;

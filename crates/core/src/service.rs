@@ -533,6 +533,23 @@ impl QueryTicket {
         }
     }
 
+    /// [`QueryTicket::snapshot`], consuming the ticket: a settled result
+    /// moves out of the ticket instead of being copied, unless it is
+    /// shared (a cache hit's), which is cloned. Dropping the ticket then
+    /// revokes any remaining work.
+    pub fn into_snapshot(self) -> Option<AggResult> {
+        let mut inner = self.sched.inner.lock().unwrap();
+        let cell = inner.tickets.get_mut(&self.id).expect("live ticket");
+        match cell.phase {
+            Phase::Running => cell.handle.as_ref().and_then(|h| h.snapshot()),
+            Phase::Revoked => None,
+            Phase::Done | Phase::Expired => cell
+                .final_snapshot
+                .take()
+                .map(|r| Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone())),
+        }
+    }
+
     /// Pumps the scheduler until this ticket settles, then returns its
     /// terminal status. Grants go to the globally most-urgent ticket each
     /// pump, so driving one ticket also advances more-urgent work from
@@ -1177,6 +1194,29 @@ mod tests {
         assert_eq!(t.status(), TicketStatus::Done { spent: 0 });
         assert_eq!(t.snapshot().unwrap(), result);
         assert_eq!(t.drive(), TicketStatus::Done { spent: 0 });
+    }
+
+    #[test]
+    fn into_snapshot_moves_a_settled_result_and_copies_a_shared_one() {
+        let svc = service(250, false);
+        let t = svc.submit(&query("v"), opts(0, 1_000));
+        t.drive();
+        assert_eq!(t.into_snapshot().unwrap(), ToyHandle::result(250));
+        assert_eq!(
+            svc.scheduler().live_tickets(),
+            0,
+            "consumed tickets release"
+        );
+
+        let sched = TicketScheduler::new();
+        let shared = Arc::new(ToyHandle::result(7));
+        let t = sched.admit_settled(Some(Arc::clone(&shared)), "v", opts(0, 1_000));
+        assert_eq!(t.into_snapshot().unwrap(), *shared);
+        assert_eq!(Arc::strong_count(&shared), 1, "the shared result survives");
+
+        let t = svc.submit(&query("w"), opts(0, 1_000));
+        t.cancel();
+        assert!(t.into_snapshot().is_none());
     }
 
     #[test]

@@ -137,6 +137,7 @@ impl<E: SystemAdapter> SystemAdapter for CachingAdapter<E> {
                     inner: self.inner.submit(query),
                     cache: Arc::clone(&self.cache),
                     key,
+                    finished: None,
                 }),
             }
         } else {
@@ -164,21 +165,30 @@ struct CacheFill {
     inner: Box<dyn QueryHandle>,
     cache: ResultCache,
     key: Arc<str>,
+    /// The inner engine's final result, built once when it completes and
+    /// served to every later snapshot.
+    finished: Option<AggResult>,
 }
 
 impl QueryHandle for CacheFill {
     fn step(&mut self, granted: u64) -> StepStatus {
         let status = self.inner.step(granted);
-        if status.is_done() {
-            if let Some(result) = self.inner.snapshot().filter(|r| r.exact) {
-                self.cache.lock().insert(Arc::clone(&self.key), result);
+        if status.is_done() && self.finished.is_none() {
+            self.finished = self.inner.snapshot();
+            if let Some(result) = self.finished.as_ref().filter(|r| r.exact) {
+                self.cache
+                    .lock()
+                    .insert(Arc::clone(&self.key), result.clone());
             }
         }
         status
     }
 
     fn snapshot(&self) -> Option<AggResult> {
-        self.inner.snapshot()
+        match &self.finished {
+            Some(result) => Some(result.clone()),
+            None => self.inner.snapshot(),
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -280,6 +290,38 @@ mod tests {
             h2.snapshot().unwrap(),
             execute_exact(&ds, &query()).unwrap()
         );
+    }
+
+    #[test]
+    fn a_completed_fill_builds_its_result_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// A one-step handle counting the results it builds.
+        struct Counting(Arc<AtomicUsize>);
+        impl QueryHandle for Counting {
+            fn step(&mut self, granted: u64) -> StepStatus {
+                StepStatus::Done { units: granted }
+            }
+            fn snapshot(&self) -> Option<AggResult> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Some(AggResult::empty_exact())
+            }
+            fn is_done(&self) -> bool {
+                true
+            }
+        }
+        let built = Arc::new(AtomicUsize::new(0));
+        let cache = ResultCache::default();
+        let mut fill = CacheFill {
+            inner: Box::new(Counting(Arc::clone(&built))),
+            cache: Arc::clone(&cache),
+            key: "k".into(),
+            finished: None,
+        };
+        assert!(fill.step(1).is_done());
+        assert_eq!(fill.snapshot(), Some(AggResult::empty_exact()));
+        assert_eq!(fill.snapshot(), Some(AggResult::empty_exact()));
+        assert_eq!(built.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.lock().len(), 1);
     }
 
     #[test]

@@ -947,4 +947,30 @@ impl BatchAcc {
             _ => unreachable!("partials of one plan share an accumulation mode"),
         }
     }
+
+    /// Empties the accumulator for reuse over the same plan, as if freshly
+    /// built by [`BatchAcc::for_plan`]. A dense store clears only its
+    /// touched bins, so the cost is O(populated bins), not O(bin space).
+    pub fn reset(&mut self) {
+        self.rows_seen = 0;
+        self.rows_matched = 0;
+        match &mut self.store {
+            Store::Dense {
+                counts,
+                measures,
+                touched,
+                ..
+            } => {
+                for slot in touched.drain(..) {
+                    let slot = slot as usize;
+                    counts[slot] = 0;
+                    measures[slot * self.nmeasures..][..self.nmeasures].fill(MeasureAcc::new());
+                }
+            }
+            Store::Sparse { index, accs, .. } => {
+                index.clear();
+                accs.clear();
+            }
+        }
+    }
 }

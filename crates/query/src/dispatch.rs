@@ -35,25 +35,32 @@
 //! Workers are *pooled*, not scoped: a read-ahead span publishes helper
 //! claims on the process-wide persistent [`crate::pool::ScanPool`] and runs
 //! the span body on the calling thread itself, so fanning out costs a queue
-//! push + wake rather than a thread spawn/join per worker per span.
-//! Participants pull chunk indices from the span's shared cursor until the
-//! supply is dry; claims the pool never got to are revoked when the
-//! caller's own pass finishes. Because the pool is shared and fixed-size
-//! (one worker per core), any number of concurrent sessions' scans compose
-//! without oversubscription. Grants of one `step_quantum` (a few thousand
-//! rows) use every core too: the grant that enters an uncomputed chunk pays
-//! for the read-ahead, and the following grants only count bits.
+//! push rather than a thread spawn/join per worker per span. A stepped
+//! scan runs its spans back to back, so the pool worker that finished the
+//! previous span is usually still spinning and takes the claim without a
+//! wakeup, and the caller's join spins briefly before it sleeps (see the
+//! pool's execution model). Participants pull chunk indices from the span's
+//! shared cursor until the supply is dry; claims the pool never got to are
+//! revoked when the caller's own pass finishes. Because the pool is shared
+//! and fixed-size (one worker per core), any number of concurrent sessions'
+//! scans compose without oversubscription. Grants of one `step_quantum` (a
+//! few thousand rows) use every core too: the grant that enters an
+//! uncomputed chunk pays for the read-ahead, and the following grants only
+//! count bits.
 //!
 //! # Memory and waste
 //!
-//! A paused scan holds the base accumulator and at most `workers` computed
-//! chunks (an accumulator and an 8 KiB bitmap each); no accumulator pool
-//! outlives a call. A span over many chunks (a one-shot or ground-truth
-//! scan) folds each chunk as the walk passes it, so it too keeps
-//! O(workers) accumulators alive. Work the scan computes but never uses is
-//! bounded: at most `workers − 1` chunks plus the current chunk's remainder
-//! when a scan is abandoned, plus one prefix replay (under one chunk) per
-//! mid-chunk snapshot.
+//! A paused scan holds the base accumulator and at most `workers` chunks
+//! (an accumulator and an 8 KiB bitmap each), computed ahead or spare. A
+//! folded chunk is reset (only its touched bins, or its sparse map, are
+//! cleared) and kept as a spare, and each read-ahead takes spares before it
+//! allocates, on the calling thread; spares and chunks computed ahead never
+//! exceed `workers` together, and a completed scan frees them. A span over
+//! many chunks (a one-shot or ground-truth scan) folds each chunk as the
+//! walk passes it, so it too keeps O(workers) accumulators alive. Work the
+//! scan computes but never uses is bounded: at most `workers − 1` chunks
+//! plus the current chunk's remainder when a scan is abandoned, plus one
+//! prefix replay (under one chunk) per mid-chunk snapshot.
 
 use crate::aggregate::GroupedAcc;
 use crate::batch::{BatchAcc, BoundPlan, Mask, MORSEL};
@@ -83,6 +90,9 @@ pub struct MorselDispatcher {
     folded: usize,
     /// Computed chunks `folded..folded + ahead.len()`, not yet folded.
     ahead: VecDeque<Chunk>,
+    /// Folded chunks, reset for reuse by the next read-ahead; with `ahead`
+    /// never more than `workers` chunks in all.
+    spare: Vec<Chunk>,
 }
 
 /// One computed chunk: its accumulator and one filter-match mask per morsel.
@@ -98,17 +108,25 @@ impl MorselDispatcher {
             base: BatchAcc::for_plan(plan),
             folded: 0,
             ahead: VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
     /// Sets the worker-pool size (clamped to ≥ 1).
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
+        self.spare.truncate(self.workers);
     }
 
     /// The configured worker-pool size.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Chunks held now: `(computed ahead, spare)`.
+    #[cfg(test)]
+    pub(crate) fn held_chunks(&self) -> (usize, usize) {
+        (self.ahead.len(), self.spare.len())
     }
 
     /// The accumulated state of scan positions `0..cursor`, materialized in
@@ -155,12 +173,19 @@ impl MorselDispatcher {
                 hi - chunk_lo,
             );
             if hi == chunk_hi {
-                let chunk = self
+                let mut chunk = self
                     .ahead
                     .pop_front()
                     .expect("the current chunk is computed");
                 self.base.merge_from(&chunk.acc);
                 self.folded += 1;
+                if chunk_hi < num_rows {
+                    chunk.acc.reset();
+                    self.spare.push(chunk);
+                } else {
+                    // The scan is complete: nothing reads ahead again.
+                    self.spare = Vec::new();
+                }
             }
             pos = hi;
         }
@@ -168,19 +193,19 @@ impl MorselDispatcher {
     }
 
     /// Computes chunk `folded` and up to `workers − 1` following chunks,
-    /// one per span participant. The accumulators are allocated here, on
-    /// the calling thread, so pool workers leave no memory behind in their
-    /// own allocator arenas.
+    /// one per span participant, into spare chunks first. New accumulators
+    /// are allocated here, on the calling thread, so pool workers leave no
+    /// memory behind in their own allocator arenas.
     fn compute_ahead(&mut self, plan: &CompiledPlan, num_rows: usize) {
         let first = self.folded;
         let n = self.workers.min(num_rows.div_ceil(CHUNK_ROWS) - first);
         let next = AtomicUsize::new(0);
         let computed: Vec<Mutex<Chunk>> = (0..n)
             .map(|_| {
-                Mutex::new(Chunk {
+                Mutex::new(self.spare.pop().unwrap_or_else(|| Chunk {
                     acc: BatchAcc::for_plan(plan),
                     matches: Box::new([Mask::default(); CHUNK_ROWS / MORSEL]),
-                })
+                }))
             })
             .collect();
         let body = || {

@@ -867,6 +867,61 @@ mod tests {
     }
 
     #[test]
+    fn sparse_stepped_runs_reuse_chunks_and_match_scalar() {
+        // No benchmark workload builds a sparse accumulator, so this is
+        // where the sparse store's reset runs: five chunks, each folded,
+        // reset and reused by a later read-ahead.
+        let ds = float_dataset(4 * CHUNK_ROWS + 333);
+        let spec = VizSpec::new(
+            "v",
+            "flights",
+            vec![
+                BinDef::Nominal {
+                    dimension: "carrier".into(),
+                },
+                BinDef::Width {
+                    dimension: "dep_delay".into(),
+                    width: 0.01,
+                    anchor: 0.0,
+                },
+            ],
+            [AggFunc::Avg, AggFunc::Sum, AggFunc::Min, AggFunc::Max]
+                .into_iter()
+                .map(|f| AggregateSpec::over(f, "dep_delay"))
+                .chain([AggregateSpec::count()])
+                .collect(),
+        );
+        let q = Query::for_viz(&spec, None);
+        let plan = CompiledPlan::compile(&ds, &q).unwrap();
+        assert_eq!(plan.acc_mode(), AccMode::Sparse);
+        let scalar = bits(&execute_exact_scalar(&ds, &q).unwrap());
+        for workers in [1, 2] {
+            let mut run = ChunkedRun::new(ds.clone(), q.clone(), SnapshotMode::Exact).unwrap();
+            run.set_workers(workers);
+            run.set_row_cost(1.0);
+            run.set_match_cost(0.0);
+            let mut reused = 0;
+            while !run.is_done() {
+                let (ahead, spare) = run.dispatcher.held_chunks();
+                assert!(ahead + spare <= workers, "workers {workers}");
+                // Quarter-chunk grants pause on chunk boundaries, so the
+                // spares show; with nothing computed ahead, the next grant
+                // reads ahead into them.
+                run.advance(CHUNK_ROWS as u64 / 4);
+                if ahead == 0 && spare > 0 && !run.is_done() {
+                    assert!(run.dispatcher.held_chunks().1 < spare, "spares taken first");
+                    reused += 1;
+                }
+            }
+            assert!(
+                reused >= 3 / workers,
+                "workers {workers}: {reused} read-aheads reused chunks"
+            );
+            assert_eq!(bits(&run.snapshot().unwrap()), scalar, "workers {workers}");
+        }
+    }
+
+    #[test]
     fn tiny_budget_grants_progress_under_parallel_dispatcher() {
         // Regression: a budget grant smaller than one morsel (even smaller
         // than one worst-case row) must still make forward progress when

@@ -117,7 +117,7 @@ pub use executor::{
 };
 pub use ground_truth::{enumerate_workload_queries, CachedGroundTruth};
 pub use plan::{plan_compilations, AccMode, CompiledPlan, PlannedColumn, DENSE_BIN_CAP};
-pub use pool::{global_pool, ScanPool};
+pub use pool::{global_pool, PoolStats, ScanPool};
 pub use shuffle::Shuffle;
 pub use sql::to_sql;
 
