@@ -7,7 +7,9 @@
 //! rows for the parallel morsel
 //! dispatcher: a one-shot count scan, and a shuffled scan stepped in
 //! `step_quantum`-sized grants the way the progressive engine drives it,
-//! and the cost of handing one span to the scan pool (`pool_handoff`).
+//! and the cost of handing one span to the scan pool (`pool_handoff`),
+//! and the wall time of building the benchmark's dataset (`datagen`):
+//! generating 1M flights rows and normalizing them into the star schema.
 //!
 //! Doubles as the CI regression gate: the process exits non-zero if any
 //! case — de-normalized, nullable, wide-decimal or star — drops below 1×
@@ -134,15 +136,24 @@ fn gb_per_sec(rows_per_sec: f64, bytes_per_row: f64) -> f64 {
     rows_per_sec * bytes_per_row / 1e9
 }
 
-fn time_rows_per_sec(rows: usize, mut f: impl FnMut()) -> Throughput {
-    f(); // warm-up
+/// Seconds per run of `f`, after one warm-up run, over at least
+/// [`MIN_RUNS`] runs and [`MIN_SPAN`]; what `f` returns is dropped outside
+/// the timed span.
+fn time_runs<T>(mut f: impl FnMut() -> T) -> Vec<f64> {
+    drop(f()); // warm-up
     let start = Instant::now();
     let mut samples = Vec::new();
     while samples.len() < MIN_RUNS || start.elapsed() < MIN_SPAN {
         let run = Instant::now();
-        f();
-        samples.push(rows as f64 / run.elapsed().as_secs_f64());
+        let out = f();
+        samples.push(run.elapsed().as_secs_f64());
+        drop(out);
     }
+    samples
+}
+
+fn time_rows_per_sec(rows: usize, f: impl FnMut()) -> Throughput {
+    let samples: Vec<f64> = time_runs(f).iter().map(|s| rows as f64 / s).collect();
     let q: Vec<f64> = percentiles(&samples, &[25.0, 75.0])
         .into_iter()
         .flatten()
@@ -556,6 +567,39 @@ fn pool_handoff(gap: Duration, reference_ms: f64) -> serde_json::Value {
     })
 }
 
+/// Rows generated for the `datagen` rows: the benchmark's default dataset
+/// size.
+const DATAGEN_ROWS: usize = 1_000_000;
+
+/// One `datagen` row: the wall milliseconds of `f`, which builds
+/// [`DATAGEN_ROWS`] rows, as median and interquartile range, and the
+/// median's rows per second.
+fn datagen_reading<T>(name: &str, reference_ms: f64, f: impl FnMut() -> T) -> serde_json::Value {
+    let ms: Vec<f64> = time_runs(f).iter().map(|s| s * 1e3).collect();
+    let q: Vec<f64> = percentiles(&ms, &[25.0, 75.0])
+        .into_iter()
+        .flatten()
+        .collect();
+    let median_ms = median(&ms).expect("at least one run");
+    let mrows_per_sec = DATAGEN_ROWS as f64 / median_ms / 1e3;
+    println!(
+        "{name:<32} datagen    median {median_ms:>8.1} ms (IQR {:.1}–{:.1})   {mrows_per_sec:.2} Mrows/s   ref {reference_ms:.1} ms",
+        q[0], q[1],
+    );
+    serde_json::json!({
+        "case": name,
+        "rows": DATAGEN_ROWS,
+        "runs": ms.len(),
+        "median_ms": median_ms,
+        "iqr_ms": q[1] - q[0],
+        "p25_ms": q[0],
+        "p75_ms": q[1],
+        "min_ms": ms.iter().copied().fold(f64::INFINITY, f64::min),
+        "median_mrows_per_sec": mrows_per_sec,
+        "reference_kernel_ms": reference_ms,
+    })
+}
+
 fn main() {
     let table = idebench_datagen::flights::generate(ROWS, 42);
     let ds = Dataset::Denormalized(Arc::new(table.clone()));
@@ -771,6 +815,16 @@ fn main() {
         .map(|gap_us| pool_handoff(Duration::from_micros(gap_us), host.read()))
         .into();
 
+    // Datagen rows: the dataset every benchmark rep builds first.
+    let generate = datagen_reading("flights_generate", host.read(), || {
+        idebench_datagen::flights::generate(DATAGEN_ROWS, 42)
+    });
+    let flights = idebench_datagen::flights::generate(DATAGEN_ROWS, 42);
+    let normalize = datagen_reading("normalize_flights", host.read(), || {
+        idebench_datagen::normalize_flights(&flights).expect("flights normalize")
+    });
+    drop(flights);
+
     // Multi-worker rows on a 1-core machine only measure pool overhead;
     // flag them so nobody reads ~1.0x as the dispatcher's ceiling.
     let scaling_note = if cores == 1 {
@@ -804,6 +858,7 @@ fn main() {
         "scaling": scaling,
         "stepped": stepped,
         "pool_handoff": handoff,
+        "datagen": [generate, normalize],
     });
     std::fs::write(
         "BENCH_scan.json",

@@ -15,6 +15,7 @@ use crate::result::AggResult;
 use crate::settings::Settings;
 use idebench_storage::Dataset;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Outcome of one `step` call on a query handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +129,9 @@ impl QueryHandle for Overhead {
 }
 
 /// A query whose result is known before any work is done, such as a
-/// result-cache hit: every step is `Done` and consumes nothing.
-pub struct Ready(pub AggResult);
+/// result-cache hit: every step is `Done` and consumes nothing. The result
+/// is shared, so a cache hit holds the cached allocation itself.
+pub struct Ready(pub Arc<AggResult>);
 
 impl QueryHandle for Ready {
     fn step(&mut self, _granted: u64) -> StepStatus {
@@ -137,7 +139,7 @@ impl QueryHandle for Ready {
     }
 
     fn snapshot(&self) -> Option<AggResult> {
-        Some(self.0.clone())
+        Some(AggResult::clone(&self.0))
     }
 
     fn is_done(&self) -> bool {
@@ -315,12 +317,12 @@ mod tests {
 
     #[test]
     fn ready_result_waits_only_for_the_overhead() {
-        let mut h = Overhead::wrap(3, Box::new(Ready(AggResult::empty_exact())));
+        let mut h = Overhead::wrap(3, Box::new(Ready(Arc::new(AggResult::empty_exact()))));
         assert_eq!(h.step(2), StepStatus::Running { units: 2 });
         assert!(h.snapshot().is_none());
         assert_eq!(h.step(2), StepStatus::Done { units: 1 });
         assert_eq!(h.snapshot(), Some(AggResult::empty_exact()));
-        let mut free = Overhead::wrap(0, Box::new(Ready(AggResult::empty_exact())));
+        let mut free = Overhead::wrap(0, Box::new(Ready(Arc::new(AggResult::empty_exact()))));
         assert!(free.is_done());
         assert_eq!(free.step(5), StepStatus::Done { units: 0 });
     }

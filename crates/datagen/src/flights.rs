@@ -14,12 +14,12 @@
 //!   tracks route distance; states follow airports.
 
 use crate::encode::first_seen_column;
-use crate::stats::{sample_cumulative, zipf_cumulative};
+use crate::stats::{zipf_cumulative, Cumulative};
 use idebench_storage::encoding::Code;
 use idebench_storage::{Column, ColumnData, DataType, Ints, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Name of the generated fact table.
 pub const FLIGHTS_TABLE: &str = "flights";
@@ -58,10 +58,10 @@ struct Airport {
 
 struct World {
     airports: Vec<Airport>,
-    airport_cum: Vec<f64>,
-    carrier_cum: Vec<f64>,
+    airport_cum: Cumulative,
+    carrier_cum: Cumulative,
     carrier_delay_offset: Vec<f64>,
-    month_cum: Vec<f64>,
+    month_cum: Cumulative,
 }
 
 fn build_world(rng: &mut StdRng) -> World {
@@ -87,7 +87,7 @@ fn build_world(rng: &mut StdRng) -> World {
     };
     let total: f64 = (1..=12).map(month_weight).sum();
     let mut cum = 0.0;
-    let month_cum = (1..=12)
+    let month_cum: Vec<f64> = (1..=12)
         .map(|m| {
             cum += month_weight(m) / total;
             cum
@@ -95,10 +95,10 @@ fn build_world(rng: &mut StdRng) -> World {
         .collect();
     World {
         airports,
-        airport_cum: zipf_cumulative(NUM_AIRPORTS, 1.05),
-        carrier_cum: zipf_cumulative(NUM_CARRIERS, 0.8),
+        airport_cum: Cumulative::new(zipf_cumulative(NUM_AIRPORTS, 1.05)),
+        carrier_cum: Cumulative::new(zipf_cumulative(NUM_CARRIERS, 0.8)),
         carrier_delay_offset,
-        month_cum,
+        month_cum: Cumulative::new(month_cum),
     }
 }
 
@@ -143,15 +143,15 @@ const DELAY_NORMAL_BRANCH: f64 = 0.62;
 /// Draws one row. The draw order is the generation contract (see
 /// [`generate`]); [`skip_row`] must advance the stream by the same count.
 fn draw_row(world: &World, rng: &mut StdRng) -> Row {
-    let carrier = sample_cumulative(&world.carrier_cum, rng.random());
-    let origin = sample_cumulative(&world.airport_cum, rng.random());
-    let mut dest = sample_cumulative(&world.airport_cum, rng.random());
+    let carrier = world.carrier_cum.sample(rng.random());
+    let origin = world.airport_cum.sample(rng.random());
+    let mut dest = world.airport_cum.sample(rng.random());
     if dest == origin {
         dest = (dest + 1) % NUM_AIRPORTS;
     }
     let (o, d) = (&world.airports[origin], &world.airports[dest]);
 
-    let month = sample_cumulative(&world.month_cum, rng.random()) as i64 + 1;
+    let month = world.month_cum.sample(rng.random()) as i64 + 1;
     // Weekdays are ~20% busier than weekend days.
     let dow = {
         let u: f64 = rng.random();
@@ -342,6 +342,92 @@ impl Block<'_> {
     }
 }
 
+/// Block start states as the skip pass publishes them: entry `b` is the
+/// stream state at block `b`'s first row, and the entry after the last
+/// block is the state after the final row.
+struct Checkpoints {
+    states: Mutex<Vec<StdRng>>,
+    published: Condvar,
+}
+
+impl Checkpoints {
+    fn publish(&self, state: StdRng) {
+        self.states
+            .lock()
+            .expect("no thread panics while holding the checkpoints")
+            .push(state);
+        self.published.notify_all();
+    }
+
+    /// Waits until checkpoint `b` is published, and returns it.
+    fn wait(&self, b: usize) -> StdRng {
+        let states = self
+            .states
+            .lock()
+            .expect("no thread panics while holding the checkpoints");
+        let states = self
+            .published
+            .wait_while(states, |states| states.len() <= b)
+            .expect("no thread panics while holding the checkpoints");
+        states[b].clone()
+    }
+}
+
+/// Fills `blocks` on `workers` threads while the calling thread runs the
+/// skip pass (see the crate docs, "Block-parallel generation"). `rng` is
+/// the stream state at the first row.
+fn fill_overlapped(blocks: Vec<Block<'_>>, world: &World, mut rng: StdRng, workers: usize) {
+    let sizes: Vec<usize> = blocks.iter().map(Block::rows).collect();
+    let checkpoints = Checkpoints {
+        states: Mutex::new(Vec::with_capacity(sizes.len() + 1)),
+        published: Condvar::new(),
+    };
+    checkpoints.publish(rng.clone());
+    let queue = Mutex::new(blocks.into_iter().enumerate());
+    // Each block's end state, preallocated so that the workers allocate
+    // nothing.
+    let ends = Mutex::new(vec![None; sizes.len()]);
+    // Fills blocks in queue order until none is left.
+    let work = || loop {
+        let next = queue
+            .lock()
+            .expect("no thread panics while holding the block queue")
+            .next();
+        let Some((b, block)) = next else {
+            break;
+        };
+        let mut stream = checkpoints.wait(b);
+        block.fill(world, &mut stream);
+        ends.lock()
+            .expect("no thread panics while holding the end states")[b] = Some(stream);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        for &rows in &sizes {
+            for _ in 0..rows {
+                skip_row(&mut rng);
+            }
+            checkpoints.publish(rng.clone());
+        }
+        work();
+    });
+    let states = checkpoints
+        .states
+        .into_inner()
+        .expect("no thread panics while holding the checkpoints");
+    let ends = ends
+        .into_inner()
+        .expect("no thread panics while holding the end states");
+    for (b, end) in ends.into_iter().enumerate() {
+        assert!(
+            end.as_ref() == Some(&states[b + 1]),
+            "flights block {b} drew a different number of values than the skip pass counted"
+        );
+    }
+}
+
 /// Generates `n` rows of synthetic flights with the given RNG seed.
 ///
 /// Deterministic: equal `(n, seed)` always produces an identical table,
@@ -377,38 +463,7 @@ pub(crate) fn generate_with_workers(n: usize, seed: u64, workers: usize) -> Tabl
             block.fill(&world, &mut rng);
         }
     } else {
-        // Skip pass: `checkpoints[b]` is the stream state at block `b`'s
-        // first row; the last entry is the state after the final row.
-        let mut checkpoints = Vec::with_capacity(blocks.len() + 1);
-        checkpoints.push(rng.clone());
-        for block in &blocks {
-            for _ in 0..block.rows() {
-                skip_row(&mut rng);
-            }
-            checkpoints.push(rng.clone());
-        }
-        let queue = Mutex::new(blocks.into_iter().enumerate());
-        let work = || loop {
-            let next = queue
-                .lock()
-                .expect("no worker panics while holding the block queue")
-                .next();
-            let Some((b, block)) = next else {
-                break;
-            };
-            let mut stream = checkpoints[b].clone();
-            block.fill(&world, &mut stream);
-            assert!(
-                stream == checkpoints[b + 1],
-                "flights block {b} drew a different number of values than the skip pass counted"
-            );
-        };
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(work);
-            }
-            work();
-        });
+        fill_overlapped(blocks, &world, rng, workers);
     }
 
     // Recode pass, in row order: category indexes → first-seen codes.

@@ -29,10 +29,15 @@
 //! - nominal dictionaries list their values in first-seen order.
 //!
 //! Rows are written straight into typed column buffers; nominal columns
-//! hold category indexes until one pass in row order recodes them through a
-//! small index → code table that interns each category once. The crate's
-//! golden-content tests pin the resulting payloads and dictionaries bit for
-//! bit.
+//! hold category indexes until one recode pass turns them into first-seen
+//! codes. The recode interns each category's label once, in row order,
+//! and stops discovering as soon as every category of the domain has
+//! appeared (in practice within the first few thousand rows); it then maps
+//! every row through the finished index → code table. Categorical draws go
+//! through a guide table ([`stats::Cumulative`]) that returns exactly the
+//! rank a binary search over the cumulative weights would. The crate's
+//! golden-content tests pin the resulting payloads and dictionaries bit
+//! for bit.
 //!
 //! # Block-parallel generation
 //!
@@ -41,19 +46,25 @@
 //!
 //! - The rows form a fixed grid of 65 536-row blocks that depends only on
 //!   `n`.
-//! - A sequential skip pass advances the stream past every row without
-//!   computing it. A flights row makes 17 draws when its delay regime (its
-//!   10th draw) is below 0.62 and 16 otherwise, so the pass needs that one
-//!   comparison per row and no `ln`/`sqrt`/`cos`. It records the stream
-//!   state at every block start and after the last row.
-//! - Workers (one per available core) pull blocks and fill them from their
-//!   checkpoints into preallocated columns, writing category indexes and
-//!   values.
-//! - After each block, an `assert!` that is also on in release builds
-//!   checks that the block's stream ended exactly at the next checkpoint.
-//!   A skip pass that miscounted draws panics instead of yielding a
-//!   different table.
-//! - The recode pass then assigns first-seen codes in row order, as above.
+//! - The calling thread runs a skip pass that advances the stream past
+//!   every row without computing it. A flights row makes 17 draws when its
+//!   delay regime (its 10th draw) is below 0.62 and 16 otherwise, so the
+//!   pass needs that one comparison per row and no `ln`/`sqrt`/`cos`.
+//! - Start-state handoff: the skip pass publishes each block's start state
+//!   as soon as it reaches it. Block 0's start state is the state after the
+//!   world is drawn, so it is published before the pass begins.
+//! - Worker threads (one per available core besides the calling thread)
+//!   take blocks in row order, wait until the block's start state is
+//!   published, and fill it into preallocated columns, writing category
+//!   indexes and values. The fill thus overlaps the skip pass instead of
+//!   waiting for it. After publishing the state past the last row, the
+//!   calling thread joins the workers and fills blocks too.
+//! - Each filled block keeps the stream state it ended at. After the join,
+//!   an `assert!` that is also on in release builds checks every block's
+//!   end state against the next block's start state (the last against the
+//!   state past the final row). A skip pass that miscounted draws panics
+//!   instead of yielding a different table.
+//! - The recode pass then assigns first-seen codes, as above.
 //!
 //! With one worker, or a table of at most one block, the blocks run in
 //! order from the live stream and the skip pass is skipped.

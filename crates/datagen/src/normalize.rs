@@ -2,7 +2,7 @@
 //! table into fact + dimension tables (paper §4.2, Exp 2).
 
 use idebench_storage::{
-    Column, ColumnData, DataType, Dataset, DimensionSpec, Field, Schema, StarSchema, Table,
+    Column, ColumnData, DataType, Dataset, DimensionSpec, Field, Ints, Schema, StarSchema, Table,
     TableBuilder, Value,
 };
 use rustc_hash::FxHashMap;
@@ -21,7 +21,7 @@ pub fn normalize(table: &Table, specs: &[DimensionSpec]) -> Result<Dataset, Stri
     let nrows = table.num_rows();
     let mut moved: Vec<&str> = Vec::new();
     let mut dims: Vec<(DimensionSpec, Arc<Table>)> = Vec::with_capacity(specs.len());
-    let mut fk_columns: Vec<(String, Vec<i64>)> = Vec::with_capacity(specs.len());
+    let mut fk_columns: Vec<(String, Column)> = Vec::with_capacity(specs.len());
 
     for spec in specs {
         let attr_cols: Vec<(usize, &Column)> = spec
@@ -46,19 +46,15 @@ pub fn normalize(table: &Table, specs: &[DimensionSpec]) -> Result<Dataset, Stri
         // order. Each row's combination is one packed integer built from
         // per-attribute dense ids.
         let (keys, span) = combination_keys(&attr_cols, nrows);
-        let (dim_ids, _) = first_seen(&keys, span);
+        let (dim_ids, distinct) = first_seen(&keys, span);
         drop(keys);
         let mut dim_rows: Vec<usize> = Vec::new(); // representative fact row per dim row
-        let fk: Vec<i64> = dim_ids
-            .iter()
-            .enumerate()
-            .map(|(row, &id)| {
-                if id as usize == dim_rows.len() {
-                    dim_rows.push(row);
-                }
-                i64::from(id)
-            })
-            .collect();
+        for (row, &id) in dim_ids.iter().enumerate() {
+            if id as usize == dim_rows.len() {
+                dim_rows.push(row);
+            }
+        }
+        let fk = key_column(&dim_ids, distinct);
 
         // Materialize the dimension table from representative rows.
         let mut builder = TableBuilder::new(
@@ -96,7 +92,7 @@ pub fn normalize(table: &Table, specs: &[DimensionSpec]) -> Result<Dataset, Stri
     }
     for (name, fk) in fk_columns {
         fact_fields.push(Field::new(name, DataType::Int));
-        fact_cols.push(Column::int(fk));
+        fact_cols.push(fk);
     }
     let fact = Table::new(table.name(), Schema::new(fact_fields), fact_cols)
         .map_err(|e| format!("normalize: {e}"))?;
@@ -150,17 +146,37 @@ fn combination_keys(attr_cols: &[(usize, &Column)], nrows: usize) -> (Vec<u64>, 
     (keys, span)
 }
 
+/// Surrogate keys `ids` (each below `distinct`) as an int column at the
+/// width [`Table::new`] would narrow them to: `u8` up to 256 keys, `u16` up
+/// to 65 536, `i64` past that.
+fn key_column(ids: &[u32], distinct: u64) -> Column {
+    let keys = if distinct <= 1 << 8 {
+        Ints::Narrow(ids.iter().map(|&id| id as u8).collect())
+    } else if distinct <= 1 << 16 {
+        Ints::Mid(ids.iter().map(|&id| id as u16).collect())
+    } else {
+        Ints::Wide(ids.iter().map(|&id| i64::from(id)).collect())
+    };
+    Column::new(ColumnData::Int(keys))
+}
+
 /// Dense per-row ids of one attribute and the number of ids. A nominal
-/// value's id is its dictionary code, and a null takes the code past the
-/// dictionary's end. A numeric null takes id 0, and a numeric value takes
-/// 1 + its first-seen rank by bit pattern.
+/// value's id is its dictionary code, read from the payload at its stored
+/// width, and a null takes the code past the dictionary's end. A numeric
+/// null takes id 0, and a numeric value takes 1 + its first-seen rank by
+/// bit pattern.
 fn attribute_ids(col: &Column) -> (Vec<u32>, u64) {
     match col.data() {
-        ColumnData::Nominal(_, dict) => {
+        ColumnData::Nominal(codes, dict) => {
             let null = u32::try_from(dict.len()).expect("dictionary codes fit u32");
-            let ids = (0..col.len())
-                .map(|row| col.code_at(row).unwrap_or(null))
-                .collect();
+            let mut ids = codes.widened().into_owned();
+            if let Some(valid) = col.validity() {
+                for (row, id) in ids.iter_mut().enumerate() {
+                    if !valid.contains(row) {
+                        *id = null;
+                    }
+                }
+            }
             (ids, u64::from(null) + 1)
         }
         ColumnData::Float(_) | ColumnData::Decimal(..) => numeric_ids(

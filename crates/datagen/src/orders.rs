@@ -7,7 +7,7 @@
 //! shipping — used by the customizability example and tests.
 
 use crate::encode::first_seen_column;
-use crate::stats::{sample_cumulative, zipf_cumulative};
+use crate::stats::{zipf_cumulative, Cumulative};
 use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,8 +48,8 @@ fn normal(rng: &mut StdRng) -> f64 {
 pub fn generate(n: usize, seed: u64) -> Table {
     // Salt keeps orders streams independent from equal-seed flights data.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x04de_15a1);
-    let product_cum = zipf_cumulative(NUM_PRODUCTS, 1.1);
-    let region_cum = zipf_cumulative(NUM_REGIONS, 0.6);
+    let product_cum = Cumulative::new(zipf_cumulative(NUM_PRODUCTS, 1.1));
+    let region_cum = Cumulative::new(zipf_cumulative(NUM_REGIONS, 0.6));
     // Product base prices: log-normal, fixed per product.
     let base_price: Vec<f64> = (0..NUM_PRODUCTS)
         .map(|_| (2.5 + normal(&mut rng) * 0.9).exp())
@@ -67,9 +67,9 @@ pub fn generate(n: usize, seed: u64) -> Table {
     let mut revenue_col = Vec::with_capacity(n);
     let mut ship_days_col = Vec::with_capacity(n);
     for _ in 0..n {
-        let product = sample_cumulative(&product_cum, rng.random());
+        let product = product_cum.sample(rng.random());
         let category = product % NUM_CATEGORIES;
-        let region = sample_cumulative(&region_cum, rng.random());
+        let region = region_cum.sample(rng.random());
 
         // Diurnal ordering with an evening peak.
         let order_hour = if rng.random::<f64>() < 0.35 {

@@ -21,8 +21,9 @@ pub use idebench_core::metrics::normal_quantile;
 
 /// Cumulative weights for a Zipf(s) distribution over `n` ranks.
 ///
-/// Returns a vector `c` with `c[n-1] == 1.0`; sample by binary-searching a
-/// uniform draw. Used for skewed airport/carrier popularity.
+/// Returns a vector `c` with `c[n-1] == 1.0`; sample it with a uniform
+/// draw through a [`Cumulative`]. Used for skewed airport/carrier
+/// popularity.
 pub fn zipf_cumulative(n: usize, s: f64) -> Vec<f64> {
     assert!(n > 0, "zipf needs at least one rank");
     let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
@@ -39,12 +40,83 @@ pub fn zipf_cumulative(n: usize, s: f64) -> Vec<f64> {
     weights
 }
 
-/// Samples a rank from cumulative weights with a uniform draw in [0,1).
+/// Samples a rank from cumulative weights with a uniform draw in [0,1):
+/// the first rank whose cumulative weight exceeds `u`, capped at the last
+/// rank. A binary search; [`Cumulative`] gives the same rank faster and is
+/// what the generators draw with.
 pub fn sample_cumulative(cum: &[f64], u: f64) -> usize {
-    match cum.binary_search_by(|c| c.partial_cmp(&u).expect("weights are not NaN")) {
-        Ok(i) => (i + 1).min(cum.len() - 1),
-        Err(i) => i.min(cum.len() - 1),
+    cum.partition_point(|&c| c <= u).min(cum.len() - 1)
+}
+
+/// Guide buckets per rank of a [`Cumulative`].
+const GUIDE_PER_RANK: usize = 4;
+
+/// Cumulative weights with a guide table (Chen and Asau, 1974) for
+/// constant expected-time categorical draws.
+///
+/// The unit interval is cut into [`GUIDE_PER_RANK`] buckets per rank, and
+/// each bucket stores [`sample_cumulative`] at its smallest `u`. Because
+/// the rank is monotone in `u`, that is at or below the rank of every `u`
+/// in the bucket, so [`Cumulative::sample`] starts there and steps forward
+/// past every weight `<= u`: it returns `sample_cumulative(cum, u)` for
+/// every `u` in `[0, 1)`, usually after one or two comparisons.
+#[derive(Debug, Clone)]
+pub struct Cumulative {
+    cum: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl Cumulative {
+    /// The guide table over `cum` (non-decreasing, as [`zipf_cumulative`]
+    /// returns it).
+    pub fn new(cum: Vec<f64>) -> Self {
+        assert!(
+            !cum.is_empty(),
+            "a categorical draw needs at least one rank"
+        );
+        let buckets = cum.len() * GUIDE_PER_RANK;
+        let guide = (0..buckets)
+            .map(|b| {
+                let rank = sample_cumulative(&cum, bucket_floor(b, buckets));
+                u32::try_from(rank).expect("ranks fit u32")
+            })
+            .collect();
+        Cumulative { cum, guide }
     }
+
+    /// The rank of a uniform draw `u` in `[0, 1)`; equal to
+    /// `sample_cumulative(&cum, u)`.
+    #[inline]
+    pub fn sample(&self, u: f64) -> usize {
+        let last = self.cum.len() - 1;
+        let mut rank = self.guide[bucket(u, self.guide.len())] as usize;
+        while rank < last && self.cum[rank] <= u {
+            rank += 1;
+        }
+        rank
+    }
+}
+
+/// The guide bucket of `u` among `buckets`. Monotone in `u`.
+#[inline]
+fn bucket(u: f64, buckets: usize) -> usize {
+    ((u * buckets as f64) as usize).min(buckets - 1)
+}
+
+/// The smallest non-negative `u` that [`bucket`] puts in bucket `b`:
+/// `b / buckets`, moved by single ulps until it is exact under `bucket`'s
+/// rounding.
+fn bucket_floor(b: usize, buckets: usize) -> f64 {
+    let down = |u: f64| f64::from_bits(u.to_bits() - 1);
+    let up = |u: f64| f64::from_bits(u.to_bits() + 1);
+    let mut u = b as f64 / buckets as f64;
+    while u > 0.0 && bucket(down(u), buckets) >= b {
+        u = down(u);
+    }
+    while bucket(u, buckets) < b {
+        u = up(u);
+    }
+    u
 }
 
 /// An empirical distribution supporting quantile (inverse-CDF) lookups.
@@ -111,6 +183,7 @@ pub fn normal_scores(values: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn normal_cdf_known_values() {
@@ -151,6 +224,78 @@ mod tests {
             let r = sample_cumulative(&cum, i as f64 / 100.0);
             assert!(r >= last);
             last = r;
+        }
+    }
+
+    /// Draws at which a guide table could disagree with the binary
+    /// search: zero, every weight and the floats on either side of it,
+    /// every guide-bucket edge and its neighbours, and the largest draw
+    /// below 1.
+    fn edge_draws(cum: &[f64]) -> Vec<f64> {
+        let buckets = cum.len() * GUIDE_PER_RANK;
+        let edges = (0..buckets).map(|b| b as f64 / buckets as f64);
+        let mut draws = vec![0.0, f64::from_bits(1f64.to_bits() - 1)];
+        for u in cum.iter().copied().chain(edges) {
+            if u > 0.0 {
+                draws.push(f64::from_bits(u.to_bits() - 1));
+            }
+            draws.extend([u, f64::from_bits(u.to_bits() + 1)]);
+        }
+        draws.retain(|u| (0.0..1.0).contains(u));
+        draws
+    }
+
+    /// Checks `Cumulative::sample` against `sample_cumulative` at every
+    /// edge draw and at `random` draws.
+    fn guide_matches_binary_search(cum: Vec<f64>, random: &[f64]) -> Result<(), TestCaseError> {
+        let guided = Cumulative::new(cum.clone());
+        for u in edge_draws(&cum).into_iter().chain(random.iter().copied()) {
+            prop_assert_eq!(
+                guided.sample(u),
+                sample_cumulative(&cum, u),
+                "u = {:e} over {} ranks",
+                u,
+                cum.len()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn guide_table_matches_binary_search_on_zipf_tables(
+            ranks in 1usize..=300,
+            s in 0.0f64..3.0,
+            random in prop::collection::vec(0.0f64..1.0, 256),
+        ) {
+            guide_matches_binary_search(zipf_cumulative(ranks, s), &random)?;
+        }
+
+        #[test]
+        fn guide_table_matches_binary_search_on_random_weights(
+            weights in prop::collection::vec((0.0f64..1.0, 0usize..5), 1..=300),
+            random in prop::collection::vec(0.0f64..1.0, 256),
+        ) {
+            // Weights spread over 40 decades, some zero, so that
+            // neighbouring cumulative weights can be equal or one ulp apart.
+            let weights: Vec<f64> = weights
+                .iter()
+                .map(|&(w, decade)| match decade {
+                    0 => 0.0,
+                    d => w * 10f64.powi(-10 * (d as i32 - 1)),
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let mut run = 0.0;
+            let mut cum: Vec<f64> = weights
+                .iter()
+                .map(|&w| {
+                    run += if total > 0.0 { w / total } else { 1.0 };
+                    run.min(1.0)
+                })
+                .collect();
+            *cum.last_mut().unwrap() = 1.0;
+            guide_matches_binary_search(cum, &random)?;
         }
     }
 

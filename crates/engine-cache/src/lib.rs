@@ -43,7 +43,7 @@ impl Default for CacheConfig {
     }
 }
 
-type ResultCache = Arc<Mutex<FxHashMap<Arc<str>, AggResult>>>;
+type ResultCache = Arc<Mutex<FxHashMap<Arc<str>, Arc<AggResult>>>>;
 
 /// A middleware adapter wrapping any inner engine.
 pub struct CachingAdapter<E> {
@@ -165,20 +165,20 @@ struct CacheFill {
     inner: Box<dyn QueryHandle>,
     cache: ResultCache,
     key: Arc<str>,
-    /// The inner engine's final result, built once when it completes and
-    /// served to every later snapshot.
-    finished: Option<AggResult>,
+    /// The inner engine's final result, built once when it completes,
+    /// shared with the cache and served to every later snapshot.
+    finished: Option<Arc<AggResult>>,
 }
 
 impl QueryHandle for CacheFill {
     fn step(&mut self, granted: u64) -> StepStatus {
         let status = self.inner.step(granted);
         if status.is_done() && self.finished.is_none() {
-            self.finished = self.inner.snapshot();
+            self.finished = self.inner.snapshot().map(Arc::new);
             if let Some(result) = self.finished.as_ref().filter(|r| r.exact) {
                 self.cache
                     .lock()
-                    .insert(Arc::clone(&self.key), result.clone());
+                    .insert(Arc::clone(&self.key), Arc::clone(result));
             }
         }
         status
@@ -186,7 +186,7 @@ impl QueryHandle for CacheFill {
 
     fn snapshot(&self) -> Option<AggResult> {
         match &self.finished {
-            Some(result) => Some(result.clone()),
+            Some(result) => Some(AggResult::clone(result)),
             None => self.inner.snapshot(),
         }
     }
@@ -322,6 +322,28 @@ mod tests {
         assert_eq!(fill.snapshot(), Some(AggResult::empty_exact()));
         assert_eq!(built.load(Ordering::Relaxed), 1);
         assert_eq!(cache.lock().len(), 1);
+    }
+
+    #[test]
+    fn fills_and_hits_share_the_cached_result() {
+        let ds = dataset(1_000);
+        let mut a = adapter(0);
+        a.prepare(&ds, &Settings::default()).unwrap();
+        // Holders of the cached result, besides the cache and this count.
+        let sharers = |a: &CachingAdapter<ExactAdapter>| {
+            let cache = a.cache.lock();
+            Arc::strong_count(cache.values().next().expect("one cached result")) - 1
+        };
+        let mut fill = a.submit(&query());
+        while !fill.step(100_000).is_done() {}
+        assert_eq!(sharers(&a), 1, "the fill inserted its own result");
+        drop(fill);
+        assert_eq!(sharers(&a), 0);
+        let hit = a.submit(&query());
+        assert_eq!(sharers(&a), 1, "the hit holds the cached allocation");
+        assert_eq!(hit.snapshot(), execute_exact(&ds, &query()).ok());
+        drop(hit);
+        assert_eq!(sharers(&a), 0);
     }
 
     #[test]

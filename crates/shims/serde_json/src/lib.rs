@@ -316,4 +316,18 @@ mod tests {
         assert!(from_str::<Value>("tru").is_err());
         assert!(from_str::<Value>("1 2").is_err());
     }
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_str::<Value>(&nested("[", "]", 128)).is_ok());
+        assert!(from_str::<Value>(&nested("{\"a\":", "}", 128)).is_ok());
+        assert!(from_str::<Value>(&nested("[", "]", 129)).is_err());
+        assert!(from_str::<Value>(&nested("{\"a\":", "}", 129)).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":[".repeat(50_000)).is_err());
+    }
 }
