@@ -2,7 +2,8 @@
 //! vectorized execution core on the paper's canonical scan shapes, on the
 //! brush filters linked selections compile to (an OR of ranges, ANDed with
 //! an IN list), on a nullable column and a decimal too wide for a decode
-//! table (both read in place), and on star-schema join cases, each against
+//! table (both read in place), on a bin space too large to bound (its
+//! slots numbered from its keys), and on star-schema join cases, each against
 //! the scalar oracle for the speedup ratio, plus per-worker-count scaling
 //! rows for the parallel morsel
 //! dispatcher: a one-shot count scan, and a shuffled scan stepped in
@@ -269,6 +270,33 @@ fn dense_2d_min_max() -> Query {
             },
         ],
         vec![
+            AggregateSpec::over(AggFunc::Min, "arr_delay"),
+            AggregateSpec::over(AggFunc::Max, "arr_delay"),
+        ],
+    );
+    Query::for_viz(&spec, None)
+}
+
+/// Nominal × bucketed 2D aggregation over an unbounded bin space: at
+/// width 0.1 carrier × delay band holds more bins than
+/// `DENSE_BIN_CAP`, so its slots are ids of its keys (`AccMode::Sparse`).
+fn unbounded_2d_agg() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![
+            BinDef::Nominal {
+                dimension: "carrier".into(),
+            },
+            BinDef::Width {
+                dimension: "dep_delay".into(),
+                width: 0.1,
+                anchor: 0.0,
+            },
+        ],
+        vec![
+            AggregateSpec::count(),
+            AggregateSpec::over(AggFunc::Avg, "arr_delay"),
             AggregateSpec::over(AggFunc::Min, "arr_delay"),
             AggregateSpec::over(AggFunc::Max, "arr_delay"),
         ],
@@ -609,7 +637,7 @@ fn main() {
     // The star cases run the devirtualized join layer (shared fact-ordered
     // materializations) against the scalar oracle, which follows the
     // foreign key per row, on the normalized twin of the same data.
-    let cases: [(&str, &Dataset, Query); 11] = [
+    let cases: [(&str, &Dataset, Query); 12] = [
         ("exact_scan_1d_nominal_count", &ds, exact_scan()),
         ("filtered_scan_1d_nominal_avg", &ds, filtered_1d_nominal()),
         ("nom_count_or_ranges", &ds, nom_count_or_ranges()),
@@ -617,6 +645,7 @@ fn main() {
         ("binned_2d_agg", &ds, binned_2d()),
         ("dense_bucketed_2d_agg", &ds, dense_bucketed_2d()),
         ("dense_2d_min_max", &ds, dense_2d_min_max()),
+        ("unbounded_2d_agg", &ds, unbounded_2d_agg()),
         (
             "nullable_filtered_1d_nominal_avg",
             &extra,
@@ -645,6 +674,12 @@ fn main() {
         let reference_ms = host.read();
         let plan = CompiledPlan::compile(data, q).expect("bench query compiles");
         let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
+        assert_eq!(
+            dense,
+            *name != "unbounded_2d_agg",
+            "{name} plans {:?}",
+            plan.acc_mode()
+        );
         let bytes_per_row = plan.bytes_per_row();
         assert_eq!(
             bits(&execute_exact(data, q).unwrap()),

@@ -85,16 +85,6 @@ impl MeasureAcc {
         }
     }
 
-    /// Folds one observation into the fields `stats` names.
-    #[inline(always)]
-    pub(crate) fn update_stats(&mut self, stats: Stats, v: f64) {
-        match stats {
-            Stats::Moments => self.update_moments(v),
-            Stats::Min => self.update_min(v),
-            Stats::Max => self.update_max(v),
-        }
-    }
-
     /// Folds one observation into the fields of [`Stats::Moments`].
     #[inline(always)]
     pub(crate) fn update_moments(&mut self, v: f64) {

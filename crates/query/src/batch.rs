@@ -17,11 +17,13 @@
 //!    stored once. A range over a narrow numeric column compares codes
 //!    (`CodeRange`), and an IN list looks dictionary codes up where they
 //!    are stored; a morsel the filter fully rejects stops here;
-//! 2. bin slots (dense) or bin keys (sparse) are computed for all rows from
-//!    dictionary codes in place — a dense fixed-width dimension over a
-//!    narrow numeric column looks its slots up by code (`CodeSlots`);
-//! 3. matching rows are folded into the accumulator in bulk. The dense
-//!    store first counts the live rows into their bins in a small kernel of
+//! 2. bin slots are computed from dictionary codes in place. In a bounded
+//!    bin space they are arithmetic, computed for all rows — a fixed-width
+//!    dimension over a narrow numeric column looks its slots up by code
+//!    (`CodeSlots`); in an unbounded one each matching row's bin key is
+//!    computed and numbered, new keys taking the next slot (`KeyIds`);
+//! 3. matching rows are folded into the accumulator in bulk. The store
+//!    first counts the live rows into their bins in a small kernel of
 //!    its own (`count_slots`), then runs one pass per measure that updates
 //!    only the statistics its aggregate reads (`Stats`: `n`, `sum`, `sumsq`
 //!    for SUM and AVG; `n` and `min` for MIN; `n` and `max` for MAX). A
@@ -36,11 +38,11 @@
 //! accumulator, and a code is used as an index only under that mask.
 //!
 //! Every kernel consumes a `ColView`, so star-schema joins devirtualized by
-//! the planner run the same code as de-normalized columns. The dense path
-//! exploits that an all-nominal binning has a bin space bounded by
-//! dictionary sizes: accumulators live in a flat array indexed by
-//! `code0 + code1 * dict_len0`, replacing the per-row hash probe of the
-//! scalar oracle.
+//! the planner run the same code as de-normalized columns. Accumulators
+//! live in flat arrays indexed by slot. A bounded bin space (nominal
+//! dictionaries, statistics-bounded bucketings) indexes them by
+//! `c0 + c1 * len0`, replacing the per-row hash probe of the scalar oracle;
+//! an unbounded one probes its key map once per run of equal keys.
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc, Stats};
 use crate::plan::{
@@ -261,24 +263,6 @@ impl<V> ColView<'_, V> {
         debug_assert_eq!(base % 64, 0, "morsels start on a bitmap word");
         self.validity
             .map(|v| std::array::from_fn(|w| v.word(base / 64 + w)))
-    }
-}
-
-impl ColView<'_> {
-    /// The numeric value at scan position `j` (`None` when null) — the
-    /// sparse store's row-at-a-time measure accessor.
-    #[inline(always)]
-    fn number(&self, j: usize) -> Option<f64> {
-        if self.validity.is_some_and(|v| !v.contains(j)) {
-            return None;
-        }
-        Some(match self.vals {
-            Vals::F64(d) => d[j],
-            Vals::Int(c) => c.get(j) as f64,
-            Vals::Dict(c) => c.get(j) as f64,
-            Vals::Decimal(c, t) => match_ints!(c, v => t.decode(v[j])),
-            Vals::WideDecimal(c, scale) => match_ints!(c, v => decode_decimal(v[j], scale)),
-        })
     }
 }
 
@@ -503,9 +487,9 @@ fn dense_slots(dims: &[BoundDim<'_>], base: usize, n: usize, slots: &mut [u32], 
     }
 }
 
-/// Computes sparse bin keys (up to two coordinates) for the morsel at
-/// positions `base..base + n`. Rows with a null binned value get their
-/// `valid` bit cleared.
+/// Computes the bin keys of an unbounded space (up to two coordinates) for
+/// the morsel at positions `base..base + n`. Rows with a null binned value
+/// get their `valid` bit cleared.
 fn sparse_keys(
     dims: &[BoundDim<'_>],
     base: usize,
@@ -584,55 +568,96 @@ fn count_slots(slots: &[u32], live: &Mask, counts: &mut [u64], touched: &mut Vec
     }
 }
 
-/// The coordinate kind of one sparse binning dimension.
-#[derive(Debug, Clone, Copy)]
-enum CoordKind {
-    Cat,
-    Bucket,
-}
-
-/// Slot-decode metadata of one dense binning dimension: its bounded size
-/// and how a slot coordinate maps back to a [`BinCoord`].
+/// Slot-decode metadata of one binning dimension: its bounded size and how
+/// a slot coordinate maps back to a [`BinCoord`].
 #[derive(Debug, Clone, Copy)]
 struct DenseDim {
-    /// Size of this dimension's bin space (`slot = c0 + c1 · len0`).
+    /// Size of this dimension's bin space (`slot = c0 + c1 · len0`); unused
+    /// for an unbounded space, whose slots decode through their keys.
     len: usize,
     /// `None` = nominal (coordinate is a dictionary code); `Some(lo)` =
-    /// bucketed (coordinate `c` decodes to bucket `lo + c`).
+    /// bucketed (coordinate `c` decodes to bucket `lo + c`). The key of an
+    /// unbounded space is the bucket itself, so its `lo` is 0.
     bucket_lo: Option<i64>,
 }
 
-enum Store {
-    /// Flat-array accumulation over a bounded bin space (nominal
-    /// dictionaries and/or statistics-bounded bucketings).
-    Dense {
-        /// Per-dimension slot decode metadata (1 or 2 entries).
-        dims: Vec<DenseDim>,
-        counts: Vec<u64>,
-        /// `space * nmeasures` measure accumulators, slot-major.
-        measures: Vec<MeasureAcc>,
-        /// Slots with `counts > 0`, in first-touch order — snapshots only
-        /// walk populated bins, not the whole space.
-        ///
-        /// The order is load-bearing: [`BatchAcc::to_grouped`] inserts
-        /// bins in it, the insertion order fixes the iteration order of the
-        /// result's hash map, and `Metrics::evaluate` (`idebench-core`)
-        /// sums floats in that iteration order. Another order (slot order,
-        /// say) gives the same bins but different report bits.
-        touched: Vec<u32>,
-    },
-    /// Hashed accumulation for unbounded bucket spaces. The map stores
-    /// indices into a dense `Vec<BinAcc>` so the common consecutive-rows-
-    /// same-bucket case skips the probe via a last-key memo, and finish
-    /// walks a contiguous vector.
-    Sparse {
-        kinds: Vec<CoordKind>,
-        index: FxHashMap<(i64, i64), u32>,
-        accs: Vec<((i64, i64), BinAcc)>,
-    },
+/// Dense ids for the bin keys of an unbounded bin space
+/// ([`AccMode::Sparse`]): each new `(i64, i64)` key takes the next id, so
+/// ids follow the first touch of their bins over live rows, and the ids
+/// are the store's slots.
+struct KeyIds {
+    index: FxHashMap<(i64, i64), u32>,
+    /// `keys[id]` is the bin key of slot `id`.
+    keys: Vec<(i64, i64)>,
+    // Reusable per-morsel key scratch.
+    k0: Vec<i64>,
+    k1: Vec<i64>,
 }
 
-/// The vectorized accumulator driven by [`CompiledPlan`] morsel kernels.
+impl KeyIds {
+    fn new() -> KeyIds {
+        KeyIds {
+            index: FxHashMap::default(),
+            keys: Vec::new(),
+            k0: vec![0; MORSEL],
+            k1: vec![0; MORSEL],
+        }
+    }
+
+    /// The id of `key`: the next one if `key` is new.
+    #[inline]
+    fn id(&mut self, key: (i64, i64)) -> u32 {
+        let next = self.keys.len() as u32;
+        let id = *self.index.entry(key).or_insert(next);
+        if id == next {
+            self.keys.push(key);
+        }
+        id
+    }
+
+    /// Computes the slots of the morsel at positions `base..base + n` for
+    /// the rows of `fmask` whose binned values are non-null (`valid` gets
+    /// the latter). Consecutive rows often land in the same bin; a last-key
+    /// memo skips the hash probe for each run of equal keys.
+    #[inline(never)]
+    fn slots(
+        &mut self,
+        dims: &[BoundDim<'_>],
+        base: usize,
+        n: usize,
+        fmask: &Mask,
+        slots: &mut [u32],
+        valid: &mut Mask,
+    ) {
+        sparse_keys(dims, base, n, &mut self.k0, &mut self.k1, valid);
+        let two_d = dims.len() == 2;
+        let mut last: Option<((i64, i64), u32)> = None;
+        for w in 0..WORDS {
+            let mut bits = fmask[w] & valid[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let key = (self.k0[i], if two_d { self.k1[i] } else { 0 });
+                slots[i] = match last {
+                    Some((k, s)) if k == key => s,
+                    _ => {
+                        let s = self.id(key);
+                        last = Some((key, s));
+                        s
+                    }
+                };
+            }
+        }
+    }
+}
+
+/// The vectorized accumulator driven by [`CompiledPlan`] morsel kernels:
+/// flat arrays of counts and measure statistics indexed by bin slot.
+///
+/// A bounded bin space ([`AccMode::Dense`]: nominal dictionaries and/or
+/// statistics-bounded bucketings) computes slots arithmetically and is
+/// preallocated; an unbounded one ([`AccMode::Sparse`]) numbers its keys
+/// ([`KeyIds`]) and grows. Either way the same kernels count and measure.
 ///
 /// Mirrors the statistics of [`GroupedAcc`] (which remains the scalar
 /// reference and merge/finish representation); [`BatchAcc::to_grouped`]
@@ -643,13 +668,26 @@ pub(crate) struct BatchAcc {
     /// kernels update only those.
     stats: Vec<Option<Stats>>,
     nmeasures: usize,
-    store: Store,
+    /// Per-dimension slot decode metadata (1 or 2 entries).
+    dims: Vec<DenseDim>,
+    counts: Vec<u64>,
+    /// `nmeasures` measure accumulators per slot, slot-major.
+    measures: Vec<MeasureAcc>,
+    /// Slots with `counts > 0`, in first-touch order — snapshots only walk
+    /// populated bins, not the whole space.
+    ///
+    /// The order is load-bearing: [`BatchAcc::to_grouped`] inserts bins in
+    /// it, the insertion order fixes the iteration order of the result's
+    /// hash map, and `Metrics::evaluate` (`idebench-core`) sums floats in
+    /// that iteration order. Another order (slot order, say) gives the same
+    /// bins but different report bits.
+    touched: Vec<u32>,
+    /// The key ids of an unbounded bin space; `None` for a bounded one.
+    ids: Option<KeyIds>,
     pub rows_seen: u64,
     pub rows_matched: u64,
     // Reusable per-morsel scratch.
     slots: Vec<u32>,
-    k0: Vec<i64>,
-    k1: Vec<i64>,
 }
 
 impl BatchAcc {
@@ -662,52 +700,52 @@ impl BatchAcc {
             .collect();
         let stats = aggs.iter().map(|&(func, _)| Stats::of(func)).collect();
         let nmeasures = aggs.len();
-        let store = match plan.acc_mode() {
-            AccMode::Dense(space) => Store::Dense {
-                dims: plan
-                    .dims
-                    .iter()
-                    .map(|d| match d {
-                        PlannedDim::Nominal { dict_len, .. } => DenseDim {
-                            len: (*dict_len).max(1),
-                            bucket_lo: None,
-                        },
-                        PlannedDim::Width { dense, .. } => {
-                            let dense = dense.expect("dense mode requires bounded bucket space");
-                            DenseDim {
-                                len: dense.len,
-                                bucket_lo: Some(dense.lo),
-                            }
-                        }
-                    })
-                    .collect(),
-                counts: vec![0; space],
-                measures: vec![MeasureAcc::new(); space * nmeasures],
-                touched: Vec::new(),
-            },
-            AccMode::Sparse => Store::Sparse {
-                kinds: plan
-                    .dims
-                    .iter()
-                    .map(|d| match d {
-                        PlannedDim::Nominal { .. } => CoordKind::Cat,
-                        PlannedDim::Width { .. } => CoordKind::Bucket,
-                    })
-                    .collect(),
-                index: FxHashMap::default(),
-                accs: Vec::new(),
-            },
+        let (space, ids) = match plan.acc_mode() {
+            AccMode::Dense(space) => (space, None),
+            AccMode::Sparse => (0, Some(KeyIds::new())),
         };
+        let dims = plan
+            .dims
+            .iter()
+            .map(|d| match d {
+                PlannedDim::Nominal { dict_len, .. } => DenseDim {
+                    len: (*dict_len).max(1),
+                    bucket_lo: None,
+                },
+                PlannedDim::Width { .. } if ids.is_some() => DenseDim {
+                    len: 0,
+                    bucket_lo: Some(0),
+                },
+                PlannedDim::Width { dense, .. } => {
+                    let dense = dense.expect("dense mode requires bounded bucket space");
+                    DenseDim {
+                        len: dense.len,
+                        bucket_lo: Some(dense.lo),
+                    }
+                }
+            })
+            .collect();
         BatchAcc {
             aggs,
             stats,
             nmeasures,
-            store,
+            dims,
+            counts: vec![0; space],
+            measures: vec![MeasureAcc::new(); space * nmeasures],
+            touched: Vec::new(),
+            ids,
             rows_seen: 0,
             rows_matched: 0,
             slots: vec![0; MORSEL],
-            k0: vec![0; MORSEL],
-            k1: vec![0; MORSEL],
+        }
+    }
+
+    /// Extends the tables to cover `len` slots (an unbounded space's ids).
+    fn grow(&mut self, len: usize) {
+        if self.counts.len() < len {
+            self.counts.resize(len, 0);
+            self.measures
+                .resize(len * self.nmeasures, MeasureAcc::new());
         }
     }
 
@@ -731,102 +769,56 @@ impl BatchAcc {
             return fmask;
         }
 
-        // 2. Bin keys, 3. accumulate matching rows.
+        // 2. Bin slots, 3. accumulate matching rows.
         let mut valid: Mask = [0u64; WORDS];
-        match &mut self.store {
-            Store::Dense {
-                counts,
-                measures,
-                touched,
-                ..
-            } => {
-                dense_slots(&bound.dims, base, n, &mut self.slots, &mut valid);
-                let live: Mask = std::array::from_fn(|w| fmask[w] & valid[w]);
-                count_slots(&self.slots, &live, counts, touched);
-                // One pass per measure column, so the column-type dispatch
-                // runs once per morsel instead of once per row. Per (bin,
-                // measure) the update sequence stays exactly row order.
-                let nmeasures = self.nmeasures;
-                let slots = &self.slots;
-                // A flat measure-update pass over the column `$col`:
-                // walk the live rows (AND-ing the column's validity mask) and
-                // fold each value into the row's bin accumulator with
-                // `$update`.
-                macro_rules! measure_pass {
-                    ($m:expr, $col:expr, $update:ident) => {{
-                        let mask = $col.mask(base).unwrap_or(ONES);
-                        with_numbers!($col, base, n, |src, of| for w in 0..WORDS {
-                            let mut bits = live[w] & mask[w];
-                            if bits == u64::MAX {
-                                // Full word: straight-line row loop, same
-                                // update order as the bit scan below.
-                                for i in w * 64..w * 64 + 64 {
-                                    measures[slots[i] as usize * nmeasures + $m]
-                                        .$update(of(src[i]));
-                                }
-                            } else {
-                                while bits != 0 {
-                                    let i = w * 64 + bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    measures[slots[i] as usize * nmeasures + $m]
-                                        .$update(of(src[i]));
-                                }
-                            }
-                        })
-                    }};
-                }
-                for (m, col) in bound.measures.iter().enumerate() {
-                    let (Some(col), Some(stats)) = (col, self.stats[m]) else {
-                        continue;
-                    };
-                    match stats {
-                        Stats::Moments => measure_pass!(m, col, update_moments),
-                        Stats::Min => measure_pass!(m, col, update_min),
-                        Stats::Max => measure_pass!(m, col, update_max),
-                    }
-                }
-            }
-            Store::Sparse { index, accs, .. } => {
-                sparse_keys(&bound.dims, base, n, &mut self.k0, &mut self.k1, &mut valid);
-                let two_d = bound.dims.len() == 2;
-                let nmeasures = self.nmeasures;
-                let stats = &self.stats;
-                // Consecutive rows often land in the same bin; memoize the
-                // last slot to skip the hash probe.
-                let mut last: Option<((i64, i64), u32)> = None;
-                for w in 0..WORDS {
-                    let mut bits = fmask[w] & valid[w];
-                    while bits != 0 {
-                        let i = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let key = (self.k0[i], if two_d { self.k1[i] } else { 0 });
-                        let slot = match last {
-                            Some((k, s)) if k == key => s,
-                            _ => {
-                                let s = *index.entry(key).or_insert_with(|| {
-                                    accs.push((
-                                        key,
-                                        BinAcc {
-                                            count: 0,
-                                            measures: vec![MeasureAcc::new(); nmeasures],
-                                        },
-                                    ));
-                                    (accs.len() - 1) as u32
-                                });
-                                last = Some((key, s));
-                                s
-                            }
-                        };
-                        let acc = &mut accs[slot as usize].1;
-                        acc.count += 1;
-                        for (m, col) in bound.measures.iter().enumerate() {
-                            let v = col.as_ref().and_then(|c| c.number(base + i));
-                            if let (Some(stats), Some(v)) = (stats[m], v) {
-                                acc.measures[m].update_stats(stats, v);
-                            }
+        if let Some(ids) = &mut self.ids {
+            ids.slots(&bound.dims, base, n, &fmask, &mut self.slots, &mut valid);
+            let len = ids.keys.len();
+            self.grow(len);
+        } else {
+            dense_slots(&bound.dims, base, n, &mut self.slots, &mut valid);
+        }
+        let (counts, measures) = (&mut self.counts, &mut self.measures);
+        let live: Mask = std::array::from_fn(|w| fmask[w] & valid[w]);
+        count_slots(&self.slots, &live, counts, &mut self.touched);
+        // One pass per measure column, so the column-type dispatch
+        // runs once per morsel instead of once per row. Per (bin,
+        // measure) the update sequence stays exactly row order.
+        let nmeasures = self.nmeasures;
+        let slots = &self.slots;
+        // A flat measure-update pass over the column `$col`:
+        // walk the live rows (AND-ing the column's validity mask) and
+        // fold each value into the row's bin accumulator with
+        // `$update`.
+        macro_rules! measure_pass {
+            ($m:expr, $col:expr, $update:ident) => {{
+                let mask = $col.mask(base).unwrap_or(ONES);
+                with_numbers!($col, base, n, |src, of| for w in 0..WORDS {
+                    let mut bits = live[w] & mask[w];
+                    if bits == u64::MAX {
+                        // Full word: straight-line row loop, same
+                        // update order as the bit scan below.
+                        for i in w * 64..w * 64 + 64 {
+                            measures[slots[i] as usize * nmeasures + $m].$update(of(src[i]));
+                        }
+                    } else {
+                        while bits != 0 {
+                            let i = w * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            measures[slots[i] as usize * nmeasures + $m].$update(of(src[i]));
                         }
                     }
-                }
+                })
+            }};
+        }
+        for (m, col) in bound.measures.iter().enumerate() {
+            let (Some(col), Some(stats)) = (col, self.stats[m]) else {
+                continue;
+            };
+            match stats {
+                Stats::Moments => measure_pass!(m, col, update_moments),
+                Stats::Min => measure_pass!(m, col, update_min),
+                Stats::Max => measure_pass!(m, col, update_max),
             }
         }
         fmask
@@ -841,51 +833,32 @@ impl BatchAcc {
     /// (`Metrics::evaluate` in `idebench-core`) sum floats in, so it must
     /// not change.
     pub fn to_grouped(&self) -> GroupedAcc {
+        let dims = &self.dims;
+        let decode = |dim: &DenseDim, c: i64| match dim.bucket_lo {
+            None => BinCoord::Cat(c as u32),
+            Some(lo) => BinCoord::Bucket(lo + c),
+        };
         let mut bins: FxHashMap<BinKey, BinAcc> = FxHashMap::default();
-        match &self.store {
-            Store::Dense {
-                dims,
-                counts,
-                measures,
-                touched,
-            } => {
-                let decode = |dim: &DenseDim, c: usize| match dim.bucket_lo {
-                    None => BinCoord::Cat(c as u32),
-                    Some(lo) => BinCoord::Bucket(lo + c as i64),
-                };
-                for &slot in touched {
-                    let slot = slot as usize;
-                    let key = if dims.len() == 2 {
-                        BinKey::d2(
-                            decode(&dims[0], slot % dims[0].len),
-                            decode(&dims[1], slot / dims[0].len),
-                        )
-                    } else {
-                        BinKey::d1(decode(&dims[0], slot))
-                    };
-                    bins.insert(
-                        key,
-                        BinAcc {
-                            count: counts[slot],
-                            measures: measures[slot * self.nmeasures..][..self.nmeasures].to_vec(),
-                        },
-                    );
-                }
-            }
-            Store::Sparse { kinds, accs, .. } => {
-                for ((a, b), acc) in accs {
-                    let coord = |kind: CoordKind, v: i64| match kind {
-                        CoordKind::Cat => BinCoord::Cat(v as u32),
-                        CoordKind::Bucket => BinCoord::Bucket(v),
-                    };
-                    let key = if kinds.len() == 2 {
-                        BinKey::d2(coord(kinds[0], *a), coord(kinds[1], *b))
-                    } else {
-                        BinKey::d1(coord(kinds[0], *a))
-                    };
-                    bins.insert(key, acc.clone());
-                }
-            }
+        for &slot in &self.touched {
+            let slot = slot as usize;
+            // A bounded space's slot is arithmetic; an unbounded one's is
+            // the id of its key.
+            let (c0, c1) = match &self.ids {
+                None => ((slot % dims[0].len) as i64, (slot / dims[0].len) as i64),
+                Some(ids) => ids.keys[slot],
+            };
+            let key = if dims.len() == 2 {
+                BinKey::d2(decode(&dims[0], c0), decode(&dims[1], c1))
+            } else {
+                BinKey::d1(decode(&dims[0], c0))
+            };
+            bins.insert(
+                key,
+                BinAcc {
+                    count: self.counts[slot],
+                    measures: self.measures[slot * self.nmeasures..][..self.nmeasures].to_vec(),
+                },
+            );
         }
         GroupedAcc::from_parts(self.aggs.clone(), bins, self.rows_seen, self.rows_matched)
     }
@@ -900,77 +873,41 @@ impl BatchAcc {
         debug_assert_eq!(self.aggs, other.aggs);
         self.rows_seen += other.rows_seen;
         self.rows_matched += other.rows_matched;
-        match (&mut self.store, &other.store) {
-            (
-                Store::Dense {
-                    counts,
-                    measures,
-                    touched,
-                    ..
-                },
-                Store::Dense {
-                    counts: ocounts,
-                    measures: omeasures,
-                    touched: otouched,
-                    ..
-                },
-            ) => {
-                for &slot in otouched {
-                    let slot = slot as usize;
-                    if counts[slot] == 0 {
-                        touched.push(slot as u32);
-                    }
-                    counts[slot] += ocounts[slot];
-                    for m in 0..self.nmeasures {
-                        measures[slot * self.nmeasures + m]
-                            .merge(&omeasures[slot * self.nmeasures + m]);
-                    }
-                }
+        let nmeasures = self.nmeasures;
+        for &oslot in &other.touched {
+            let oslot = oslot as usize;
+            // Partials number an unbounded space's keys apart: remap
+            // through the other's key.
+            let slot = match (&mut self.ids, &other.ids) {
+                (Some(ids), Some(oids)) => ids.id(oids.keys[oslot]) as usize,
+                _ => oslot,
+            };
+            self.grow(slot + 1);
+            if self.counts[slot] == 0 {
+                self.touched.push(slot as u32);
             }
-            (Store::Sparse { index, accs, .. }, Store::Sparse { accs: oaccs, .. }) => {
-                for (key, oacc) in oaccs {
-                    match index.get(key) {
-                        Some(&slot) => {
-                            let acc = &mut accs[slot as usize].1;
-                            acc.count += oacc.count;
-                            for (m, o) in acc.measures.iter_mut().zip(&oacc.measures) {
-                                m.merge(o);
-                            }
-                        }
-                        None => {
-                            index.insert(*key, accs.len() as u32);
-                            accs.push((*key, oacc.clone()));
-                        }
-                    }
-                }
+            self.counts[slot] += other.counts[oslot];
+            for m in 0..nmeasures {
+                self.measures[slot * nmeasures + m].merge(&other.measures[oslot * nmeasures + m]);
             }
-            _ => unreachable!("partials of one plan share an accumulation mode"),
         }
     }
 
     /// Empties the accumulator for reuse over the same plan, as if freshly
-    /// built by [`BatchAcc::for_plan`]. A dense store clears only its
-    /// touched bins, so the cost is O(populated bins), not O(bin space).
+    /// built by [`BatchAcc::for_plan`]. Only the touched bins are cleared
+    /// (and an unbounded space's key ids), so the cost is O(populated bins),
+    /// not O(bin space).
     pub fn reset(&mut self) {
         self.rows_seen = 0;
         self.rows_matched = 0;
-        match &mut self.store {
-            Store::Dense {
-                counts,
-                measures,
-                touched,
-                ..
-            } => {
-                for slot in touched.drain(..) {
-                    let slot = slot as usize;
-                    counts[slot] = 0;
-                    measures[slot * self.nmeasures..][..self.nmeasures].fill(MeasureAcc::new());
-                }
-            }
-            Store::Sparse { index, accs, .. } => {
-                index.clear();
-                accs.clear();
-            }
+        for slot in self.touched.drain(..) {
+            let slot = slot as usize;
+            self.counts[slot] = 0;
+            self.measures[slot * self.nmeasures..][..self.nmeasures].fill(MeasureAcc::new());
+        }
+        if let Some(ids) = &mut self.ids {
+            ids.index.clear();
+            ids.keys.clear();
         }
     }
 }

@@ -52,10 +52,11 @@
 //!
 //! A paused scan holds the base accumulator and at most `workers` chunks
 //! (an accumulator and an 8 KiB bitmap each), computed ahead or spare. A
-//! folded chunk is reset (only its touched bins, or its sparse map, are
-//! cleared) and kept as a spare, and each read-ahead takes spares before it
-//! allocates, on the calling thread; spares and chunks computed ahead never
-//! exceed `workers` together, and a completed scan frees them. A span over
+//! folded chunk is reset (only its touched bins, and an unbounded space's
+//! key ids, are cleared) and kept as a spare, and each read-ahead takes
+//! spares before it allocates, on the calling thread; spares and chunks
+//! computed ahead never exceed `workers` together, and a completed scan
+//! frees them. A span over
 //! many chunks (a one-shot or ground-truth scan) folds each chunk as the
 //! walk passes it, so it too keeps O(workers) accumulators alive. Work the
 //! scan computes but never uses is bounded: at most `workers − 1` chunks

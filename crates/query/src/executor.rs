@@ -1515,64 +1515,69 @@ mod tests {
     /// `Metrics::evaluate` sums floats while iterating the ground truth's
     /// hash map. Through chunk merges at any worker count, the bins of a
     /// shuffled scan must be inserted in the order of their first
-    /// appearance in the scan.
+    /// appearance in the scan, whether its slots are arithmetic (a bounded
+    /// bin space) or ids of its keys (an unbounded one).
     #[test]
     fn bins_leave_to_grouped_in_first_appearance_order() {
         let n = 3 * CHUNK_ROWS + 517;
         let ds = float_dataset(n);
-        let spec = VizSpec::new(
-            "v",
-            "flights",
-            vec![
-                BinDef::Nominal {
-                    dimension: "carrier".into(),
-                },
-                BinDef::Width {
-                    dimension: "dep_delay".into(),
-                    width: 0.5,
-                    anchor: 0.0,
-                },
-            ],
-            vec![AggregateSpec::count()],
-        );
-        let q = Query::for_viz(&spec, None);
-        assert!(matches!(
-            CompiledPlan::compile(&ds, &q).unwrap().acc_mode(),
-            AccMode::Dense(_)
-        ));
         let order: Arc<Vec<u32>> = Arc::new(
             (0..n as u64)
                 .map(|i| ((i * 1_000_003 + 12_345) % n as u64) as u32)
                 .collect(),
         );
-        let resolved = ResolvedQuery::new(&ds, &q).unwrap();
-        let first_seen = |end: usize| {
-            let mut seen = rustc_hash::FxHashSet::default();
-            let mut keys = Vec::new();
-            for &row in &order[..end] {
-                let key = resolved.binning.bin_of(row as usize).unwrap();
-                if seen.insert(key.clone()) {
-                    keys.push(key);
+        for (width, dense) in [(0.5, true), (0.01, false)] {
+            let spec = VizSpec::new(
+                "v",
+                "flights",
+                vec![
+                    BinDef::Nominal {
+                        dimension: "carrier".into(),
+                    },
+                    BinDef::Width {
+                        dimension: "dep_delay".into(),
+                        width,
+                        anchor: 0.0,
+                    },
+                ],
+                vec![AggregateSpec::count()],
+            );
+            let q = Query::for_viz(&spec, None);
+            let mode = CompiledPlan::compile(&ds, &q).unwrap().acc_mode();
+            assert_eq!(
+                matches!(mode, AccMode::Dense(_)),
+                dense,
+                "width {width}: {mode:?}"
+            );
+            let resolved = ResolvedQuery::new(&ds, &q).unwrap();
+            let first_seen = |end: usize| {
+                let mut seen = rustc_hash::FxHashSet::default();
+                let mut keys = Vec::new();
+                for &row in &order[..end] {
+                    let key = resolved.binning.bin_of(row as usize).unwrap();
+                    if seen.insert(key.clone()) {
+                        keys.push(key);
+                    }
                 }
-            }
-            keys
-        };
-        for end in [2 * CHUNK_ROWS, n] {
-            let appearance = first_seen(end);
-            assert!(appearance.len() > 500, "{} bins", appearance.len());
-            let expected = inserted_in(appearance.iter().cloned());
-            // The check has teeth: the same bins inserted in key order
-            // iterate differently.
-            let mut sorted = appearance.clone();
-            sorted.sort_by_key(|k| format!("{k:?}"));
-            assert_ne!(inserted_in(sorted), expected);
-            for workers in [1, 2, 8] {
-                let acc = accumulator_at(&ds, &q, Some(&order), workers, end);
-                assert_eq!(
-                    acc.bins.keys().cloned().collect::<Vec<_>>(),
-                    expected,
-                    "end {end}, workers {workers}"
-                );
+                keys
+            };
+            for end in [2 * CHUNK_ROWS, n] {
+                let appearance = first_seen(end);
+                assert!(appearance.len() > 500, "{} bins", appearance.len());
+                let expected = inserted_in(appearance.iter().cloned());
+                // The check has teeth: the same bins inserted in key order
+                // iterate differently.
+                let mut sorted = appearance.clone();
+                sorted.sort_by_key(|k| format!("{k:?}"));
+                assert_ne!(inserted_in(sorted), expected);
+                for workers in [1, 2, 8] {
+                    let acc = accumulator_at(&ds, &q, Some(&order), workers, end);
+                    assert_eq!(
+                        acc.bins.keys().cloned().collect::<Vec<_>>(),
+                        expected,
+                        "end {end}, workers {workers}"
+                    );
+                }
             }
         }
     }

@@ -12,23 +12,25 @@
 //!   Query ──compile──▶ CompiledPlan ──chunks──▶ worker pool ──▶ AggResult
 //!           (once per         morsel dispatcher:    per worker+chunk:
 //!            ChunkedRun)      fixed CHUNK_ROWS      filter → Mask
-//!                             grid, partial per     bin    → slots/keys
-//!                             chunk, in-order       accumulate dense/sparse
+//!                             grid, partial per     bin    → slots
+//!                             chunk, in-order       accumulate by slot
 //!                             merge
 //! ```
 //!
 //! - [`plan`]: the **owned** [`CompiledPlan`] — column names resolved to
 //!   `(Arc<Table>, index)` handles (following star-schema foreign keys),
-//!   IN-lists lowered to dictionary membership tables, binning classified as
-//!   dense (bounded bin space: nominal dictionaries *and* statistics-bounded
-//!   fixed-width bucketings) or sparse (genuinely unbounded key spaces), and
-//!   ranges and dense bucketings over narrow numeric columns lowered to code
-//!   space. Built exactly once per run; [`plan_compilations`] lets tests
-//!   pin that.
+//!   IN-lists lowered to dictionary membership tables, binning classified
+//!   by its bin space — dense (bounded: nominal dictionaries *and*
+//!   statistics-bounded fixed-width bucketings) or sparse (genuinely
+//!   unbounded key spaces) — and ranges and dense bucketings over narrow
+//!   numeric columns lowered to code space. Built exactly once per run;
+//!   [`plan_compilations`] lets tests pin that.
 //! - [`batch`]: fixed-size morsel kernels (filter → bitmask built a 64-row
 //!   word at a time, batched bin slot computation, bulk accumulation) and
-//!   the dense flat-array / sparse hashed accumulators. Narrow payloads
-//!   (see [`idebench_storage::encoding`]) are read as stored, typed by
+//!   the one accumulator: flat arrays indexed by slot, whose slots are
+//!   arithmetic in a bounded bin space and, in an unbounded one, ids its
+//!   bin keys take in first-touch order. Narrow payloads (see
+//!   [`idebench_storage::encoding`]) are read as stored, typed by
 //!   role — `DictCodes` (`u8`/`u16`/`u32`), `IntValues` (`u8`/`u16`/`i64`)
 //!   and `DecimalCodes` (`u16`/`i16`/`i32`) — so each kernel is compiled
 //!   once per width its column can hold: ranges and dense bucketings

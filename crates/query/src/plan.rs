@@ -4,13 +4,14 @@
 //! [`Query`] against a [`Dataset`]: every referenced column resolved to a
 //! `(table, column-index)` handle (following star-schema foreign keys),
 //! filter predicates lowered to typed comparisons (IN-lists becoming dense
-//! dictionary membership tables), and binning classified as *dense*
-//! (bounded bin space → flat-array accumulation) or *sparse* (unbounded →
-//! hash accumulation). A bin space is bounded when every dimension is —
-//! nominal dimensions by their dictionary, fixed-width bucketings by the
-//! column's cached min/max statistics (`slot = floor((v − anchor)/width) −
-//! lo`, clamped into `[0, len)`); only genuinely unbounded or oversized key
-//! spaces keep the hashed store.
+//! dictionary membership tables), and binning classified by its bin space
+//! ([`AccMode`]). Either way the accumulator is one set of flat arrays
+//! indexed by bin slot. A bounded space (*dense*) computes slots
+//! arithmetically — nominal dimensions are bounded by their dictionary,
+//! fixed-width bucketings by the column's cached min/max statistics (`slot
+//! = floor((v − anchor)/width) − lo`, clamped into `[0, len)`); in a
+//! genuinely unbounded or oversized key space (*sparse*) each new bin key
+//! takes the next slot instead.
 //!
 //! A `CompiledPlan` owns `Arc` handles into the dataset and therefore
 //! lives inside a [`crate::ChunkedRun`] for the whole scan: `advance` only
@@ -42,8 +43,9 @@
 //! fixed-width dimension of a densely accumulated plan looks its slot up
 //! in a per-code table (`CodeSlots`) — both computed here from the decoded
 //! value of every code, so they agree with the decoded kernels bit for bit
-//! — and measures and sparse dimensions decode the codes of the rows they
-//! read through the column's cached decode table (ints widen). A nullable
+//! — and measures and the dimensions of an unbounded bin space decode the
+//! codes of the rows they read through the column's cached decode table
+//! (ints widen). A nullable
 //! column's validity bitmap is read a 64-row word at a time into each
 //! morsel's masks, so a null's placeholder never reaches an accumulator. A
 //! run over a shuffled order rebinds the plan to the order's permuted
@@ -63,7 +65,8 @@ use std::sync::Arc;
 
 /// Upper bound on the flat bin space of the dense accumulation path.
 /// Binnings whose bounded-bin-space product (dictionary sizes × reachable
-/// bucket counts) exceeds this fall back to sparse (hashed) accumulation.
+/// bucket counts) exceeds this are accumulated as an unbounded space
+/// ([`AccMode::Sparse`]).
 pub const DENSE_BIN_CAP: usize = 1 << 13;
 
 static PLAN_COMPILATIONS: AtomicU64 = AtomicU64::new(0);
@@ -410,8 +413,8 @@ impl DenseWidth {
     /// `f64::floor` for every in-bounds value but free of the libm call
     /// baseline x86-64 lowers `floor()` to, which would otherwise dominate
     /// the slotting loop. `lo` round-trips through f64 exactly, so the slot
-    /// decodes to the same bucket index the hashed path computes, bit for
-    /// bit.
+    /// decodes to the same bucket index an unbounded space's key holds, bit
+    /// for bit.
     #[inline(always)]
     pub(crate) fn slot_of(
         lo: i64,
@@ -536,7 +539,7 @@ pub(crate) enum PlannedDim {
     Nominal { col: PlannedColumn, dict_len: usize },
     /// Fixed-width bucketing: bin = `floor((x - anchor) / width)`. `dense`
     /// is the arithmetic slot lowering when column statistics bound the
-    /// bucket space; `None` leaves the dimension on the hashed path.
+    /// bucket space; `None` leaves the dimension unbounded.
     /// `codes` is the code-space slot table when the plan accumulates
     /// densely and reads the column as codes.
     Width {
@@ -570,13 +573,15 @@ impl PlannedDim {
     }
 }
 
-/// How bin keys are accumulated.
+/// Where the accumulator's bin slots come from. Either way counts and
+/// measures live in flat arrays indexed by slot and run the same kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccMode {
-    /// Flat-array accumulation over a bounded nominal bin space of the given
-    /// size (slot = `code0 + code1 * dict_len0`).
+    /// A bounded bin space of the given size: slots are arithmetic (slot =
+    /// `c0 + c1 * len0`) and the arrays are preallocated.
     Dense(usize),
-    /// Hash accumulation for unbounded (bucketed) bin spaces.
+    /// An unbounded (bucketed) bin space: each new bin key takes the next
+    /// slot, in first-touch order, and the arrays grow.
     Sparse,
 }
 
@@ -757,7 +762,7 @@ impl CompiledPlan {
     /// Lowers a fixed-width bucketing to dense arithmetic slots when the
     /// column's min/max statistics bound its reachable buckets to at most
     /// [`DENSE_BIN_CAP`]. Columns without usable stats (empty, all-null, or
-    /// non-finite values) stay on the hashed path.
+    /// non-finite values) stay unbounded.
     fn dense_width(col: &PlannedColumn, width: f64, anchor: f64) -> Option<DenseWidth> {
         let (min, max) = col.column().numeric_min_max()?;
         let lo = ((min - anchor) / width).floor();
@@ -774,7 +779,7 @@ impl CompiledPlan {
             return None;
         }
         // The slot kernel and bucket decode need `lo` to round-trip
-        // through i64 exactly; outside that range stay on the hashed path.
+        // through i64 exactly; outside that range stay unbounded.
         if lo < i64::MIN as f64 || hi >= i64::MAX as f64 {
             return None;
         }
@@ -788,7 +793,8 @@ impl CompiledPlan {
     /// space — a nominal dictionary, or a bucketed dimension whose column
     /// statistics bound its reachable buckets — and the product of those
     /// spaces stays under [`DENSE_BIN_CAP`]. Anything else (unbounded or
-    /// statistics-less buckets, oversized products) takes the hashed path.
+    /// statistics-less buckets, oversized products) is accumulated as an
+    /// unbounded space.
     fn pick_acc_mode(dims: &[PlannedDim]) -> AccMode {
         let mut space = 1usize;
         for dim in dims {
@@ -1011,7 +1017,7 @@ mod tests {
         assert_eq!(plan.acc_mode(), AccMode::Dense(2));
 
         // A width so fine the reachable bucket count blows past the cap
-        // keeps the hashed store.
+        // is an unbounded space.
         let plan = CompiledPlan::compile(&denorm(), &width_query(1e-4)).unwrap();
         assert_eq!(plan.acc_mode(), AccMode::Sparse);
     }
@@ -1019,7 +1025,7 @@ mod tests {
     #[test]
     fn extreme_value_ranges_stay_sparse_without_overflow() {
         // Finite but astronomically spread values: bucket indices exceed
-        // every integer range. Planning must fall back to the hashed store
+        // every integer range. Planning must fall back to an unbounded space
         // instead of panicking on an integer-cast overflow.
         let mut b = TableBuilder::with_fields("flights", &[("x", DataType::Float)]);
         b.push_row(&[(-1e40).into()]).unwrap();
