@@ -16,7 +16,7 @@
 //!   systems under test implement (§4.5), with the [`Overhead`] and
 //!   [`Ready`] handles engines compose.
 //! - [`service`]: the shared, concurrent, deadline-aware [`EngineService`]
-//!   API — one engine serving many sessions through a deadline/priority
+//!   API — one engine serving many sessions through a deadline-first
 //!   scheduler with cooperative cancellation ([`QueryTicket`]), and
 //!   [`ServiceCore`], which runs `SystemAdapter` impls behind it.
 //! - [`driver`]: the benchmark driver that runs workflows through an
@@ -51,8 +51,7 @@ pub use query::Query;
 pub use report::{DetailedReport, DetailedRow, SummaryReport, SummaryRow};
 pub use result::{AggResult, BinCoord, BinKey, BinStats};
 pub use service::{
-    EngineService, QueryOptions, QueryTicket, ServiceCore, SessionId, TicketScheduler,
-    TicketStatus, TicketSubscription,
+    EngineService, QueryOptions, QueryTicket, ServiceCore, SessionId, TicketScheduler, TicketStatus,
 };
 pub use settings::{DataScale, ExecutionMode, Settings, DEFAULT_STEP_QUANTUM};
 pub use spec::{AggFunc, AggregateSpec, BinDef, FilterExpr, Predicate, Selection, VizSpec};

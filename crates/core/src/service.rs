@@ -5,48 +5,48 @@
 //! time, so multi-session harnesses can only scale by cloning one adapter
 //! per session and sharing state through side channels. [`EngineService`]
 //! is the opposite shape — the deployment shape: **one shared engine, many
-//! in-flight queries**, submitted through `&self` with explicit deadlines,
-//! priorities and session identity, and driven by a central
-//! deadline-aware scheduler.
+//! in-flight queries**, submitted through `&self` with explicit deadlines
+//! and session identity, and driven by a central deadline-aware scheduler.
 //!
 //! # The ticket model
 //!
 //! [`EngineService::submit`] returns a [`QueryTicket`] — a handle into the
 //! service's [`TicketScheduler`]. The scheduler multiplexes grant quanta
 //! across *all* in-flight tickets: every pump grants one quantum of work
-//! units to the ticket with the least `(priority, deadline, session,
-//! ticket)` key — earliest-effective-deadline-first, with deterministic
-//! session/ticket tie-breaks. Callers observe progress through
-//! [`QueryTicket::snapshot`] (best currently-available result) and
-//! [`QueryTicket::subscribe`] (versioned progressive updates), and drive
-//! execution cooperatively with [`QueryTicket::drive`] /
-//! [`QueryTicket::pump`].
+//! units to the ticket with the least `(deadline, session, ticket)` key —
+//! earliest-deadline-first, with deterministic session/ticket tie-breaks.
+//! Callers observe progress through [`QueryTicket::snapshot`] (best
+//! currently-available result) and [`QueryTicket::on_settle`] (fired once
+//! with the terminal status), and drive execution cooperatively with
+//! [`QueryTicket::drive`] / [`QueryTicket::pump`].
 //!
 //! # Cancellation
 //!
-//! Queries are revoked cooperatively, per the paper's driver semantics
+//! Queries end early cooperatively, per the paper's driver semantics
 //! (§4.4: a new interaction on a viz supersedes that viz's pending
 //! refresh):
 //!
 //! - **supersede**: submitting a query for a `(session, viz)` pair that
-//!   already has an unsettled ticket revokes the old ticket;
+//!   already has an unsettled ticket revokes the old ticket
+//!   ([`EngineService::revoke_superseded`] revokes it without a
+//!   replacement, for layers that answer the new query themselves);
 //! - **deadline**: a ticket whose work-unit budget (`deadline_units`) is
 //!   exhausted settles as [`TicketStatus::Expired`] — its last snapshot
 //!   (partial, for progressive engines) remains fetchable;
-//! - **explicit**: [`QueryTicket::cancel`] revokes, [`QueryTicket::expire`]
-//!   deadline-cancels, and dropping a ticket revokes any remaining work.
+//!   [`QueryTicket::expire`] does the same at a wall-clock deadline;
+//! - **drop**: dropping a ticket revokes any remaining work.
 //!
 //! A revoked ticket consumes no further units and **never surfaces a stale
 //! snapshot** ([`QueryTicket::snapshot`] returns `None`).
 //!
 //! # Determinism
 //!
-//! Scheduling order is a pure function of `(priority, deadline_units,
-//! session id, ticket id)`; grants are virtual work units, never wall
-//! clock. Worker threads (the morsel dispatcher under a step) only change
-//! how fast a grant's rows are scanned, never the grant sequence or the
-//! results — so reports produced through the service are bit-identical
-//! across worker counts.
+//! Scheduling order is a pure function of `(deadline_units, session id,
+//! ticket id)`; grants are virtual work units, never wall clock. Worker
+//! threads (the morsel dispatcher under a step) only change how fast a
+//! grant's rows are scanned, never the grant sequence or the results — so
+//! reports produced through the service are bit-identical across worker
+//! counts.
 //!
 //! # Implementations
 //!
@@ -73,13 +73,12 @@ pub type SessionId = u64;
 /// Identifies one submitted query within a scheduler.
 pub type TicketId = u64;
 
-/// Scheduler ordering key: `(priority, deadline_units, session, ticket)`.
-/// Smaller sorts first on every component — priority class 0 preempts
-/// class 1, then the earliest effective deadline wins, then ties break
-/// deterministically by session and submission order.
-type SchedKey = (u8, u64, SessionId, TicketId);
+/// Scheduler ordering key: `(deadline_units, session, ticket)`. Smaller
+/// sorts first on every component — the earliest effective deadline wins,
+/// then ties break deterministically by session and submission order.
+type SchedKey = (u64, SessionId, TicketId);
 
-/// Per-query submission options (deadline, priority class, session).
+/// Per-query submission options (deadline, session, grant size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Work-unit budget before the ticket is expired — the query's
@@ -87,24 +86,20 @@ pub struct QueryOptions {
     /// for earliest-deadline-first scheduling. `u64::MAX` means "no
     /// deadline" (wall-clock callers enforce their own).
     pub deadline_units: u64,
-    /// Priority class; **smaller is more urgent** (class 0 preempts
-    /// class 1). Within a class, scheduling is deadline-first.
-    pub priority: u8,
     /// The submitting session.
     pub session: SessionId,
-    /// Work units granted to this ticket per scheduler pump. Smaller =
-    /// finer-grained deadline enforcement and fairer interleaving; larger
-    /// = less stepping overhead.
+    /// Work units granted to this ticket per scheduler pump (0 grants 1).
+    /// Smaller = finer-grained deadline enforcement and fairer
+    /// interleaving; larger = less stepping overhead.
     pub step_quantum: u64,
 }
 
 impl QueryOptions {
-    /// Default options for a session: no deadline, priority class 0, the
-    /// default driver step quantum.
+    /// Default options for a session: no deadline and the default driver
+    /// step quantum.
     pub fn for_session(session: SessionId) -> QueryOptions {
         QueryOptions {
             deadline_units: u64::MAX,
-            priority: 0,
             session,
             step_quantum: DEFAULT_STEP_QUANTUM,
         }
@@ -116,15 +111,9 @@ impl QueryOptions {
         self
     }
 
-    /// Builder-style setter for the priority class (smaller = more urgent).
-    pub fn with_priority(mut self, priority: u8) -> QueryOptions {
-        self.priority = priority;
-        self
-    }
-
     /// Builder-style setter for the per-grant step quantum.
     pub fn with_step_quantum(mut self, quantum: u64) -> QueryOptions {
-        self.step_quantum = quantum.max(1);
+        self.step_quantum = quantum;
         self
     }
 }
@@ -152,7 +141,7 @@ pub enum TicketStatus {
         /// [`QueryTicket::expire`] was called.
         spent: u64,
     },
-    /// Superseded or cancelled; no further units are consumed and
+    /// Superseded or dropped; no further units are consumed and
     /// `snapshot` returns `None`.
     Revoked {
         /// Work units consumed before revocation.
@@ -181,7 +170,7 @@ impl TicketStatus {
         matches!(self, TicketStatus::Done { .. })
     }
 
-    /// Whether the ticket was revoked (superseded or cancelled).
+    /// Whether the ticket was revoked (superseded or dropped).
     pub fn is_revoked(self) -> bool {
         matches!(self, TicketStatus::Revoked { .. })
     }
@@ -198,72 +187,62 @@ impl TicketStatus {
 /// into the scheduler or ticket API.
 pub type SettleHook = Box<dyn FnOnce(TicketStatus, Option<&AggResult>) + Send>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Running,
-    Done,
-    Expired,
-    Revoked,
-}
-
 /// One in-flight (or settled, not-yet-released) query.
 struct TicketCell {
     key: SchedKey,
     viz: String,
     quantum: u64,
     deadline: u64,
-    spent: u64,
-    phase: Phase,
+    status: TicketStatus,
+    /// The engine's handle; present exactly while the ticket runs.
     handle: Option<Box<dyn QueryHandle>>,
     /// `Arc`-shared so settled cache hits cost no deep copy at admission
     /// (readers copy once, at `snapshot()`).
     final_snapshot: Option<Arc<AggResult>>,
-    /// Bumped on every state change; drives [`TicketSubscription`].
-    version: u64,
     hook: Option<SettleHook>,
 }
 
 impl TicketCell {
-    fn status(&self) -> TicketStatus {
-        match self.phase {
-            Phase::Running => TicketStatus::Running { spent: self.spent },
-            Phase::Done => TicketStatus::Done { spent: self.spent },
-            Phase::Expired => TicketStatus::Expired { spent: self.spent },
-            Phase::Revoked => TicketStatus::Revoked { spent: self.spent },
+    /// Moves a running cell to the terminal `status`: takes a final
+    /// snapshot (never for revocations — a superseded query must not
+    /// surface a stale result), drops the engine handle (cancelling any
+    /// remaining work), and fires the settle hook.
+    fn settle(&mut self, status: TicketStatus) {
+        debug_assert!(!self.status.is_settled(), "settling a settled ticket");
+        let handle = self.handle.take();
+        self.final_snapshot = if status.is_revoked() {
+            None
+        } else {
+            handle.as_ref().and_then(|h| h.snapshot()).map(Arc::new)
+        };
+        drop(handle);
+        self.status = status;
+        if let Some(hook) = self.hook.take() {
+            hook(status, self.final_snapshot.as_deref());
         }
     }
-}
 
-/// Moves a cell to a terminal phase: takes a final snapshot (never for
-/// revocations — a superseded query must not surface a stale result),
-/// drops the engine handle (cancelling any remaining work), and fires the
-/// settle hook.
-fn settle(cell: &mut TicketCell, phase: Phase) {
-    debug_assert_eq!(cell.phase, Phase::Running, "settling a settled ticket");
-    let handle = cell.handle.take();
-    cell.final_snapshot = if phase == Phase::Revoked {
-        None
-    } else {
-        handle.as_ref().and_then(|h| h.snapshot()).map(Arc::new)
-    };
-    drop(handle);
-    cell.phase = phase;
-    cell.version += 1;
-    if let Some(hook) = cell.hook.take() {
-        hook(cell.status(), cell.final_snapshot.as_deref());
+    /// Settles the cell `Expired` after `spent` units. A finite deadline
+    /// charges its full budget however early the ticket stops (the
+    /// benchmark's time-requirement accounting); without one only the
+    /// consumed units are charged.
+    fn expire(&mut self, spent: u64) {
+        let spent = if self.deadline == u64::MAX {
+            spent
+        } else {
+            self.deadline
+        };
+        self.settle(TicketStatus::Expired { spent });
     }
-}
 
-/// Revokes the unsettled pending ticket of `(session, viz)` under the
-/// scheduler lock (shared by `admit_cell` and `revoke_pending`).
-fn revoke_pending_locked(inner: &mut SchedState, session: SessionId, viz: &str) {
-    if let Some(&old) = inner.pending.get(&(session, viz.to_string())) {
-        if let Some(cell) = inner.tickets.get_mut(&old) {
-            if cell.phase == Phase::Running {
-                let old_key = cell.key;
-                settle(cell, Phase::Revoked);
-                inner.queue.remove(&old_key);
+    /// Revokes the cell if it still runs; returns whether it did.
+    fn revoke(&mut self) -> bool {
+        match self.status {
+            TicketStatus::Running { spent } => {
+                self.settle(TicketStatus::Revoked { spent });
+                true
             }
+            _ => false,
         }
     }
 }
@@ -275,17 +254,30 @@ struct SchedState {
     /// Runnable tickets in scheduling order.
     queue: BTreeSet<SchedKey>,
     /// Supersede index: the latest ticket submitted per `(session, viz)`.
-    /// Entries are cleaned lazily (checked against the ticket's phase).
+    /// A dropped ticket removes its entry while it is still the latest.
     pending: FxHashMap<(SessionId, String), TicketId>,
 }
 
-/// The central deadline/priority-aware scheduler behind a shared service.
+impl SchedState {
+    /// Revokes the unsettled pending ticket of `(session, viz)`, if any.
+    fn revoke_pending(&mut self, session: SessionId, viz: &str) {
+        if let Some(old) = self.pending.get(&(session, viz.to_string())) {
+            if let Some(cell) = self.tickets.get_mut(old) {
+                if cell.revoke() {
+                    self.queue.remove(&cell.key);
+                }
+            }
+        }
+    }
+}
+
+/// The central deadline-aware scheduler behind a shared service.
 ///
 /// All state lives under one mutex: grants are *virtual-time bookkeeping*
 /// (the actual row work under a grant still fans out over the query
 /// crate's shared scan pool), and a single lock keeps the grant sequence —
 /// and therefore every report — a pure function of the submitted
-/// `(priority, deadline, session, ticket)` keys.
+/// `(deadline, session, ticket)` keys.
 #[derive(Default)]
 pub struct TicketScheduler {
     inner: Mutex<SchedState>,
@@ -320,56 +312,53 @@ impl TicketScheduler {
         viz: impl Into<String>,
         opts: QueryOptions,
     ) -> QueryTicket {
-        self.admit_cell(None, Some(result), viz.into(), opts)
+        self.admit_cell(None, result, viz.into(), opts)
     }
 
     /// Revokes the unsettled pending ticket for `(session, viz)`, if any —
-    /// the supersede rule, exposed for layered services whose superseding
-    /// query is answered at the layer (e.g. a cache hit) and therefore
-    /// never reaches this scheduler.
-    pub fn revoke_pending(&self, session: SessionId, viz: &str) {
-        let mut inner = self.inner.lock().unwrap();
-        revoke_pending_locked(&mut inner, session, viz);
+    /// the supersede rule without a replacement (see
+    /// [`EngineService::revoke_superseded`]).
+    fn revoke_pending(&self, session: SessionId, viz: &str) {
+        self.inner.lock().unwrap().revoke_pending(session, viz);
     }
 
+    /// Admits a running ticket over `handle`, or — without one — a ticket
+    /// born `Done` with `result` as its final snapshot.
     fn admit_cell(
         self: &Arc<Self>,
         handle: Option<Box<dyn QueryHandle>>,
-        settled_with: Option<Option<Arc<AggResult>>>,
+        result: Option<Arc<AggResult>>,
         viz: String,
         opts: QueryOptions,
     ) -> QueryTicket {
         let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;
         inner.next_id += 1;
-        let key = (opts.priority, opts.deadline_units, opts.session, id);
+        let key = (opts.deadline_units, opts.session, id);
 
         // Supersede: a newer query for the same viz revokes the old one.
-        revoke_pending_locked(&mut inner, opts.session, &viz);
+        inner.revoke_pending(opts.session, &viz);
         inner.pending.insert((opts.session, viz.clone()), id);
 
+        let status = match handle {
+            Some(_) => TicketStatus::Running { spent: 0 },
+            None => TicketStatus::Done { spent: 0 },
+        };
         let mut cell = TicketCell {
             key,
             viz,
             quantum: opts.step_quantum.max(1),
             deadline: opts.deadline_units,
-            spent: 0,
-            phase: Phase::Running,
+            status,
             handle,
-            final_snapshot: None,
-            version: 0,
+            final_snapshot: result,
             hook: None,
         };
-        match settled_with {
-            Some(result) => {
-                // Born settled: skip the queue entirely.
-                cell.handle = None;
-                cell.final_snapshot = result;
-                cell.phase = Phase::Done;
-                cell.version += 1;
-            }
-            None if opts.deadline_units == 0 => settle(&mut cell, Phase::Expired),
-            None => {
+        // A born-settled ticket skips the queue entirely.
+        if cell.handle.is_some() {
+            if opts.deadline_units == 0 {
+                cell.expire(0);
+            } else {
                 inner.queue.insert(key);
             }
         }
@@ -381,8 +370,8 @@ impl TicketScheduler {
     }
 
     /// Grants one quantum to the schedulable ticket with the least
-    /// `(priority, deadline, session, ticket)` key. Returns `false` when
-    /// nothing is runnable.
+    /// `(deadline, session, ticket)` key. Returns `false` when nothing is
+    /// runnable.
     ///
     /// A grant never exceeds the remaining deadline budget, and a step is
     /// charged at most its grant, even when the engine reports more;
@@ -390,94 +379,73 @@ impl TicketScheduler {
     /// `Expired`; and a zero-unit step without completion is a stalled
     /// engine, charged the full budget and settled `Expired`.
     pub fn pump_one(&self) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        let Some(&key) = inner.queue.iter().next() else {
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        let Some(key) = inner.queue.pop_first() else {
             return false;
         };
-        inner.queue.remove(&key);
-        let id = key.3;
-        let requeue = {
-            let cell = inner
-                .tickets
-                .get_mut(&id)
-                .expect("queued ticket has a cell");
-            if cell.phase != Phase::Running {
-                // Settled or revoked between queue insert and pump; drop.
-                false
-            } else {
-                let grant = cell.quantum.min(cell.deadline - cell.spent);
-                let status = cell
-                    .handle
-                    .as_mut()
-                    .expect("running ticket has a handle")
-                    .step(grant);
-                // An engine that reports more than its grant is charged
-                // the grant, so `spent` never passes the deadline.
-                let units = status.units().min(grant);
-                cell.spent += units;
-                cell.version += 1;
-                if status.is_done() {
-                    settle(cell, Phase::Done);
-                    false
-                } else if units == 0 {
-                    // Engine yields without progress: it would never
-                    // finish, so charge the whole budget and stop
-                    // granting instead of looping forever.
-                    if cell.deadline != u64::MAX {
-                        cell.spent = cell.deadline;
-                    }
-                    settle(cell, Phase::Expired);
-                    false
-                } else if cell.spent >= cell.deadline {
-                    settle(cell, Phase::Expired);
-                    false
-                } else {
-                    true
-                }
-            }
+        let cell = inner
+            .tickets
+            .get_mut(&key.2)
+            .expect("queued ticket has a cell");
+        // Every settlement leaves the queue, so a queued cell runs.
+        let TicketStatus::Running { spent } = cell.status else {
+            return true;
         };
-        if requeue {
+        let grant = cell.quantum.min(cell.deadline - spent);
+        let step = cell
+            .handle
+            .as_mut()
+            .expect("running ticket has a handle")
+            .step(grant);
+        // An engine that reports more than its grant is charged the grant,
+        // so `spent` never passes the deadline.
+        let units = step.units().min(grant);
+        let spent = spent + units;
+        if step.is_done() {
+            cell.settle(TicketStatus::Done { spent });
+        } else if units == 0 || spent >= cell.deadline {
+            // The budget is spent, or the engine yields without progress
+            // and would never finish: stop granting instead of looping
+            // forever.
+            cell.expire(spent);
+        } else {
+            cell.status = TicketStatus::Running { spent };
             inner.queue.insert(key);
         }
         true
     }
 
     /// Number of tickets not yet released (running or settled-but-held).
-    pub fn live_tickets(&self) -> usize {
+    #[cfg(test)]
+    fn live_tickets(&self) -> usize {
         self.inner.lock().unwrap().tickets.len()
     }
 
     /// Number of runnable tickets awaiting grants.
-    pub fn runnable(&self) -> usize {
+    #[cfg(test)]
+    fn runnable(&self) -> usize {
         self.inner.lock().unwrap().queue.len()
     }
 
-    fn terminate(&self, id: TicketId, phase: Phase) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(cell) = inner.tickets.get_mut(&id) {
-            if cell.phase == Phase::Running {
-                // Early expiry of a finite-deadline ticket charges the
-                // full budget, matching deadline exhaustion in `pump_one`
-                // (the benchmark's time-requirement accounting).
-                if phase == Phase::Expired && cell.deadline != u64::MAX {
-                    cell.spent = cell.deadline;
-                }
-                let key = cell.key;
-                settle(cell, phase);
-                inner.queue.remove(&key);
-            }
-        }
+    /// Number of `(session, viz)` entries in the supersede index.
+    #[cfg(test)]
+    fn pending_vizs(&self) -> usize {
+        self.inner.lock().unwrap().pending.len()
     }
 
+    /// Revokes a dropped ticket's remaining work and releases its state.
     fn release(&self, id: TicketId) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(cell) = inner.tickets.remove(&id) {
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        if let Some(mut cell) = inner.tickets.remove(&id) {
+            cell.revoke();
             inner.queue.remove(&cell.key);
             // Clean the supersede index if this ticket is still the viz's
             // latest, so `pending` never outgrows the live dashboards.
-            let session = cell.key.2;
-            if inner.pending.get(&(session, cell.viz.clone())) == Some(&id) {
-                inner.pending.remove(&(session, cell.viz));
+            let entry = (cell.key.1, cell.viz);
+            if inner.pending.get(&entry) == Some(&id) {
+                inner.pending.remove(&entry);
             }
         }
     }
@@ -494,14 +462,9 @@ pub struct QueryTicket {
 }
 
 impl QueryTicket {
-    /// The ticket's scheduler-unique id (the deterministic tie-break key).
-    pub fn id(&self) -> TicketId {
-        self.id
-    }
-
     /// Current status (phase + units consumed).
     pub fn status(&self) -> TicketStatus {
-        self.sched.inner.lock().unwrap().tickets[&self.id].status()
+        self.sched.inner.lock().unwrap().tickets[&self.id].status
     }
 
     /// Work units charged to the query so far.
@@ -526,10 +489,12 @@ impl QueryTicket {
     pub fn snapshot(&self) -> Option<AggResult> {
         let inner = self.sched.inner.lock().unwrap();
         let cell = &inner.tickets[&self.id];
-        match cell.phase {
-            Phase::Running => cell.handle.as_ref().and_then(|h| h.snapshot()),
-            Phase::Revoked => None,
-            Phase::Done | Phase::Expired => cell.final_snapshot.as_deref().cloned(),
+        match cell.status {
+            TicketStatus::Running { .. } => cell.handle.as_ref().and_then(|h| h.snapshot()),
+            TicketStatus::Revoked { .. } => None,
+            TicketStatus::Done { .. } | TicketStatus::Expired { .. } => {
+                cell.final_snapshot.as_deref().cloned()
+            }
         }
     }
 
@@ -540,10 +505,10 @@ impl QueryTicket {
     pub fn into_snapshot(self) -> Option<AggResult> {
         let mut inner = self.sched.inner.lock().unwrap();
         let cell = inner.tickets.get_mut(&self.id).expect("live ticket");
-        match cell.phase {
-            Phase::Running => cell.handle.as_ref().and_then(|h| h.snapshot()),
-            Phase::Revoked => None,
-            Phase::Done | Phase::Expired => cell
+        match cell.status {
+            TicketStatus::Running { .. } => cell.handle.as_ref().and_then(|h| h.snapshot()),
+            TicketStatus::Revoked { .. } => None,
+            TicketStatus::Done { .. } | TicketStatus::Expired { .. } => cell
                 .final_snapshot
                 .take()
                 .map(|r| Arc::try_unwrap(r).unwrap_or_else(|shared| (*shared).clone())),
@@ -575,26 +540,17 @@ impl QueryTicket {
         self.status()
     }
 
-    /// Revokes the ticket: no further units are consumed and
-    /// [`QueryTicket::snapshot`] returns `None`. No-op once settled.
-    pub fn cancel(&self) {
-        self.sched.terminate(self.id, Phase::Revoked);
-    }
-
     /// Deadline-cancels the ticket: it settles as expired and its last
     /// engine snapshot (partial results) stays fetchable. No-op once
     /// settled. Wall-clock drivers call this at the time requirement.
     pub fn expire(&self) {
-        self.sched.terminate(self.id, Phase::Expired);
-    }
-
-    /// Subscribes to the ticket's progressive updates (see
-    /// [`TicketSubscription::poll`]).
-    pub fn subscribe(&self) -> TicketSubscription {
-        TicketSubscription {
-            sched: Arc::clone(&self.sched),
-            id: self.id,
-            last_version: 0,
+        let mut guard = self.sched.inner.lock().unwrap();
+        let inner = &mut *guard;
+        if let Some(cell) = inner.tickets.get_mut(&self.id) {
+            if let TicketStatus::Running { spent } = cell.status {
+                cell.expire(spent);
+                inner.queue.remove(&cell.key);
+            }
         }
     }
 
@@ -607,7 +563,9 @@ impl QueryTicket {
     pub fn on_settle(&self, hook: impl FnOnce(TicketStatus, Option<&AggResult>) + Send + 'static) {
         let mut inner = self.sched.inner.lock().unwrap();
         let cell = inner.tickets.get_mut(&self.id).expect("live ticket");
-        if cell.phase == Phase::Running {
+        if cell.status.is_settled() {
+            hook(cell.status, cell.final_snapshot.as_deref());
+        } else {
             cell.hook = Some(match cell.hook.take() {
                 None => Box::new(hook),
                 Some(prev) => Box::new(move |status, snapshot| {
@@ -615,8 +573,6 @@ impl QueryTicket {
                     hook(status, snapshot);
                 }),
             });
-        } else {
-            hook(cell.status(), cell.final_snapshot.as_deref());
         }
     }
 }
@@ -629,7 +585,6 @@ impl Drop for QueryTicket {
         if self.sched.inner.is_poisoned() {
             return;
         }
-        self.sched.terminate(self.id, Phase::Revoked);
         self.sched.release(self.id);
     }
 }
@@ -640,34 +595,6 @@ impl std::fmt::Debug for QueryTicket {
             .field("id", &self.id)
             .field("status", &self.status())
             .finish()
-    }
-}
-
-/// A polling subscription to one ticket's progressive updates.
-pub struct TicketSubscription {
-    sched: Arc<TicketScheduler>,
-    id: TicketId,
-    last_version: u64,
-}
-
-impl TicketSubscription {
-    /// Returns `Some((status, snapshot))` when the ticket changed since
-    /// the previous poll (a grant was consumed, a snapshot refreshed, or
-    /// the ticket settled); `None` when nothing changed or the ticket has
-    /// been released.
-    pub fn poll(&mut self) -> Option<(TicketStatus, Option<AggResult>)> {
-        let inner = self.sched.inner.lock().unwrap();
-        let cell = inner.tickets.get(&self.id)?;
-        if cell.version == self.last_version {
-            return None;
-        }
-        self.last_version = cell.version;
-        let snapshot = match cell.phase {
-            Phase::Running => cell.handle.as_ref().and_then(|h| h.snapshot()),
-            Phase::Revoked => None,
-            Phase::Done | Phase::Expired => cell.final_snapshot.as_deref().cloned(),
-        };
-        Some((cell.status(), snapshot))
     }
 }
 
@@ -813,7 +740,8 @@ impl ServiceCore {
     }
 
     /// The service's scheduler (shared with every ticket it issued).
-    pub fn scheduler(&self) -> &Arc<TicketScheduler> {
+    #[cfg(test)]
+    fn scheduler(&self) -> &Arc<TicketScheduler> {
         &self.sched
     }
 
@@ -1099,40 +1027,86 @@ mod tests {
 
     #[test]
     fn scheduler_grants_by_deadline_then_session_then_ticket() {
-        let svc = service(1_000, false);
-        svc.open_session(1, &dataset(), &Settings::default())
-            .unwrap();
-        // Session 1 submits first but with a later effective deadline.
-        let relaxed = svc.submit(&query("v"), opts(1, 10_000));
-        let urgent = svc.submit(&query("v"), opts(0, 2_000));
-        // Driving the relaxed ticket must first fund the urgent one.
-        let st = relaxed.drive();
-        assert!(st.is_done());
-        assert!(urgent.is_done(), "EDF pumped the urgent ticket first");
+        // Each input submits two `(session, deadline, viz)` tickets in
+        // order; the indexed one is funded until it settles.
+        let inputs = [
+            // Session 1 submits first but with a later effective deadline.
+            ([(1, 10_000, "v"), (0, 2_000, "v")], 1),
+            // Equal deadlines: the smaller session wins.
+            ([(1, 5_000, "v"), (0, 5_000, "v")], 1),
+            // Equal session and deadline on two vizs: submission order wins
+            // (`WorkflowSession::step_service` funds an interaction's lanes
+            // one after another this way).
+            ([(0, 5_000, "a"), (0, 5_000, "b")], 0),
+        ];
+        for (submissions, first) in inputs {
+            let svc = service(1_000, false);
+            svc.open_session(1, &dataset(), &Settings::default())
+                .unwrap();
+            let tickets: Vec<_> = submissions
+                .iter()
+                .map(|&(session, deadline, viz)| svc.submit(&query(viz), opts(session, deadline)))
+                .collect();
+            let (funded, waiting) = (&tickets[first], &tickets[1 - first]);
+            while !funded.is_settled() {
+                funded.pump();
+                assert_eq!(waiting.spent_units(), 0, "{submissions:?}");
+            }
+            assert!(funded.is_done());
+            assert!(waiting.drive().is_done());
+        }
     }
 
     #[test]
-    fn priority_class_preempts_deadline() {
-        let svc = service(1_000, false);
-        let background = svc.submit(&query("v"), opts(0, 500).with_priority(1));
-        let foreground = svc.submit(&query("w"), opts(0, 10_000).with_priority(0));
-        background.pump();
-        // The class-0 ticket got the quantum despite the later deadline.
-        assert!(foreground.spent_units() > 0);
-        assert_eq!(background.spent_units(), 0);
-    }
-
-    #[test]
-    fn cancel_revokes_and_drop_releases() {
+    fn drop_revokes_and_releases() {
         let svc = service(10_000, true);
         let t = svc.submit(&query("v"), opts(0, 5_000));
         t.pump();
-        t.cancel();
-        assert!(t.status().is_revoked());
-        assert!(t.snapshot().is_none());
-        assert_eq!(svc.scheduler().runnable(), 0);
+        let settled = Arc::new(Mutex::new(None));
+        let s = Arc::clone(&settled);
+        t.on_settle(move |st, snap| *s.lock().unwrap() = Some((st, snap.is_some())));
         drop(t);
+        // Revoked at the units spent so far, with no snapshot.
+        assert_eq!(
+            *settled.lock().unwrap(),
+            Some((TicketStatus::Revoked { spent: 100 }, false))
+        );
+        assert_eq!(svc.scheduler().runnable(), 0);
         assert_eq!(svc.scheduler().live_tickets(), 0);
+    }
+
+    #[test]
+    fn released_tickets_leave_no_supersede_entries() {
+        let svc = service(1_000, true);
+        svc.open_session(1, &dataset(), &Settings::default())
+            .unwrap();
+        let sched = Arc::clone(svc.scheduler());
+        // Many distinct vizs, each ticket dropped running, part-run or done.
+        for i in 0..64u64 {
+            let t = svc.submit(&query(&format!("v{i}")), opts(i % 2, 5_000));
+            if i % 3 == 1 {
+                t.pump();
+            } else if i % 3 == 2 {
+                t.drive();
+            }
+        }
+        assert_eq!(sched.pending_vizs(), 0);
+        // A chain of superseded tickets on one viz: the stale ones drop
+        // first and must leave the newest one's entry in place.
+        let mut chain: Vec<_> = (0..16)
+            .map(|_| svc.submit(&query("v"), opts(0, 5_000)))
+            .collect();
+        let newest = chain.pop().unwrap();
+        drop(chain);
+        assert_eq!(sched.pending_vizs(), 1);
+        let next = svc.submit(&query("v"), opts(0, 5_000));
+        assert!(newest.status().is_revoked(), "still superseded");
+        drop(next);
+        drop(newest);
+        assert_eq!(
+            (sched.live_tickets(), sched.runnable(), sched.pending_vizs()),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -1143,25 +1117,6 @@ mod tests {
         t.expire();
         assert!(t.status().is_expired());
         assert!(t.snapshot().is_some());
-    }
-
-    #[test]
-    fn subscription_sees_progress_and_settlement() {
-        let svc = service(250, true);
-        let t = svc.submit(&query("v"), opts(0, 1_000));
-        let mut sub = t.subscribe();
-        assert!(sub.poll().is_none(), "no progress yet");
-        t.pump();
-        let (st, snap) = sub.poll().expect("first grant is an update");
-        assert_eq!(st.spent(), 100);
-        assert!(snap.is_some());
-        assert!(sub.poll().is_none(), "no change between grants");
-        t.drive();
-        let (st, snap) = sub.poll().expect("settlement is an update");
-        assert!(st.is_done());
-        assert_eq!(snap.unwrap(), ToyHandle::result(250));
-        drop(t);
-        assert!(sub.poll().is_none(), "released ticket yields nothing");
     }
 
     #[test]
@@ -1215,7 +1170,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 1, "the shared result survives");
 
         let t = svc.submit(&query("w"), opts(0, 1_000));
-        t.cancel();
+        svc.revoke_superseded(0, "w");
         assert!(t.into_snapshot().is_none());
     }
 

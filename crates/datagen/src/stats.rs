@@ -54,7 +54,7 @@ const GUIDE_PER_RANK: usize = 4;
 /// Cumulative weights with a guide table (Chen and Asau, 1974) for
 /// constant expected-time categorical draws.
 ///
-/// The unit interval is cut into [`GUIDE_PER_RANK`] buckets per rank, and
+/// The unit interval is cut into `GUIDE_PER_RANK` (4) buckets per rank, and
 /// each bucket stores [`sample_cumulative`] at its smallest `u`. Because
 /// the rank is monotone in `u`, that is at or below the rank of every `u`
 /// in the bucket, so [`Cumulative::sample`] starts there and steps forward

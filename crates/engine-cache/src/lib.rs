@@ -72,11 +72,6 @@ impl<E: SystemAdapter> CachingAdapter<E> {
         Self::new(inner, CacheConfig::default())
     }
 
-    /// The wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
     /// Number of cached results.
     pub fn cached_results(&self) -> usize {
         self.cache.lock().len()

@@ -232,18 +232,6 @@ pub struct CachedEngineService {
     hits: Arc<TicketScheduler>,
 }
 
-impl CachedEngineService {
-    /// The wrapped engine service.
-    pub fn inner(&self) -> &Arc<dyn EngineService> {
-        &self.inner
-    }
-
-    /// The cache this layer consults.
-    pub fn cache(&self) -> &Arc<SemanticCache> {
-        &self.cache
-    }
-}
-
 impl EngineService for CachedEngineService {
     fn name(&self) -> &str {
         self.inner.name()

@@ -5,10 +5,10 @@
 //! morsel is a natural-order slice. Kernels read every column in place, at
 //! its stored encoding (see `crate::plan::Access`), through a view typed by
 //! use (`ColView`): numeric uses read `Vals`, nominal uses the column's
-//! `DictCodes` (`u8`/`u16`/`u32`) and code-space uses `CodeVals` (the
-//! `IntValues` or `DecimalCodes` of a narrow column). Each kernel body is
-//! therefore compiled once per width its column's role can hold — the
-//! fused 2-D nominal path 3 × 3 times. Per morsel:
+//! `DictCodes` (`u8`/`u16`/`u32`) and code-space uses `CodeVals` (a narrow
+//! column's `u8`/`u16` int values or its `DecimalCodes`). Each kernel body
+//! is therefore compiled once per width its view can hold — the fused 2-D
+//! nominal path 3 × 3 times. Per morsel:
 //!
 //! 1. the filter tree is evaluated into a bitmask (`Mask`) by typed
 //!    kernels — one `match` on column type per *morsel*, not per row. Each
@@ -324,7 +324,14 @@ macro_rules! with_codes {
 macro_rules! with_code_vals {
     ($col:expr, $base:expr, $n:expr, |$src:ident| $body:expr) => {
         match $col.vals {
-            CodeVals::Int(c) => per_width!(c, $base, $n, $src; $body),
+            CodeVals::U8(v) => {
+                let $src = &v[$base..$base + $n];
+                $body
+            }
+            CodeVals::U16(v) => {
+                let $src = &v[$base..$base + $n];
+                $body
+            }
             CodeVals::Decimal(c) => per_width!(c, $base, $n, $src; $body),
         }
     };

@@ -215,7 +215,8 @@ impl PlannedColumn {
     #[inline]
     pub(crate) fn code_view(&self) -> ColView<'_, CodeVals<'_>> {
         self.view_as(|col| match col.data() {
-            ColumnData::Int(c) => CodeVals::Int(c),
+            ColumnData::Int(Ints::Narrow(v)) => CodeVals::U8(v),
+            ColumnData::Int(Ints::Mid(v)) => CodeVals::U16(v),
             ColumnData::Decimal(c, _) => CodeVals::Decimal(c),
             _ => unreachable!("code-space columns are narrow ints or decimals"),
         })
@@ -248,11 +249,15 @@ pub(crate) enum Vals<'a> {
     WideDecimal(&'a DecimalCodes, f64),
 }
 
-/// The codes of a column read in code space, at their stored width.
+/// The codes of a column read in code space, at their stored width. An
+/// int column is read in code space only at a narrow width
+/// (`CodeSpan::covers`), so its `i64` width has no arm.
 #[derive(Clone, Copy)]
 pub(crate) enum CodeVals<'a> {
-    /// Integers, whose codes are their values.
-    Int(&'a IntValues),
+    /// `u8` integers, whose codes are their values.
+    U8(&'a [u8]),
+    /// `u16` integers, whose codes are their values.
+    U16(&'a [u16]),
     /// Decimal codes.
     Decimal(&'a DecimalCodes),
 }

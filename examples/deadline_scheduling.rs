@@ -1,5 +1,5 @@
-//! Deadline-prioritized submission: two sessions share one engine service,
-//! and the scheduler funds the tighter deadline first.
+//! Earliest-deadline-first submission: two sessions share one engine
+//! service, and the scheduler funds the tighter deadline first.
 //!
 //! ```sh
 //! cargo run --release --example deadline_scheduling
@@ -12,8 +12,9 @@
 //! 2. An *interactive* session submits the same scan with a tight
 //!    deadline — a user is waiting.
 //! 3. Pumping the scheduler shows earliest-deadline-first multiplexing:
-//!    the interactive ticket absorbs the grants until it completes, then
-//!    the background ticket proceeds.
+//!    the scheduling key is `(deadline, session, ticket)`, so the
+//!    interactive ticket absorbs the grants until it completes, then the
+//!    background ticket proceeds.
 //! 4. The dashboard's viz re-queries (the analyst changed a filter): the
 //!    superseded pending ticket is revoked — it consumes no further work
 //!    and never surfaces a stale snapshot.
